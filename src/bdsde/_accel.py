@@ -1,8 +1,9 @@
-"""Hot numeric kernels: numba-compiled with a pure-numpy fallback.
+"""Hot numeric kernels, in numpy.
 
-Set BDSDE_NO_NUMBA=1 to force the numpy path (also used automatically when
-numba is unavailable).  Both paths implement the same formulas; see
-benchmarks/bench_kernels.py for a timing comparison.
+`_moments_numpy` is the reference implementation over full query-by-knot
+matrices; `_moments_numpy_fast`, which `pl_gauss_moments` runs, restricts
+each query to the knots within 10 sigma on a uniform lattice and falls back
+to the reference otherwise.
 
 The central kernel computes, for a piecewise-linear function f tabulated on
 knots (with linear extension beyond both ends) and X ~ N(mu, sigma^2),
@@ -16,23 +17,10 @@ expectation used by the dynamic-programming solver and its diagnostics.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 from scipy.special import ndtr
 
-_NO_NUMBA = os.environ.get("BDSDE_NO_NUMBA", "").strip() not in ("", "0")
-
-if not _NO_NUMBA:
-    try:
-        from numba import njit
-        HAS_NUMBA = True
-    except ImportError:  # pragma: no cover
-        HAS_NUMBA = False
-else:
-    HAS_NUMBA = False
-
-_SQRT2 = math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _ZMAX = 10.0  # Gaussian mass beyond 10 sigma is ~1e-23; segments outside are skipped
 
@@ -125,68 +113,9 @@ def _moments_numpy_fast(knots, vals, mu, sigma):
     return m0, m1
 
 
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _moments_numba(knots, vals, mu, sigma):  # pragma: no cover - numba
-        nq = mu.shape[0]
-        n = knots.shape[0]
-        m0 = np.zeros(nq)
-        m1 = np.zeros(nq)
-        for q in range(nq):
-            m = mu[q]
-            lo_x = m - _ZMAX * sigma
-            hi_x = m + _ZMAX * sigma
-            k_lo = np.searchsorted(knots, lo_x) - 1
-            k_hi = np.searchsorted(knots, hi_x)
-            if k_lo < 0:
-                k_lo = 0
-            if k_hi > n - 1:
-                k_hi = n - 1
-            if k_hi <= k_lo:
-                k_hi = min(k_lo + 1, n - 1)
-                k_lo = k_hi - 1
-            # left tail of the window (extends the first window segment)
-            s_lo = (vals[k_lo + 1] - vals[k_lo]) / (knots[k_lo + 1] - knots[k_lo])
-            z = (knots[k_lo] - m) / sigma
-            cdf_prev = 0.5 * (1.0 + math.erf(z / _SQRT2))
-            pdf_prev = _INV_SQRT2PI * math.exp(-0.5 * z * z)
-            z_prev = z
-            a_val = vals[k_lo] + s_lo * (m - knots[k_lo])
-            m0[q] += a_val * cdf_prev - sigma * s_lo * pdf_prev
-            m1[q] += -sigma * a_val * pdf_prev + sigma * sigma * s_lo * (cdf_prev - z_prev * pdf_prev)
-            for k in range(k_lo, k_hi):
-                z = (knots[k + 1] - m) / sigma
-                if z > 38.0:
-                    z = 38.0
-                elif z < -38.0:
-                    z = -38.0
-                cdf_cur = 0.5 * (1.0 + math.erf(z / _SQRT2))
-                pdf_cur = _INV_SQRT2PI * math.exp(-0.5 * z * z)
-                s = (vals[k + 1] - vals[k]) / (knots[k + 1] - knots[k])
-                a_val = vals[k] + s * (m - knots[k])
-                i0 = cdf_cur - cdf_prev
-                i1 = pdf_prev - pdf_cur
-                i2 = i0 + z_prev * pdf_prev - z * pdf_cur
-                m0[q] += a_val * i0 + sigma * s * i1
-                m1[q] += sigma * a_val * i1 + sigma * sigma * s * i2
-                cdf_prev = cdf_cur
-                pdf_prev = pdf_cur
-                z_prev = z
-            # right tail of the window
-            s_hi = (vals[k_hi] - vals[k_hi - 1]) / (knots[k_hi] - knots[k_hi - 1])
-            a_val = vals[k_hi] + s_hi * (m - knots[k_hi])
-            t0 = 1.0 - cdf_prev
-            m0[q] += a_val * t0 + sigma * s_hi * pdf_prev
-            m1[q] += sigma * a_val * pdf_prev + sigma * sigma * s_hi * (t0 + z_prev * pdf_prev)
-        return m0, m1
-
-
 def pl_gauss_moments(knots, vals, mu, sigma):
     """(E[f(X)], E[f(X)(X - mu)]) for PL f and X ~ N(mu, sigma^2), vectorized over mu."""
     knots = np.ascontiguousarray(knots, dtype=float)
     vals = np.ascontiguousarray(vals, dtype=float)
     mu = np.ascontiguousarray(np.atleast_1d(mu), dtype=float)
-    if HAS_NUMBA:
-        return _moments_numba(knots, vals, mu, float(sigma))
     return _moments_numpy_fast(knots, vals, mu, float(sigma))

@@ -27,6 +27,7 @@ from . import rng
 from .errors import (
     ConvergenceError,
     InvalidArgumentError,
+    NonFiniteError,
     RegressionError,
     StepSizeError,
 )
@@ -78,8 +79,8 @@ def _check_contraction(problem: BdsdeProblem, dt: float):
             suggested_dt=0.5 / problem.lipschitz_f)
 
 
-def _fixed_point(update, y_start, tol, max_iters):
-    """Iterate y <- update(y) to tolerance; returns (y, n_iters, defect)."""
+def _fixed_point(update, y_start, tol, max_iters, i, a):
+    """Iterate y <- update(y) to tolerance at step i; returns (y, n_iters, defect)."""
     y = y_start
     for k in range(1, max_iters + 1):
         y_new = update(y)
@@ -87,72 +88,84 @@ def _fixed_point(update, y_start, tol, max_iters):
         y = y_new
         if delta <= tol:
             return y, k, float(np.max(np.abs(update(y) - y))) if np.size(y) else 0.0
+        if not math.isfinite(delta):
+            _check_finite(i, a, iterate=y)
     raise ConvergenceError(
         f"inner fixed point did not reach {tol:g} in {max_iters} iterations")
 
 
-def _terminal_z_tree(problem, tree):
-    """Phantom-step projection z_T(x) = E[xi(x + dX) dX] / (a dt) per leaf."""
-    n = tree.grid.n_steps
-    leaves = tree.states(n)
-    offs = tree.branch_offsets()
-    p = tree.transition_probs
-    num = np.zeros_like(leaves)
-    for pk, ok in zip(p, offs):
-        num += pk * problem.terminal(leaves + ok) * ok
-    return num / (tree.a * tree.grid.dt)
+def tree_cond(tree: BrownianTree) -> Callable:
+    """Exact one-step moments R -> (E[R], E[R dX] / (a dt)) on a recombining tree."""
+    return lambda r: (tree.child_expectation(r), tree.child_cross(r) / (tree.a * tree.grid.dt))
 
 
-def solve_tree(problem: BdsdeProblem, tree: BrownianTree, w: BackwardPath,
-               opts: SolverOptions = SolverOptions()) -> BdsdeSolution:
-    """Exact-expectation backward induction on a recombining tree (d = 1)."""
+def _check_finite(i, a, **arrays):
+    """NonFiniteError naming the step, volatility and first bad node of the first bad array."""
+    for what, values in arrays.items():
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise NonFiniteError(f"non-finite {what} at step {i}, volatility {a:g}, node {bad[0]}",
+                                 step=i, volatility=float(a), node=int(bad[0]))
+
+
+def backward_step(problem: BdsdeProblem, cond: Callable, states: Callable, i: int, grid,
+                  y_next, z_next, w: BackwardPath, a: float, opts: SolverOptions,
+                  constraint: Optional[Callable] = None):
+    """One Euler step of the backward pair from level i + 1 to level i (states: level -> x).
+
+    cond maps R = y' + h g' dW_i to (E[R], E[R dX] / (a dt)); the implicit update
+    carries the other (1 - h) of the noise term, h = 1 ("ito") or 1/2 ("stratonovich"),
+    and constraint(i, u) maps its value u onto the admissible set.  Returns
+    (y, z, iters, defect, push), push = y - u(y) under a constraint, else None.
+    """
+    t_i, t_next, dt, wi = grid.time(i), grid.time(i + 1), grid.dt, w.increments[i]
+    x_i, x_next = states(i), states(i + 1)
+    dV = 0.0 if problem.forcing is None else problem.forcing[i + 1] - problem.forcing[i]
+    half = 0.5 if opts.g_scheme == "stratonovich" else 1.0
+
+    r = y_next + half * g_dot(problem.g(t_next, x_next, y_next, z_next), wi)
+    e_mean, z = cond(r)
+    if not (np.isfinite(e_mean).all() and np.isfinite(z).all()):
+        _check_finite(i, a, R=r, mean=e_mean, z=z)  # a bad R poisons its moments
+    base = e_mean + dV
+
+    def unconstrained(y):
+        u = base if half == 1.0 else base + (1.0 - half) * g_dot(problem.g(t_i, x_i, y, z), wi)
+        return u + problem.f(t_i, x_i, y, z) * dt
+
+    project = (lambda u: u) if constraint is None else (lambda u: constraint(i, u))
+    y, iters, defect = _fixed_point(lambda y: project(unconstrained(y)), project(base),
+                                    opts.fp_tol, opts.max_iters, i, a)
+    return y, z, iters, defect, None if constraint is None else y - unconstrained(y)
+
+
+def _solve_on_tree(problem: BdsdeProblem, tree: BrownianTree, w: BackwardPath,
+                   opts: SolverOptions, constraint: Optional[Callable] = None):
+    """Backward induction on the tree; returns the solution and the per-step pushes."""
     grid = tree.grid
     if w.grid.n_steps != grid.n_steps:
         raise InvalidArgumentError("tree and backward path must share the grid")
     _check_contraction(problem, grid.dt)
     n = grid.n_steps
-    dt = grid.dt
-    a_dt = tree.a * dt
-    V = problem.forcing
-
-    y_levels = [None] * (n + 1)
-    z_levels = [None] * (n + 1)
-    residual = np.zeros(n)
-    iters = np.zeros(n, dtype=int)
-
-    y_levels[n] = np.asarray(problem.terminal(tree.states(n)), dtype=float)
-    z_levels[n] = _terminal_z_tree(problem, tree)
-
+    cond = tree_cond(tree)
+    y, z, pushes = [None] * (n + 1), [None] * (n + 1), [None] * n
+    residual, iters = np.zeros(n), np.zeros(n, dtype=int)
+    leaves = tree.states(n)
+    y[n] = np.asarray(problem.terminal(leaves), dtype=float)
+    # phantom-step projection z_T = E[xi(x + dX) dX] / (a dt) per leaf
+    z[n] = sum(pk * problem.terminal(leaves + ok) * ok for pk, ok in
+               zip(tree.transition_probs, tree.branch_offsets())) / (tree.a * grid.dt)
     for i in range(n - 1, -1, -1):
-        t_i, t_next = grid.time(i), grid.time(i + 1)
-        x_i = tree.states(i)
-        x_next = tree.states(i + 1)
-        wi = w.increments[i]
-        y_next, z_next = y_levels[i + 1], z_levels[i + 1]
+        y[i], z[i], iters[i], residual[i], pushes[i] = backward_step(
+            problem, cond, tree.states, i, grid, y[i + 1], z[i + 1], w, tree.a, opts, constraint)
+    return BdsdeSolution(y=y, z=z, residual=residual, picard_iters=iters, y0=float(y[0][0]),
+                         meta={"backend": "tree", "a": tree.a}), pushes
 
-        g_next = g_dot(problem.g(t_next, x_next, y_next, z_next), wi)
-        half = 0.5 if opts.g_scheme == "stratonovich" else 1.0
-        R = y_next + half * g_next
 
-        e_mean = tree.child_expectation(R)
-        z_i = tree.child_cross(R) / a_dt
-        dV = (V[i + 1] - V[i]) if V is not None else 0.0
-
-        if opts.g_scheme == "stratonovich":
-            def update(y):
-                own = 0.5 * g_dot(problem.g(t_i, x_i, y, z_i), wi)
-                return e_mean + dV + own + problem.f(t_i, x_i, y, z_i) * dt
-        else:
-            def update(y):
-                return e_mean + dV + problem.f(t_i, x_i, y, z_i) * dt
-
-        y_i, k, defect = _fixed_point(update, e_mean + dV, opts.fp_tol, opts.max_iters)
-        y_levels[i], z_levels[i] = y_i, z_i
-        residual[i], iters[i] = defect, k
-
-    return BdsdeSolution(y=y_levels, z=z_levels, residual=residual,
-                         picard_iters=iters, y0=float(y_levels[0][0]),
-                         meta={"backend": "tree", "a": tree.a})
+def solve_tree(problem: BdsdeProblem, tree: BrownianTree, w: BackwardPath,
+               opts: SolverOptions = SolverOptions()) -> BdsdeSolution:
+    """Exact-expectation backward induction on a recombining tree (d = 1)."""
+    return _solve_on_tree(problem, tree, w, opts)[0]
 
 
 def solve_with_forcing(problem: BdsdeProblem, tree: BrownianTree, w: BackwardPath,
@@ -279,7 +292,6 @@ def solve_regression(problem: BdsdeProblem, ensemble: PathEnsemble, w: BackwardP
     X = ensemble.states[:, :, 0]
     dX = ensemble.increments[:, :, 0]
     N = ensemble.n_paths
-    V = problem.forcing
 
     y = np.empty((N, n + 1))
     z = np.empty((N, n + 1))
@@ -306,30 +318,14 @@ def solve_regression(problem: BdsdeProblem, ensemble: PathEnsemble, w: BackwardP
                                 basis_degree, ridge, cond_max)[0]
 
     for i in range(n - 1, -1, -1):
-        t_i, t_next = grid.time(i), grid.time(i + 1)
-        wi = w.increments[i]
-        a_dt = a_steps[i] * dt
-        g_next = g_dot(problem.g(t_next, X[:, i + 1], y[:, i + 1], z[:, i + 1]), wi)
-        half = 0.5 if opts.g_scheme == "stratonovich" else 1.0
-        R = y[:, i + 1] + half * g_next
+        def cond(r):
+            fit_y, proj_rms[i] = _regress_on_state(X[:, i], r, basis_degree, ridge, cond_max)
+            return fit_y, _regress_on_state(X[:, i], r * dX[:, i] / (a_steps[i] * dt),
+                                            basis_degree, ridge, cond_max)[0]
 
-        fit_y, rms = _regress_on_state(X[:, i], R, basis_degree, ridge, cond_max)
-        fit_z, _ = _regress_on_state(X[:, i], R * dX[:, i] / a_dt,
-                                     basis_degree, ridge, cond_max)
-        z[:, i] = fit_z
-        dV = (V[i + 1] - V[i]) if V is not None else 0.0
-
-        if opts.g_scheme == "stratonovich":
-            def update(yv):
-                own = 0.5 * g_dot(problem.g(t_i, X[:, i], yv, fit_z), wi)
-                return fit_y + dV + own + problem.f(t_i, X[:, i], yv, fit_z) * dt
-        else:
-            def update(yv):
-                return fit_y + dV + problem.f(t_i, X[:, i], yv, fit_z) * dt
-
-        y[:, i], iters[i], residual[i] = _fixed_point(
-            update, fit_y + dV, opts.fp_tol, opts.max_iters)
-        proj_rms[i] = rms
+        y[:, i], z[:, i], iters[i], residual[i], _ = backward_step(
+            problem, cond, lambda j: X[:, j], i, grid, y[:, i + 1], z[:, i + 1],
+            w, a_steps[i], opts)
 
     return BdsdeSolution(y=y, z=z, residual=residual, picard_iters=iters,
                          y0=float(y[0, 0]), projection_rms=proj_rms,

@@ -25,6 +25,16 @@ class ConvergenceError(BdsdeError):
     """An inner fixed-point iteration failed to reach tolerance."""
 
 
+class NonFiniteError(BdsdeError):
+    """A backward step met a NaN or infinite value."""
+
+    def __init__(self, message, step=None, volatility=None, node=None):
+        super().__init__(message)
+        self.step = step
+        self.volatility = volatility
+        self.node = node
+
+
 class RegressionError(BdsdeError):
     """Least-squares projection failed (ill-conditioned normal equations)."""
 

@@ -18,9 +18,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .classical import BdsdeProblem, SolverOptions, _check_contraction, _terminal_z_tree
-from .errors import ConvergenceError, InvalidArgumentError, InvalidBarrierError
-from .generators import g_dot
+from .classical import BdsdeProblem, SolverOptions, _solve_on_tree
+from .errors import InvalidArgumentError, InvalidBarrierError
 from .grids import BackwardPath, BrownianTree
 
 
@@ -104,52 +103,19 @@ def _barrier_jump_flags(barrier, tree):
     return moves > thresh
 
 
-def solve_reflected(problem: BdsdeProblem, barrier: Barrier, tree: BrownianTree,
-                    w: BackwardPath, opts: SolverOptions = SolverOptions()) -> ReflectedSolution:
-    """Backward induction with projection onto the barrier."""
-    grid = tree.grid
-    _check_contraction(problem, grid.dt)
-    n, dt = grid.n_steps, grid.dt
-    a_dt = tree.a * dt
-    V = problem.forcing
+def _solve_with_barrier(problem, barrier, tree, w, opts, constraint, jump_flags):
+    """Backward induction under a per-level barrier constraint; shared K bookkeeping.
 
-    y_levels = [None] * (n + 1)
-    z_levels = [None] * (n + 1)
-    k_incs = [None] * n
-    residual = np.zeros(n)
-    jump_flags = _barrier_jump_flags(barrier, tree)
-
-    xi = np.asarray(problem.terminal(tree.states(n)), dtype=float)
-    barrier.check_terminal(xi, tree)
-    y_levels[n] = xi
-    z_levels[n] = _terminal_z_tree(problem, tree)
-
-    for i in range(n - 1, -1, -1):
-        t_i, t_next = grid.time(i), grid.time(i + 1)
-        x_i, x_next = tree.states(i), tree.states(i + 1)
-        wi = w.increments[i]
-        s_i = barrier.values(tree, i)
-
-        g_next = g_dot(problem.g(t_next, x_next, y_levels[i + 1], z_levels[i + 1]), wi)
-        r = y_levels[i + 1] + g_next
-        e_mean = tree.child_expectation(r)
-        z_i = tree.child_cross(r) / a_dt
-        dV = (V[i + 1] - V[i]) if V is not None else 0.0
-
-        y = np.maximum(s_i, e_mean + dV)
-        for k in range(opts.max_iters):
-            y_new = np.maximum(s_i, e_mean + dV + problem.f(t_i, x_i, y, z_i) * dt)
-            delta = float(np.max(np.abs(y_new - y)))
-            y = y_new
-            if delta <= opts.fp_tol:
-                break
-        else:
-            raise ConvergenceError("reflected fixed point did not converge")
-
-        unconstrained = e_mean + dV + problem.f(t_i, x_i, y, z_i) * dt
-        k_incs[i] = np.maximum(y - unconstrained, 0.0)
-        residual[i] = float(np.max(np.abs(np.maximum(s_i, unconstrained) - y)))
-        y_levels[i], z_levels[i] = y, z_i
+    constraint(u, s) maps the unconstrained implicit value u onto the
+    admissible set of barrier level s; the compensator increment is the
+    push y - u, split into its smooth and barrier-jump parts by jump_flags.
+    """
+    n = tree.grid.n_steps
+    barrier.check_terminal(np.asarray(problem.terminal(tree.states(n)), dtype=float), tree)
+    levels = [barrier.values(tree, i) for i in range(n)]
+    sol, pushes = _solve_on_tree(problem, tree, w, opts,
+                                 lambda i, u: constraint(u, levels[i]))
+    k_incs = [np.maximum(p, 0.0) for p in pushes]
 
     probs = tree.level_probabilities()
     k_cont = np.zeros(n + 1)
@@ -159,13 +125,18 @@ def solve_reflected(problem: BdsdeProblem, barrier: Barrier, tree: BrownianTree,
         e_inc = float(np.dot(probs[i], k_incs[i]))
         k_cont[i + 1] = k_cont[i] + (0.0 if jump_flags[i] else e_inc)
         k_jump[i + 1] = k_jump[i] + (e_inc if jump_flags[i] else 0.0)
-        gap = y_levels[i] - barrier.values(tree, i)
-        sk_sum += float(np.dot(probs[i], gap * k_incs[i]))
+        sk_sum += float(np.dot(probs[i], (sol.y[i] - levels[i]) * k_incs[i]))
+    return ReflectedSolution(y=sol.y, z=sol.z, k_increments=k_incs,
+                             k_continuous=k_cont, k_jump=k_jump, skorokhod_sum=sk_sum,
+                             residual=sol.residual, y0=sol.y0)
 
-    return ReflectedSolution(y=y_levels, z=z_levels, k_increments=k_incs,
-                             k_continuous=k_cont, k_jump=k_jump,
-                             skorokhod_sum=sk_sum, residual=residual,
-                             y0=float(y_levels[0][0]))
+
+def solve_reflected(problem: BdsdeProblem, barrier: Barrier, tree: BrownianTree,
+                    w: BackwardPath, opts: SolverOptions = SolverOptions()) -> ReflectedSolution:
+    """Backward induction with projection onto the barrier."""
+    return _solve_with_barrier(problem, barrier, tree, w, opts,
+                               lambda u, s: np.maximum(s, u),
+                               _barrier_jump_flags(barrier, tree))
 
 
 def solve_penalized(problem: BdsdeProblem, barrier: Barrier, n_penalty: float,
@@ -178,66 +149,14 @@ def solve_penalized(problem: BdsdeProblem, barrier: Barrier, n_penalty: float,
     """
     if n_penalty < 0:
         raise InvalidArgumentError("penalty level must be nonnegative")
-    grid = tree.grid
-    _check_contraction(problem, grid.dt)
-    n, dt = grid.n_steps, grid.dt
-    a_dt = tree.a * dt
-    V = problem.forcing
+    dt = tree.grid.dt
 
-    y_levels = [None] * (n + 1)
-    z_levels = [None] * (n + 1)
-    k_incs = [None] * n
-    residual = np.zeros(n)
+    def penalty(u, s):
+        # exact solve of y = u + n (s - y)^+ dt with the generator frozen
+        return np.where(u >= s, u, (u + n_penalty * s * dt) / (1.0 + n_penalty * dt))
 
-    xi = np.asarray(problem.terminal(tree.states(n)), dtype=float)
-    barrier.check_terminal(xi, tree)
-    y_levels[n] = xi
-    z_levels[n] = _terminal_z_tree(problem, tree)
-
-    for i in range(n - 1, -1, -1):
-        t_i, t_next = grid.time(i), grid.time(i + 1)
-        x_i, x_next = tree.states(i), tree.states(i + 1)
-        wi = w.increments[i]
-        s_i = barrier.values(tree, i)
-
-        g_next = g_dot(problem.g(t_next, x_next, y_levels[i + 1], z_levels[i + 1]), wi)
-        r = y_levels[i + 1] + g_next
-        e_mean = tree.child_expectation(r)
-        z_i = tree.child_cross(r) / a_dt
-        dV = (V[i + 1] - V[i]) if V is not None else 0.0
-
-        y = e_mean + dV
-        for k in range(opts.max_iters):
-            base = e_mean + dV + problem.f(t_i, x_i, y, z_i) * dt
-            # exact solve of y = base + n (S - y)^+ dt with the generator frozen
-            free = base
-            bound = (base + n_penalty * s_i * dt) / (1.0 + n_penalty * dt)
-            y_new = np.where(free >= s_i, free, bound)
-            delta = float(np.max(np.abs(y_new - y)))
-            y = y_new
-            if delta <= opts.fp_tol:
-                break
-        else:
-            raise ConvergenceError("penalized fixed point did not converge")
-
-        k_incs[i] = n_penalty * np.maximum(s_i - y, 0.0) * dt
-        base = e_mean + dV + problem.f(t_i, x_i, y, z_i) * dt
-        residual[i] = float(np.max(np.abs(
-            y - base - n_penalty * np.maximum(s_i - y, 0.0) * dt)))
-        y_levels[i], z_levels[i] = y, z_i
-
-    probs = tree.level_probabilities()
-    k_cum = np.zeros(n + 1)
-    sk_sum = 0.0
-    for i in range(n):
-        k_cum[i + 1] = k_cum[i] + float(np.dot(probs[i], k_incs[i]))
-        gap = y_levels[i] - barrier.values(tree, i)
-        sk_sum += float(np.dot(probs[i], gap * k_incs[i]))
-
-    return ReflectedSolution(y=y_levels, z=z_levels, k_increments=k_incs,
-                             k_continuous=k_cum, k_jump=np.zeros(n + 1),
-                             skorokhod_sum=sk_sum, residual=residual,
-                             y0=float(y_levels[0][0]))
+    return _solve_with_barrier(problem, barrier, tree, w, opts, penalty,
+                               np.zeros(tree.grid.n_steps, dtype=bool))
 
 
 def penalization_sweep(problem: BdsdeProblem, barrier: Barrier, levels,

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._accel import linear_interp, pl_gauss_moments
-from .classical import BdsdeProblem, SolverOptions, _fixed_point, solve_tree
+from .classical import BdsdeProblem, SolverOptions, backward_step, solve_tree, tree_cond
 from .errors import (
     ConsistencyError,
     InvalidArgumentError,
@@ -110,24 +110,14 @@ def _phantom_z_lattice(problem, xs, a, dt):
     return m1 / (a * dt)
 
 
-def _dp_candidates(problem, xs, t_i, t_next, wi, y_next, z_next, a, dt, opts):
-    """One-step value and z under a fixed volatility, on the lattice."""
+def lattice_cond(xs: np.ndarray, a: float, dt: float) -> Callable:
+    """One-step moments R -> (E[R], E[R dX] / (a dt)) on the lattice under volatility a."""
     sigma = math.sqrt(a * dt)
-    half = 0.5 if opts.g_scheme == "stratonovich" else 1.0
-    r_knots = y_next + half * g_dot(problem.g(t_next, xs, y_next, z_next), wi)
-    m0, m1 = pl_gauss_moments(xs, r_knots, xs, sigma)
-    z_a = m1 / (a * dt)
 
-    if opts.g_scheme == "stratonovich":
-        def update(y):
-            own = 0.5 * g_dot(problem.g(t_i, xs, y, z_a), wi)
-            return m0 + own + problem.F(t_i, xs, y, z_a, a) * dt
-    else:
-        def update(y):
-            return m0 + problem.F(t_i, xs, y, z_a, a) * dt
-
-    y_a, iters, defect = _fixed_point(update, m0, opts.fp_tol, opts.max_iters)
-    return y_a, z_a, iters, defect
+    def cond(r):
+        m0, m1 = pl_gauss_moments(xs, r, xs, sigma)
+        return m0, m1 / (a * dt)
+    return cond
 
 
 def solve_dp(problem: TbdsdeProblem, grid: TimeGrid, w: BackwardPath,
@@ -142,6 +132,8 @@ def solve_dp(problem: TbdsdeProblem, grid: TimeGrid, w: BackwardPath,
     a_vals = problem.finite_volatilities()
     n, dt = grid.n_steps, grid.dt
     xs = _build_lattice(grid, problem.volgrid, x0, opts)
+    problems = [problem.classical_problem(float(a)) for a in a_vals]
+    conds = [lattice_cond(xs, float(a), dt) for a in a_vals]
 
     Y = [None] * (n + 1)
     Z = [None] * (n + 1)
@@ -149,19 +141,16 @@ def solve_dp(problem: TbdsdeProblem, grid: TimeGrid, w: BackwardPath,
     residual = np.zeros(n)
 
     Y[n] = np.asarray(problem.terminal(xs), dtype=float)
-    phantom = {float(a): _phantom_z_lattice(problem, xs, float(a), dt) for a in a_vals}
+    phantom = [_phantom_z_lattice(problem, xs, float(a), dt) for a in a_vals]
 
     for i in range(n - 1, -1, -1):
-        t_i, t_next = grid.time(i), grid.time(i + 1)
-        wi = w.increments[i]
         cands = np.empty((len(a_vals), len(xs)))
         zs = np.empty_like(cands)
         worst_defect = 0.0
         for k, a in enumerate(a_vals):
-            z_next = phantom[float(a)] if i == n - 1 else Z[i + 1]
-            y_a, z_a, _, defect = _dp_candidates(
-                problem, xs, t_i, t_next, wi, Y[i + 1], z_next, float(a), dt, opts)
-            cands[k], zs[k] = y_a, z_a
+            z_next = phantom[k] if i == n - 1 else Z[i + 1]
+            cands[k], zs[k], _, defect, _ = backward_step(
+                problems[k], conds[k], lambda _: xs, i, grid, Y[i + 1], z_next, w, float(a), opts)
             worst_defect = max(worst_defect, defect)
         best = np.argmax(cands, axis=0)  # first max = smallest volatility on ties
         cols = np.arange(len(xs))
@@ -169,16 +158,18 @@ def solve_dp(problem: TbdsdeProblem, grid: TimeGrid, w: BackwardPath,
         Z[i] = zs[best, cols]
         argmax[i] = a_vals[best]
         if i == n - 1:
-            Z[n] = np.array([phantom[float(a_vals[b])][j] for j, b in enumerate(best)])
+            Z[n] = np.array([phantom[b][j] for j, b in enumerate(best)])
             argmax[n] = a_vals[best]
         residual[i] = worst_defect
 
-    sol = TbdsdeSolution(Y=Y, Z=Z, argmax_a=argmax,
-                         K=None, residual=residual, y0=float(linear_interp(np.array([x0]), xs, Y[0])[0]),
-                         meta={"backend": "lattice", "lattice": xs, "x0": x0,
-                               "grid": grid, "a_values": a_vals})
-    sol.K = extract_k(sol, problem, w)
-    return sol
+    # Y[i] is its node's argmax candidate cands[best], so the defect of the
+    # value against the step under the argmax control vanishes identically
+    k_argmax = KTrace(increments=np.zeros((n, len(xs))), expected_cumulative=np.zeros(n + 1),
+                      clamped=0, volatility=None)
+    return TbdsdeSolution(Y=Y, Z=Z, argmax_a=argmax, K=k_argmax, residual=residual,
+                          y0=float(linear_interp(np.array([x0]), xs, Y[0])[0]),
+                          meta={"backend": "lattice", "lattice": xs, "x0": x0,
+                                "grid": grid, "a_values": a_vals, "opts": opts})
 
 
 def _solve_dp_tree(problem, grid, w, x0, opts):
@@ -191,12 +182,13 @@ def _solve_dp_tree(problem, grid, w, x0, opts):
     base = solve_tree(problem.classical_problem(a), tree, w, opts)
     n = grid.n_steps
     argmax = [np.full(tree.n_nodes(i), a) for i in range(n + 1)]
-    sol = TbdsdeSolution(Y=base.y, Z=base.z, argmax_a=argmax, K=None,
-                         residual=base.residual, y0=base.y0,
-                         meta={"backend": "tree", "tree": tree, "x0": x0,
-                               "grid": grid, "a_values": a_vals})
-    sol.K = extract_k(sol, problem, w)
-    return sol
+    # the value is the sole control's own step, so its compensator vanishes
+    k_sole = KTrace(increments=np.zeros((n, tree.n_nodes(n - 1))),
+                    expected_cumulative=np.zeros(n + 1), clamped=0, volatility=a)
+    return TbdsdeSolution(Y=base.y, Z=base.z, argmax_a=argmax, K=k_sole,
+                          residual=base.residual, y0=base.y0,
+                          meta={"backend": "tree", "tree": tree, "x0": x0,
+                                "grid": grid, "a_values": a_vals, "opts": opts})
 
 
 def _value_at(sol: TbdsdeSolution, i: int, x: np.ndarray) -> np.ndarray:
@@ -217,109 +209,63 @@ def _z_at(sol: TbdsdeSolution, i: int, x: np.ndarray) -> np.ndarray:
 
 
 def extract_k(sol: TbdsdeSolution, problem: TbdsdeProblem, w: BackwardPath,
-              volatility: Optional[float] = None,
-              opts: Optional[DpOptions] = None) -> KTrace:
-    """Per-step defect of the value against a one-step operator.
+              volatility: Optional[float] = None) -> KTrace:
+    """Per-step defect of the value against the one-step operator of a control.
 
-    volatility None evaluates each node under its own argmax control (the
-    solution's compensator, which vanishes up to fixed-point dust); a fixed
-    volatility gives the compensator seen under that constant control, with
-    the cumulative trace integrated against its forward law from x0.
+    volatility None returns the solve's own compensator, under each node's
+    argmax control (where it vanishes: the value is that control's step); a
+    fixed volatility gives the compensator seen under that constant control,
+    with the cumulative trace integrated against its forward law from x0.
+    The step runs under the solve's own options.
     """
-    grid = sol.meta["grid"]
-    x0 = sol.meta["x0"]
-    n, dt = grid.n_steps, grid.dt
-    if opts is None:
-        opts = DpOptions()
-
+    if volatility is None:
+        return sol.K
+    grid, x0, opts = sol.meta["grid"], sol.meta["x0"], sol.meta["opts"]
+    n = grid.n_steps
+    a = float(volatility)
     if sol.backend == "tree":
         tree = sol.meta["tree"]
-        a = float(sol.meta["a_values"][0]) if volatility is None else float(volatility)
-        return _extract_k_tree(sol, problem, w, tree, a, opts)
-
-    xs = sol.meta["lattice"]
-    a_vals = sol.meta["a_values"]
+        cond, states = tree_cond(tree), tree.states
+    else:
+        xs = sol.meta["lattice"]
+        cond, states = lattice_cond(xs, a, grid.dt), (lambda _: xs)
+    step_problem = problem.classical_problem(a)
     scale = 1.0 + max(abs(float(np.max(v))) for v in sol.Y)
     eps = 1e-9 * scale
 
-    incs = np.zeros((n, len(xs)))
+    incs = [None] * n
     clamped = 0
     for i in range(n - 1, -1, -1):
-        t_i, t_next = grid.time(i), grid.time(i + 1)
-        wi = w.increments[i]
-        if volatility is None:
-            a_node = np.asarray(sol.argmax_a[i], dtype=float)
-            delta = np.zeros(len(xs))
-            for a in np.unique(a_node):
-                cand, _, _, _ = _dp_candidates(problem, xs, t_i, t_next, wi,
-                                               sol.Y[i + 1], sol.Z[i + 1], float(a), dt, opts)
-                mask = a_node == a
-                delta[mask] = sol.Y[i][mask] - cand[mask]
-        else:
-            cand, _, _, _ = _dp_candidates(problem, xs, t_i, t_next, wi,
-                                           sol.Y[i + 1], sol.Z[i + 1], float(volatility),
-                                           dt, opts)
-            delta = sol.Y[i] - cand
+        cand = backward_step(step_problem, cond, states, i, grid, sol.Y[i + 1], sol.Z[i + 1],
+                             w, a, opts)[0]
+        delta = sol.Y[i] - cand
         if float(delta.min()) < -10 * eps:
             raise ConsistencyError(
                 f"compensator increment {delta.min():.3e} below -10 eps at step {i}")
         clamped += int(np.sum(delta < 0))
         incs[i] = np.maximum(delta, 0.0)
 
-    a_law = float(volatility) if volatility is not None else float(np.max(a_vals))
     cum = np.zeros(n + 1)
+    probs = tree.level_probabilities() if sol.backend == "tree" else None
     for i in range(n):
         t_i = grid.time(i) - grid.t0
-        if t_i <= 0:
+        if probs is not None:
+            e_i = float(np.dot(probs[i], incs[i]))
+        elif t_i <= 0:
             e_i = float(linear_interp(np.array([x0]), xs, incs[i])[0])
         else:
             e_i = float(pl_gauss_moments(xs, incs[i], np.array([x0]),
-                                         math.sqrt(a_law * t_i))[0][0])
+                                         math.sqrt(a * t_i))[0][0])
         cum[i + 1] = cum[i] + e_i
-    return KTrace(increments=incs, expected_cumulative=cum, clamped=clamped,
-                  volatility=volatility)
-
-
-def _extract_k_tree(sol, problem, w, tree, a, opts):
-    grid = tree.grid
-    n, dt = grid.n_steps, grid.dt
-    scale = 1.0 + max(abs(float(np.max(v))) for v in sol.Y)
-    eps = 1e-9 * scale
-    a_dt = a * dt
-    incs = []
-    clamped = 0
-    for i in range(n):
-        t_i, t_next = grid.time(i), grid.time(i + 1)
-        wi = w.increments[i]
-        x_i, x_next = tree.states(i), tree.states(i + 1)
-        r = sol.Y[i + 1] + g_dot(problem.g(t_next, x_next, sol.Y[i + 1], sol.Z[i + 1]), wi)
-        e_mean = tree.child_expectation(r)
-        z_i = tree.child_cross(r) / a_dt
-
-        def update(y):
-            return e_mean + problem.F(t_i, x_i, y, z_i, a) * dt
-
-        cand, _, _ = _fixed_point(update, e_mean, opts.fp_tol, opts.max_iters)
-        delta = sol.Y[i] - cand
-        if float(np.min(delta)) < -10 * eps:
-            raise ConsistencyError(f"compensator increment below -10 eps at step {i}")
-        clamped += int(np.sum(delta < 0))
-        incs.append(np.maximum(delta, 0.0))
-
-    probs = tree.level_probabilities()
-    cum = np.zeros(n + 1)
-    for i in range(n):
-        cum[i + 1] = cum[i] + float(np.dot(probs[i], incs[i]))
-    width = tree.n_nodes(n - 1) if n > 0 else 1
-    padded = np.zeros((n, width))
+    padded = np.zeros((n, max(len(v) for v in incs)))
     for i, v in enumerate(incs):
         padded[i, :len(v)] = v
     return KTrace(increments=padded, expected_cumulative=cum, clamped=clamped,
                   volatility=a)
 
 
-def minimality_gap(problem: TbdsdeProblem, sol: TbdsdeSolution, w: BackwardPath,
-                   opts: SolverOptions = SolverOptions()) -> np.ndarray:
+def minimality_gap(problem: TbdsdeProblem, sol: TbdsdeSolution,
+                   w: BackwardPath) -> np.ndarray:
     """Per-step min over constant controls of the expected remaining compensator.
 
     Under a constant control the remaining compensator from t_i is, through
@@ -327,10 +273,10 @@ def minimality_gap(problem: TbdsdeProblem, sol: TbdsdeSolution, w: BackwardPath,
     solution restarted from the terminal data; that solution is computed on
     the control's exact tree and the gap is integrated against the tree's
     forward law.  Vanishes at O(dt) for problems whose optimal control is a
-    constant element of the grid.
+    constant element of the grid.  The constant-control solves run under
+    the solve's own options.
     """
-    grid = sol.meta["grid"]
-    x0 = sol.meta["x0"]
+    grid, x0, opts = sol.meta["grid"], sol.meta["x0"], sol.meta["opts"]
     n = grid.n_steps
     a_vals = problem.finite_volatilities()
 

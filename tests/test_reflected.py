@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bdsde.classical import BdsdeProblem, solve_tree
+from bdsde.classical import BdsdeProblem, SolverOptions, solve_tree
 from bdsde.errors import InvalidBarrierError
 from bdsde.grids import build_time_grid, build_tree, sample_backward_path
 from bdsde.reflected import (
@@ -83,15 +83,19 @@ class TestSnellEnvelope:
 
 
 class TestReflected:
-    def test_inactive_barrier_matches_unconstrained(self):
+    @pytest.mark.parametrize("g_scheme", ["ito", "stratonovich"])
+    def test_inactive_barrier_matches_unconstrained(self, g_scheme):
         grid, tree, w = setup()
         prob = BdsdeProblem(terminal=lambda x: x**2, f=lambda t, x, y, z: 0.2 * y,
                             g=lambda t, x, y, z: 0.1 * y, lipschitz_f=0.2)
         low = Barrier(fn=lambda t, x: -100.0 + 0.0 * x)
-        ref = solve_reflected(prob, low, tree, w)
-        unc = solve_tree(prob, tree, w)
+        opts = SolverOptions(g_scheme=g_scheme)
+        ref = solve_reflected(prob, low, tree, w, opts)
+        pen = solve_penalized(prob, low, 100.0, tree, w, opts)
+        unc = solve_tree(prob, tree, w, opts)
         for i in range(grid.n_steps + 1):
             np.testing.assert_allclose(ref.y[i], unc.y[i], atol=1e-12)
+            np.testing.assert_allclose(pen.y[i], unc.y[i], atol=1e-12)
         assert ref.k_continuous[-1] + ref.k_jump[-1] == pytest.approx(0.0, abs=1e-12)
         assert ref.skorokhod_sum == pytest.approx(0.0, abs=1e-12)
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from bdsde.classical import BdsdeProblem, solve_tree
-from bdsde.errors import UnsupportedBackendError, VerificationError
+from bdsde.classical import BdsdeProblem, SolverOptions, solve_tree
+from bdsde.errors import NonFiniteError, UnsupportedBackendError, VerificationError
 from bdsde.grids import (
     build_time_grid,
     build_tree,
@@ -23,11 +23,21 @@ from bdsde.second_order import (
 
 FZERO = lambda t, x, y, z, a: np.zeros_like(np.asarray(x, dtype=float))
 ZERO = lambda t, x, y, z: np.zeros_like(np.asarray(x, dtype=float))
+HALF_Y = lambda t, x, y, z: 0.5 * y
 
 
 def bsb_problem(terminal=lambda x: x**2, g=ZERO, n_a=5):
     vg = build_volatility_grid(0.5, 2.0, n_a)
     return TbdsdeProblem(terminal=terminal, F=FZERO, g=g, volgrid=vg)
+
+
+def best_constant_gap(prob, sol, grid, w, g_scheme):
+    """y0 minus the best constant-control value, each solved under g_scheme."""
+    opts = SolverOptions(g_scheme=g_scheme)
+    best = max(solve_tree(prob.classical_problem(float(a)),
+                          build_tree(grid, float(a), x0=1.0), w, opts).y0
+               for a in prob.finite_volatilities())
+    return sol.y0 - best
 
 
 class TestSingletonReduction:
@@ -113,9 +123,18 @@ class TestCompensator:
         self.sol = solve_dp(self.prob, self.grid, self.w, x0=1.0,
                             opts=DpOptions(x_steps=200))
 
-    def test_argmax_compensator_vanishes(self):
-        assert self.sol.K.k_terminal < 1e-9
-        assert np.all(np.diff(self.sol.K.expected_cumulative) >= 0)
+    @pytest.mark.parametrize("g_scheme", ["ito", "stratonovich"])
+    @pytest.mark.parametrize("terminal", [lambda x: x**2, lambda x: -(x**2)],
+                             ids=["convex", "concave"])
+    def test_argmax_compensator_vanishes(self, terminal, g_scheme):
+        prob = bsb_problem(terminal=terminal, g=HALF_Y)
+        sol = solve_dp(prob, self.grid, self.w, x0=1.0,
+                       opts=DpOptions(x_steps=200, g_scheme=g_scheme))
+        assert sol.K.k_terminal < 1e-9
+        assert np.all(np.diff(sol.K.expected_cumulative) >= 0)
+        # the gap is measured under the solve's own scheme
+        assert minimality_gap(prob, sol, self.w)[0] == pytest.approx(
+            best_constant_gap(prob, sol, self.grid, self.w, g_scheme), abs=1e-12)
 
     def test_suboptimal_control_sees_positive_compensator(self):
         # under the low control the expected compensator equals the value gap
@@ -124,11 +143,15 @@ class TestCompensator:
         assert np.all(k_low.increments >= 0)
         assert np.all(np.diff(k_low.expected_cumulative) >= -1e-15)
 
-    def test_affine_terminal_all_controls_optimal(self):
-        prob = bsb_problem(terminal=lambda x: x)
-        sol = solve_dp(prob, self.grid, self.w, x0=1.0, opts=DpOptions(x_steps=200))
+    @pytest.mark.parametrize("g_scheme", ["ito", "stratonovich"])
+    def test_affine_terminal_all_controls_optimal(self, g_scheme):
+        prob = bsb_problem(terminal=lambda x: x, g=HALF_Y)
+        sol = solve_dp(prob, self.grid, self.w, x0=1.0,
+                       opts=DpOptions(x_steps=200, g_scheme=g_scheme))
         assert sol.K.k_terminal < 1e-9
         assert extract_k(sol, prob, self.w, volatility=0.5).k_terminal < 1e-9
+        assert minimality_gap(prob, sol, self.w)[0] == pytest.approx(
+            best_constant_gap(prob, sol, self.grid, self.w, g_scheme), abs=1e-12)
 
     def test_infinite_generator_entry_excluded(self):
         def F(t, x, y, z, a):
@@ -140,6 +163,20 @@ class TestCompensator:
         sol = solve_dp(prob, self.grid, self.w, x0=1.0, opts=DpOptions(x_steps=200))
         # only the low control survives, so the sup is that control's value
         assert sol.y0 == pytest.approx(1.0 + 0.5, rel=0.03)
+
+
+class TestNonFinite:
+    def test_nan_terminal_names_step_volatility_and_node(self):
+        # sqrt of the terminal is NaN on the lattice knots left of 0
+        grid = build_time_grid(0, 1, 8)
+        w = sample_backward_path(grid, 1, seed=5)
+        prob = TbdsdeProblem(terminal=np.sqrt, F=FZERO, g=ZERO,
+                             volgrid=build_volatility_grid(0.5, 2.0, 3))
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError) as info:
+            solve_dp(prob, grid, w, x0=1.0, opts=DpOptions(x_steps=50))
+        err = info.value
+        assert (err.step, err.volatility, err.node) == (7, 0.5, 0)
+        assert "step 7" in str(err) and "volatility 0.5" in str(err) and "node 0" in str(err)
 
 
 class TestMinimalityGap:
