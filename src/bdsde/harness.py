@@ -75,7 +75,9 @@ def write_csv(records, path_or_buffer, precision=17):
 
 
 def _solve_once(pdef: ProblemDef, cfg: ExperimentConfig, backend: str,
-                w: BackwardPath) -> dict:
+                w: BackwardPath, diagnose: bool = True) -> dict:
+    """Quantities of one solve on the path w; diagnose=False skips the dp
+    diagnostics, for extra W paths of which only y0 is kept."""
     grid = w.grid
     opts = SolverOptions(g_scheme=pdef.g_scheme)
     if backend == "tree":
@@ -97,10 +99,9 @@ def _solve_once(pdef: ProblemDef, cfg: ExperimentConfig, backend: str,
         dp_opts = DpOptions(x_steps=cfg.get("spatial", "x_steps"),
                             span_sigmas=cfg.get("spatial", "span_sigmas"),
                             g_scheme=pdef.g_scheme)
-        dp_backend = "tree" if len(prob.finite_volatilities()) == 1 else "lattice"
-        sol = solve_dp(prob, grid, w, x0=pdef.x0, opts=dp_opts, backend=dp_backend)
+        sol = solve_dp(prob, grid, w, x0=pdef.x0, opts=dp_opts)
         out = {"y0": sol.y0, "k_terminal": sol.K.k_terminal}
-        if dp_backend == "lattice":
+        if diagnose and sol.backend == "lattice":
             a_high = float(np.max(sol.meta["a_values"]))
             frac = float(np.mean([np.mean(np.asarray(lv) == a_high)
                                   for lv in sol.argmax_a[:-1]]))
@@ -141,9 +142,9 @@ def run(cfg: ExperimentConfig) -> RunRecord:
         vals = [quantities["y0"]]
         for k in range(1, m):
             wk = backward_path_for(pdef, grid, w_seed + k)
-            vals.append(_solve_once(pdef, cfg, backend, wk)["y0"])
+            vals.append(_solve_once(pdef, cfg, backend, wk, diagnose=False)["y0"])
         quantities["y0_w_mean"] = float(np.mean(vals))
-        quantities["y0_w_std"] = float(np.std(vals, ddof=1)) if m > 1 else 0.0
+        quantities["y0_w_std"] = float(np.std(vals, ddof=1))
 
     oracle = abs_error = tolerance_ok = None
     if pdef.oracle is not None:
@@ -156,13 +157,12 @@ def run(cfg: ExperimentConfig) -> RunRecord:
                 f"problem {pdef.name!r} declares no oracle; tolerance check refused")
         tolerance_ok = abs_error <= tol * max(abs(oracle), 1e-12)
 
-    import numpy
     return RunRecord(config_hash=cfg.config_hash, problem=pdef.name, backend=backend,
                      dt=grid.dt, seed_w=w_seed, seed_b=cfg.get("seeds", "b_seed"),
                      quantities=quantities, oracle=oracle, abs_error=abs_error,
                      tolerance_ok=tolerance_ok,
                      wall_time=time.perf_counter() - t_start,
-                     versions={"bdsde": __version__, "numpy": numpy.__version__})
+                     versions={"bdsde": __version__, "numpy": np.__version__})
 
 
 @dataclass
@@ -285,7 +285,7 @@ def _suite_minimality(seed: int) -> PropertyResult:
                           volgrid=build_volatility_grid(1.0, 1.0, 1))
     grid = build_time_grid(0, 1, 16)
     w = sample_backward_path(grid, 1, seed=seed)
-    sol = solve_dp(prob1, grid, w, x0=1.0, backend="tree")
+    sol = solve_dp(prob1, grid, w, x0=1.0)
     gap = minimality_gap(prob1, sol, w)
     if np.max(np.abs(gap)) > 1e-9:
         violations.append({"case": "singleton", "gap": float(np.max(np.abs(gap)))})

@@ -1,14 +1,15 @@
 """Uncertain-volatility backward solver: per-step supremum over a volatility grid.
 
-The value is propagated backward on a shared spatial lattice; under each
-admissible volatility the one-step conditional expectation is the exact
-Gaussian integral of the piecewise-linear continuation (see _accel), the
-control gets the per-node argmax with ties resolved toward the smallest
-volatility, and the nondecreasing compensator K is diagnosed as the defect
-of the value against each fixed-volatility one-step operator.
+The backend follows from the volatilities where the generator is finite.
+With several, the value is propagated backward on a shared spatial lattice;
+under each admissible volatility the one-step conditional expectation is
+the exact Gaussian integral of the piecewise-linear continuation (see
+_accel), the control gets the per-node argmax with ties resolved toward the
+smallest volatility, and the nondecreasing compensator K is diagnosed as
+the defect of the value against each fixed-volatility one-step operator.
 
-A singleton volatility grid admits an exact tree backend that coincides
-with the classical solver nodewise.
+With one, the equation is the classical one and K vanishes: it is solved on
+that volatility's exact tree, nodewise equal to the classical solver.
 """
 
 from __future__ import annotations
@@ -20,13 +21,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._accel import linear_interp, pl_gauss_moments
-from .classical import BdsdeProblem, SolverOptions, backward_step, solve_tree, tree_cond
-from .errors import (
-    ConsistencyError,
-    InvalidArgumentError,
-    UnsupportedBackendError,
-    VerificationError,
-)
+from .classical import BdsdeProblem, SolverOptions, backward_step, solve_tree
+from .errors import ConsistencyError, InvalidArgumentError, VerificationError
 from .generators import g_dot
 from .grids import (
     BackwardPath,
@@ -90,7 +86,6 @@ class TbdsdeSolution:
     K: KTrace
     residual: np.ndarray
     y0: float
-    minimality_gap: Optional[np.ndarray] = None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -104,12 +99,6 @@ def _build_lattice(grid: TimeGrid, volgrid: VolatilityGrid, x0: float,
     return np.linspace(x0 - reach, x0 + reach, opts.x_steps + 1)
 
 
-def _phantom_z_lattice(problem, xs, a, dt):
-    xi = np.asarray(problem.terminal(xs), dtype=float)
-    _, m1 = pl_gauss_moments(xs, xi, xs, math.sqrt(a * dt))
-    return m1 / (a * dt)
-
-
 def lattice_cond(xs: np.ndarray, a: float, dt: float) -> Callable:
     """One-step moments R -> (E[R], E[R dX] / (a dt)) on the lattice under volatility a."""
     sigma = math.sqrt(a * dt)
@@ -121,15 +110,15 @@ def lattice_cond(xs: np.ndarray, a: float, dt: float) -> Callable:
 
 
 def solve_dp(problem: TbdsdeProblem, grid: TimeGrid, w: BackwardPath,
-             x0: float = 0.0, opts: DpOptions = DpOptions(),
-             backend: str = "lattice") -> TbdsdeSolution:
-    """Backward induction with a per-step, per-node supremum over volatilities."""
-    if backend == "tree":
-        return _solve_dp_tree(problem, grid, w, x0, opts)
-    if backend != "lattice":
-        raise InvalidArgumentError(f"unknown backend {backend!r}")
+             x0: float = 0.0, opts: DpOptions = DpOptions()) -> TbdsdeSolution:
+    """Backward induction with a per-step, per-node supremum over volatilities.
 
+    A single finite volatility is solved on its exact tree (sol.backend
+    "tree"); several share the lattice ("lattice").
+    """
     a_vals = problem.finite_volatilities()
+    if len(a_vals) == 1:
+        return _solve_dp_tree(problem, grid, w, x0, opts, a_vals)
     n, dt = grid.n_steps, grid.dt
     xs = _build_lattice(grid, problem.volgrid, x0, opts)
     problems = [problem.classical_problem(float(a)) for a in a_vals]
@@ -141,7 +130,7 @@ def solve_dp(problem: TbdsdeProblem, grid: TimeGrid, w: BackwardPath,
     residual = np.zeros(n)
 
     Y[n] = np.asarray(problem.terminal(xs), dtype=float)
-    phantom = [_phantom_z_lattice(problem, xs, float(a), dt) for a in a_vals]
+    phantom = [cond(Y[n])[1] for cond in conds]
 
     for i in range(n - 1, -1, -1):
         cands = np.empty((len(a_vals), len(xs)))
@@ -172,11 +161,8 @@ def solve_dp(problem: TbdsdeProblem, grid: TimeGrid, w: BackwardPath,
                                 "grid": grid, "a_values": a_vals, "opts": opts})
 
 
-def _solve_dp_tree(problem, grid, w, x0, opts):
+def _solve_dp_tree(problem, grid, w, x0, opts, a_vals):
     """Singleton-volatility exact backend; coincides with the classical solver."""
-    a_vals = problem.finite_volatilities()
-    if len(a_vals) != 1:
-        raise UnsupportedBackendError("tree backend requires a singleton volatility grid")
     a = float(a_vals[0])
     tree = build_tree(grid, a, x0=x0)
     base = solve_tree(problem.classical_problem(a), tree, w, opts)
@@ -200,35 +186,29 @@ def _value_at(sol: TbdsdeSolution, i: int, x: np.ndarray) -> np.ndarray:
     return linear_interp(x, sol.meta["lattice"], sol.Y[i])
 
 
-def _z_at(sol: TbdsdeSolution, i: int, x: np.ndarray) -> np.ndarray:
-    if sol.backend == "tree":
-        tree = sol.meta["tree"]
-        return linear_interp(x, tree.states(i), sol.Z[i]) if i > 0 else \
-            np.full_like(np.asarray(x, dtype=float), sol.Z[0][0])
-    return linear_interp(x, sol.meta["lattice"], sol.Z[i])
-
-
 def extract_k(sol: TbdsdeSolution, problem: TbdsdeProblem, w: BackwardPath,
               volatility: Optional[float] = None) -> KTrace:
     """Per-step defect of the value against the one-step operator of a control.
 
     volatility None returns the solve's own compensator, under each node's
-    argmax control (where it vanishes: the value is that control's step); a
-    fixed volatility gives the compensator seen under that constant control,
-    with the cumulative trace integrated against its forward law from x0.
-    The step runs under the solve's own options.
+    argmax control (where it vanishes: the value is that control's step).
+    A tree solution holds one volatility, whose compensator that is; any
+    other volatility raises InvalidArgumentError.  On the lattice a fixed
+    volatility gives the compensator seen under that constant control, with
+    the cumulative trace integrated against its forward law from x0.  The
+    step runs under the solve's own options.
     """
     if volatility is None:
         return sol.K
-    grid, x0, opts = sol.meta["grid"], sol.meta["x0"], sol.meta["opts"]
+    if sol.backend == "tree":
+        if float(volatility) != sol.K.volatility:
+            raise InvalidArgumentError(
+                f"volatility {volatility} is foreign to a tree solution at {sol.K.volatility}")
+        return sol.K
+    grid, x0, opts, xs = sol.meta["grid"], sol.meta["x0"], sol.meta["opts"], sol.meta["lattice"]
     n = grid.n_steps
     a = float(volatility)
-    if sol.backend == "tree":
-        tree = sol.meta["tree"]
-        cond, states = tree_cond(tree), tree.states
-    else:
-        xs = sol.meta["lattice"]
-        cond, states = lattice_cond(xs, a, grid.dt), (lambda _: xs)
+    cond = lattice_cond(xs, a, grid.dt)
     step_problem = problem.classical_problem(a)
     scale = 1.0 + max(abs(float(np.max(v))) for v in sol.Y)
     eps = 1e-9 * scale
@@ -236,8 +216,8 @@ def extract_k(sol: TbdsdeSolution, problem: TbdsdeProblem, w: BackwardPath,
     incs = [None] * n
     clamped = 0
     for i in range(n - 1, -1, -1):
-        cand = backward_step(step_problem, cond, states, i, grid, sol.Y[i + 1], sol.Z[i + 1],
-                             w, a, opts)[0]
+        cand = backward_step(step_problem, cond, lambda _: xs, i, grid, sol.Y[i + 1],
+                             sol.Z[i + 1], w, a, opts)[0]
         delta = sol.Y[i] - cand
         if float(delta.min()) < -10 * eps:
             raise ConsistencyError(
@@ -246,22 +226,26 @@ def extract_k(sol: TbdsdeSolution, problem: TbdsdeProblem, w: BackwardPath,
         incs[i] = np.maximum(delta, 0.0)
 
     cum = np.zeros(n + 1)
-    probs = tree.level_probabilities() if sol.backend == "tree" else None
     for i in range(n):
         t_i = grid.time(i) - grid.t0
-        if probs is not None:
-            e_i = float(np.dot(probs[i], incs[i]))
-        elif t_i <= 0:
+        if t_i <= 0:
             e_i = float(linear_interp(np.array([x0]), xs, incs[i])[0])
         else:
             e_i = float(pl_gauss_moments(xs, incs[i], np.array([x0]),
                                          math.sqrt(a * t_i))[0][0])
         cum[i + 1] = cum[i] + e_i
-    padded = np.zeros((n, max(len(v) for v in incs)))
-    for i, v in enumerate(incs):
-        padded[i, :len(v)] = v
-    return KTrace(increments=padded, expected_cumulative=cum, clamped=clamped,
+    return KTrace(increments=np.array(incs), expected_cumulative=cum, clamped=clamped,
                   volatility=a)
+
+
+def _constant_control_solves(problem: TbdsdeProblem, sol: TbdsdeSolution,
+                             w: BackwardPath):
+    """(a, tree, solution) per finite volatility: the constant-control
+    classical solve on a's exact tree, under the solve's grid, x0 and options."""
+    grid, x0, opts = sol.meta["grid"], sol.meta["x0"], sol.meta["opts"]
+    for a in problem.finite_volatilities():
+        tree = build_tree(grid, float(a), x0=x0)
+        yield float(a), tree, solve_tree(problem.classical_problem(float(a)), tree, w, opts)
 
 
 def minimality_gap(problem: TbdsdeProblem, sol: TbdsdeSolution,
@@ -276,19 +260,11 @@ def minimality_gap(problem: TbdsdeProblem, sol: TbdsdeSolution,
     constant element of the grid.  The constant-control solves run under
     the solve's own options.
     """
-    grid, x0, opts = sol.meta["grid"], sol.meta["x0"], sol.meta["opts"]
-    n = grid.n_steps
-    a_vals = problem.finite_volatilities()
-
-    gaps = np.full((len(a_vals), n + 1), np.inf)
-    for k, a in enumerate(a_vals):
-        tree = build_tree(grid, float(a), x0=x0)
-        ya = solve_tree(problem.classical_problem(float(a)), tree, w, opts)
+    gaps = []
+    for _, tree, ya in _constant_control_solves(problem, sol, w):
         probs = tree.level_probabilities()
-        for i in range(n + 1):
-            states = tree.states(i)
-            diff = _value_at(sol, i, states) - ya.y[i]
-            gaps[k, i] = float(np.dot(probs[i], diff))
+        gaps.append([float(np.dot(probs[i], _value_at(sol, i, tree.states(i)) - ya.y[i]))
+                     for i in range(len(probs))])
     return np.min(gaps, axis=0)
 
 
@@ -303,15 +279,14 @@ class RepresentationReport:
 
 def representation_check(problem: TbdsdeProblem, grid: TimeGrid, w: BackwardPath,
                          x0: float = 0.0, opts: DpOptions = DpOptions(),
-                         backend: str = "lattice",
                          eps: Optional[float] = None) -> RepresentationReport:
-    """Value at the root dominates every constant-control value."""
-    sol = solve_dp(problem, grid, w, x0=x0, opts=opts, backend=backend)
-    per_a = {}
-    for a in problem.finite_volatilities():
-        tree = build_tree(grid, float(a), x0=x0)
-        per_a[float(a)] = solve_tree(problem.classical_problem(float(a)), tree, w,
-                                     opts).y0
+    """Value at the root dominates every constant-control value.
+
+    The value comes from solve_dp, so its backend follows from the finite
+    volatilities; each constant-control value from that volatility's tree.
+    """
+    sol = solve_dp(problem, grid, w, x0=x0, opts=opts)
+    per_a = {a: ya.y0 for a, _, ya in _constant_control_solves(problem, sol, w)}
     best_a = max(per_a, key=per_a.get)
     best = per_a[best_a]
     surplus = sol.y0 - best

@@ -66,7 +66,7 @@ def test_criterion_01_classical_reduction():
                           g=lambda t, x, y, z: 0.3 * np.cos(y),
                           volgrid=vg, lipschitz_f=0.5)
     t0 = time.perf_counter()
-    sol2 = solve_dp(prob2, grid, w, x0=1.0, backend="tree")
+    sol2 = solve_dp(prob2, grid, w, x0=1.0)
     elapsed = time.perf_counter() - t0
     tree = build_tree(grid, 1.0, x0=1.0)
     sol1 = solve_tree(prob2.classical_problem(1.0), tree, w)

@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from bdsde import harness
 from bdsde.cli import main
 from bdsde.config import ExperimentConfig
 from bdsde.errors import ConfigError
@@ -13,6 +14,7 @@ from bdsde.harness import (
     run,
     write_csv,
 )
+from bdsde.second_order import minimality_gap
 
 
 def cfg_for(problem, backend, n_steps=16, **extra):
@@ -85,12 +87,24 @@ class TestRun:
                           **{"spatial.x_steps": 64}))
         assert rec.abs_error < 0.03
 
-    def test_w_ensemble_statistics(self):
-        cfg = cfg_for("linear_spde", "tree", n_steps=16, **{"seeds.w_ensemble": 3})
+    @pytest.mark.parametrize("problem, backend, extra, gap_calls", [
+        ("linear_spde", "tree", {}, 0),
+        ("bsb_quadratic", "dp", {"spatial.x_steps": 40}, 1),
+    ], ids=["linear_spde-tree", "bsb_quadratic-dp"])
+    def test_w_ensemble_statistics(self, monkeypatch, problem, backend, extra, gap_calls):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return minimality_gap(*args)
+        monkeypatch.setattr(harness, "minimality_gap", counted)
+        cfg = cfg_for(problem, backend, n_steps=16, **{"seeds.w_ensemble": 3}, **extra)
         rec = run(cfg)
         assert "y0_w_mean" in rec.quantities and "y0_w_std" in rec.quantities
         # the driver endpoint is pinned, so the spread across seeds is small
         assert rec.quantities["y0_w_std"] < 0.1
+        # diagnostics are computed for the reported path only
+        assert len(calls) == gap_calls
 
 
 class TestCsvDeterminism:

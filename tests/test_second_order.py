@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bdsde.classical import BdsdeProblem, SolverOptions, solve_tree
-from bdsde.errors import NonFiniteError, UnsupportedBackendError, VerificationError
+from bdsde.errors import InvalidArgumentError, NonFiniteError, VerificationError
 from bdsde.grids import (
     build_time_grid,
     build_tree,
@@ -47,18 +47,20 @@ class TestSingletonReduction:
         vg = build_volatility_grid(1.0, 1.0, 1)
         prob = TbdsdeProblem(terminal=lambda x: x**2, F=FZERO,
                              g=lambda t, x, y, z: 0.3 * np.cos(y), volgrid=vg)
-        sol2 = solve_dp(prob, grid, w, x0=1.0, backend="tree")
+        sol2 = solve_dp(prob, grid, w, x0=1.0)
         tree = build_tree(grid, 1.0, x0=1.0)
         sol1 = solve_tree(prob.classical_problem(1.0), tree, w)
         for i in range(grid.n_steps + 1):
             assert np.max(np.abs(sol2.Y[i] - sol1.y[i])) < 1e-10
         assert sol2.K.k_terminal < 1e-9
 
-    def test_tree_backend_rejects_multi_volatility(self):
+    def test_backend_follows_finite_volatilities(self):
         grid = build_time_grid(0, 1, 4)
         w = sample_backward_path(grid, 1, seed=1)
-        with pytest.raises(UnsupportedBackendError):
-            solve_dp(bsb_problem(), grid, w, backend="tree")
+        assert solve_dp(bsb_problem(), grid, w, opts=DpOptions(x_steps=40)).backend == "lattice"
+        singleton = TbdsdeProblem(terminal=lambda x: x**2, F=FZERO, g=ZERO,
+                                  volgrid=build_volatility_grid(1.0, 1.0, 1))
+        assert solve_dp(singleton, grid, w).backend == "tree"
 
 
 class TestBsbOracle:
@@ -142,6 +144,14 @@ class TestCompensator:
         assert k_low.k_terminal > 1.0
         assert np.all(k_low.increments >= 0)
         assert np.all(np.diff(k_low.expected_cumulative) >= -1e-15)
+        # a singleton grid solves on its tree, which carries only its own control
+        prob = TbdsdeProblem(terminal=lambda x: x**2, F=FZERO, g=ZERO,
+                             volgrid=build_volatility_grid(1.0, 1.0, 1))
+        sol = solve_dp(prob, self.grid, self.w, x0=1.0)
+        assert extract_k(sol, prob, self.w, volatility=1.0).k_terminal == 0.0
+        for foreign in (0.5, 2.0):
+            with pytest.raises(InvalidArgumentError):
+                extract_k(sol, prob, self.w, volatility=foreign)
 
     @pytest.mark.parametrize("g_scheme", ["ito", "stratonovich"])
     def test_affine_terminal_all_controls_optimal(self, g_scheme):
@@ -161,8 +171,10 @@ class TestCompensator:
         prob = TbdsdeProblem(terminal=lambda x: x**2, F=F, g=ZERO, volgrid=vg)
         assert list(prob.finite_volatilities()) == [0.5]
         sol = solve_dp(prob, self.grid, self.w, x0=1.0, opts=DpOptions(x_steps=200))
-        # only the low control survives, so the sup is that control's value
-        assert sol.y0 == pytest.approx(1.0 + 0.5, rel=0.03)
+        # only the low control survives, so the sup is that control's value,
+        # solved on its exact tree
+        assert sol.backend == "tree"
+        assert sol.y0 == pytest.approx(1.0 + 0.5, abs=1e-12)
 
 
 class TestNonFinite:
@@ -185,7 +197,7 @@ class TestMinimalityGap:
         w = sample_backward_path(grid, 1, seed=2)
         vg = build_volatility_grid(1.0, 1.0, 1)
         prob = TbdsdeProblem(terminal=lambda x: x**2, F=FZERO, g=ZERO, volgrid=vg)
-        sol = solve_dp(prob, grid, w, backend="tree", x0=1.0)
+        sol = solve_dp(prob, grid, w, x0=1.0)
         gap = minimality_gap(prob, sol, w)
         assert np.max(np.abs(gap)) < 1e-9
 
@@ -208,7 +220,7 @@ class TestRepresentation:
         w = sample_backward_path(grid, 1, seed=4)
         vg = build_volatility_grid(1.3, 1.3, 1)
         prob = TbdsdeProblem(terminal=lambda x: np.abs(x), F=FZERO, g=ZERO, volgrid=vg)
-        rep = representation_check(prob, grid, w, x0=0.5, backend="tree")
+        rep = representation_check(prob, grid, w, x0=0.5)
         assert rep.surplus == pytest.approx(0.0, abs=1e-12)
 
     def test_bsb_surplus_order_dt(self):
