@@ -11,7 +11,8 @@ endpoint against dW_i = W_{t_{i+1}} - W_{t_i} ("ito" scheme); the midpoint
 is implicit with an inner fixed point (contraction for dt * Lip(f) < 1);
 z comes from an explicit conditional projection against the forward
 increment.  The conditional expectation backend is either exact (a
-recombining tree, d = 1) or least-squares Monte Carlo.
+recombining tree, d = 1) or least-squares Monte Carlo.  The tree sweeps
+several frozen backward paths at once, as a leading axis of its values.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import (
     StepSizeError,
 )
 from .generators import g_dot
-from .grids import BackwardPath, BrownianTree, PathEnsemble
+from .grids import BackwardPath, BrownianTree, PathEnsemble, batch_paths
 
 PHANTOM_STREAM_BASE = 1_000_001
 
@@ -80,18 +81,52 @@ def _check_contraction(problem: BdsdeProblem, dt: float):
 
 
 def _fixed_point(update, y_start, tol, max_iters, i, a):
-    """Iterate y <- update(y) to tolerance at step i; returns (y, n_iters, defect)."""
-    y = y_start
-    for k in range(1, max_iters + 1):
+    """Iterate y <- update(y) to tolerance at step i; returns (y, n_iters, defect).
+
+    A 2-D y holds one row per backward path, and update must act on each row
+    on its own.  A row's result is frozen at its own first change <= tol,
+    with its own n_iters and its defect taken at the frozen value, so it is
+    what the row would give alone; the batch iterates until its last row is
+    frozen.
+    """
+    y, out = y_start, None  # out holds the frozen rows once rows freeze at different passes
+    shape = np.shape(y)[:-1]
+    iters, defect = [0] * math.prod(shape), [0.0] * math.prod(shape)
+    live, owed = list(range(len(iters))), []
+    for k in range(1, max_iters + 2):
         y_new = update(y)
-        delta = float(np.max(np.abs(y_new - y))) if np.size(y_new) else 0.0
+        change = np.abs(y_new - y).max(axis=-1, initial=0.0).reshape(-1).tolist()
+        for r in owed:  # a frozen row's next change is its defect
+            defect[r] = change[r]
+        if not live:
+            if not shape:  # one path: plain numbers, as callers store them per step
+                return y, iters[0], defect[0]
+            return y if out is None else out, np.array(iters), np.array(defect)
+        if k > max_iters:
+            break
+        owed = [r for r in live if change[r] <= tol]
+        live = [r for r in live if not change[r] <= tol]
+        for r in owed:
+            iters[r] = k
+        if owed and out is not None:
+            out.reshape(len(iters), -1)[owed] = y_new.reshape(len(iters), -1)[owed]
+        elif owed and live:
+            out = y_new.copy()
+        if not math.isfinite(sum(change)):  # name the first bad entry of a live row
+            if out is not None:
+                out.reshape(len(iters), -1)[live] = y_new.reshape(len(iters), -1)[live]
+            _check_finite(i, a, iterate=y_new if out is None else out)
         y = y_new
-        if delta <= tol:
-            return y, k, float(np.max(np.abs(update(y) - y))) if np.size(y) else 0.0
-        if not math.isfinite(delta):
-            _check_finite(i, a, iterate=y)
     raise ConvergenceError(
         f"inner fixed point did not reach {tol:g} in {max_iters} iterations")
+
+
+def _path0(w: BackwardPath) -> Callable:
+    """Picks path 0's entry of a step's results: row 0 of a batch, copied so
+    that the other rows are freed, or a single path's values as they are."""
+    if w.values.ndim == 3:
+        return lambda values: values[0].copy()
+    return lambda values: values
 
 
 def tree_cond(tree: BrownianTree) -> Callable:
@@ -100,12 +135,16 @@ def tree_cond(tree: BrownianTree) -> Callable:
 
 
 def _check_finite(i, a, **arrays):
-    """NonFiniteError naming the step, volatility and first bad node of the first bad array."""
+    """NonFiniteError naming the step, volatility, path (rows of a batch) and
+    node of the first bad entry of the first bad array."""
     for what, values in arrays.items():
-        bad = np.flatnonzero(~np.isfinite(values))
+        bad = np.argwhere(~np.isfinite(np.atleast_1d(values)))
         if bad.size:
-            raise NonFiniteError(f"non-finite {what} at step {i}, volatility {a:g}, node {bad[0]}",
-                                 step=i, volatility=float(a), node=int(bad[0]))
+            *path, node = (int(v) for v in bad[0])
+            where = f"path {path[0]}, node {node}" if path else f"node {node}"
+            raise NonFiniteError(f"non-finite {what} at step {i}, volatility {a:g}, {where}",
+                                 step=i, volatility=float(a), node=node,
+                                 path=path[0] if path else None)
 
 
 def backward_step(problem: BdsdeProblem, cond: Callable, states: Callable, i: int, grid,
@@ -117,8 +156,13 @@ def backward_step(problem: BdsdeProblem, cond: Callable, states: Callable, i: in
     carries the other (1 - h) of the noise term, h = 1 ("ito") or 1/2 ("stratonovich"),
     and constraint(i, u) maps its value u onto the admissible set.  Returns
     (y, z, iters, defect, push), push = y - u(y) under a constraint, else None.
+    For a batch w (grids.batch_paths) the values gain a leading path axis and
+    iters and defect are arrays with one entry per path.
     """
-    t_i, t_next, dt, wi = grid.time(i), grid.time(i + 1), grid.dt, w.increments[i]
+    t_i, t_next, dt = grid.time(i), grid.time(i + 1), grid.dt
+    # dW_i as (1, l), or (m, 1, l) against (m, nodes) values; w.increments[i] would
+    # difference the whole path at every step
+    wi = (w.values[i + 1] - w.values[i])[..., None, :]
     x_i, x_next = states(i), states(i + 1)
     dV = 0.0 if problem.forcing is None else problem.forcing[i + 1] - problem.forcing[i]
     half = 0.5 if opts.g_scheme == "stratonovich" else 1.0
@@ -139,10 +183,13 @@ def backward_step(problem: BdsdeProblem, cond: Callable, states: Callable, i: in
     return y, z, iters, defect, None if constraint is None else y - unconstrained(y)
 
 
-def _solve_on_tree(problem: BdsdeProblem, tree: BrownianTree, w: BackwardPath,
+def _solve_on_tree(problem: BdsdeProblem, tree: BrownianTree, w: BackwardPath | list,
                    opts: SolverOptions, constraint: Optional[Callable] = None):
-    """Backward induction on the tree; returns the solution and the per-step pushes."""
+    """Backward induction on the tree for one path or a list of paths, swept
+    together; returns path 0's solution and pushes, every path's y0 in
+    meta["y0_paths"]."""
     grid = tree.grid
+    w = batch_paths(w)
     if w.grid.n_steps != grid.n_steps:
         raise InvalidArgumentError("tree and backward path must share the grid")
     _check_contraction(problem, grid.dt)
@@ -151,20 +198,31 @@ def _solve_on_tree(problem: BdsdeProblem, tree: BrownianTree, w: BackwardPath,
     y, z, pushes = [None] * (n + 1), [None] * (n + 1), [None] * n
     residual, iters = np.zeros(n), np.zeros(n, dtype=int)
     leaves = tree.states(n)
-    y[n] = np.asarray(problem.terminal(leaves), dtype=float)
+    y[n] = y_next = np.asarray(problem.terminal(leaves), dtype=float)
     # phantom-step projection z_T = E[xi(x + dX) dX] / (a dt) per leaf
-    z[n] = sum(pk * problem.terminal(leaves + ok) * ok for pk, ok in
-               zip(tree.transition_probs, tree.branch_offsets())) / (tree.a * grid.dt)
+    z[n] = z_next = sum(pk * problem.terminal(leaves + ok) * ok for pk, ok in
+                        zip(tree.transition_probs, tree.branch_offsets())) / (tree.a * grid.dt)
+    keep = _path0(w)
     for i in range(n - 1, -1, -1):
-        y[i], z[i], iters[i], residual[i], pushes[i] = backward_step(
-            problem, cond, tree.states, i, grid, y[i + 1], z[i + 1], w, tree.a, opts, constraint)
+        y_next, z_next, it, res, push = backward_step(
+            problem, cond, tree.states, i, grid, y_next, z_next, w, tree.a, opts, constraint)
+        y[i], z[i], iters[i], residual[i] = keep(y_next), keep(z_next), keep(it), keep(res)
+        pushes[i] = None if push is None else keep(push)
     return BdsdeSolution(y=y, z=z, residual=residual, picard_iters=iters, y0=float(y[0][0]),
-                         meta={"backend": "tree", "a": tree.a}), pushes
+                         meta={"backend": "tree", "a": tree.a,
+                               "y0_paths": y_next[..., 0].reshape(-1)}), pushes
 
 
-def solve_tree(problem: BdsdeProblem, tree: BrownianTree, w: BackwardPath,
+def solve_tree(problem: BdsdeProblem, tree: BrownianTree, w: BackwardPath | list,
                opts: SolverOptions = SolverOptions()) -> BdsdeSolution:
-    """Exact-expectation backward induction on a recombining tree (d = 1)."""
+    """Exact-expectation backward induction on a recombining tree (d = 1).
+
+    w is one BackwardPath or a list of paths on the tree's grid.  A list is
+    solved in one backward sweep with the paths as a leading batch axis; the
+    solution is path 0's (levels, z, residual and iterations as if solved
+    alone) and meta["y0_paths"] holds every path's y0 in list order, each
+    equal to that path's own solve.
+    """
     return _solve_on_tree(problem, tree, w, opts)[0]
 
 

@@ -26,13 +26,14 @@ class ConvergenceError(BdsdeError):
 
 
 class NonFiniteError(BdsdeError):
-    """A backward step met a NaN or infinite value."""
+    """A backward step met a NaN or infinite value (path: its row in a batched solve)."""
 
-    def __init__(self, message, step=None, volatility=None, node=None):
+    def __init__(self, message, step=None, volatility=None, node=None, path=None):
         super().__init__(message)
         self.step = step
         self.volatility = volatility
         self.node = node
+        self.path = path
 
 
 class RegressionError(BdsdeError):

@@ -78,9 +78,8 @@ def make_conjugate_map(spec: HamiltonianSpec,
     """Vectorized F(t, x, y, z, a) built by grid conjugation of h."""
 
     def F(t, x, y, z, a):
-        x = np.asarray(x, dtype=float)
-        y = np.broadcast_to(np.asarray(y, dtype=float), x.shape)
-        z = np.broadcast_to(np.asarray(z, dtype=float), x.shape)
+        # y and z of a batched solve carry a leading path axis over the states x
+        x, y, z = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, z)))
         out = np.empty(x.shape)
         for idx in np.ndindex(x.shape):
             out[idx] = fenchel_conjugate(
@@ -150,14 +149,14 @@ def g_dot(g_vals, w_inc):
     """Inner product of a generator value with a backward-driver increment.
 
     Scalar-valued g pairs with the first driver component; an explicit last
-    axis of length l pairs componentwise.
+    axis of length l pairs componentwise.  Leading axes broadcast.
     """
     g_vals = np.asarray(g_vals, dtype=float)
     w_inc = np.atleast_1d(np.asarray(w_inc, dtype=float))
     l = w_inc.shape[-1]
     if l == 1 or g_vals.ndim == 0 or g_vals.shape[-1] != l:
         return g_vals * w_inc[..., 0] if g_vals.ndim else float(g_vals) * w_inc[..., 0]
-    return np.einsum("...l,l->...", g_vals, w_inc)
+    return np.einsum("...l,...l->...", g_vals, w_inc)
 
 
 def stratonovich_correction(bundle: GeneratorBundle, F_val, t, x, y, z):

@@ -4,7 +4,8 @@ The forward noise B is represented either exactly (a recombining tree in
 one dimension) or by a seeded Monte Carlo ensemble under a piecewise
 constant volatility control.  The backward Brownian path W is frozen per
 run: a single sampled trajectory stands in for conditioning on the
-external noise, and statistics over W use an outer seed loop.
+external noise, and statistics over W come from a batch of such paths
+solved together (see `batch_paths`).
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ def build_time_grid(t0: float, horizon: float, n: int) -> TimeGrid:
 class BackwardPath:
     """Frozen trajectory of the backward driver W on a time grid.
 
-    values has shape (n_steps + 1, l) with values[0] = 0.
+    values has shape (n_steps + 1, l) with values[0] = 0, or (n_steps + 1, m, l)
+    for a batch of m paths (see `batch_paths`).
     """
 
     grid: TimeGrid
@@ -57,11 +59,11 @@ class BackwardPath:
 
     @property
     def l_dim(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-1]
 
     @property
     def increments(self) -> np.ndarray:
-        """dW_i = W_{t_{i+1}} - W_{t_i}, shape (n_steps, l)."""
+        """dW_i = W_{t_{i+1}} - W_{t_i}, shape (n_steps, l) or (n_steps, m, l)."""
         return np.diff(self.values, axis=0)
 
     def tail_increment(self, i: int) -> np.ndarray:
@@ -77,6 +79,22 @@ class BackwardPath:
             raise InvalidArgumentError(
                 f"need {grid.n_steps + 1} path values, got {values.shape[0]}")
         return cls(grid=grid, values=values, seed=seed)
+
+
+def batch_paths(w: BackwardPath | list) -> BackwardPath:
+    """A path as it is (so is a list of one), or a list of paths on one grid as
+    one batch: values of shape (n_steps + 1, m, l), path k at values[:, k]."""
+    paths = [w] if isinstance(w, BackwardPath) else list(w)
+    if not paths:
+        raise InvalidArgumentError("need at least one backward path")
+    first = paths[0]
+    if any(p.grid != first.grid or p.values.shape != first.values.shape
+           or p.values.ndim != 2 for p in paths):
+        raise InvalidArgumentError("batched backward paths must share the grid and dimension")
+    if len(paths) == 1:
+        return first
+    return BackwardPath(grid=first.grid, values=np.stack([p.values for p in paths], axis=1),
+                        seed=first.seed)
 
 
 def sample_backward_path(grid: TimeGrid, l: int, seed: int) -> BackwardPath:
@@ -176,7 +194,8 @@ class BrownianTree:
     def child_expectation(self, values_next: np.ndarray) -> np.ndarray:
         """E_i[v(child)] for each node at the coarser level.
 
-        values_next is indexed over level i+1 nodes; children of node j are
+        values_next is indexed over level i+1 nodes along its last axis (a
+        leading axis holds one row per backward path); children of node j are
         j .. j + branching - 1 in DESCENDING state order under the indexing
         used by `states` (which ascends), so the slices below pair up with
         ascending offsets.
@@ -184,17 +203,17 @@ class BrownianTree:
         p = self.transition_probs
         if self.branching == 2:
             # child states of node j (state s): s + step -> index j+1, s - step -> index j
-            return p[0] * values_next[1:] + p[1] * values_next[:-1]
-        return (p[0] * values_next[2:] + p[1] * values_next[1:-1]
-                + p[2] * values_next[:-2])
+            return p[0] * values_next[..., 1:] + p[1] * values_next[..., :-1]
+        return (p[0] * values_next[..., 2:] + p[1] * values_next[..., 1:-1]
+                + p[2] * values_next[..., :-2])
 
     def child_cross(self, values_next: np.ndarray) -> np.ndarray:
         """E_i[v(child) * (X_{i+1} - X_i)] for each coarser-level node."""
         p = self.transition_probs
         h = self.step
         if self.branching == 2:
-            return h * (p[0] * values_next[1:] - p[1] * values_next[:-1])
-        return h * (p[0] * values_next[2:] - p[2] * values_next[:-2])
+            return h * (p[0] * values_next[..., 1:] - p[1] * values_next[..., :-1])
+        return h * (p[0] * values_next[..., 2:] - p[2] * values_next[..., :-2])
 
     def level_probabilities(self) -> list[np.ndarray]:
         """Forward node probabilities per level (root mass 1)."""

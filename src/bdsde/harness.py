@@ -74,17 +74,40 @@ def write_csv(records, path_or_buffer, precision=17):
             fh.write(buf.getvalue())
 
 
-def _solve_once(pdef: ProblemDef, cfg: ExperimentConfig, backend: str,
-                w: BackwardPath, diagnose: bool = True) -> dict:
-    """Quantities of one solve on the path w; diagnose=False skips the dp
-    diagnostics, for extra W paths of which only y0 is kept."""
-    grid = w.grid
+def _solve_paths(pdef: ProblemDef, cfg: ExperimentConfig, backend: str,
+                 paths: list) -> tuple:
+    """(quantities of path 0, y0 of every path).  The tree and dp backends
+    solve all paths in one backward sweep; the others once per path."""
+    grid = paths[0].grid
     opts = SolverOptions(g_scheme=pdef.g_scheme)
     if backend == "tree":
         prob = pdef.classical(cfg)
         tree = build_tree(grid, prob.a or 1.0, x0=pdef.x0)
-        sol = solve_tree(prob, tree, w, opts)
-        return {"y0": sol.y0, "residual_max": float(sol.residual.max(initial=0.0))}
+        sol = solve_tree(prob, tree, paths, opts)
+        return ({"y0": sol.y0, "residual_max": float(sol.residual.max(initial=0.0))},
+                sol.meta["y0_paths"])
+    if backend == "dp":
+        prob = pdef.second_order(cfg)
+        dp_opts = DpOptions(x_steps=cfg.get("spatial", "x_steps"),
+                            span_sigmas=cfg.get("spatial", "span_sigmas"),
+                            g_scheme=pdef.g_scheme)
+        sol = solve_dp(prob, grid, paths, x0=pdef.x0, opts=dp_opts)
+        out = {"y0": sol.y0, "k_terminal": sol.K.k_terminal}
+        if sol.backend == "lattice":
+            a_high = float(np.max(sol.meta["a_values"]))
+            frac = float(np.mean([np.mean(np.asarray(lv) == a_high)
+                                  for lv in sol.argmax_a[:-1]]))
+            out["argmax_high_frac"] = frac
+            out["gap_min0"] = float(minimality_gap(prob, sol, paths[0])[0])
+        return out, sol.meta["y0_paths"]
+    outs = [_solve_single(pdef, cfg, backend, w, opts) for w in paths]
+    return outs[0], [out["y0"] for out in outs]
+
+
+def _solve_single(pdef: ProblemDef, cfg: ExperimentConfig, backend: str,
+                  w: BackwardPath, opts: SolverOptions) -> dict:
+    """Quantities of one solve on the path w (mc, reflected and fd backends)."""
+    grid = w.grid
     if backend == "mc":
         prob = pdef.classical(cfg)
         ens = sample_forward_ensemble(grid, cfg.get("mc", "n_paths"), prob.a or 1.0,
@@ -94,20 +117,6 @@ def _solve_once(pdef: ProblemDef, cfg: ExperimentConfig, backend: str,
                                opts=opts)
         return {"y0": sol.y0,
                 "projection_rms_max": float(sol.projection_rms.max(initial=0.0))}
-    if backend == "dp":
-        prob = pdef.second_order(cfg)
-        dp_opts = DpOptions(x_steps=cfg.get("spatial", "x_steps"),
-                            span_sigmas=cfg.get("spatial", "span_sigmas"),
-                            g_scheme=pdef.g_scheme)
-        sol = solve_dp(prob, grid, w, x0=pdef.x0, opts=dp_opts)
-        out = {"y0": sol.y0, "k_terminal": sol.K.k_terminal}
-        if diagnose and sol.backend == "lattice":
-            a_high = float(np.max(sol.meta["a_values"]))
-            frac = float(np.mean([np.mean(np.asarray(lv) == a_high)
-                                  for lv in sol.argmax_a[:-1]]))
-            out["argmax_high_frac"] = frac
-            out["gap_min0"] = float(minimality_gap(prob, sol, w)[0])
-        return out
     if backend == "reflected":
         prob, barrier = pdef.reflected(cfg)
         tree = build_tree(grid, prob.a or 1.0, x0=pdef.x0)
@@ -134,17 +143,14 @@ def run(cfg: ExperimentConfig) -> RunRecord:
             f"problem {pdef.name!r} supports backends {pdef.backends}, not {backend!r}")
     grid = grid_from(cfg)
     w_seed = cfg.get("seeds", "w_seed")
-    w = backward_path_for(pdef, grid, w_seed)
-    quantities = _solve_once(pdef, cfg, backend, w)
-
     m = cfg.get("seeds", "w_ensemble")
+    # path k of the W ensemble keeps seed w_seed + k; the record reports path 0
+    paths = [backward_path_for(pdef, grid, w_seed + k) for k in range(max(m, 1))]
+    w = paths[0]
+    quantities, y0s = _solve_paths(pdef, cfg, backend, paths)
     if m > 1:
-        vals = [quantities["y0"]]
-        for k in range(1, m):
-            wk = backward_path_for(pdef, grid, w_seed + k)
-            vals.append(_solve_once(pdef, cfg, backend, wk, diagnose=False)["y0"])
-        quantities["y0_w_mean"] = float(np.mean(vals))
-        quantities["y0_w_std"] = float(np.std(vals, ddof=1))
+        quantities["y0_w_mean"] = float(np.mean(y0s))
+        quantities["y0_w_std"] = float(np.std(y0s, ddof=1))
 
     oracle = abs_error = tolerance_ok = None
     if pdef.oracle is not None:

@@ -10,6 +10,7 @@ the defect of the value against each fixed-volatility one-step operator.
 
 With one, the equation is the classical one and K vanishes: it is solved on
 that volatility's exact tree, nodewise equal to the classical solver.
+Either backend sweeps several frozen backward paths at once.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._accel import linear_interp, pl_gauss_moments
-from .classical import BdsdeProblem, SolverOptions, backward_step, solve_tree
+from .classical import BdsdeProblem, SolverOptions, _path0, backward_step, solve_tree
 from .errors import ConsistencyError, InvalidArgumentError, VerificationError
 from .generators import g_dot
 from .grids import (
@@ -29,6 +30,7 @@ from .grids import (
     PathEnsemble,
     TimeGrid,
     VolatilityGrid,
+    batch_paths,
     build_tree,
 )
 
@@ -109,16 +111,21 @@ def lattice_cond(xs: np.ndarray, a: float, dt: float) -> Callable:
     return cond
 
 
-def solve_dp(problem: TbdsdeProblem, grid: TimeGrid, w: BackwardPath,
+def solve_dp(problem: TbdsdeProblem, grid: TimeGrid, w: BackwardPath | list,
              x0: float = 0.0, opts: DpOptions = DpOptions()) -> TbdsdeSolution:
     """Backward induction with a per-step, per-node supremum over volatilities.
 
     A single finite volatility is solved on its exact tree (sol.backend
-    "tree"); several share the lattice ("lattice").
+    "tree"); several share the lattice ("lattice").  w is one BackwardPath
+    or a list of paths on grid.  A list is solved in one backward sweep with
+    the paths as a leading batch axis; the solution is path 0's (Y, Z,
+    argmax, K and residual as if solved alone) and meta["y0_paths"] holds
+    every path's y0 in list order, each equal to that path's own solve.
     """
     a_vals = problem.finite_volatilities()
     if len(a_vals) == 1:
         return _solve_dp_tree(problem, grid, w, x0, opts, a_vals)
+    w = batch_paths(w)
     n, dt = grid.n_steps, grid.dt
     xs = _build_lattice(grid, problem.volgrid, x0, opts)
     problems = [problem.classical_problem(float(a)) for a in a_vals]
@@ -129,36 +136,35 @@ def solve_dp(problem: TbdsdeProblem, grid: TimeGrid, w: BackwardPath,
     argmax = [None] * (n + 1)
     residual = np.zeros(n)
 
-    Y[n] = np.asarray(problem.terminal(xs), dtype=float)
-    phantom = [cond(Y[n])[1] for cond in conds]
+    Y[n] = y_next = np.asarray(problem.terminal(xs), dtype=float)
+    phantom = np.array([cond(Y[n])[1] for cond in conds])
+    z_next = phantom
+    keep = _path0(w)
 
     for i in range(n - 1, -1, -1):
-        cands = np.empty((len(a_vals), len(xs)))
-        zs = np.empty_like(cands)
-        worst_defect = 0.0
-        for k, a in enumerate(a_vals):
-            z_next = phantom[k] if i == n - 1 else Z[i + 1]
-            cands[k], zs[k], _, defect, _ = backward_step(
-                problems[k], conds[k], lambda _: xs, i, grid, Y[i + 1], z_next, w, float(a), opts)
-            worst_defect = max(worst_defect, defect)
+        steps = [backward_step(problems[k], conds[k], lambda _: xs, i, grid, y_next,
+                               z_next[k] if i == n - 1 else z_next, w, float(a), opts)
+                 for k, a in enumerate(a_vals)]
+        cands = np.array([step[0] for step in steps])   # (volatility, [path,] node)
         best = np.argmax(cands, axis=0)  # first max = smallest volatility on ties
-        cols = np.arange(len(xs))
-        Y[i] = cands[best, cols]
-        Z[i] = zs[best, cols]
-        argmax[i] = a_vals[best]
+        y_next = np.take_along_axis(cands, best[None], axis=0)[0]
+        z_next = np.take_along_axis(np.array([step[1] for step in steps]), best[None], axis=0)[0]
+        Y[i], Z[i], argmax[i] = keep(y_next), keep(z_next), a_vals[keep(best)]
         if i == n - 1:
-            Z[n] = np.array([phantom[b][j] for j, b in enumerate(best)])
-            argmax[n] = a_vals[best]
-        residual[i] = worst_defect
+            Z[n] = np.take_along_axis(phantom, keep(best)[None], axis=0)[0]
+            argmax[n] = argmax[i]
+        residual[i] = max(keep(step[3]) for step in steps)
 
     # Y[i] is its node's argmax candidate cands[best], so the defect of the
     # value against the step under the argmax control vanishes identically
     k_argmax = KTrace(increments=np.zeros((n, len(xs))), expected_cumulative=np.zeros(n + 1),
                       clamped=0, volatility=None)
+    y0_paths = linear_interp(np.array([x0]), xs, y_next).reshape(-1)
     return TbdsdeSolution(Y=Y, Z=Z, argmax_a=argmax, K=k_argmax, residual=residual,
-                          y0=float(linear_interp(np.array([x0]), xs, Y[0])[0]),
+                          y0=float(y0_paths[0]),
                           meta={"backend": "lattice", "lattice": xs, "x0": x0,
-                                "grid": grid, "a_values": a_vals, "opts": opts})
+                                "grid": grid, "a_values": a_vals, "opts": opts,
+                                "y0_paths": y0_paths})
 
 
 def _solve_dp_tree(problem, grid, w, x0, opts, a_vals):
@@ -174,7 +180,8 @@ def _solve_dp_tree(problem, grid, w, x0, opts, a_vals):
     return TbdsdeSolution(Y=base.y, Z=base.z, argmax_a=argmax, K=k_sole,
                           residual=base.residual, y0=base.y0,
                           meta={"backend": "tree", "tree": tree, "x0": x0,
-                                "grid": grid, "a_values": a_vals, "opts": opts})
+                                "grid": grid, "a_values": a_vals, "opts": opts,
+                                "y0_paths": base.meta["y0_paths"]})
 
 
 def _value_at(sol: TbdsdeSolution, i: int, x: np.ndarray) -> np.ndarray:
@@ -240,12 +247,16 @@ def extract_k(sol: TbdsdeSolution, problem: TbdsdeProblem, w: BackwardPath,
 
 def _constant_control_solves(problem: TbdsdeProblem, sol: TbdsdeSolution,
                              w: BackwardPath):
-    """(a, tree, solution) per finite volatility: the constant-control
-    classical solve on a's exact tree, under the solve's grid, x0 and options."""
+    """(a, tree, levels) per finite volatility: the constant-control classical
+    solve on a's exact tree, under the solve's grid, x0 and options.  A tree
+    solution is that solve for its sole volatility, so its levels are reused."""
+    if sol.backend == "tree":
+        yield sol.K.volatility, sol.meta["tree"], sol.Y
+        return
     grid, x0, opts = sol.meta["grid"], sol.meta["x0"], sol.meta["opts"]
     for a in problem.finite_volatilities():
         tree = build_tree(grid, float(a), x0=x0)
-        yield float(a), tree, solve_tree(problem.classical_problem(float(a)), tree, w, opts)
+        yield float(a), tree, solve_tree(problem.classical_problem(float(a)), tree, w, opts).y
 
 
 def minimality_gap(problem: TbdsdeProblem, sol: TbdsdeSolution,
@@ -258,12 +269,13 @@ def minimality_gap(problem: TbdsdeProblem, sol: TbdsdeSolution,
     the control's exact tree and the gap is integrated against the tree's
     forward law.  Vanishes at O(dt) for problems whose optimal control is a
     constant element of the grid.  The constant-control solves run under
-    the solve's own options.
+    the solve's own options, on w, the path sol was solved on (path 0 of a
+    batch).
     """
     gaps = []
     for _, tree, ya in _constant_control_solves(problem, sol, w):
         probs = tree.level_probabilities()
-        gaps.append([float(np.dot(probs[i], _value_at(sol, i, tree.states(i)) - ya.y[i]))
+        gaps.append([float(np.dot(probs[i], _value_at(sol, i, tree.states(i)) - ya[i]))
                      for i in range(len(probs))])
     return np.min(gaps, axis=0)
 
@@ -286,7 +298,7 @@ def representation_check(problem: TbdsdeProblem, grid: TimeGrid, w: BackwardPath
     volatilities; each constant-control value from that volatility's tree.
     """
     sol = solve_dp(problem, grid, w, x0=x0, opts=opts)
-    per_a = {a: ya.y0 for a, _, ya in _constant_control_solves(problem, sol, w)}
+    per_a = {a: float(ya[0][0]) for a, _, ya in _constant_control_solves(problem, sol, w)}
     best_a = max(per_a, key=per_a.get)
     best = per_a[best_a]
     surplus = sol.y0 - best

@@ -1,0 +1,119 @@
+"""Batched backward paths: one sweep over m frozen W paths equals m solves, bit for bit."""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from bdsde._accel import pl_gauss_moments
+from bdsde.classical import BdsdeProblem, SolverOptions, solve_tree
+from bdsde.errors import InvalidArgumentError
+from bdsde.grids import (
+    batch_paths,
+    build_time_grid,
+    build_tree,
+    build_volatility_grid,
+    sample_backward_path,
+)
+from bdsde.second_order import DpOptions, TbdsdeProblem, extract_k, solve_dp
+
+SCHEMES = st.sampled_from(["ito", "stratonovich"])
+SEEDS = st.integers(0, 2**20)
+
+
+def paths_for(grid, seed, m):
+    return [sample_backward_path(grid, 1, seed=seed + k) for k in range(m)]
+
+
+def assert_levels_equal(a, b):
+    assert len(a) == len(b)
+    for u, v in zip(a, b):
+        np.testing.assert_array_equal(u, v)
+
+
+def assert_meta_equal(batch, single):
+    assert batch.keys() == single.keys()
+    for key in batch.keys() - {"y0_paths"}:
+        if isinstance(batch[key], np.ndarray):
+            np.testing.assert_array_equal(batch[key], single[key])
+        else:
+            assert batch[key] == single[key]
+
+
+@given(branching=st.sampled_from([2, 3]), scheme=SCHEMES, beta=st.floats(-0.9, 0.9),
+       c=st.floats(-1.0, 1.0), n=st.integers(1, 24), m=st.integers(2, 4), seed=SEEDS)
+def test_tree_batch_equals_per_path_solves(branching, scheme, beta, c, n, m, seed):
+    grid = build_time_grid(0, 1, n)
+    tree = build_tree(grid, 1.2, branching=branching, x0=0.3)
+    prob = BdsdeProblem(terminal=lambda x: x**2 - x, f=lambda t, x, y, z: c * y - 0.2 * z,
+                        g=lambda t, x, y, z: beta * y, lipschitz_f=abs(c))
+    opts = SolverOptions(g_scheme=scheme)
+    paths = paths_for(grid, seed, m)
+    batch = solve_tree(prob, tree, paths, opts)
+    singles = [solve_tree(prob, tree, w, opts) for w in paths]
+
+    np.testing.assert_array_equal(batch.meta["y0_paths"], [s.y0 for s in singles])
+    first = singles[0]
+    assert batch.y0 == first.y0
+    assert_levels_equal(batch.y, first.y)
+    assert_levels_equal(batch.z, first.z)
+    np.testing.assert_array_equal(batch.residual, first.residual)
+    np.testing.assert_array_equal(batch.picard_iters, first.picard_iters)
+    assert_meta_equal(batch.meta, first.meta)
+
+    order = np.random.default_rng(seed).permutation(m)
+    permuted = solve_tree(prob, tree, [paths[k] for k in order], opts)
+    np.testing.assert_array_equal(permuted.meta["y0_paths"], batch.meta["y0_paths"][order])
+
+
+@given(a_low=st.floats(0.3, 1.0), a_high=st.floats(1.2, 2.5), n_a=st.integers(2, 5),
+       scheme=SCHEMES, beta=st.floats(-0.8, 0.8), n=st.integers(1, 6), x_steps=st.integers(20, 60),
+       m=st.integers(2, 4), seed=SEEDS)
+def test_lattice_batch_equals_per_path_solves(a_low, a_high, n_a, scheme, beta, n, x_steps, m,
+                                              seed):
+    grid = build_time_grid(0, 1, n)
+    prob = TbdsdeProblem(terminal=lambda x: np.abs(x - 0.2), F=lambda t, x, y, z, a: 0.3 * y,
+                         g=lambda t, x, y, z: beta * y,
+                         volgrid=build_volatility_grid(a_low, a_high, n_a), lipschitz_f=0.3)
+    opts = DpOptions(x_steps=x_steps, g_scheme=scheme)
+    paths = paths_for(grid, seed, m)
+    batch = solve_dp(prob, grid, paths, x0=0.5, opts=opts)
+    singles = [solve_dp(prob, grid, w, x0=0.5, opts=opts) for w in paths]
+
+    assert batch.backend == "lattice"
+    np.testing.assert_array_equal(batch.meta["y0_paths"], [s.y0 for s in singles])
+    first = singles[0]
+    assert batch.y0 == first.y0
+    for levels in ("Y", "Z", "argmax_a"):
+        assert_levels_equal(getattr(batch, levels), getattr(first, levels))
+    np.testing.assert_array_equal(batch.residual, first.residual)
+    np.testing.assert_array_equal(batch.K.increments, first.K.increments)
+    assert_meta_equal(batch.meta, first.meta)
+    # diagnostics of the batch read path 0's solution
+    np.testing.assert_array_equal(extract_k(batch, prob, paths[0], a_low).increments,
+                                  extract_k(first, prob, paths[0], a_low).increments)
+
+    order = np.random.default_rng(seed).permutation(m)
+    permuted = solve_dp(prob, grid, [paths[k] for k in order], x0=0.5, opts=opts)
+    np.testing.assert_array_equal(permuted.meta["y0_paths"], batch.meta["y0_paths"][order])
+
+
+@given(knots=st.sampled_from([np.linspace(-3, 3, 41), np.linspace(-3, 3, 5),
+                              np.array([-2.0, -0.5, 0.0, 1.5, 3.0])]),
+       sigma=st.floats(0.05, 1.0), rows=st.integers(1, 4), seed=SEEDS)
+def test_kernel_rows_equal_one_row_calls(knots, sigma, rows, seed):
+    # uniform windowed path, a lattice too narrow for the window, a non-uniform one
+    vals = np.random.default_rng(seed).normal(size=(rows, len(knots)))
+    m0, m1 = pl_gauss_moments(knots, vals, knots, sigma)
+    for r in range(rows):
+        r0, r1 = pl_gauss_moments(knots, vals[r], knots, sigma)
+        np.testing.assert_array_equal(m0[r], r0)
+        np.testing.assert_array_equal(m1[r], r1)
+
+
+def test_batch_paths_rejects_mixed_grids():
+    coarse, fine = build_time_grid(0, 1, 4), build_time_grid(0, 1, 8)
+    with pytest.raises(InvalidArgumentError, match="share the grid"):
+        batch_paths([sample_backward_path(coarse, 1, 1), sample_backward_path(fine, 1, 2)])
+    with pytest.raises(InvalidArgumentError, match="at least one"):
+        batch_paths([])

@@ -92,19 +92,32 @@ class TestRun:
         ("bsb_quadratic", "dp", {"spatial.x_steps": 40}, 1),
     ], ids=["linear_spde-tree", "bsb_quadratic-dp"])
     def test_w_ensemble_statistics(self, monkeypatch, problem, backend, extra, gap_calls):
-        calls = []
+        # per-path runs first, with the real solver: path k has seed w_seed + k
+        y0s = [run(cfg_for(problem, backend, n_steps=16,
+                           **{"seeds.w_seed": 7 + k}, **extra)).quantities["y0"]
+               for k in range(3)]
+        calls = {"gap": 0, "solve": 0}
 
-        def counted(*args):
-            calls.append(args)
-            return minimality_gap(*args)
-        monkeypatch.setattr(harness, "minimality_gap", counted)
-        cfg = cfg_for(problem, backend, n_steps=16, **{"seeds.w_ensemble": 3}, **extra)
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+        monkeypatch.setattr(harness, "minimality_gap", counting("gap", minimality_gap))
+        solver = "solve_tree" if backend == "tree" else "solve_dp"
+        monkeypatch.setattr(harness, solver, counting("solve", getattr(harness, solver)))
+        cfg = cfg_for(problem, backend, n_steps=16,
+                      **{"seeds.w_seed": 7, "seeds.w_ensemble": 3}, **extra)
         rec = run(cfg)
-        assert "y0_w_mean" in rec.quantities and "y0_w_std" in rec.quantities
+        # one batched solve whose statistics are those of the per-path solves
+        assert calls["solve"] == 1
+        assert rec.quantities["y0"] == y0s[0]
+        assert rec.quantities["y0_w_mean"] == float(np.mean(y0s))
+        assert rec.quantities["y0_w_std"] == float(np.std(y0s, ddof=1))
         # the driver endpoint is pinned, so the spread across seeds is small
         assert rec.quantities["y0_w_std"] < 0.1
         # diagnostics are computed for the reported path only
-        assert len(calls) == gap_calls
+        assert calls["gap"] == gap_calls
 
 
 class TestCsvDeterminism:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bdsde import second_order
 from bdsde.classical import BdsdeProblem, SolverOptions, solve_tree
 from bdsde.errors import InvalidArgumentError, NonFiniteError, VerificationError
 from bdsde.grids import (
@@ -190,6 +191,20 @@ class TestNonFinite:
         assert (err.step, err.volatility, err.node) == (7, 0.5, 0)
         assert "step 7" in str(err) and "volatility 0.5" in str(err) and "node 0" in str(err)
 
+    @pytest.mark.parametrize("n_a", [1, 3], ids=["tree", "lattice"])
+    def test_nan_in_one_path_names_that_path(self, n_a):
+        # W_{t_k} = NaN spoils dW_k and dW_{k-1}; the backward sweep meets step k first
+        grid, k = build_time_grid(0, 1, 8), 5
+        paths = [sample_backward_path(grid, 1, seed=s) for s in (1, 2, 3)]
+        paths[1].values[k] = np.nan
+        prob = TbdsdeProblem(terminal=lambda x: x**2 + 1.0, F=FZERO, g=HALF_Y,
+                             volgrid=build_volatility_grid(0.5, 2.0, n_a))
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError) as info:
+            solve_dp(prob, grid, paths, x0=1.0, opts=DpOptions(x_steps=50))
+        err = info.value
+        assert (err.path, err.step, err.volatility, err.node) == (1, k, 0.5, 0)
+        assert f"step {k}" in str(err) and "path 1, node 0" in str(err)
+
 
 class TestMinimalityGap:
     def test_singleton_gap_vanishes(self):
@@ -215,13 +230,23 @@ class TestMinimalityGap:
 
 
 class TestRepresentation:
-    def test_singleton_surplus_zero(self):
+    def test_singleton_surplus_zero(self, monkeypatch):
+        # the tree solution is its sole constant control's solve: reused, not solved again
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return solve_tree(*args)
+        monkeypatch.setattr(second_order, "solve_tree", counted)
         grid = build_time_grid(0, 1, 16)
         w = sample_backward_path(grid, 1, seed=4)
         vg = build_volatility_grid(1.3, 1.3, 1)
         prob = TbdsdeProblem(terminal=lambda x: np.abs(x), F=FZERO, g=ZERO, volgrid=vg)
         rep = representation_check(prob, grid, w, x0=0.5)
-        assert rep.surplus == pytest.approx(0.0, abs=1e-12)
+        assert rep.surplus == 0.0 and len(calls) == 1
+        calls.clear()
+        gap = minimality_gap(prob, solve_dp(prob, grid, w, x0=0.5), w)
+        assert gap[0] == 0.0 and np.max(np.abs(gap)) < 1e-15 and len(calls) == 1
 
     def test_bsb_surplus_order_dt(self):
         surpluses = []
