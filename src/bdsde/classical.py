@@ -11,8 +11,8 @@ endpoint against dW_i = W_{t_{i+1}} - W_{t_i} ("ito" scheme); the midpoint
 is implicit with an inner fixed point (contraction for dt * Lip(f) < 1);
 z comes from an explicit conditional projection against the forward
 increment.  The conditional expectation backend is either exact (a
-recombining tree, d = 1) or least-squares Monte Carlo.  The tree sweeps
-several frozen backward paths at once, as a leading axis of its values.
+recombining tree, d = 1) or least-squares Monte Carlo.  Both sweep several
+frozen backward paths at once, as a leading axis of their values.
 """
 
 from __future__ import annotations
@@ -160,8 +160,7 @@ def backward_step(problem: BdsdeProblem, cond: Callable, states: Callable, i: in
     iters and defect are arrays with one entry per path.
     """
     t_i, t_next, dt = grid.time(i), grid.time(i + 1), grid.dt
-    # dW_i as (1, l), or (m, 1, l) against (m, nodes) values; w.increments[i] would
-    # difference the whole path at every step
+    # dW_i as (1, l), or (m, 1, l) against (m, nodes) values
     wi = (w.values[i + 1] - w.values[i])[..., None, :]
     x_i, x_next = states(i), states(i + 1)
     dV = 0.0 if problem.forcing is None else problem.forcing[i + 1] - problem.forcing[i]
@@ -312,18 +311,6 @@ def polynomial_features(x: np.ndarray, degree: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _fit(phi: np.ndarray, targets: np.ndarray, ridge: float, cond_max: float):
-    """Ridge-regularized normal equations with a condition-number guard."""
-    gram = phi.T @ phi / phi.shape[0] + ridge * np.eye(phi.shape[1])
-    cond = np.linalg.cond(gram)
-    if cond > cond_max:
-        raise RegressionError(
-            f"normal equations condition number {cond:.3g} exceeds {cond_max:.3g}",
-            condition_number=cond)
-    rhs = phi.T @ targets / phi.shape[0]
-    return np.linalg.solve(gram, rhs)
-
-
 def _step_controls(ensemble: PathEnsemble) -> np.ndarray:
     c = np.asarray(ensemble.control, dtype=float)
     n = ensemble.grid.n_steps
@@ -334,11 +321,17 @@ def _step_controls(ensemble: PathEnsemble) -> np.ndarray:
     raise InvalidArgumentError("regression backend supports scalar controls (d = 1)")
 
 
-def solve_regression(problem: BdsdeProblem, ensemble: PathEnsemble, w: BackwardPath,
+def solve_regression(problem: BdsdeProblem, ensemble: PathEnsemble, w: BackwardPath | list,
                      basis_degree: int = 3, opts: SolverOptions = SolverOptions(),
                      ridge: float = 1e-10, cond_max: float = 1e12) -> BdsdeSolution:
-    """Least-squares Monte Carlo backward induction (d = 1)."""
+    """Least-squares Monte Carlo backward induction (d = 1).
+
+    w is one BackwardPath or a list of paths on the ensemble's grid, solved as
+    in `solve_tree`: one sweep over the shared ensemble with one regression
+    basis per step, path 0's solution and every path's y0 in meta["y0_paths"].
+    """
     grid = ensemble.grid
+    w = batch_paths(w)
     if w.grid.n_steps != grid.n_steps:
         raise InvalidArgumentError("ensemble and backward path must share the grid")
     if ensemble.d_dim != 1:
@@ -372,34 +365,50 @@ def solve_regression(problem: BdsdeProblem, ensemble: PathEnsemble, w: BackwardP
         xi_ph = problem.terminal_path(states_ph[:, 1:, :])
     else:
         xi_ph = problem.terminal(x_ph)
-    z[:, n] = _regress_on_state(X[:, n], xi_ph * dx_ph / (a_steps[-1] * dt),
-                                basis_degree, ridge, cond_max)[0]
+    z[:, n] = _regress_on_state(X[:, n], [xi_ph * dx_ph / (a_steps[-1] * dt)],
+                                basis_degree, ridge, cond_max)[0][0]
 
+    keep = _path0(w)
+    y_next, z_next = y[:, n], z[:, n]
     for i in range(n - 1, -1, -1):
         def cond(r):
-            fit_y, proj_rms[i] = _regress_on_state(X[:, i], r, basis_degree, ridge, cond_max)
-            return fit_y, _regress_on_state(X[:, i], r * dX[:, i] / (a_steps[i] * dt),
-                                            basis_degree, ridge, cond_max)[0]
+            fits, rms = _regress_on_state(X[:, i], [r, r * dX[:, i] / (a_steps[i] * dt)],
+                                          basis_degree, ridge, cond_max)
+            proj_rms[i] = rms[0]
+            return fits
 
-        y[:, i], z[:, i], iters[i], residual[i], _ = backward_step(
-            problem, cond, lambda j: X[:, j], i, grid, y[:, i + 1], z[:, i + 1],
-            w, a_steps[i], opts)
+        y_next, z_next, it, res, _ = backward_step(
+            problem, cond, lambda j: X[:, j], i, grid, y_next, z_next, w, a_steps[i], opts)
+        y[:, i], z[:, i], iters[i], residual[i] = keep(y_next), keep(z_next), keep(it), keep(res)
 
     return BdsdeSolution(y=y, z=z, residual=residual, picard_iters=iters,
                          y0=float(y[0, 0]), projection_rms=proj_rms,
-                         meta={"backend": "mc", "n_paths": N,
-                               "basis_degree": basis_degree})
+                         meta={"backend": "mc", "n_paths": N, "basis_degree": basis_degree,
+                               "y0_paths": y_next[..., 0].reshape(-1)})
 
 
 def _regress_on_state(x, targets, degree, ridge, cond_max):
-    """Conditional-expectation estimate E[target | x]; returns (fitted, rms)."""
+    """Conditional-expectation estimates E[t | x] of each target t on one basis.
+
+    The polynomial basis of the normalized state, its ridge-regularized Gram
+    matrix and the condition-number guard are computed once; each target, and
+    each row of a 2-D target (one row per backward path), is fitted on its
+    own.  Returns (fitted targets, rms residual of each row of the first).
+    """
     std = float(np.std(x))
     if std < 1e-12 * (1.0 + float(np.abs(np.mean(x)))):
-        fitted = np.full_like(targets, float(np.mean(targets)))
+        fit = lambda t: np.full_like(t, float(np.mean(t)))
     else:
-        xn = (x - np.mean(x)) / std
-        phi = polynomial_features(xn, degree)
-        coef = _fit(phi, targets, ridge, cond_max)
-        fitted = phi @ coef
-    rms = float(np.sqrt(np.mean((targets - fitted) ** 2)))
-    return fitted, rms
+        phi = polynomial_features((x - np.mean(x)) / std, degree)
+        gram = phi.T @ phi / phi.shape[0] + ridge * np.eye(phi.shape[1])
+        cond = np.linalg.cond(gram)
+        if cond > cond_max:
+            raise RegressionError(
+                f"normal equations condition number {cond:.3g} exceeds {cond_max:.3g}",
+                condition_number=cond)
+        fit = lambda t: phi @ np.linalg.solve(gram, phi.T @ t / phi.shape[0])
+    fits = [np.array([fit(row) for row in np.reshape(t, (-1, len(x)))]).reshape(np.shape(t))
+            for t in targets]
+    rms = [float(np.sqrt(np.mean((t - f) ** 2)))
+           for t, f in zip(np.reshape(targets[0], (-1, len(x))), fits[0].reshape(-1, len(x)))]
+    return fits, rms

@@ -97,3 +97,7 @@ class ExperimentConfig:
             raise ConfigError("[grid] horizon must exceed t0")
         if self.get("mc", "n_paths") < 1:
             raise ConfigError("[mc] n_paths must be >= 1")
+        if self.get("seeds", "w_ensemble") < 1:
+            raise ConfigError("[seeds] w_ensemble must be >= 1")
+        if (self.get("volgrid", "a_low") is None) != (self.get("volgrid", "a_high") is None):
+            raise ConfigError("[volgrid] set both a_low and a_high, or neither")

@@ -195,7 +195,7 @@ def solve_flow(coef: FlowCoefficient, w: BackwardPath, x_lattice, y_lattice,
 
     for i in range(n - 1, -1, -1):
         t_i, t_next = grid.time(i), grid.time(i + 1)
-        dw = w.increments[i]
+        dw = w.values[i + 1] - w.values[i]
         k1 = drift(t_next, state)
         pred = {k: state[k] + g_dot(k1[k], dw) for k in state}
         k2 = drift(t_i, pred)

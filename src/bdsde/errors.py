@@ -44,10 +44,6 @@ class RegressionError(BdsdeError):
         self.condition_number = condition_number
 
 
-class ResolutionError(BdsdeError):
-    """Spatial lattice too coarse for the requested interpolation tolerance."""
-
-
 class RangeError(BdsdeError):
     """Query point lies outside the tabulated lattice range."""
 

@@ -58,10 +58,6 @@ class BackwardPath:
     seed: int
 
     @property
-    def l_dim(self) -> int:
-        return self.values.shape[-1]
-
-    @property
     def increments(self) -> np.ndarray:
         """dW_i = W_{t_{i+1}} - W_{t_i}, shape (n_steps, l) or (n_steps, m, l)."""
         return np.diff(self.values, axis=0)

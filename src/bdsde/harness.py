@@ -17,13 +17,10 @@ from .classical import SolverOptions, solve_regression, solve_tree
 from .config import ExperimentConfig
 from .doss import FlowCoefficient, build_y_lattice, solve_flow
 from .errors import ConfigError
-from .grids import (
-    BackwardPath,
-    build_tree,
-    sample_forward_ensemble,
-)
+from .grids import BackwardPath, build_tree, sample_forward_ensemble
 from .oracles import fd_random_pde
 from .problems import ProblemDef, backward_path_for, get_problem, grid_from
+from .reflected import solve_reflected
 from .second_order import DpOptions, minimality_gap, solve_dp
 
 CSV_COLUMNS = ("quantity", "dt", "value", "oracle", "abs_error", "seed_w", "seed_b")
@@ -76,8 +73,8 @@ def write_csv(records, path_or_buffer, precision=17):
 
 def _solve_paths(pdef: ProblemDef, cfg: ExperimentConfig, backend: str,
                  paths: list) -> tuple:
-    """(quantities of path 0, y0 of every path).  The tree and dp backends
-    solve all paths in one backward sweep; the others once per path."""
+    """(quantities of path 0, y0 of every path) from one solve of all paths.
+    The registry's FD problems carry no W, so fd solves its PDE once."""
     grid = paths[0].grid
     opts = SolverOptions(g_scheme=pdef.g_scheme)
     if backend == "tree":
@@ -100,42 +97,32 @@ def _solve_paths(pdef: ProblemDef, cfg: ExperimentConfig, backend: str,
             out["argmax_high_frac"] = frac
             out["gap_min0"] = float(minimality_gap(prob, sol, paths[0])[0])
         return out, sol.meta["y0_paths"]
-    outs = [_solve_single(pdef, cfg, backend, w, opts) for w in paths]
-    return outs[0], [out["y0"] for out in outs]
-
-
-def _solve_single(pdef: ProblemDef, cfg: ExperimentConfig, backend: str,
-                  w: BackwardPath, opts: SolverOptions) -> dict:
-    """Quantities of one solve on the path w (mc, reflected and fd backends)."""
-    grid = w.grid
     if backend == "mc":
         prob = pdef.classical(cfg)
         ens = sample_forward_ensemble(grid, cfg.get("mc", "n_paths"), prob.a or 1.0,
                                       seed=cfg.get("seeds", "b_seed"), x0=pdef.x0,
                                       workers=cfg.get("mc", "workers"))
-        sol = solve_regression(prob, ens, w, basis_degree=cfg.get("mc", "basis_degree"),
+        sol = solve_regression(prob, ens, paths, basis_degree=cfg.get("mc", "basis_degree"),
                                opts=opts)
-        return {"y0": sol.y0,
-                "projection_rms_max": float(sol.projection_rms.max(initial=0.0))}
+        return ({"y0": sol.y0, "projection_rms_max": float(sol.projection_rms.max(initial=0.0))},
+                sol.meta["y0_paths"])
     if backend == "reflected":
         prob, barrier = pdef.reflected(cfg)
         tree = build_tree(grid, prob.a or 1.0, x0=pdef.x0)
-        from .reflected import solve_reflected
-        sol = solve_reflected(prob, barrier, tree, w, opts)
-        return {"y0": sol.y0,
-                "k_terminal": float(sol.k_continuous[-1] + sol.k_jump[-1]),
-                "skorokhod_sum": sol.skorokhod_sum}
+        sol = solve_reflected(prob, barrier, tree, paths, opts)
+        return ({"y0": sol.y0, "k_terminal": float(sol.k_continuous[-1] + sol.k_jump[-1]),
+                 "skorokhod_sum": sol.skorokhod_sum}, sol.y0_paths)
     if backend == "fd":
-        prob = pdef.fd(cfg, w)
-        xs, v = fd_random_pde(prob, grid, cfg.get("spatial", "x_steps"))
-        i0 = int(np.argmin(np.abs(xs - pdef.x0)))
-        return {"y0": float(v[0, i0])}
+        xs, v = fd_random_pde(pdef.fd(cfg), grid, cfg.get("spatial", "x_steps"))
+        y0 = float(v[0, int(np.argmin(np.abs(xs - pdef.x0)))])
+        return {"y0": y0}, [y0] * len(paths)
     raise ConfigError(f"unknown backend {backend!r}")
 
 
 def run(cfg: ExperimentConfig) -> RunRecord:
     """Execute one configured problem; compare to its oracle when it has one."""
     t_start = time.perf_counter()
+    cfg.validate()
     pdef = get_problem(cfg.get("problem", "name"))
     backend = cfg.get("problem", "backend")
     if backend not in pdef.backends:
@@ -145,7 +132,7 @@ def run(cfg: ExperimentConfig) -> RunRecord:
     w_seed = cfg.get("seeds", "w_seed")
     m = cfg.get("seeds", "w_ensemble")
     # path k of the W ensemble keeps seed w_seed + k; the record reports path 0
-    paths = [backward_path_for(pdef, grid, w_seed + k) for k in range(max(m, 1))]
+    paths = [backward_path_for(pdef, grid, w_seed + k) for k in range(m)]
     w = paths[0]
     quantities, y0s = _solve_paths(pdef, cfg, backend, paths)
     if m > 1:

@@ -109,12 +109,11 @@ def linear_spde_closed_form(beta: float, phi, w: BackwardPath, t: float, x):
 
 @dataclass(frozen=True)
 class RandomPdeProblem:
-    """Backward PDE with frozen-path coefficients, for the FD oracle."""
+    """Backward PDE for the FD oracle; a frozen W enters only through its coefficients."""
 
     hhat_tilde: Callable               # (t, x, y, z, gamma) -> array
     terminal: Callable
     x_domain: tuple
-    w: Optional[BackwardPath] = None
     boundary: Optional[Callable] = None  # (t, x) -> value; None = linear extrapolation
 
     def parabolicity_report(self, n_samples: int = 100, seed: int = 0) -> float:

@@ -34,11 +34,10 @@ class ProblemDef:
     description: str
     x0: float = 0.0
     g_scheme: str = "ito"
-    volgrid_defaults: Optional[tuple] = None      # (a_low, a_high)
     classical: Optional[Callable] = None          # (cfg) -> BdsdeProblem
     second_order: Optional[Callable] = None       # (cfg) -> TbdsdeProblem
     reflected: Optional[Callable] = None          # (cfg) -> (BdsdeProblem, Barrier)
-    fd: Optional[Callable] = None                 # (cfg, w) -> RandomPdeProblem
+    fd: Optional[Callable] = None                 # (cfg) -> RandomPdeProblem (no W)
     oracle: Optional[Callable] = None             # (cfg, w) -> float
     w_sampler: Optional[Callable] = None          # (grid, seed) -> BackwardPath
 
@@ -48,14 +47,18 @@ def grid_from(cfg) -> TimeGrid:
                            cfg.get("grid", "n_steps"))
 
 
-def volgrid_from(cfg, defaults: Optional[tuple]):
-    a_low = cfg.get("volgrid", "a_low")
-    a_high = cfg.get("volgrid", "a_high")
-    if a_low is None or a_high is None:
-        if defaults is None:
-            raise ConfigError("problem requires [volgrid] a_low and a_high")
-        a_low, a_high = defaults
-    return build_volatility_grid(a_low, a_high, cfg.get("volgrid", "n_points"))
+DEFAULT_BAND = (0.5, 2.0)  # (a_low, a_high) of a config that sets neither bound
+
+
+def band_from(cfg) -> tuple:
+    """(a_low, a_high) of [volgrid], or DEFAULT_BAND when it sets neither
+    (ExperimentConfig.validate rejects a band with one bound)."""
+    a_low, a_high = cfg.get("volgrid", "a_low"), cfg.get("volgrid", "a_high")
+    return DEFAULT_BAND if a_low is None and a_high is None else (a_low, a_high)
+
+
+def volgrid_from(cfg):
+    return build_volatility_grid(*band_from(cfg), cfg.get("volgrid", "n_points"))
 
 
 def backward_path_for(pdef: ProblemDef, grid: TimeGrid, seed: int):
@@ -91,7 +94,7 @@ def _linear_second_order(cfg):
 def _bsb(terminal):
     def build(cfg):
         return TbdsdeProblem(terminal=terminal, F=FZERO, g=ZERO,
-                             volgrid=volgrid_from(cfg, (0.5, 2.0)))
+                             volgrid=volgrid_from(cfg))
     return build
 
 
@@ -101,7 +104,7 @@ def _bsb_doss_second_order(cfg):
         terminal=lambda x: x**2,
         F=lambda t, x, y, z, a: 0.5 * beta * beta * y + np.zeros_like(np.asarray(x, dtype=float)),
         g=lambda t, x, y, z: beta * y,
-        volgrid=volgrid_from(cfg, (0.5, 2.0)), lipschitz_f=0.5 * beta * beta)
+        volgrid=volgrid_from(cfg), lipschitz_f=0.5 * beta * beta)
 
 
 def _linear_spde_classical(cfg):
@@ -135,15 +138,15 @@ def _put_reflected(cfg):
     return prob, bar
 
 
-def _heat_fd(cfg, w):
+def _heat_fd(cfg):
     span = cfg.get("spatial", "span_sigmas")
     return RandomPdeProblem(hhat_tilde=lambda t, x, y, z, g: 0.5 * g,
                             terminal=lambda x: x**2,
                             x_domain=(-span, span))
 
 
-def _bsb_fd(cfg, w):
-    vg = volgrid_from(cfg, (0.5, 2.0))
+def _bsb_fd(cfg):
+    vg = volgrid_from(cfg)
     span = cfg.get("spatial", "span_sigmas") * math.sqrt(
         vg.a_high * (cfg.get("grid", "horizon") - cfg.get("grid", "t0")))
 
@@ -180,33 +183,29 @@ REGISTRY = {
         name="bsb_quadratic", backends=("dp", "fd"),
         description="uncertain volatility, convex quadratic terminal", x0=1.0,
         second_order=_bsb(lambda x: x**2), fd=_bsb_fd,
-        volgrid_defaults=(0.5, 2.0),
         oracle=lambda cfg, w: float(bsb_closed_form(
-            lambda x: x**2,
-            cfg.get("volgrid", "a_low") or 0.5, cfg.get("volgrid", "a_high") or 2.0,
+            lambda x: x**2, *band_from(cfg),
             cfg.get("grid", "horizon"), cfg.get("grid", "t0"), 1.0))),
     "bsb_concave": ProblemDef(
         name="bsb_concave", backends=("dp",),
         description="uncertain volatility, concave quadratic terminal", x0=1.0,
-        second_order=_bsb(lambda x: -(x**2)), volgrid_defaults=(0.5, 2.0),
+        second_order=_bsb(lambda x: -(x**2)),
         oracle=lambda cfg, w: float(bsb_closed_form(
-            lambda x: -(x**2),
-            cfg.get("volgrid", "a_low") or 0.5, cfg.get("volgrid", "a_high") or 2.0,
+            lambda x: -(x**2), *band_from(cfg),
             cfg.get("grid", "horizon"), cfg.get("grid", "t0"), 1.0))),
     "bsb_mixed": ProblemDef(
         name="bsb_mixed", backends=("dp",),
         description="mixed-convexity terminal; no closed form (use the FD oracle)",
         x0=0.0, second_order=_bsb(lambda x: np.where(x > 0, x**2, -(x**2))),
-        volgrid_defaults=(0.5, 2.0), oracle=None),
+        oracle=None),
     "bsb_doss": ProblemDef(
         name="bsb_doss", backends=("dp",),
         description="uncertain volatility with multiplicative backward noise "
                     "g = y/2; positively homogeneous Hamiltonian gives a "
                     "closed form through the exponential flow", x0=1.0,
-        second_order=_bsb_doss_second_order, volgrid_defaults=(0.5, 2.0),
+        second_order=_bsb_doss_second_order,
         oracle=lambda cfg, w: math.exp(0.5 * float(w.tail_increment(0)[0])) * (
-            1.0 + (cfg.get("volgrid", "a_high") or 2.0)
-            * (cfg.get("grid", "horizon") - cfg.get("grid", "t0")))),
+            1.0 + band_from(cfg)[1] * (cfg.get("grid", "horizon") - cfg.get("grid", "t0")))),
     "linear_spde": ProblemDef(
         name="linear_spde", backends=("tree", "mc"),
         description="semilinear family with multiplicative backward noise, "

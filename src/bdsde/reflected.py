@@ -13,7 +13,7 @@ which serves as the independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -55,7 +55,7 @@ class ReflectedSolution:
     skorokhod_sum: float
     residual: np.ndarray
     y0: float
-    penalization_trace: dict = field(default_factory=dict)  # n -> root value
+    y0_paths: np.ndarray            # every backward path's y0, in order
 
 
 def snell_envelope(tree: BrownianTree, payoff, terminal) -> list:
@@ -107,7 +107,7 @@ def _solve_with_barrier(problem, barrier, tree, w, opts, constraint, jump_flags)
     """Backward induction under a per-level barrier constraint; shared K bookkeeping.
 
     constraint(u, s) maps the unconstrained implicit value u onto the
-    admissible set of barrier level s; the compensator increment is the
+    admissible set of barrier level s; the compensator increment is path 0's
     push y - u, split into its smooth and barrier-jump parts by jump_flags.
     """
     n = tree.grid.n_steps
@@ -128,24 +128,31 @@ def _solve_with_barrier(problem, barrier, tree, w, opts, constraint, jump_flags)
         sk_sum += float(np.dot(probs[i], (sol.y[i] - levels[i]) * k_incs[i]))
     return ReflectedSolution(y=sol.y, z=sol.z, k_increments=k_incs,
                              k_continuous=k_cont, k_jump=k_jump, skorokhod_sum=sk_sum,
-                             residual=sol.residual, y0=sol.y0)
+                             residual=sol.residual, y0=sol.y0,
+                             y0_paths=sol.meta["y0_paths"])
 
 
 def solve_reflected(problem: BdsdeProblem, barrier: Barrier, tree: BrownianTree,
-                    w: BackwardPath, opts: SolverOptions = SolverOptions()) -> ReflectedSolution:
-    """Backward induction with projection onto the barrier."""
+                    w: BackwardPath | list,
+                    opts: SolverOptions = SolverOptions()) -> ReflectedSolution:
+    """Backward induction with projection onto the barrier.
+
+    w is one BackwardPath or a list of paths swept together as in `solve_tree`;
+    y, z, K and the Skorokhod sum are path 0's, y0_paths every path's y0.
+    """
     return _solve_with_barrier(problem, barrier, tree, w, opts,
                                lambda u, s: np.maximum(s, u),
                                _barrier_jump_flags(barrier, tree))
 
 
 def solve_penalized(problem: BdsdeProblem, barrier: Barrier, n_penalty: float,
-                    tree: BrownianTree, w: BackwardPath,
+                    tree: BrownianTree, w: BackwardPath | list,
                     opts: SolverOptions = SolverOptions()) -> ReflectedSolution:
     """Penalty-term backend: generator f + n (y - S)^-.
 
     The penalty part of the implicit step is solved exactly (piecewise
     affine in y), so only the generator's own Lipschitz constant limits dt.
+    A list of paths is solved in one sweep, as in `solve_reflected`.
     """
     if n_penalty < 0:
         raise InvalidArgumentError("penalty level must be nonnegative")

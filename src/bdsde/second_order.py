@@ -382,7 +382,7 @@ def feynman_kac_residual(u: Callable, du: Callable, d2u: Callable,
 
     for i in range(n):
         t, t_next = grid.time(i), grid.time(i + 1)
-        wi = w.increments[i]
+        wi = w.values[i + 1] - w.values[i]
         y_i, z_i, _ = uv[i]
         y_n, _, _ = uv[i + 1]
         g_i = g_dot(problem.g(t, X[:, i], y_i, z_i), wi)

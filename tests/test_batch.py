@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bdsde._accel import pl_gauss_moments
-from bdsde.classical import BdsdeProblem, SolverOptions, solve_tree
+from bdsde.classical import BdsdeProblem, SolverOptions, solve_regression, solve_tree
 from bdsde.errors import InvalidArgumentError
 from bdsde.grids import (
     batch_paths,
@@ -14,7 +14,9 @@ from bdsde.grids import (
     build_tree,
     build_volatility_grid,
     sample_backward_path,
+    sample_forward_ensemble,
 )
+from bdsde.reflected import Barrier, solve_penalized, solve_reflected
 from bdsde.second_order import DpOptions, TbdsdeProblem, extract_k, solve_dp
 
 SCHEMES = st.sampled_from(["ito", "stratonovich"])
@@ -96,6 +98,67 @@ def test_lattice_batch_equals_per_path_solves(a_low, a_high, n_a, scheme, beta, 
     order = np.random.default_rng(seed).permutation(m)
     permuted = solve_dp(prob, grid, [paths[k] for k in order], x0=0.5, opts=opts)
     np.testing.assert_array_equal(permuted.meta["y0_paths"], batch.meta["y0_paths"][order])
+
+
+@given(scheme=SCHEMES, beta=st.floats(-0.5, 0.5), c=st.floats(-1.0, 1.0),
+       n=st.integers(4, 10), m=st.integers(2, 4), seed=SEEDS)
+def test_regression_batch_equals_per_path_solves(scheme, beta, c, n, m, seed):
+    grid = build_time_grid(0, 1, n)
+    ens = sample_forward_ensemble(grid, 2000, 0.8, seed=seed, x0=0.3)
+    # f and g both depend on z, so the z fit feeds the next step's targets
+    prob = BdsdeProblem(terminal=lambda x: x**2 - x, f=lambda t, x, y, z: c * y - 0.2 * z,
+                        g=lambda t, x, y, z: beta * y + 0.1 * z, lipschitz_f=abs(c))
+    opts = SolverOptions(g_scheme=scheme)
+    paths = paths_for(grid, seed, m)
+    batch = solve_regression(prob, ens, paths, basis_degree=3, opts=opts)
+    singles = [solve_regression(prob, ens, w, basis_degree=3, opts=opts) for w in paths]
+
+    np.testing.assert_array_equal(batch.meta["y0_paths"], [s.y0 for s in singles])
+    first = singles[0]
+    assert batch.y0 == first.y0
+    for field in ("y", "z", "projection_rms", "residual", "picard_iters"):
+        np.testing.assert_array_equal(getattr(batch, field), getattr(first, field))
+    assert_meta_equal(batch.meta, first.meta)
+
+    order = np.random.default_rng(seed).permutation(m)
+    permuted = solve_regression(prob, ens, [paths[k] for k in order], basis_degree=3, opts=opts)
+    np.testing.assert_array_equal(permuted.meta["y0_paths"], batch.meta["y0_paths"][order])
+
+
+@given(penalty=st.sampled_from([None, 5.0, 80.0]), scheme=SCHEMES, beta=st.floats(-0.5, 0.5),
+       c=st.floats(0.0, 1.0), shift=st.floats(0.0, 0.3), n=st.integers(2, 16),
+       m=st.integers(2, 4), seed=SEEDS)
+def test_reflected_batch_equals_per_path_solves(penalty, scheme, beta, c, shift, n, m, seed):
+    grid = build_time_grid(0, 1, n)
+    tree = build_tree(grid, 1.0, x0=1.0)
+    prob = BdsdeProblem(terminal=lambda x: np.maximum(1.0 - x, 0.0),
+                        f=lambda t, x, y, z: -c * y - 0.2 * z,
+                        g=lambda t, x, y, z: beta * y + 0.1 * z, lipschitz_f=c)
+    barrier = Barrier(fn=lambda t, x: np.maximum(1.0 - x, 0.0) - shift * (1.0 - t))
+    opts = SolverOptions(g_scheme=scheme)
+
+    def solve(w):  # projection backend (penalty None) or penalization at that level
+        if penalty is None:
+            return solve_reflected(prob, barrier, tree, w, opts)
+        return solve_penalized(prob, barrier, penalty, tree, w, opts)
+
+    paths = paths_for(grid, seed, m)
+    batch = solve(paths)
+    singles = [solve(w) for w in paths]
+
+    np.testing.assert_array_equal(batch.y0_paths, [s.y0 for s in singles])
+    first = singles[0]
+    assert batch.y0 == first.y0
+    assert batch.skorokhod_sum == first.skorokhod_sum
+    for levels in ("y", "z", "k_increments"):
+        assert_levels_equal(getattr(batch, levels), getattr(first, levels))
+    for field in ("k_continuous", "k_jump", "residual"):
+        np.testing.assert_array_equal(getattr(batch, field), getattr(first, field))
+    np.testing.assert_array_equal(first.y0_paths, [first.y0])
+
+    order = np.random.default_rng(seed).permutation(m)
+    np.testing.assert_array_equal(solve([paths[k] for k in order]).y0_paths,
+                                  batch.y0_paths[order])
 
 
 @given(knots=st.sampled_from([np.linspace(-3, 3, 41), np.linspace(-3, 3, 5),

@@ -14,6 +14,7 @@ from bdsde.harness import (
     run,
     write_csv,
 )
+from bdsde.problems import REGISTRY
 from bdsde.second_order import minimality_gap
 
 
@@ -47,6 +48,25 @@ class TestConfig:
         p.write_text("[problem]\nname = identity\nbackend = tree\n")
         with pytest.raises(ConfigError, match=r"\[grid\] n_steps"):
             ExperimentConfig.from_file(p)
+
+    @pytest.mark.parametrize("band", ["a_low = 0.3", "a_high = 2.5"])
+    def test_half_set_volatility_band_rejected(self, tmp_path, band):
+        # one bound would be paired with a default the oracle does not see
+        p = tmp_path / "bad.ini"
+        p.write_text("[problem]\nname = bsb_concave\nbackend = dp\n"
+                     f"[grid]\nn_steps = 4\n[volgrid]\n{band}\n")
+        with pytest.raises(ConfigError, match="a_low and a_high"):
+            ExperimentConfig.from_file(p)
+
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_w_ensemble_below_one_rejected(self, tmp_path, m):
+        p = tmp_path / "bad.ini"
+        p.write_text("[problem]\nname = identity\nbackend = tree\n"
+                     f"[grid]\nn_steps = 4\n[seeds]\nw_ensemble = {m}\n")
+        with pytest.raises(ConfigError, match="w_ensemble"):
+            ExperimentConfig.from_file(p)
+        with pytest.raises(ConfigError, match="w_ensemble"):
+            run(cfg_for("identity", "tree", n_steps=4, **{"seeds.w_ensemble": m}))
 
     def test_hash_stable_under_key_order(self, tmp_path):
         a = tmp_path / "a.ini"
@@ -87,11 +107,16 @@ class TestRun:
                           **{"spatial.x_steps": 64}))
         assert rec.abs_error < 0.03
 
-    @pytest.mark.parametrize("problem, backend, extra, gap_calls", [
-        ("linear_spde", "tree", {}, 0),
-        ("bsb_quadratic", "dp", {"spatial.x_steps": 40}, 1),
-    ], ids=["linear_spde-tree", "bsb_quadratic-dp"])
-    def test_w_ensemble_statistics(self, monkeypatch, problem, backend, extra, gap_calls):
+    @pytest.mark.parametrize("problem, backend, extra, solver, gap_calls", [
+        ("linear_spde", "tree", {}, "solve_tree", 0),
+        ("bsb_quadratic", "dp", {"spatial.x_steps": 40}, "solve_dp", 1),
+        ("linear_spde", "mc", {"mc.n_paths": 2000}, "solve_regression", 0),
+        ("reflected_put", "reflected", {}, "solve_reflected", 0),
+        ("heat_quadratic", "fd", {"spatial.x_steps": 40}, "fd_random_pde", 0),
+    ], ids=["linear_spde-tree", "bsb_quadratic-dp", "linear_spde-mc", "reflected_put-reflected",
+            "heat_quadratic-fd"])
+    def test_w_ensemble_statistics(self, monkeypatch, problem, backend, extra, solver,
+                                   gap_calls):
         # per-path runs first, with the real solver: path k has seed w_seed + k
         y0s = [run(cfg_for(problem, backend, n_steps=16,
                            **{"seeds.w_seed": 7 + k}, **extra)).quantities["y0"]
@@ -104,20 +129,29 @@ class TestRun:
                 return fn(*args, **kwargs)
             return counted
         monkeypatch.setattr(harness, "minimality_gap", counting("gap", minimality_gap))
-        solver = "solve_tree" if backend == "tree" else "solve_dp"
         monkeypatch.setattr(harness, solver, counting("solve", getattr(harness, solver)))
         cfg = cfg_for(problem, backend, n_steps=16,
                       **{"seeds.w_seed": 7, "seeds.w_ensemble": 3}, **extra)
         rec = run(cfg)
-        # one batched solve whose statistics are those of the per-path solves
+        # one solve of all paths whose statistics are those of the per-path solves
         assert calls["solve"] == 1
         assert rec.quantities["y0"] == y0s[0]
         assert rec.quantities["y0_w_mean"] == float(np.mean(y0s))
         assert rec.quantities["y0_w_std"] == float(np.std(y0s, ddof=1))
-        # the driver endpoint is pinned, so the spread across seeds is small
+        # W_T - W_0 pinned (linear_spde) or no W in the data: a small spread
         assert rec.quantities["y0_w_std"] < 0.1
         # diagnostics are computed for the reported path only
         assert calls["gap"] == gap_calls
+
+    @pytest.mark.parametrize("problem, backend", [
+        (name, backend) for name, pdef in sorted(REGISTRY.items()) for backend in pdef.backends])
+    def test_w_ensemble_rows_on_every_pair(self, problem, backend):
+        cfg = cfg_for(problem, backend, n_steps=16,
+                      **{"seeds.w_ensemble": 2, "spatial.x_steps": 40, "mc.n_paths": 500})
+        buf = io.StringIO()
+        write_csv([run(cfg)], buf)
+        written = [line.split(",")[0] for line in buf.getvalue().splitlines()]
+        assert {"y0", "y0_w_mean", "y0_w_std"} <= set(written)
 
 
 class TestCsvDeterminism:
