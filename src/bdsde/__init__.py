@@ -19,7 +19,6 @@ from .classical import (
 from .doss import (
     FlowCoefficient,
     FlowField,
-    InverseField,
     build_y_lattice,
     derivative_identity_report,
     growth_check,

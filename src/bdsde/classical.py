@@ -48,7 +48,6 @@ class BdsdeProblem:
     forcing: Optional[np.ndarray] = None   # V at grid nodes, shape (n_steps + 1,)
     a: Optional[float] = None
     lipschitz_f: Optional[float] = None
-    terminal_path: Optional[Callable] = None  # whole-path callback (MC only)
 
 
 @dataclass(frozen=True)
@@ -350,21 +349,14 @@ def solve_regression(problem: BdsdeProblem, ensemble: PathEnsemble, w: BackwardP
     iters = np.zeros(n, dtype=int)
     proj_rms = np.zeros(n)
 
-    if problem.terminal_path is not None:
-        y[:, n] = problem.terminal_path(ensemble.states)
-    else:
-        y[:, n] = problem.terminal(X[:, n])
+    y[:, n] = problem.terminal(X[:, n])
 
     # phantom projection for the terminal z: one extra seeded step on a
     # shifted key so it cannot collide with the ensemble's own streams
     zp = rng.blocked_normals(ensemble.seed + PHANTOM_STREAM_BASE, N, (1,))[:, 0]
     dx_ph = math.sqrt(a_steps[-1] * dt) * zp
     x_ph = X[:, n] + dx_ph
-    if problem.terminal_path is not None:
-        states_ph = np.concatenate([ensemble.states, x_ph[:, None, None]], axis=1)
-        xi_ph = problem.terminal_path(states_ph[:, 1:, :])
-    else:
-        xi_ph = problem.terminal(x_ph)
+    xi_ph = problem.terminal(x_ph)
     z[:, n] = _regress_on_state(X[:, n], [xi_ph * dx_ph / (a_steps[-1] * dt)],
                                 basis_degree, ridge, cond_max)[0][0]
 

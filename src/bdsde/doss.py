@@ -12,6 +12,12 @@ the gradient).  The integrator is a midpoint (Heun) step on the frozen
 increments, which is consistent with the Stratonovich reading of the flow
 equation; first and second derivatives are integrated alongside via their
 variational equations, never by differencing tables.
+
+The flow and its five variational derivatives are one stacked (6, nx, ny)
+state (DERIV_NAMES order) that must stay finite at every step.  Partials of g
+not supplied analytically are central differences on one shared 3x3 stencil,
+g evaluated once per point.  One piecewise-linear root and one set of
+inverse-function identities serve tabulated and pointwise inversion alike.
 """
 
 from __future__ import annotations
@@ -22,11 +28,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidArgumentError, RangeError, SingularFlowError
-from .generators import g_dot
+from .errors import InvalidArgumentError, NonFiniteError, RangeError, SingularFlowError
+from .generators import FD_STEP
 from .grids import BackwardPath, TimeGrid
 
 DERIV_NAMES = ("eta", "d_y", "d_x", "d_yy", "d_xy", "d_xx")
+INVERSE_NAMES = ("eps",) + DERIV_NAMES[1:]
 MIN_DY = 1e-10
 
 
@@ -34,7 +41,7 @@ MIN_DY = 1e-10
 class FlowCoefficient:
     """Noise intensity g(t, x, y) with optional analytic partials.
 
-    Missing partials fall back to central differences with step fd_step.
+    Missing partials fall back to central differences with step FD_STEP.
     g must not depend on the gradient variable.
     """
 
@@ -44,35 +51,41 @@ class FlowCoefficient:
     g_xx: Optional[Callable] = None
     g_xy: Optional[Callable] = None
     g_yy: Optional[Callable] = None
-    fd_step: float = 1e-5
-
-    def _fd(self, which, t, x, y):
-        h = self.fd_step
-        g = self.g
-        if which == "x":
-            return (g(t, x + h, y) - g(t, x - h, y)) / (2 * h)
-        if which == "y":
-            return (g(t, x, y + h) - g(t, x, y - h)) / (2 * h)
-        if which == "xx":
-            return (g(t, x + h, y) - 2 * g(t, x, y) + g(t, x - h, y)) / h**2
-        if which == "yy":
-            return (g(t, x, y + h) - 2 * g(t, x, y) + g(t, x, y - h)) / h**2
-        return (g(t, x + h, y + h) - g(t, x + h, y - h)
-                - g(t, x - h, y + h) + g(t, x - h, y - h)) / (4 * h**2)
 
     def parts(self, t, x, y):
+        """g and its partials at (t, x, y), keyed g, x, y, xx, xy, yy.
+
+        g is evaluated once at the centre and once at each point of the 3x3
+        stencil (x +- h, y +- h) that a missing partial needs.
+        """
+        h = FD_STEP
+        xv, yv = (x - h, x, x + h), (y - h, y, y + h)
+        memo = {}
+
+        def g(i, j):    # g at (x + i h, y + j h)
+            if (i, j) not in memo:
+                memo[i, j] = np.asarray(self.g(t, xv[i + 1], yv[j + 1]), dtype=float)
+            return memo[i, j]
+
+        def part(analytic, central):
+            return np.asarray(analytic(t, x, y) if analytic else central(), dtype=float)
+
         return {
-            "g": np.asarray(self.g(t, x, y), dtype=float),
-            "x": np.asarray(self.g_x(t, x, y) if self.g_x else self._fd("x", t, x, y), dtype=float),
-            "y": np.asarray(self.g_y(t, x, y) if self.g_y else self._fd("y", t, x, y), dtype=float),
-            "xx": np.asarray(self.g_xx(t, x, y) if self.g_xx else self._fd("xx", t, x, y), dtype=float),
-            "xy": np.asarray(self.g_xy(t, x, y) if self.g_xy else self._fd("xy", t, x, y), dtype=float),
-            "yy": np.asarray(self.g_yy(t, x, y) if self.g_yy else self._fd("yy", t, x, y), dtype=float),
+            "g": g(0, 0),
+            "x": part(self.g_x, lambda: (g(1, 0) - g(-1, 0)) / (2 * h)),
+            "y": part(self.g_y, lambda: (g(0, 1) - g(0, -1)) / (2 * h)),
+            "xx": part(self.g_xx, lambda: (g(1, 0) - 2 * g(0, 0) + g(-1, 0)) / h**2),
+            "xy": part(self.g_xy, lambda: (g(1, 1) - g(1, -1) - g(-1, 1) + g(-1, -1))
+                       / (4 * h**2)),
+            "yy": part(self.g_yy, lambda: (g(0, 1) - 2 * g(0, 0) + g(0, -1)) / h**2),
         }
 
 
 @dataclass
 class FlowField:
+    """Tables per time index on an (x, y) lattice: the flow (DERIV_NAMES) or,
+    from invert_flow, its y-inverse (INVERSE_NAMES) over the target lattice."""
+
     grid: TimeGrid
     x_lattice: np.ndarray
     y_lattice: np.ndarray
@@ -85,24 +98,13 @@ class FlowField:
         return _bilinear(self.tables[name][i], self.x_lattice, self.y_lattice, x, y)
 
     def inverse_at(self, i: int, x, y_target):
-        """Solve eta(t_i, x, .) = y_target by monotone piecewise-linear inversion."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        y_target = np.atleast_1d(np.asarray(y_target, dtype=float))
+        """Solve eta(t_i, x, .) = y_target by monotone piecewise-linear inversion
+        (x and y_target broadcast together)."""
+        x, y_target = np.broadcast_arrays(np.atleast_1d(np.asarray(x, dtype=float)),
+                                          np.asarray(y_target, dtype=float))
         _check_range(x, self.x_lattice, "x")
         eta_rows = _interp_rows_x(self.tables["eta"][i], self.x_lattice, x)
-        return _invert_rows(eta_rows, self.y_lattice, y_target)
-
-
-@dataclass
-class InverseField:
-    grid: TimeGrid
-    x_lattice: np.ndarray
-    y_lattice: np.ndarray               # target values where the inverse is tabulated
-    w: BackwardPath
-    tables: dict = field(repr=False)
-
-    def eval(self, name: str, i: int, x, y):
-        return _bilinear(self.tables[name][i], self.x_lattice, self.y_lattice, x, y)
+        return _invert_rows(eta_rows, self.y_lattice, y_target[:, None])[:, 0]
 
 
 def _check_range(v, lattice, label):
@@ -110,6 +112,13 @@ def _check_range(v, lattice, label):
     if np.any(v < lattice[0] - tol) or np.any(v > lattice[-1] + tol):
         raise RangeError(f"{label} query outside tabulated lattice "
                          f"[{lattice[0]:.4g}, {lattice[-1]:.4g}]")
+
+
+def _require_invertible(dy_eta, where):
+    # written so that a NaN derivative fails too
+    if not np.all(dy_eta > MIN_DY):
+        raise SingularFlowError(f"flow y-derivative fell to {np.min(dy_eta):.3e} {where}, "
+                                f"below the invertibility threshold {MIN_DY:g}")
 
 
 def _bilinear(table, xs, ys, x, y):
@@ -137,8 +146,9 @@ def _interp_rows_x(table, xs, x):
 
 
 def _invert_rows(eta_rows, y_lattice, targets):
-    """Rowwise inverse of monotone tabulated maps (closed-form PL roots)."""
-    lo, hi = eta_rows[:, 0], eta_rows[:, -1]
+    """Rowwise inverse of monotone tabulated maps (closed-form PL roots):
+    row r of targets holds the values sought on row r of eta_rows."""
+    lo, hi = eta_rows[:, :1], eta_rows[:, -1:]
     tol = 1e-9 * (np.abs(hi - lo) + 1.0)
     if np.any(targets < lo - tol) or np.any(targets > hi + tol):
         raise RangeError("inversion target outside the flow's range on the y-lattice")
@@ -148,6 +158,26 @@ def _invert_rows(eta_rows, y_lattice, targets):
         denom = eta_rows[r, j + 1] - eta_rows[r, j]
         frac = (targets[r] - eta_rows[r, j]) / denom
         out[r] = y_lattice[j] + frac * (y_lattice[j + 1] - y_lattice[j])
+    return out
+
+
+def _inverse_partials(flow: FlowField, i: int, x, e, second: bool = True) -> dict:
+    """Partials of the y-inverse at (t_i, x, eta(t_i, x, e)), keyed as in INVERSE_NAMES.
+
+    Differentiating eta(t, x, eps(t, x, y)) = y once and twice gives them from
+    the flow's partials at (x, e); second=False stops after d_y and d_x.
+    """
+    dy_eta = flow.eval("d_y", i, x, e)
+    _require_invertible(dy_eta, f"at step {i}")
+    dx_eta = flow.eval("d_x", i, x, e)
+    d_y = 1.0 / dy_eta
+    out = {"d_y": d_y, "d_x": -dx_eta * d_y}
+    if second:
+        dyy_eta, dxy_eta, dxx_eta = (flow.eval(k, i, x, e) for k in DERIV_NAMES[3:])
+        d_yy = -dyy_eta / dy_eta**3
+        d_xy = -(d_yy * dx_eta * dy_eta + d_y * dxy_eta) / dy_eta
+        out.update(d_yy=d_yy, d_xy=d_xy,
+                   d_xx=-(2 * d_xy * dx_eta + d_yy * dx_eta**2 + d_y * dxx_eta))
     return out
 
 
@@ -161,7 +191,11 @@ def build_y_lattice(y_lo: float, y_hi: float, n: int, pad: float = 3.0) -> np.nd
 
 def solve_flow(coef: FlowCoefficient, w: BackwardPath, x_lattice, y_lattice,
                y_core: Optional[tuple] = None) -> FlowField:
-    """Integrate the flow and its variational derivatives backward along W."""
+    """Integrate the flow and its variational derivatives backward along W.
+
+    Raises NonFiniteError naming the step and lattice node of the first
+    non-finite entry, and SingularFlowError when d_y eta falls to MIN_DY.
+    """
     xs = np.asarray(x_lattice, dtype=float)
     ys = np.asarray(y_lattice, dtype=float)
     grid = w.grid
@@ -169,43 +203,41 @@ def solve_flow(coef: FlowCoefficient, w: BackwardPath, x_lattice, y_lattice,
     nx, ny = len(xs), len(ys)
     xm = np.broadcast_to(xs[:, None], (nx, ny))
 
+    # one table per name: a single stacked block of all six measured ~6 MiB
+    # more peak RSS on the off_lattice benchmark workload
     tables = {name: np.empty((n + 1, nx, ny)) for name in DERIV_NAMES}
-    state = {
-        "eta": np.broadcast_to(ys[None, :], (nx, ny)).copy(),
-        "d_y": np.ones((nx, ny)),
-        "d_x": np.zeros((nx, ny)),
-        "d_yy": np.zeros((nx, ny)),
-        "d_xy": np.zeros((nx, ny)),
-        "d_xx": np.zeros((nx, ny)),
-    }
-    for name in DERIV_NAMES:
-        tables[name][n] = state[name]
+    s = np.zeros((len(DERIV_NAMES), nx, ny))
+    s[0], s[1] = ys, 1.0
+    for name, v in zip(DERIV_NAMES, s):
+        tables[name][n] = v
 
-    def drift(t, st):
-        p = coef.parts(t, xm, st["eta"])
-        a, b = st["d_y"], st["d_x"]
-        return {
-            "eta": p["g"],
-            "d_y": p["y"] * a,
-            "d_x": p["x"] + p["y"] * b,
-            "d_yy": p["yy"] * a * a + p["y"] * st["d_yy"],
-            "d_xy": p["xy"] * a + p["yy"] * a * b + p["y"] * st["d_xy"],
-            "d_xx": p["xx"] + 2 * p["xy"] * b + p["yy"] * b * b + p["y"] * st["d_xx"],
-        }
+    def drift(t, s):
+        eta, a, b, s_yy, s_xy, s_xx = s
+        p = coef.parts(t, xm, eta)
+        d = np.empty_like(s)
+        d[0] = p["g"]
+        d[1] = p["y"] * a
+        d[2] = p["x"] + p["y"] * b
+        d[3] = p["yy"] * a * a + p["y"] * s_yy
+        d[4] = p["xy"] * a + p["yy"] * a * b + p["y"] * s_xy
+        d[5] = p["xx"] + 2 * p["xy"] * b + p["yy"] * b * b + p["y"] * s_xx
+        return d
 
     for i in range(n - 1, -1, -1):
-        t_i, t_next = grid.time(i), grid.time(i + 1)
-        dw = w.values[i + 1] - w.values[i]
-        k1 = drift(t_next, state)
-        pred = {k: state[k] + g_dot(k1[k], dw) for k in state}
-        k2 = drift(t_i, pred)
-        state = {k: state[k] + 0.5 * (g_dot(k1[k], dw) + g_dot(k2[k], dw))
-                 for k in state}
-        if float(state["d_y"].min()) <= MIN_DY:
-            raise SingularFlowError(
-                f"flow y-derivative fell to {state['d_y'].min():.3e} at step {i}")
-        for name in DERIV_NAMES:
-            tables[name][i] = state[name]
+        # g is scalar-valued: it pairs with the driver's first component
+        dw = w.values[i + 1, 0] - w.values[i, 0]
+        k1 = drift(grid.time(i + 1), s) * dw
+        k2 = drift(grid.time(i), s + k1) * dw
+        s = s + 0.5 * (k1 + k2)
+        bad = np.argwhere(~np.isfinite(s))
+        if bad.size:
+            k, ix, iy = (int(v) for v in bad[0])
+            raise NonFiniteError(
+                f"non-finite flow {DERIV_NAMES[k]} at step {i}, node ({ix}, {iy}) "
+                f"at x = {xs[ix]:.4g}, y = {ys[iy]:.4g}", step=i, node=(ix, iy))
+        _require_invertible(s[1], f"at step {i}")
+        for name, v in zip(DERIV_NAMES, s):
+            tables[name][i] = v
 
     if y_core is None:
         q = (ny - 1) // 8
@@ -214,7 +246,7 @@ def solve_flow(coef: FlowCoefficient, w: BackwardPath, x_lattice, y_lattice,
                      tables=tables, y_core=y_core)
 
 
-def invert_flow(flow: FlowField, targets: Optional[np.ndarray] = None) -> InverseField:
+def invert_flow(flow: FlowField, targets: Optional[np.ndarray] = None) -> FlowField:
     """Tabulate the y-inverse and its derivatives on a target lattice.
 
     Derivatives come from the differentiation identities of the inverse
@@ -225,42 +257,18 @@ def invert_flow(flow: FlowField, targets: Optional[np.ndarray] = None) -> Invers
     targets = np.asarray(targets, dtype=float)
     n = flow.grid.n_steps
     nx, nt = len(flow.x_lattice), len(targets)
-    tables = {name: np.empty((n + 1, nx, nt)) for name in
-              ("eps", "d_y", "d_x", "d_yy", "d_xy", "d_xx")}
+    tables = {name: np.empty((n + 1, nx, nt)) for name in INVERSE_NAMES}
+    x_mesh = np.broadcast_to(flow.x_lattice[:, None], (nx, nt))
+    target_rows = np.broadcast_to(targets, (nx, nt))
 
     for i in range(n + 1):
-        eta_rows = flow.tables["eta"][i]
-        for r in range(nx):
-            row = eta_rows[r]
-            j = np.clip(np.searchsorted(row, targets) - 1, 0, len(flow.y_lattice) - 2)
-            denom = row[j + 1] - row[j]
-            lo, hi = row[0], row[-1]
-            tol = 1e-9 * (abs(hi - lo) + 1.0)
-            if np.any(targets < lo - tol) or np.any(targets > hi + tol):
-                raise RangeError("inversion target outside the flow's range")
-            frac = (targets - row[j]) / denom
-            e_vals = flow.y_lattice[j] + frac * (flow.y_lattice[j + 1] - flow.y_lattice[j])
-            tables["eps"][i, r] = e_vals
+        eps = _invert_rows(flow.tables["eta"][i], flow.y_lattice, target_rows)
+        tables["eps"][i] = eps
+        for name, v in _inverse_partials(flow, i, x_mesh, eps).items():
+            tables[name][i] = v
 
-        e_vals = tables["eps"][i]
-        x_mesh = np.broadcast_to(flow.x_lattice[:, None], e_vals.shape)
-        dy_eta = flow.eval("d_y", i, x_mesh, e_vals)
-        dx_eta = flow.eval("d_x", i, x_mesh, e_vals)
-        dyy_eta = flow.eval("d_yy", i, x_mesh, e_vals)
-        dxy_eta = flow.eval("d_xy", i, x_mesh, e_vals)
-        dxx_eta = flow.eval("d_xx", i, x_mesh, e_vals)
-        if float(dy_eta.min()) <= MIN_DY:
-            raise SingularFlowError("flow y-derivative below invertibility threshold")
-        d_y = 1.0 / dy_eta
-        d_x = -dx_eta * d_y
-        d_yy = -dyy_eta / dy_eta**3
-        d_xy = -(d_yy * dx_eta * dy_eta + d_y * dxy_eta) / dy_eta
-        d_xx = -(2 * d_xy * dx_eta + d_yy * dx_eta**2 + d_y * dxx_eta)
-        tables["d_y"][i], tables["d_x"][i] = d_y, d_x
-        tables["d_yy"][i], tables["d_xy"][i], tables["d_xx"][i] = d_yy, d_xy, d_xx
-
-    return InverseField(grid=flow.grid, x_lattice=flow.x_lattice, y_lattice=targets,
-                        w=flow.w, tables=tables)
+    return FlowField(grid=flow.grid, x_lattice=flow.x_lattice, y_lattice=targets,
+                     w=flow.w, tables=tables)
 
 
 @dataclass
@@ -269,7 +277,7 @@ class IdentityReport:
     per_identity: dict
 
 
-def derivative_identity_report(flow: FlowField, inv: InverseField,
+def derivative_identity_report(flow: FlowField, inv: FlowField,
                                n_samples: int = 300, seed: int = 0) -> IdentityReport:
     """Evaluate the inverse-composition identities and the chain rule off-lattice."""
     rs = np.random.default_rng(seed)
@@ -279,37 +287,24 @@ def derivative_identity_report(flow: FlowField, inv: InverseField,
     x_smp = rs.uniform(xs[1], xs[-2], size=n_samples)
     y_smp = rs.uniform(ys[1], ys[-2], size=n_samples)
 
-    viol = {k: 0.0 for k in ("inverse_pair", "d_x_pair", "d_yy_pair", "d_xy_pair",
-                             "d_xx_pair", "chain_dx", "roundtrip")}
+    viol = dict.fromkeys(("inverse_pair", "d_x_pair", "d_yy_pair", "d_xy_pair",
+                          "d_xx_pair", "chain_dx", "roundtrip"), 0.0)
+
+    def record(name, residual):
+        viol[name] = max(viol[name], float(np.max(np.abs(residual))))
+
     for i in np.unique(i_smp):
         m = i_smp == i
         x, y = x_smp[m], y_smp[m]
         e = inv.eval("eps", i, x, y)
-        de_y = inv.eval("d_y", i, x, y)
-        de_x = inv.eval("d_x", i, x, y)
-        de_yy = inv.eval("d_yy", i, x, y)
-        de_xy = inv.eval("d_xy", i, x, y)
-        de_xx = inv.eval("d_xx", i, x, y)
-        dn_y = flow.eval("d_y", i, x, e)
-        dn_x = flow.eval("d_x", i, x, e)
-        dn_yy = flow.eval("d_yy", i, x, e)
-        dn_xy = flow.eval("d_xy", i, x, e)
-        dn_xx = flow.eval("d_xx", i, x, e)
-
-        viol["inverse_pair"] = max(viol["inverse_pair"],
-                                   float(np.max(np.abs(de_y * dn_y - 1.0))))
-        viol["d_x_pair"] = max(viol["d_x_pair"],
-                               float(np.max(np.abs(de_x + de_y * dn_x))))
-        viol["d_yy_pair"] = max(viol["d_yy_pair"],
-                                float(np.max(np.abs(de_yy * dn_y**2 + de_y * dn_yy))))
-        viol["d_xy_pair"] = max(viol["d_xy_pair"],
-                                float(np.max(np.abs(de_xy * dn_y + de_yy * dn_x * dn_y
-                                                    + de_y * dn_xy))))
-        viol["d_xx_pair"] = max(viol["d_xx_pair"],
-                                float(np.max(np.abs(de_xx + 2 * de_xy * dn_x
-                                                    + de_yy * dn_x**2 + de_y * dn_xx))))
-        viol["roundtrip"] = max(viol["roundtrip"],
-                                float(np.max(np.abs(flow.eval("eta", i, x, e) - y))))
+        de_y, de_x, de_yy, de_xy, de_xx = (inv.eval(k, i, x, y) for k in INVERSE_NAMES[1:])
+        dn_y, dn_x, dn_yy, dn_xy, dn_xx = (flow.eval(k, i, x, e) for k in DERIV_NAMES[1:])
+        record("inverse_pair", de_y * dn_y - 1.0)
+        record("d_x_pair", de_x + de_y * dn_x)
+        record("d_yy_pair", de_yy * dn_y**2 + de_y * dn_yy)
+        record("d_xy_pair", de_xy * dn_y + de_yy * dn_x * dn_y + de_y * dn_xy)
+        record("d_xx_pair", de_xx + 2 * de_xy * dn_x + de_yy * dn_x**2 + de_y * dn_xx)
+        record("roundtrip", flow.eval("eta", i, x, e) - y)
 
     # chain rule on a composite field psi(t, x) = eta(t, x, phi(t, x)) with a
     # smooth test phi; reference derivative by central differences across x
@@ -323,7 +318,7 @@ def derivative_identity_report(flow: FlowField, inv: InverseField,
         lhs = (psi(xs_in + h) - psi(xs_in - h)) / (2 * h)
         rhs = (flow.eval("d_x", i, xs_in, phi(t, xs_in))
                + flow.eval("d_y", i, xs_in, phi(t, xs_in)) * dphi(t, xs_in))
-        viol["chain_dx"] = max(viol["chain_dx"], float(np.max(np.abs(lhs - rhs))))
+        record("chain_dx", lhs - rhs)
 
     return IdentityReport(max_violation=max(viol.values()), per_identity=viol)
 
@@ -343,12 +338,8 @@ def transformed_generator(f: Callable, flow: FlowField) -> Callable:
         x = np.asarray(x, dtype=float)
         eta = flow.eval("eta", i, x, y)
         dy = flow.eval("d_y", i, x, y)
-        if float(np.min(dy)) <= MIN_DY:
-            raise SingularFlowError("flow y-derivative below threshold at query")
-        dx = flow.eval("d_x", i, x, y)
-        dxx = flow.eval("d_xx", i, x, y)
-        dxy = flow.eval("d_xy", i, x, y)
-        dyy = flow.eval("d_yy", i, x, y)
+        _require_invertible(dy, f"at a query at step {i}")
+        dx, dyy, dxy, dxx = (flow.eval(k, i, x, y) for k in DERIV_NAMES[2:])
         t = flow.grid.time(i)
         inner = (np.asarray(f(t, x, eta, dy * z + dx, a), dtype=float)
                  - 0.5 * a * dxx - z * a * dxy - 0.5 * dyy * a * z * z)
@@ -373,14 +364,11 @@ def transform_solution(Y_levels, Z_levels, K_increments, flow: FlowField,
         x = np.asarray(states_per_level[i], dtype=float)
         y = np.asarray(Y_levels[i], dtype=float)
         u = flow.inverse_at(i, x, y)
-        dy_eta = flow.eval("d_y", i, x, u)
-        dx_eta = flow.eval("d_x", i, x, u)
-        de_y = 1.0 / dy_eta
-        de_x = -dx_eta * de_y
+        d = _inverse_partials(flow, i, x, u, second=False)
         U.append(u)
-        V.append(de_y * np.asarray(Z_levels[i], dtype=float) + de_x)
+        V.append(d["d_y"] * np.asarray(Z_levels[i], dtype=float) + d["d_x"])
         if K_increments is not None and i < n:
-            Kt.append(de_y * np.asarray(K_increments[i], dtype=float))
+            Kt.append(d["d_y"] * np.asarray(K_increments[i], dtype=float))
     return U, V, (Kt if K_increments is not None else None)
 
 
@@ -401,7 +389,7 @@ def untransform_solution(U_levels, V_levels, Kt_increments, flow: FlowField,
     return Y, Z, (K if Kt_increments is not None else None)
 
 
-def consistency_check_transform(f: Callable, flow: FlowField, inv: InverseField,
+def consistency_check_transform(f: Callable, flow: FlowField, inv: FlowField,
                                 samples, a: float) -> float:
     """Max discrepancy between the two routes to the transformed generator.
 
@@ -418,11 +406,7 @@ def consistency_check_transform(f: Callable, flow: FlowField, inv: InverseField,
         x = np.atleast_1d(np.asarray(x, dtype=float))
         y = np.broadcast_to(np.asarray(y, dtype=float), x.shape)
         z = np.broadcast_to(np.asarray(z, dtype=float), x.shape)
-        de_y = inv.eval("d_y", i, x, y)
-        de_x = inv.eval("d_x", i, x, y)
-        de_yy = inv.eval("d_yy", i, x, y)
-        de_xy = inv.eval("d_xy", i, x, y)
-        de_xx = inv.eval("d_xx", i, x, y)
+        de_y, de_x, de_yy, de_xy, de_xx = (inv.eval(k, i, x, y) for k in INVERSE_NAMES[1:])
         t = flow.grid.time(i)
         lhs = (de_y * np.asarray(f(t, x, y, z, a), dtype=float)
                + 0.5 * de_xx * a + 0.5 * de_yy * a * z * z + de_xy * z * a)
@@ -441,7 +425,7 @@ class GrowthReport:
     within_cap: bool
 
 
-def growth_check(flow: FlowField, inv: InverseField, cap: float = 1e6) -> GrowthReport:
+def growth_check(flow: FlowField, inv: FlowField, cap: float = 1e6) -> GrowthReport:
     """Fit the smallest constants in the value and derivative growth bounds.
 
     Two driver norms are reported for each bound because the bound's time
@@ -497,8 +481,8 @@ def growth_check(flow: FlowField, inv: InverseField, cap: float = 1e6) -> Growth
         "inverse": fit_value(inv.tables["eps"], inv.y_lattice),
     }
     deriv_c = {
-        "flow": fit_deriv(flow, ("d_y", "d_x", "d_yy", "d_xy", "d_xx")),
-        "inverse": fit_deriv(inv, ("d_y", "d_x", "d_yy", "d_xy", "d_xx")),
+        "flow": fit_deriv(flow, DERIV_NAMES[1:]),
+        "inverse": fit_deriv(inv, INVERSE_NAMES[1:]),
     }
     finite = all(math.isfinite(v) for d in deriv_c.values() for v in d.values())
     return GrowthReport(value_bound_c=value_c, derivative_bound_c=deriv_c,

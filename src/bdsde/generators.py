@@ -29,7 +29,6 @@ class HamiltonianSpec:
 
     h: Callable
     gamma_domain: np.ndarray
-    monotone_convex: bool = True
 
     def __post_init__(self):
         dom = np.asarray(self.gamma_domain, dtype=float)

@@ -13,7 +13,8 @@ from bdsde.doss import (
     transformed_generator,
     untransform_solution,
 )
-from bdsde.errors import RangeError
+from bdsde.errors import NonFiniteError, RangeError, SingularFlowError
+from bdsde.generators import FD_STEP
 from bdsde.grids import BackwardPath, build_time_grid, sample_backward_path
 
 
@@ -45,6 +46,48 @@ def linear_flow(beta=0.5, n=64, seed=3, nx=9, ny=41):
 
 
 class TestFlowIntegration:
+    def test_parts_evaluate_each_stencil_point_once(self):
+        calls = []
+
+        def g(t, x, y):
+            calls.append(1)
+            return np.exp(np.sin(3 * x) * y) + x * y**3
+
+        x = np.linspace(-1, 1, 5)[:, None] + 0 * np.linspace(-2, 2, 7)
+        y = np.linspace(-2, 2, 7) + 0 * x
+        p = FlowCoefficient(g=g).parts(0.3, x, y)
+        assert len(calls) <= 9
+        # the central differences, each with its own evaluations of g
+        h, G = FD_STEP, lambda u, v: g(0.3, u, v)
+        expected = {
+            "g": G(x, y),
+            "x": (G(x + h, y) - G(x - h, y)) / (2 * h),
+            "y": (G(x, y + h) - G(x, y - h)) / (2 * h),
+            "xx": (G(x + h, y) - 2 * G(x, y) + G(x - h, y)) / h**2,
+            "xy": (G(x + h, y + h) - G(x + h, y - h)
+                   - G(x - h, y + h) + G(x - h, y - h)) / (4 * h**2),
+            "yy": (G(x, y + h) - 2 * G(x, y) + G(x, y - h)) / h**2,
+        }
+        for k, v in expected.items():
+            np.testing.assert_array_equal(p[k], v, err_msg=k)
+
+        calls.clear()
+        zero = lambda t, x, y: 0 * y
+        FlowCoefficient(g=g, g_x=zero, g_y=zero, g_xx=zero, g_xy=zero,
+                        g_yy=zero).parts(0.3, x, y)
+        assert len(calls) == 1
+
+    def test_non_finite_flow_names_step_and_node(self):
+        # sqrt(y) is NaN on the negative half of the y-lattice from the first step
+        grid = build_time_grid(0, 1, 16)
+        w = sample_backward_path(grid, 1, seed=3)
+        coef = FlowCoefficient(g=lambda t, x, y: 0.3 * np.sqrt(y))
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError) as info:
+            solve_flow(coef, w, np.linspace(-1, 1, 5), np.linspace(-2, 2, 17))
+        err = info.value
+        assert (err.step, err.node) == (15, (0, 0))
+        assert "step 15" in str(err) and "node (0, 0)" in str(err)
+
     def test_zero_intensity_identity(self):
         grid = build_time_grid(0, 1, 8)
         w = sample_backward_path(grid, 1, seed=1)
@@ -136,6 +179,19 @@ class TestInversion:
                 back = flow.inverse_at(i, x, eta_vals)
                 assert np.max(np.abs(back - y_in)) < 1e-8
 
+    def test_tabulated_inverse_equals_pointwise_inverse(self):
+        coef = FlowCoefficient(g=lambda t, x, y: 0.3 * np.sin(y) + 0.1 * np.cos(x))
+        grid = build_time_grid(0, 1, 16)
+        xs = np.linspace(-1, 1, 7)
+        flow = solve_flow(coef, sample_backward_path(grid, 1, seed=4), xs,
+                          build_y_lattice(-1.0, 1.0, 41), y_core=(-1.0, 1.0))
+        targets = np.linspace(-1.0, 1.0, 23)
+        inv = invert_flow(flow, targets)
+        for i in range(grid.n_steps + 1):
+            for r, x_r in enumerate(xs):
+                np.testing.assert_array_equal(inv.tables["eps"][i][r],
+                                              flow.inverse_at(i, x_r, targets))
+
     def test_out_of_range_target_raises(self):
         flow, w, _ = linear_flow()
         far = flow.y_lattice[-1] * 50.0
@@ -184,6 +240,12 @@ class TestTransformedGenerator:
         np.testing.assert_allclose(
             got, f(t, x, np.array([1.0, 2.0, 2.5]), np.array([0.1, 0.2, 0.3]), 1.3),
             atol=1e-13)
+
+    def test_nan_query_raises(self):
+        flow, w, beta = linear_flow()
+        ft = transformed_generator(lambda t, x, y, z, a: y, flow)
+        with pytest.raises(SingularFlowError, match="step 3"):
+            ft(3, np.zeros(2), np.array([0.5, np.nan]), np.zeros(2), 1.0)
 
     def test_linear_flow_scaling_form(self):
         # for g = beta y: ftilde(t,x,y,z,a) = s^{-1} f(t, x, s y, s z, a),
