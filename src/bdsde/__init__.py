@@ -78,6 +78,7 @@ from .second_order import (
     TbdsdeSolution,
     extract_k,
     feynman_kac_residual,
+    hamiltonian,
     minimality_gap,
     representation_check,
     solve_dp,

@@ -44,7 +44,7 @@ class BdsdeProblem:
 
     terminal: Callable                 # x array -> xi array (Markovian)
     f: Callable                        # (t, x, y, z) -> array
-    g: Callable                        # (t, x, y, z) -> array (scalar l = 1) or (..., l)
+    g: Callable                        # (t, x, y, z) -> array; pairs with W's first component
     forcing: Optional[np.ndarray] = None   # V at grid nodes, shape (n_steps + 1,)
     a: Optional[float] = None
     lipschitz_f: Optional[float] = None

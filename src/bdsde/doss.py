@@ -35,6 +35,7 @@ from .grids import BackwardPath, TimeGrid
 DERIV_NAMES = ("eta", "d_y", "d_x", "d_yy", "d_xy", "d_xx")
 INVERSE_NAMES = ("eps",) + DERIV_NAMES[1:]
 MIN_DY = 1e-10
+GROWTH_CAP = 1e6  # largest derivative growth constant growth_check searches
 
 
 @dataclass(frozen=True)
@@ -108,8 +109,9 @@ class FlowField:
 
 
 def _check_range(v, lattice, label):
+    # written so that a NaN query fails too
     tol = 1e-9 * (abs(lattice[-1] - lattice[0]) + 1.0)
-    if np.any(v < lattice[0] - tol) or np.any(v > lattice[-1] + tol):
+    if not np.all((v >= lattice[0] - tol) & (v <= lattice[-1] + tol)):
         raise RangeError(f"{label} query outside tabulated lattice "
                          f"[{lattice[0]:.4g}, {lattice[-1]:.4g}]")
 
@@ -150,7 +152,7 @@ def _invert_rows(eta_rows, y_lattice, targets):
     row r of targets holds the values sought on row r of eta_rows."""
     lo, hi = eta_rows[:, :1], eta_rows[:, -1:]
     tol = 1e-9 * (np.abs(hi - lo) + 1.0)
-    if np.any(targets < lo - tol) or np.any(targets > hi + tol):
+    if not np.all((targets >= lo - tol) & (targets <= hi + tol)):  # NaN fails too
         raise RangeError("inversion target outside the flow's range on the y-lattice")
     out = np.empty_like(targets, dtype=float)
     for r in range(eta_rows.shape[0]):
@@ -336,6 +338,8 @@ def transformed_generator(f: Callable, flow: FlowField) -> Callable:
 
     def ftilde(i, x, y, z, a):
         x = np.asarray(x, dtype=float)
+        if not np.all(np.isfinite(y)):  # no flow derivative to invert at a NaN query
+            raise SingularFlowError(f"non-finite y query at step {i}: flow not invertible there")
         eta = flow.eval("eta", i, x, y)
         dy = flow.eval("d_y", i, x, y)
         _require_invertible(dy, f"at a query at step {i}")
@@ -425,8 +429,9 @@ class GrowthReport:
     within_cap: bool
 
 
-def growth_check(flow: FlowField, inv: FlowField, cap: float = 1e6) -> GrowthReport:
-    """Fit the smallest constants in the value and derivative growth bounds.
+def growth_check(flow: FlowField, inv: FlowField) -> GrowthReport:
+    """Fit the smallest constants in the value and derivative growth bounds,
+    searching derivative constants up to GROWTH_CAP.
 
     Two driver norms are reported for each bound because the bound's time
     argument is ambiguous for a flow integrating over [t, T]: the position
@@ -458,7 +463,7 @@ def growth_check(flow: FlowField, inv: FlowField, cap: float = 1e6) -> GrowthRep
             dmax[i] = max(float(np.max(np.abs(field.tables[nm][i]))) for nm in names)
         out = {}
         for nm, mvals in norms.items():
-            lo, hi = 0.0, cap
+            lo, hi = 0.0, GROWTH_CAP
             log_d = np.log(np.maximum(dmax, 1e-300))
             def feasible(c):
                 if c <= 0.0:
@@ -486,4 +491,4 @@ def growth_check(flow: FlowField, inv: FlowField, cap: float = 1e6) -> GrowthRep
     }
     finite = all(math.isfinite(v) for d in deriv_c.values() for v in d.values())
     return GrowthReport(value_bound_c=value_c, derivative_bound_c=deriv_c,
-                        cap=cap, within_cap=finite)
+                        cap=GROWTH_CAP, within_cap=finite)

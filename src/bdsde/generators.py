@@ -2,7 +2,8 @@
 
 The Hamiltonian h(t, x, y, z, gamma) is conjugated over a finite curvature
 grid to obtain F(t, x, y, z, a); conjugating back over a volatility grid
-gives the effective (convex, nondecreasing) Hamiltonian actually solved.
+gives the effective (convex, nondecreasing) Hamiltonian actually solved,
+by a TbdsdeProblem with F = -F_conj (the solver adds its F).
 A numeric code needs an explicit blow-up rule for the extended-real F: the
 grid supremum is probed on geometrically extended curvature grids and a
 +inf sentinel is returned once it keeps growing past a threshold.
@@ -39,14 +40,15 @@ class HamiltonianSpec:
         object.__setattr__(self, "gamma_domain", dom)
 
 
-def fenchel_conjugate(spec: HamiltonianSpec, state, a: float,
-                      blowup_threshold: float = BLOWUP_THRESHOLD) -> float:
+def fenchel_conjugate(spec: HamiltonianSpec, state, a: float) -> float:
     """sup over the curvature grid of (a*gamma/2 - h); +inf when unbounded.
 
     Unboundedness is detected by re-evaluating the supremum on curvature
     grids with geometrically extended span: if it keeps growing and exceeds
-    the threshold on two successive extensions, the conjugate is treated as
-    +inf at this (state, a).
+    BLOWUP_THRESHOLD on two successive extensions, the conjugate is treated
+    as +inf at this (state, a).  This is the conjugate layer's convention,
+    h = sup_a (a gamma / 2 - F_conj(a)); the solver's Hamiltonian adds its F
+    (second_order.hamiltonian), so it takes F = -F_conj.
     """
     if a <= 0:
         raise InvalidArgumentError("a must be positive definite")
@@ -62,7 +64,7 @@ def fenchel_conjugate(spec: HamiltonianSpec, state, a: float,
         span *= 4.0
         probe = np.linspace(-span, span, 129)
         v = float(np.max(0.5 * a * probe - spec.h(t, x, y, z, probe)))
-        if v > blowup_threshold:
+        if v > BLOWUP_THRESHOLD:
             hits += 1
             if hits >= 2:
                 return math.inf
@@ -72,9 +74,13 @@ def fenchel_conjugate(spec: HamiltonianSpec, state, a: float,
     return best
 
 
-def make_conjugate_map(spec: HamiltonianSpec,
-                       blowup_threshold: float = BLOWUP_THRESHOLD) -> Callable:
-    """Vectorized F(t, x, y, z, a) built by grid conjugation of h."""
+def make_conjugate_map(spec: HamiltonianSpec) -> Callable:
+    """Vectorized F_conj(t, x, y, z, a) built by grid conjugation of h.
+
+    biconjugate conjugates it back under the conjugate layer's sign.  A
+    TbdsdeProblem whose Hamiltonian is h takes F = -make_conjugate_map(spec),
+    because second_order.hamiltonian adds F: sup_a (a gamma / 2 + F(a)).
+    """
 
     def F(t, x, y, z, a):
         # y and z of a batched solve carry a leading path axis over the states x
@@ -82,7 +88,7 @@ def make_conjugate_map(spec: HamiltonianSpec,
         out = np.empty(x.shape)
         for idx in np.ndindex(x.shape):
             out[idx] = fenchel_conjugate(
-                spec, (t, x[idx], y[idx], z[idx]), a, blowup_threshold)
+                spec, (t, x[idx], y[idx], z[idx]), a)
         return out
 
     return F
@@ -90,18 +96,15 @@ def make_conjugate_map(spec: HamiltonianSpec,
 
 @dataclass(frozen=True)
 class ConjugatePair:
-    """Conjugate F and its a-grid biconjugate."""
+    """Conjugate F and the volatility grid of its biconjugate."""
 
     F: Callable
     domain: VolatilityGrid
-    spec: Optional[HamiltonianSpec] = None
-
-    def hhat(self, state, gamma):
-        return biconjugate(self, state, gamma)
 
 
 def biconjugate(pair: ConjugatePair, state, gamma) -> float:
-    """sup over the volatility grid of (a*gamma/2 - F(state, a))."""
+    """sup over the volatility grid of (a*gamma/2 - F(state, a)), F = pair.F
+    under the conjugate layer's sign (see make_conjugate_map)."""
     if len(pair.domain) == 0:
         raise InvalidArgumentError("volatility grid must be nonempty")
     t, x, y, z = state
@@ -145,17 +148,9 @@ class GeneratorBundle:
 
 
 def g_dot(g_vals, w_inc):
-    """Inner product of a generator value with a backward-driver increment.
-
-    Scalar-valued g pairs with the first driver component; an explicit last
-    axis of length l pairs componentwise.  Leading axes broadcast.
-    """
-    g_vals = np.asarray(g_vals, dtype=float)
-    w_inc = np.atleast_1d(np.asarray(w_inc, dtype=float))
-    l = w_inc.shape[-1]
-    if l == 1 or g_vals.ndim == 0 or g_vals.shape[-1] != l:
-        return g_vals * w_inc[..., 0] if g_vals.ndim else float(g_vals) * w_inc[..., 0]
-    return np.einsum("...l,...l->...", g_vals, w_inc)
+    """Product of a scalar-valued generator value with the first component of a
+    backward-driver increment.  Leading axes broadcast."""
+    return np.asarray(g_vals, dtype=float) * np.atleast_1d(np.asarray(w_inc, dtype=float))[..., 0]
 
 
 def stratonovich_correction(bundle: GeneratorBundle, F_val, t, x, y, z):

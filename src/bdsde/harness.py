@@ -18,10 +18,10 @@ from .config import ExperimentConfig
 from .doss import FlowCoefficient, build_y_lattice, solve_flow
 from .errors import ConfigError
 from .grids import BackwardPath, build_tree, sample_forward_ensemble
-from .oracles import fd_random_pde
+from .oracles import RandomPdeProblem, fd_random_pde
 from .problems import ProblemDef, backward_path_for, get_problem, grid_from
 from .reflected import solve_reflected
-from .second_order import DpOptions, minimality_gap, solve_dp
+from .second_order import DpOptions, hamiltonian, lattice_bounds, minimality_gap, solve_dp
 
 CSV_COLUMNS = ("quantity", "dt", "value", "oracle", "abs_error", "seed_w", "seed_b")
 
@@ -74,17 +74,26 @@ def write_csv(records, path_or_buffer, precision=17):
 def _solve_paths(pdef: ProblemDef, cfg: ExperimentConfig, backend: str,
                  paths: list) -> tuple:
     """(quantities of path 0, y0 of every path) from one solve of all paths.
-    The registry's FD problems carry no W, so fd solves its PDE once."""
+
+    dp solves the problem's equation; tree, mc and reflected solve its
+    classical equation under the sole finite volatility; fd solves the PDE
+    of its Hamiltonian on the dp lattice's domain.  The registry's FD
+    problems carry no W, so fd solves its PDE once."""
     grid = paths[0].grid
     opts = SolverOptions(g_scheme=pdef.g_scheme)
+    prob = pdef.equation(cfg)
+    if backend in ("tree", "mc", "reflected"):
+        a_vals = prob.finite_volatilities()
+        if len(a_vals) != 1:
+            raise ConfigError(f"backend {backend!r} needs one finite volatility, "
+                              f"problem {pdef.name!r} has {len(a_vals)}")
+        a = float(a_vals[0])
+        classical = prob.classical_problem(a)
     if backend == "tree":
-        prob = pdef.classical(cfg)
-        tree = build_tree(grid, prob.a or 1.0, x0=pdef.x0)
-        sol = solve_tree(prob, tree, paths, opts)
+        sol = solve_tree(classical, build_tree(grid, a, x0=pdef.x0), paths, opts)
         return ({"y0": sol.y0, "residual_max": float(sol.residual.max(initial=0.0))},
                 sol.meta["y0_paths"])
     if backend == "dp":
-        prob = pdef.second_order(cfg)
         dp_opts = DpOptions(x_steps=cfg.get("spatial", "x_steps"),
                             span_sigmas=cfg.get("spatial", "span_sigmas"),
                             g_scheme=pdef.g_scheme)
@@ -98,22 +107,23 @@ def _solve_paths(pdef: ProblemDef, cfg: ExperimentConfig, backend: str,
             out["gap_min0"] = float(minimality_gap(prob, sol, paths[0])[0])
         return out, sol.meta["y0_paths"]
     if backend == "mc":
-        prob = pdef.classical(cfg)
-        ens = sample_forward_ensemble(grid, cfg.get("mc", "n_paths"), prob.a or 1.0,
+        ens = sample_forward_ensemble(grid, cfg.get("mc", "n_paths"), a,
                                       seed=cfg.get("seeds", "b_seed"), x0=pdef.x0,
                                       workers=cfg.get("mc", "workers"))
-        sol = solve_regression(prob, ens, paths, basis_degree=cfg.get("mc", "basis_degree"),
+        sol = solve_regression(classical, ens, paths, basis_degree=cfg.get("mc", "basis_degree"),
                                opts=opts)
         return ({"y0": sol.y0, "projection_rms_max": float(sol.projection_rms.max(initial=0.0))},
                 sol.meta["y0_paths"])
     if backend == "reflected":
-        prob, barrier = pdef.reflected(cfg)
-        tree = build_tree(grid, prob.a or 1.0, x0=pdef.x0)
-        sol = solve_reflected(prob, barrier, tree, paths, opts)
+        sol = solve_reflected(classical, pdef.barrier(cfg), build_tree(grid, a, x0=pdef.x0),
+                              paths, opts)
         return ({"y0": sol.y0, "k_terminal": float(sol.k_continuous[-1] + sol.k_jump[-1]),
                  "skorokhod_sum": sol.skorokhod_sum}, sol.y0_paths)
     if backend == "fd":
-        xs, v = fd_random_pde(pdef.fd(cfg), grid, cfg.get("spatial", "x_steps"))
+        domain = lattice_bounds(grid, prob.volgrid, pdef.x0, cfg.get("spatial", "span_sigmas"))
+        pde = RandomPdeProblem(hhat_tilde=hamiltonian(prob), terminal=prob.terminal,
+                               x_domain=domain)
+        xs, v = fd_random_pde(pde, grid, cfg.get("spatial", "x_steps"))
         y0 = float(v[0, int(np.argmin(np.abs(xs - pdef.x0)))])
         return {"y0": y0}, [y0] * len(paths)
     raise ConfigError(f"unknown backend {backend!r}")

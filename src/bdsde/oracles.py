@@ -19,14 +19,17 @@ from .errors import (
 )
 from .grids import BackwardPath, PathEnsemble, TimeGrid
 
-_DOUBLE_FACTORIAL = {0: 1.0, 2: 1.0, 4: 3.0, 6: 15.0, 8: 105.0}
+QUAD_NODES = 64      # Gauss-Hermite nodes of heat_semigroup on a callable
+Z_PROBE = 1e-6       # gradient probe of the fd upwind choice
+GAMMA_PROBE = 1e-4   # curvature probe of the fd stability bound
 
 
-def heat_semigroup(phi, a: float, tau: float, quad_nodes: int = 64) -> Callable:
+def heat_semigroup(phi, a: float, tau: float) -> Callable:
     """x -> E[phi(x + sqrt(a tau) N)] with N standard normal.
 
     phi given as ascending polynomial coefficients uses exact Gaussian
-    moments; a callable phi is integrated by Gauss-Hermite quadrature.
+    moments; a callable phi is integrated by QUAD_NODES-point Gauss-Hermite
+    quadrature.
     """
     if tau < 0:
         raise InvalidArgumentError("tau must be nonnegative")
@@ -38,9 +41,7 @@ def heat_semigroup(phi, a: float, tau: float, quad_nodes: int = 64) -> Callable:
         out = np.zeros_like(coeffs)
         for k in range(deg + 1):
             for j in range(0, k + 1, 2):
-                mom = _DOUBLE_FACTORIAL.get(j)
-                if mom is None:
-                    mom = float(np.prod(np.arange(j - 1, 0, -2)))
+                mom = float(np.prod(np.arange(j - 1, 0, -2)))  # (j - 1)!!
                 out[k - j] += coeffs[k] * math.comb(k, j) * mom * sig2 ** (j // 2)
 
         def poly_value(x):
@@ -48,7 +49,7 @@ def heat_semigroup(phi, a: float, tau: float, quad_nodes: int = 64) -> Callable:
 
         return poly_value
 
-    nodes, weights = np.polynomial.hermite.hermgauss(quad_nodes)
+    nodes, weights = np.polynomial.hermite.hermgauss(QUAD_NODES)
     weights = weights / math.sqrt(math.pi)
     shift = math.sqrt(2.0 * sig2)
 
@@ -59,18 +60,17 @@ def heat_semigroup(phi, a: float, tau: float, quad_nodes: int = 64) -> Callable:
     return quad_value
 
 
-def fit_quadratic(phi: Callable, center: float, half_width: float,
-                  n_probe: int = 41, tol: float = 1e-9):
+def fit_quadratic(phi: Callable, center: float, half_width: float):
     """Exact quadratic coefficients of phi, or raise if phi is not quadratic.
 
     Mixed curvature signs on the probe grid also raise: the uncertain
     volatility value has no single-regime closed form there.
     """
-    xs = np.linspace(center - half_width, center + half_width, n_probe)
+    xs = np.linspace(center - half_width, center + half_width, 41)
     vals = np.asarray(phi(xs), dtype=float)
     scale = 1.0 + float(np.max(np.abs(vals)))
     d2 = np.diff(vals, 2)
-    if np.any(d2 > tol * scale) and np.any(d2 < -tol * scale):
+    if np.any(d2 > 1e-9 * scale) and np.any(d2 < -1e-9 * scale):
         raise UnsupportedOracleError("terminal data has mixed curvature; use the FD oracle")
     c = np.polynomial.polynomial.polyfit(xs, vals, 2)
     resid = np.max(np.abs(np.polynomial.polynomial.polyval(xs, c) - vals))
@@ -131,8 +131,7 @@ class RandomPdeProblem:
         return worst
 
 
-def fd_random_pde(problem: RandomPdeProblem, grid: TimeGrid, x_steps: int,
-                  z_probe: float = 1e-6, gamma_probe: float = 1e-4):
+def fd_random_pde(problem: RandomPdeProblem, grid: TimeGrid, x_steps: int):
     """Explicit backward finite differences, upwinded first derivative.
 
     Returns (xs, v) with v of shape (n_steps + 1, x_steps + 1).  The
@@ -152,9 +151,9 @@ def fd_random_pde(problem: RandomPdeProblem, grid: TimeGrid, x_steps: int,
     d2 = (vt[2:] - 2 * vt[1:-1] + vt[:-2]) / dx**2
     d1 = (vt[2:] - vt[:-2]) / (2 * dx)
     t_T = grid.horizon
-    h_up = np.asarray(problem.hhat_tilde(t_T, xs[1:-1], vt[1:-1], d1, d2 + gamma_probe))
-    h_dn = np.asarray(problem.hhat_tilde(t_T, xs[1:-1], vt[1:-1], d1, d2 - gamma_probe))
-    diffusivity = float(np.max((h_up - h_dn) / (2 * gamma_probe)))
+    h_up = np.asarray(problem.hhat_tilde(t_T, xs[1:-1], vt[1:-1], d1, d2 + GAMMA_PROBE))
+    h_dn = np.asarray(problem.hhat_tilde(t_T, xs[1:-1], vt[1:-1], d1, d2 - GAMMA_PROBE))
+    diffusivity = float(np.max((h_up - h_dn) / (2 * GAMMA_PROBE)))
     if diffusivity > 0 and dt * 2.0 * diffusivity > dx**2:
         raise StabilityError(
             f"explicit step unstable: dt = {dt:.3g} exceeds dx^2 / (2 D) with D = {diffusivity:.3g}",
@@ -168,8 +167,8 @@ def fd_random_pde(problem: RandomPdeProblem, grid: TimeGrid, x_steps: int,
         fwd = (cur[2:] - cur[1:-1]) / dx
         bwd = (cur[1:-1] - cur[:-2]) / dx
         ctr = 0.5 * (fwd + bwd)
-        h_zp = np.asarray(problem.hhat_tilde(t_next, xs[inner], cur[inner], ctr + z_probe, d2))
-        h_zm = np.asarray(problem.hhat_tilde(t_next, xs[inner], cur[inner], ctr - z_probe, d2))
+        h_zp = np.asarray(problem.hhat_tilde(t_next, xs[inner], cur[inner], ctr + Z_PROBE, d2))
+        h_zm = np.asarray(problem.hhat_tilde(t_next, xs[inner], cur[inner], ctr - Z_PROBE, d2))
         dz = np.where(h_zp - h_zm >= 0, fwd, bwd)  # monotone upwind choice
         v[i, inner] = cur[inner] + dt * np.asarray(
             problem.hhat_tilde(t_next, xs[inner], cur[inner], dz, d2), dtype=float)
@@ -227,32 +226,22 @@ def ito_product_check(p1: ItoProcess, p2: ItoProcess, ensemble: PathEnsemble,
     a_const = float(np.asarray(ensemble.control).reshape(-1)[0])
     sign = +1.0 if flip_backward_bracket else -1.0
 
-    def build(p):
-        X = np.empty((N, n + 1))
-        X[:, 0] = p.x0
-        for i in range(n):
-            t_i, t_next = grid.time(i), grid.time(i + 1)
-            al = p._eval(p.alpha, t_i, B[:, i], w.values[i, 0], N)
-            be = p._eval(p.beta, t_i, B[:, i], w.values[i, 0], N)
-            ga = p._eval(p.gamma, t_next, B[:, i + 1], w.values[i + 1, 0], N)
-            dk = (p.k[i + 1] - p.k[i]) if p.k is not None else 0.0
-            X[:, i + 1] = (X[:, i] + al * dt + be * dB_raw[:, i]
-                           + ga * (w.values[i + 1, 0] - w.values[i, 0]) + dk)
-        return X
+    def components(p, i):
+        """(alpha, beta, gamma) of p on step i, each evaluated once."""
+        t_i, t_next = grid.time(i), grid.time(i + 1)
+        return (p._eval(p.alpha, t_i, B[:, i], w.values[i, 0], N),
+                p._eval(p.beta, t_i, B[:, i], w.values[i, 0], N),
+                p._eval(p.gamma, t_next, B[:, i + 1], w.values[i + 1, 0], N))
 
-    X1, X2 = build(p1), build(p2)
-    lhs = X1[:, -1] * X2[:, -1] - X1[:, 0] * X2[:, 0]
-
+    X1, X2 = np.empty((N, n + 1)), np.empty((N, n + 1))
+    X1[:, 0], X2[:, 0] = p1.x0, p2.x0
     rhs = np.zeros(N)
     for i in range(n):
-        t_i, t_next = grid.time(i), grid.time(i + 1)
         dw = w.values[i + 1, 0] - w.values[i, 0]
-        al1 = p1._eval(p1.alpha, t_i, B[:, i], w.values[i, 0], N)
-        al2 = p2._eval(p2.alpha, t_i, B[:, i], w.values[i, 0], N)
-        be1 = p1._eval(p1.beta, t_i, B[:, i], w.values[i, 0], N)
-        be2 = p2._eval(p2.beta, t_i, B[:, i], w.values[i, 0], N)
-        ga1 = p1._eval(p1.gamma, t_next, B[:, i + 1], w.values[i + 1, 0], N)
-        ga2 = p2._eval(p2.gamma, t_next, B[:, i + 1], w.values[i + 1, 0], N)
+        (al1, be1, ga1), (al2, be2, ga2) = components(p1, i), components(p2, i)
+        for p, X, al, be, ga in ((p1, X1, al1, be1, ga1), (p2, X2, al2, be2, ga2)):
+            dk = (p.k[i + 1] - p.k[i]) if p.k is not None else 0.0
+            X[:, i + 1] = X[:, i] + al * dt + be * dB_raw[:, i] + ga * dw + dk
         rhs += (a_const * be1 * be2 + sign * ga1 * ga2
                 + al1 * X2[:, i] + al2 * X1[:, i]) * dt
         rhs += (X2[:, i] * be1 + X1[:, i] * be2) * dB_raw[:, i]
@@ -262,6 +251,7 @@ def ito_product_check(p1: ItoProcess, p2: ItoProcess, ensemble: PathEnsemble,
         if p1.k is not None:
             rhs += X2[:, i] * (p1.k[i + 1] - p1.k[i])
 
+    lhs = X1[:, -1] * X2[:, -1] - X1[:, 0] * X2[:, 0]
     res = lhs - rhs
     return ItoProductReport(mean_abs_residual=float(np.abs(res).mean()),
                             mean_residual=float(res.mean()),

@@ -14,7 +14,7 @@ which serves as the independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -25,23 +25,19 @@ from .grids import BackwardPath, BrownianTree
 
 @dataclass(frozen=True)
 class Barrier:
-    """Lower obstacle, as a map (t, x) -> level or an explicit per-level trace."""
+    """Lower obstacle, a map (t, x) -> level."""
 
-    fn: Optional[Callable] = None
-    trace: Optional[list] = None
+    fn: Callable
 
     def values(self, tree: BrownianTree, level: int) -> np.ndarray:
-        if self.trace is not None:
-            return np.asarray(self.trace[level], dtype=float)
         t = tree.grid.time(level)
         return np.broadcast_to(
             np.asarray(self.fn(t, tree.states(level)), dtype=float),
             (tree.n_nodes(level),)).copy()
 
-    def check_terminal(self, xi_vals: np.ndarray, tree: BrownianTree,
-                       tol: float = 1e-12):
+    def check_terminal(self, xi_vals: np.ndarray, tree: BrownianTree):
         s_T = self.values(tree, tree.grid.n_steps)
-        if np.any(s_T > xi_vals + tol * (1 + np.abs(xi_vals))):
+        if np.any(s_T > xi_vals + 1e-12 * (1 + np.abs(xi_vals))):
             raise InvalidBarrierError("barrier exceeds the terminal data at maturity")
 
 
@@ -90,14 +86,9 @@ def _barrier_jump_flags(barrier, tree):
     moves = np.empty(n)
     for i in range(n):
         x = tree.states(i)
-        if barrier.trace is not None:
-            s_now = barrier.values(tree, i)
-            s_next = np.asarray(barrier.trace[i + 1], dtype=float)
-            moves[i] = abs(float(np.max(s_next)) - float(np.max(s_now)))
-        else:
-            s_now = np.asarray(barrier.fn(tree.grid.time(i), x), dtype=float)
-            s_next = np.asarray(barrier.fn(tree.grid.time(i + 1), x), dtype=float)
-            moves[i] = float(np.max(np.abs(s_next - s_now)))
+        s_now = np.asarray(barrier.fn(tree.grid.time(i), x), dtype=float)
+        s_next = np.asarray(barrier.fn(tree.grid.time(i + 1), x), dtype=float)
+        moves[i] = float(np.max(np.abs(s_next - s_now)))
     smooth_rate = float(np.median(moves)) / tree.grid.dt
     thresh = 10.0 * tree.grid.dt * (1.0 + smooth_rate)
     return moves > thresh

@@ -24,18 +24,18 @@ def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
 
 
 def blocked_normals(seed: int, n_rows: int, shape_per_row: tuple[int, ...],
-                    workers: int = 1, block_size: int = BLOCK_SIZE) -> np.ndarray:
+                    workers: int = 1) -> np.ndarray:
     """Standard normals of shape (n_rows, *shape_per_row), generated blockwise.
 
     Row block b comes from stream (seed, b + 1), so the output does not
     depend on `workers`; threads only fill disjoint slices.
     """
     out = np.empty((n_rows,) + shape_per_row)
-    n_blocks = (n_rows + block_size - 1) // block_size
+    n_blocks = (n_rows + BLOCK_SIZE - 1) // BLOCK_SIZE
 
     def fill(b):
-        lo = b * block_size
-        hi = min(lo + block_size, n_rows)
+        lo = b * BLOCK_SIZE
+        hi = min(lo + BLOCK_SIZE, n_rows)
         out[lo:hi] = stream(seed, b + 1).standard_normal((hi - lo,) + shape_per_row)
 
     if workers > 1 and n_blocks > 1:

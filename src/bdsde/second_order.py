@@ -37,7 +37,18 @@ from .grids import (
 
 @dataclass(frozen=True)
 class TbdsdeProblem:
-    """Terminal data, per-volatility generator, and the admissible grid."""
+    """Terminal data, per-volatility generator, and the admissible grid.
+
+    The problem denotes the equation that `solve_dp` solves, whose Markovian
+    value solves -u_t = H(t, x, u, Du, D^2 u) with the Hamiltonian
+
+        H(t, x, y, z, gamma) = max over finite volatilities a of a gamma / 2 + F(t, x, y, z, a)
+
+    (`hamiltonian`): F enters with a plus sign.  A single finite volatility
+    is the classical equation with generator F(., a) (`classical_problem`).
+    A problem built from a conjugate-layer Hamiltonian h takes
+    F = -generators.make_conjugate_map(spec).
+    """
 
     terminal: Callable                 # x array -> xi array
     F: Callable                        # (t, x, y, z, a) -> array
@@ -95,10 +106,27 @@ class TbdsdeSolution:
         return self.meta.get("backend", "lattice")
 
 
-def _build_lattice(grid: TimeGrid, volgrid: VolatilityGrid, x0: float,
-                   opts: DpOptions) -> np.ndarray:
-    reach = opts.span_sigmas * math.sqrt(volgrid.a_high * (grid.horizon - grid.t0))
-    return np.linspace(x0 - reach, x0 + reach, opts.x_steps + 1)
+def hamiltonian(problem: TbdsdeProblem) -> Callable:
+    """(t, x, y, z, gamma) -> max over the finite volatilities a of
+    a gamma / 2 + F(t, x, y, z, a): the Hamiltonian of the problem's PDE.
+    The volatilities are fixed when it is built."""
+    a_vals = [float(a) for a in problem.finite_volatilities()]
+
+    def h(t, x, y, z, gamma):
+        best = None
+        for a in a_vals:
+            cand = 0.5 * a * gamma + np.asarray(problem.F(t, x, y, z, a), dtype=float)
+            best = cand if best is None else np.maximum(best, cand)
+        return best
+    return h
+
+
+def lattice_bounds(grid: TimeGrid, volgrid: VolatilityGrid, x0: float,
+                   span_sigmas: float) -> tuple:
+    """(lo, hi) of the spatial domain: span_sigmas standard deviations of the
+    highest volatility over the horizon on either side of x0."""
+    reach = span_sigmas * math.sqrt(volgrid.a_high * (grid.horizon - grid.t0))
+    return x0 - reach, x0 + reach
 
 
 def lattice_cond(xs: np.ndarray, a: float, dt: float) -> Callable:
@@ -127,7 +155,8 @@ def solve_dp(problem: TbdsdeProblem, grid: TimeGrid, w: BackwardPath | list,
         return _solve_dp_tree(problem, grid, w, x0, opts, a_vals)
     w = batch_paths(w)
     n, dt = grid.n_steps, grid.dt
-    xs = _build_lattice(grid, problem.volgrid, x0, opts)
+    xs = np.linspace(*lattice_bounds(grid, problem.volgrid, x0, opts.span_sigmas),
+                     opts.x_steps + 1)
     problems = [problem.classical_problem(float(a)) for a in a_vals]
     conds = [lattice_cond(xs, float(a), dt) for a in a_vals]
 
@@ -329,25 +358,26 @@ def feynman_kac_residual(u: Callable, du: Callable, d2u: Callable,
     Along paths under the ensemble's constant control a, with Y = u, Z = Du
     and curvature G = D^2 u, the compensator rate
 
-        k = hhat(., G) - a G / 2 + F(., a)
+        k = hhat(., G) - a G / 2 - F(., a)
 
     must be nonnegative, and the discrete closed-loop defect of the value
-    equation (with the backward integral at the midpoint) must vanish with
-    the step size.  By conjugacy, k >= 0 holds automatically when hhat is
-    the grid biconjugate of the problem's own generator (the default); a
-    negative rate therefore flags an hhat supplied inconsistently with F,
+    equation Y_0 = xi + int F(., a) + int g dW + K_T - int Z dX (with the
+    backward integral at the midpoint) must vanish with the step size.
+    F enters with the sign `solve_dp` gives it, so hhat defaults to the
+    problem's own `hamiltonian`, under which k >= 0 holds by construction;
+    a negative rate therefore flags an hhat supplied inconsistently with F,
     or a control outside the generator's domain.  A candidate u that fails
     to solve the equation shows up as a residual that does not vanish
     under step refinement.
 
-    hhat: optional (t, x, y, z, gamma) -> array overriding the built-in
-    grid biconjugate.
+    hhat: optional (t, x, y, z, gamma) -> array overriding `hamiltonian(problem)`.
     """
     grid = ensemble.grid
     n, dt = grid.n_steps, grid.dt
     a = float(np.asarray(ensemble.control).reshape(-1)[0])
     X = ensemble.states[:, :, 0]
-    a_vals = problem.finite_volatilities()
+    if hhat is None:
+        hhat = hamiltonian(problem)
 
     min_k, mean_k, n_neg, total = math.inf, 0.0, 0, 0
     k_path = np.zeros((ensemble.n_paths, n + 1))
@@ -361,14 +391,7 @@ def feynman_kac_residual(u: Callable, du: Callable, d2u: Callable,
         yv, zv, gv = u(t, x), du(t, x), d2u(t, x)
         uv[i] = (yv, zv, gv)
         f_here = np.asarray(problem.F(t, x, yv, zv, a), dtype=float)
-        if hhat is not None:
-            hh = np.asarray(hhat(t, x, yv, zv, gv), dtype=float)
-        else:
-            hh = None
-            for av in a_vals:
-                cand = 0.5 * av * gv - np.asarray(problem.F(t, x, yv, zv, float(av)), dtype=float)
-                hh = cand if hh is None else np.maximum(hh, cand)
-        k = hh - 0.5 * a * gv + f_here
+        k = np.asarray(hhat(t, x, yv, zv, gv), dtype=float) - 0.5 * a * gv - f_here
         k_path[:, i] = k
         f_path[:, i] = f_here
         min_k = min(min_k, float(k.min()))
@@ -393,7 +416,7 @@ def feynman_kac_residual(u: Callable, du: Callable, d2u: Callable,
     trap = 0.5 * dt * (f_path[:, 0] + f_path[:, -1] + 2 * f_path[:, 1:-1].sum(axis=1))
     trap_k = 0.5 * dt * (k_path[:, 0] + k_path[:, -1] + 2 * k_path[:, 1:-1].sum(axis=1))
     xi = np.asarray(problem.terminal(X[:, -1]), dtype=float)
-    res = uv[0][0] - (xi - trap + g_half - z_dx + trap_k)
+    res = uv[0][0] - (xi + trap + g_half - z_dx + trap_k)
     return FeynmanKacReport(min_k=min_k, mean_k=mean_k / total,
                             frac_negative=n_neg / total,
                             mean_abs_residual=float(np.abs(res).mean()),

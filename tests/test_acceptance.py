@@ -298,7 +298,7 @@ def test_criterion_09_conjugate_layer():
     h = lambda t, x, y, z, g: np.maximum(g, 0.0) ** 2 / 2  # convex nondecreasing
     spec = HamiltonianSpec(h=h, gamma_domain=np.linspace(-30, 30, 4001))
     vg = build_volatility_grid(0.25, 8.0, 400)
-    pair = ConjugatePair(F=make_conjugate_map(spec), domain=vg, spec=spec)
+    pair = ConjugatePair(F=make_conjugate_map(spec), domain=vg)
     a_spacing = float(vg.a_values[1] - vg.a_values[0])
     g_spacing = 60.0 / 4000
     state = (0.0, 0.0, 0.0, 0.0)

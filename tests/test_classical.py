@@ -10,6 +10,7 @@ from bdsde.classical import (
 )
 from bdsde.errors import RegressionError, StepSizeError
 from bdsde.grids import (
+    BackwardPath,
     build_time_grid,
     build_tree,
     sample_backward_path,
@@ -51,6 +52,15 @@ class TestTreeSolver:
             expected = x**2 + a * (T - grid.time(i)) + beta * w.tail_increment(i)[0]
             np.testing.assert_allclose(sol.y[i], expected, atol=1e-12)
             np.testing.assert_allclose(sol.z[i], 2 * x, atol=1e-12)
+
+    def test_scalar_g_pairs_with_first_driver_component(self):
+        # a 2-node level against a 2-component driver must not pair nodes
+        # with driver components
+        grid, tree, _ = make_setup(n=4)
+        w2 = sample_backward_path(grid, 2, seed=3)
+        w1 = BackwardPath.from_values(grid, w2.values[:, :1])
+        prob = BdsdeProblem(terminal=lambda x: x**2, f=ZERO, g=lambda t, x, y, z: y / 2)
+        assert solve_tree(prob, tree, w2).y0 == solve_tree(prob, tree, w1).y0
 
     def test_linear_ode_closed_form_and_order(self):
         # f = c y, g = 0, xi = 1: y_i = exp(c (T - t_i)) up to O(dt)

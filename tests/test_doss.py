@@ -199,6 +199,20 @@ class TestInversion:
             flow.inverse_at(0, np.array([0.0]), np.array([far]))
 
 
+    def test_nan_queries_raise(self):
+        flow, w, _ = linear_flow(n=16)
+        with pytest.raises(RangeError):
+            flow.eval("eta", 0, np.array([np.nan]), np.array([0.0]))
+        with pytest.raises(RangeError):
+            flow.eval("eta", 0, np.array([0.0]), np.array([np.nan]))
+        with pytest.raises(RangeError):
+            flow.inverse_at(0, np.array([0.0]), np.array([np.nan]))
+        states = [np.zeros(2) for _ in range(flow.grid.n_steps + 1)]
+        U = [np.array([0.1, np.nan]) for _ in states]
+        with pytest.raises(RangeError):
+            untransform_solution(U, [np.zeros(2) for _ in states], None, flow, states)
+
+
 class TestDerivativeIdentities:
     def test_linear_flow_identities_tight(self):
         flow, w, _ = linear_flow()

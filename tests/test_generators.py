@@ -82,7 +82,7 @@ class TestBiconjugate:
         h = lambda t, x, y, z, g: np.maximum(g, 0.0) ** 2 / 2
         spec = HamiltonianSpec(h=h, gamma_domain=grid(-30, 30, 4001))
         vg = build_volatility_grid(0.25, 8.0, 400)
-        pair = ConjugatePair(F=make_conjugate_map(spec), domain=vg, spec=spec)
+        pair = ConjugatePair(F=make_conjugate_map(spec), domain=vg)
         a_spacing = vg.a_values[1] - vg.a_values[0]
         for gamma in [0.3, 1.0, 2.5]:
             slope = gamma  # local slope bound of h
@@ -189,7 +189,7 @@ class TestConjugateLipschitz:
         h = lambda t, x, y, z, g: g**2 / 2 + L * y + L * z
         spec = HamiltonianSpec(h=h, gamma_domain=grid(-20, 20, 2001))
         vg = build_volatility_grid(0.5, 2.0, 4)
-        pair = ConjugatePair(F=make_conjugate_map(spec), domain=vg, spec=spec)
+        pair = ConjugatePair(F=make_conjugate_map(spec), domain=vg)
         b = GeneratorBundle(g=lambda t, x, y, z: 0.1 * y,
                             constants=GeneratorConstants(C=2.0, alpha=0.0, lam=0.0))
         rep = validate_assumptions(b, pair, vg, n_samples=60)
@@ -200,7 +200,7 @@ class TestConjugateLipschitz:
         h = lambda t, x, y, z, g: g**2 / 2 + L * y
         spec = HamiltonianSpec(h=h, gamma_domain=grid(-20, 20, 2001))
         vg = build_volatility_grid(0.5, 2.0, 2)
-        pair = ConjugatePair(F=make_conjugate_map(spec), domain=vg, spec=spec)
+        pair = ConjugatePair(F=make_conjugate_map(spec), domain=vg)
         b = GeneratorBundle(g=lambda t, x, y, z: 0.1 * y,
                             constants=GeneratorConstants(C=0.01, alpha=0.0, lam=0.0))
         rep = validate_assumptions(b, pair, vg, n_samples=60)

@@ -14,7 +14,7 @@ from bdsde.harness import (
     run,
     write_csv,
 )
-from bdsde.problems import REGISTRY
+from bdsde.problems import REGISTRY, backward_path_for, grid_from
 from bdsde.second_order import minimality_gap
 
 
@@ -152,6 +152,29 @@ class TestRun:
         write_csv([run(cfg)], buf)
         written = [line.split(",")[0] for line in buf.getvalue().splitlines()]
         assert {"y0", "y0_w_mean", "y0_w_std"} <= set(written)
+
+
+class TestRegistry:
+    def test_backends_fit_the_equation(self):
+        # tree, mc and reflected solve the classical equation of the sole
+        # finite volatility; fd solves the Hamiltonian's PDE, which has no g
+        cfg = cfg_for("identity", "tree")
+        x = np.linspace(-3.0, 3.0, 13)
+        for name, pdef in REGISTRY.items():
+            prob = pdef.equation(cfg)
+            if {"tree", "mc", "reflected"} & set(pdef.backends):
+                assert len(prob.finite_volatilities()) == 1, name
+            if "fd" in pdef.backends:
+                for t, y, z in ((0.0, -1.0, 0.5), (0.5, 0.3, -2.0), (1.0, 2.5, 1.0)):
+                    g = prob.g(t, x, np.full_like(x, y), np.full_like(x, z))
+                    assert np.all(np.asarray(g) == 0.0), name
+
+    def test_classical_backend_refuses_a_volatility_band(self):
+        cfg = cfg_for("bsb_quadratic", "tree")
+        paths = [backward_path_for(REGISTRY["bsb_quadratic"], grid_from(cfg), 7)]
+        for backend in ("tree", "mc", "reflected"):
+            with pytest.raises(ConfigError, match="one finite volatility"):
+                harness._solve_paths(REGISTRY["bsb_quadratic"], cfg, backend, paths)
 
 
 class TestCsvDeterminism:

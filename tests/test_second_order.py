@@ -349,6 +349,25 @@ class TestFeynmanKac:
         with pytest.raises(VerificationError):
             feynman_kac_residual(*self.u_bsb(), bsb_problem(), ens, w, hhat=low_hhat)
 
+    def test_generator_enters_with_the_solver_sign(self):
+        # F = 0.3 on the band: solve_dp's value is x^2 + 2.3 (1 - t), since
+        # the Hamiltonian at curvature 2 is max_a (a + 0.3) = 2.3
+        prob = TbdsdeProblem(terminal=lambda x: x**2, F=lambda t, x, y, z, a: 0.3 + 0.0 * x,
+                             g=ZERO, volgrid=build_volatility_grid(0.5, 2.0, 5))
+        du, d2u = (lambda t, x: 2.0 * x), (lambda t, x: 2.0 + 0.0 * x)
+        reps = {}
+        for n in (16, 64):
+            grid = build_time_grid(0, 1, n)
+            w = sample_backward_path(grid, 1, seed=6)
+            ens = sample_forward_ensemble(grid, 2000, 2.0, seed=8, x0=1.0)
+            for slope in (2.3, 1.7):
+                u = lambda t, x, c=slope: x**2 + c * (1.0 - t)
+                reps[n, slope] = feynman_kac_residual(u, du, d2u, prob, ens, w)
+        assert abs(reps[64, 2.3].mean_residual) < 0.05
+        assert reps[16, 2.3].mean_abs_residual / reps[64, 2.3].mean_abs_residual > 1.4
+        assert abs(reps[16, 1.7].mean_residual) > 0.4
+        assert abs(reps[64, 1.7].mean_residual) > 0.4
+
     def test_wrong_candidate_leaves_o1_residual(self):
         # a candidate with the wrong time slope passes the rate check (the
         # rate is nonnegative by conjugacy) but its residual plateaus
