@@ -1,12 +1,5 @@
 """Hot numeric kernels, in numpy.
 
-`_moments_numpy` is the reference implementation over full query-by-knot
-matrices; `_moments_numpy_fast`, which `pl_gauss_moments` runs, restricts
-each query to the knots within 10 sigma on a uniform lattice and falls back
-to the reference otherwise.  Given several value rows (one per backward
-path), the Gaussian terms are computed once and combined row by row, so
-each row's moments are those of a call with that row alone.
-
 The central kernel computes, for a piecewise-linear function f tabulated on
 knots (with linear extension beyond both ends) and X ~ N(mu, sigma^2),
 
@@ -14,6 +7,21 @@ knots (with linear extension beyond both ends) and X ~ N(mu, sigma^2),
 
 in closed form segment by segment.  This is the one-step conditional
 expectation used by the dynamic-programming solver and its diagnostics.
+
+`GaussWindow` is the kernel split into a setup and an apply.  The setup,
+for fixed (knots, mu, sigma) on a uniform lattice, restricts each query to
+the knots within 10 sigma and keeps what no value row changes: each query's
+band start, the segment integrals i0, i1, i2 over its band and six tail
+vectors.  The apply combines one value row, or a stack of rows (one per
+backward path), against them; each row's moments are bit for bit those of
+a call with that row alone.  Both walk the queries in row blocks of at most
+_BLOCK_ENTRIES band entries, and the knot band and its mu - knot offsets
+are gathered per block rather than stored, so the window holds three
+(queries, band) arrays and no temporary grows with the lattice.  A lattice
+solver builds one window per volatility and step size and applies it at
+every step; `pl_gauss_moments` is setup-then-apply in one call.  Too few
+knots, non-uniform knots, or a band as wide as the lattice fall back to
+`_moments_numpy`, the reference over full query-by-knot matrices.
 """
 
 from __future__ import annotations
@@ -21,10 +29,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import ndtr
 
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _ZMAX = 10.0  # Gaussian mass beyond 10 sigma is ~1e-23; segments outside are skipped
+_BLOCK_ENTRIES = 1 << 14  # band entries per row block: its temporaries stay in cache
 
 
 def linear_interp(xq, knots, vals):
@@ -79,54 +89,102 @@ def _moments_numpy(knots, vals, mu, sigma):
     return m0, m1
 
 
-def _moments_numpy_fast(knots, vals, mu, sigma):
-    """Windowed numpy path: only knots within 10 sigma of each query matter."""
-    mu = np.asarray(mu, dtype=float)
-    n = len(knots)
-    reference = lambda v: _moments_numpy(knots, v, mu, sigma)
-    if n < 3:
-        return _per_row(reference, vals)
-    dx = np.diff(knots)
-    if abs(dx.max() - dx.min()) > 1e-12 * abs(dx.mean()):
-        return _per_row(reference, vals)
-    h = dx[0]
-    half = int(math.ceil(_ZMAX * sigma / h)) + 1
-    if 2 * half >= n - 1:
-        return _per_row(reference, vals)
+class GaussWindow:
+    """The Gaussian terms of the moments for fixed (knots, mu, sigma).
 
-    center = np.clip(((mu - knots[0]) / h).astype(int), 0, n - 1)
-    lo = np.clip(center - half, 0, n - 1 - 2 * half)
-    cols = lo[:, None] + np.arange(2 * half + 1)[None, :]
-    kn = knots[cols]
+    On a uniform lattice each query mu[j] sees only the band of `width`
+    knots from lo[j], those within 10 sigma of it; the window keeps lo, the
+    segment integrals i0, i1, i2 over each band and six tail vectors, and
+    `apply` combines value rows against them.  Without a window (too few
+    knots, non-uniform knots, or a band as wide as the lattice; width 0)
+    `apply` runs `_moments_numpy`.
+    """
 
-    z = np.clip((kn - mu[:, None]) / sigma, -38.0, 38.0)
-    cdf = ndtr(z)
-    pdf = _INV_SQRT2PI * np.exp(-0.5 * z * z)
-    gap = np.subtract(mu[:, None], kn, out=kn)  # mu - knot, in kn's buffer: no extra band array
-    offset, off_l, off_r = gap[:, :-1], gap[:, 0], gap[:, -1]
-    i0 = cdf[:, 1:] - cdf[:, :-1]
-    i1 = pdf[:, :-1] - pdf[:, 1:]
-    i2 = i0 + z[:, :-1] * pdf[:, :-1] - z[:, 1:] * pdf[:, 1:]
-    # window-edge tails extend the local edge segments to +-infinity; the
-    # global lattice tails are recovered exactly when the window hits an end
-    cdf_l, pdf_l, i2_l = cdf[:, 0], pdf[:, 0], cdf[:, 0] - z[:, 0] * pdf[:, 0]
-    t0, pdf_r = 1.0 - cdf[:, -1], pdf[:, -1]
-    i2_r = t0 + z[:, -1] * pdf_r
+    def __init__(self, knots, mu, sigma):
+        self.knots = knots = np.ascontiguousarray(knots, dtype=float)
+        self.mu = mu = np.ascontiguousarray(np.atleast_1d(mu), dtype=float)
+        self.sigma = sigma = float(sigma)
+        self.width = 0
+        n = len(knots)
+        if n < 3:
+            return
+        dx = np.diff(knots)
+        if abs(dx.max() - dx.min()) > 1e-12 * abs(dx.mean()):
+            return
+        self.h = h = dx[0]
+        half = int(math.ceil(_ZMAX * sigma / h)) + 1
+        if 2 * half >= n - 1:
+            return
+        self.width = 2 * half + 1
 
-    def moments(v):
-        vl = v[cols]
-        slopes = (vl[:, 1:] - vl[:, :-1]) / h
-        a_mat = vl[:, :-1] + slopes * offset
-        m0 = np.sum(a_mat * i0 + sigma * slopes * i1, axis=1)
-        m1 = np.sum(sigma * a_mat * i1 + sigma * sigma * slopes * i2, axis=1)
-        a_l = vl[:, 0] + slopes[:, 0] * off_l
-        m0 += a_l * cdf_l - sigma * slopes[:, 0] * pdf_l
-        m1 += -sigma * a_l * pdf_l + sigma * sigma * slopes[:, 0] * i2_l
-        a_r = vl[:, -1] + slopes[:, -1] * off_r
-        m0 += a_r * t0 + sigma * slopes[:, -1] * pdf_r
-        m1 += sigma * a_r * pdf_r + sigma * sigma * slopes[:, -1] * i2_r
+        center = np.clip(((mu - knots[0]) / h).astype(int), 0, n - 1)
+        self.lo = np.clip(center - half, 0, n - 1 - 2 * half)
+        self.i0, self.i1, self.i2 = (np.empty((len(mu), 2 * half)) for _ in range(3))
+        # window-edge tails extend the local edge segments to +-infinity; the
+        # global lattice tails are recovered exactly when the window hits an end
+        self.tails = np.empty((6, len(mu)))   # cdf_l, pdf_l, i2_l, t0, pdf_r, i2_r
+        band = sliding_window_view(knots, self.width)
+        for rows in self._blocks(1):
+            z = np.clip((band[self.lo[rows]] - mu[rows, None]) / sigma, -38.0, 38.0)
+            cdf = ndtr(z)
+            pdf = _INV_SQRT2PI * np.exp(-0.5 * z * z)
+            zpdf = z * pdf
+            i0 = np.subtract(cdf[:, 1:], cdf[:, :-1], out=self.i0[rows])
+            np.subtract(pdf[:, :-1], pdf[:, 1:], out=self.i1[rows])
+            self.i2[rows] = i0 + zpdf[:, :-1] - zpdf[:, 1:]
+            t0 = 1.0 - cdf[:, -1]
+            self.tails[:, rows] = (cdf[:, 0], pdf[:, 0], cdf[:, 0] - zpdf[:, 0],
+                                   t0, pdf[:, -1], t0 + zpdf[:, -1])
+
+    def _blocks(self, stack):
+        """Row slices of at most _BLOCK_ENTRIES band entries for `stack` value rows."""
+        step = max(1, _BLOCK_ENTRIES // (stack * self.width))
+        return (slice(r, r + step) for r in range(0, len(self.mu), step))
+
+    def apply(self, vals):
+        """(m0, m1) of one row of knot values, or row by row of a 2-D stack."""
+        vals = np.ascontiguousarray(vals, dtype=float)
+        knots, mu, sigma = self.knots, self.mu, self.sigma
+        if not self.width:
+            return _per_row(lambda v: _moments_numpy(knots, v, mu, sigma), vals)
+        seg = self.width - 1
+        # a band's slopes and left values are windows of the whole row's
+        slope_band = sliding_window_view(np.diff(vals) / self.h, seg, axis=-1)
+        val_band = sliding_window_view(vals, seg, axis=-1)
+        knot_band = sliding_window_view(knots, seg)
+        cdf_l, pdf_l, i2_l, t0, pdf_r, i2_r = self.tails
+        m0 = np.empty(vals.shape[:-1] + mu.shape)
+        m1 = np.empty_like(m0)
+        for rows in self._blocks(1 if vals.ndim == 1 else len(vals)):
+            lo, mu_b = self.lo[rows], mu[rows]
+            i0, i1, i2 = self.i0[rows], self.i1[rows], self.i2[rows]
+            slopes = slope_band[..., lo, :]
+            offset = knot_band[lo]
+            np.subtract(mu_b[:, None], offset, out=offset)     # mu - knot
+            a_mat = val_band[..., lo, :]
+            a_mat += slopes * offset
+            # the sums of a_mat i0 + sigma slopes i1 and of
+            # sigma a_mat i1 + sigma^2 slopes i2, in two reused buffers
+            t = a_mat * i0
+            u = np.multiply(slopes, sigma)
+            u *= i1
+            t += u
+            s0 = np.sum(t, axis=-1)
+            np.multiply(a_mat, sigma, out=t)
+            t *= i1
+            np.multiply(slopes, sigma * sigma, out=u)
+            u *= i2
+            t += u
+            s1 = np.sum(t, axis=-1)
+            a_l, s_l, s_r = a_mat[..., 0], slopes[..., 0], slopes[..., -1]
+            s0 += a_l * cdf_l[rows] - sigma * s_l * pdf_l[rows]
+            s1 += -sigma * a_l * pdf_l[rows] + sigma * sigma * s_l * i2_l[rows]
+            hi = lo + seg
+            a_r = vals[..., hi] + s_r * (mu_b - knots[hi])
+            s0 += a_r * t0[rows] + sigma * s_r * pdf_r[rows]
+            s1 += sigma * a_r * pdf_r[rows] + sigma * sigma * s_r * i2_r[rows]
+            m0[..., rows], m1[..., rows] = s0, s1
         return m0, m1
-    return _per_row(moments, vals)
 
 
 def pl_gauss_moments(knots, vals, mu, sigma):
@@ -135,7 +193,4 @@ def pl_gauss_moments(knots, vals, mu, sigma):
     vals is one row of knot values, or a 2-D array of rows whose moments come
     back as rows of the same shape.
     """
-    knots = np.ascontiguousarray(knots, dtype=float)
-    vals = np.ascontiguousarray(vals, dtype=float)
-    mu = np.ascontiguousarray(np.atleast_1d(mu), dtype=float)
-    return _moments_numpy_fast(knots, vals, mu, float(sigma))
+    return GaussWindow(knots, mu, sigma).apply(vals)

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._accel import linear_interp, pl_gauss_moments
+from ._accel import GaussWindow, linear_interp, pl_gauss_moments
 from .classical import BdsdeProblem, SolverOptions, _path0, backward_step, solve_tree
 from .errors import ConsistencyError, InvalidArgumentError, VerificationError
 from .generators import g_dot
@@ -75,6 +75,14 @@ class TbdsdeProblem:
 
 @dataclass(frozen=True)
 class DpOptions(SolverOptions):
+    """Lattice options of `solve_dp`.
+
+    x_steps is the number of lattice cells.  Each backward step adds the
+    piecewise-linear interpolation bias of the value, h^2 / 6 for quadratic
+    data with cell width h, so at a fixed x_steps the error grows linearly
+    in the number of steps: x_steps should grow at least like sqrt(n).
+    """
+
     x_steps: int = 400
     span_sigmas: float = 6.0
 
@@ -130,11 +138,14 @@ def lattice_bounds(grid: TimeGrid, volgrid: VolatilityGrid, x0: float,
 
 
 def lattice_cond(xs: np.ndarray, a: float, dt: float) -> Callable:
-    """One-step moments R -> (E[R], E[R dX] / (a dt)) on the lattice under volatility a."""
-    sigma = math.sqrt(a * dt)
+    """One-step moments R -> (E[R], E[R dX] / (a dt)) on the lattice under volatility a.
+
+    The step's Gaussian window is built here, once, and every call applies
+    it to R: one row, or a stack of rows with paths as the leading axis."""
+    window = GaussWindow(xs, xs, math.sqrt(a * dt))
 
     def cond(r):
-        m0, m1 = pl_gauss_moments(xs, r, xs, sigma)
+        m0, m1 = window.apply(r)
         return m0, m1 / (a * dt)
     return cond
 

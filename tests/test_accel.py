@@ -66,10 +66,62 @@ def test_numpy_paths_agree():
     knots = np.linspace(-2.0, 2.0, 301)
     vals = np.cumsum(rng.standard_normal(knots.shape)) * 0.1
     mus = np.linspace(-1.9, 1.9, 57)
-    f0, f1 = _accel._moments_numpy_fast(knots, vals, mus, 0.08)
+    f0, f1 = _accel.pl_gauss_moments(knots, vals, mus, 0.08)
     r0, r1 = _accel._moments_numpy(knots, vals, mus, 0.08)
     np.testing.assert_allclose(f0, r0, rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(f1, r1, rtol=1e-10, atol=1e-14)
+
+
+def block_lattice():
+    """A lattice window whose rows span several row blocks: (knots, sigma, window)."""
+    knots, sigma = np.linspace(-2.0, 2.0, 1601), 0.03
+    window = _accel.GaussWindow(knots, knots, sigma)
+    assert window.width >= 200
+    assert len(knots) * window.width >= 3 * _accel._BLOCK_ENTRIES
+    return knots, sigma, window
+
+
+def test_window_reuse_is_stateless():
+    knots, sigma, window = block_lattice()
+    rng = np.random.default_rng(4)
+    r1, r2 = np.cumsum(rng.standard_normal((2, len(knots))), axis=1) * 0.1
+    first, second, again = window.apply(r1), window.apply(r2), window.apply(r1)
+    once = _accel.pl_gauss_moments(knots, r1, knots, sigma)
+    once2 = _accel.pl_gauss_moments(knots, r2, knots, sigma)
+    for m in range(2):
+        np.testing.assert_array_equal(first[m], again[m])
+        np.testing.assert_array_equal(first[m], once[m])
+        np.testing.assert_array_equal(second[m], once2[m])
+
+
+def test_window_blocks_agree_with_reference():
+    knots, sigma, window = block_lattice()
+    rng = np.random.default_rng(6)
+    rows = np.cumsum(rng.standard_normal((3, len(knots))), axis=1) * 0.1
+    stacked = window.apply(rows)
+    probe = np.arange(0, len(knots), 7)   # the reference on every 7th query row
+    for r, v in enumerate(rows):
+        single = window.apply(v)
+        ref = _accel._moments_numpy(knots, v, knots[probe], sigma)
+        for m, (rtol, s, b) in enumerate(zip((1e-12, 1e-10), single, stacked)):
+            np.testing.assert_array_equal(b[r], s)
+            np.testing.assert_allclose(s[probe], ref[m], rtol=rtol, atol=1e-14)
+
+
+def test_window_caches_only_the_segment_integrals():
+    # three (rows, band - 1) float arrays plus O(rows): the int64 band columns
+    # and the mu - knot band, each (rows, band), must not be kept
+    knots, _, window = block_lattice()
+    q, w = len(knots), window.width
+    slack = 16 * 8 * q
+    assert slack < q * w * 8
+    owners = {}
+    for value in vars(window).values():
+        while isinstance(value, np.ndarray) and isinstance(value.base, np.ndarray):
+            value = value.base
+        if isinstance(value, np.ndarray):
+            owners[id(value)] = value.nbytes
+    assert sum(owners.values()) <= 3 * q * (w - 1) * 8 + slack
 
 
 def test_linear_interp_extends_linearly():

@@ -83,6 +83,19 @@ class TestBsbOracle:
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.3)
         assert errs[1] / errs[2] == pytest.approx(2.0, rel=0.3)
 
+    def test_interpolation_bias_grows_linearly_in_n(self):
+        # each step adds the piecewise-linear bias of the quadratic value, its
+        # mean over a lattice cell h^2 / 6; h = 12 sqrt(2) / x_steps spans
+        # 6 sigmas of a_high = 2 over T = 1 either side of x0
+        for x_steps in (200, 400):
+            h = 12 * np.sqrt(2) / x_steps
+            for n in (16, 32, 64):
+                grid = build_time_grid(0, 1, n)
+                w = sample_backward_path(grid, 1, seed=1)
+                sol = solve_dp(bsb_problem(), grid, w, x0=1.0,
+                               opts=DpOptions(x_steps=x_steps))
+                assert sol.y0 - 3.0 == pytest.approx(n * h**2 / 6, rel=0.02)
+
     def test_concave_terminal_selects_low_volatility(self):
         grid = build_time_grid(0, 1, 64)
         w = sample_backward_path(grid, 1, seed=1)
