@@ -8,20 +8,23 @@ knots (with linear extension beyond both ends) and X ~ N(mu, sigma^2),
 in closed form segment by segment.  This is the one-step conditional
 expectation used by the dynamic-programming solver and its diagnostics.
 
-`GaussWindow` is the kernel split into a setup and an apply.  The setup,
-for fixed (knots, mu, sigma) on a uniform lattice, restricts each query to
-the knots within 10 sigma and keeps what no value row changes: each query's
-band start, the segment integrals i0, i1, i2 over its band and six tail
-vectors.  The apply combines one value row, or a stack of rows (one per
-backward path), against them; each row's moments are bit for bit those of
-a call with that row alone.  Both walk the queries in row blocks of at most
-_BLOCK_ENTRIES band entries, and the knot band and its mu - knot offsets
-are gathered per block rather than stored, so the window holds three
-(queries, band) arrays and no temporary grows with the lattice.  A lattice
-solver builds one window per volatility and step size and applies it at
-every step; `pl_gauss_moments` is setup-then-apply in one call.  Too few
-knots, non-uniform knots, or a band as wide as the lattice fall back to
-`_moments_numpy`, the reference over full query-by-knot matrices.
+`GaussWindow` is the one implementation, split into a setup and an apply.
+The setup, for fixed (knots, mu, sigma) on a uniform lattice at any offset,
+restricts each query to the knots within 10 sigma, or to the whole lattice
+when that band would span it, and keeps what no value row changes: each
+query's band start, the segment integrals i0, i1, i2 over its band and six
+tail vectors.  The apply combines one value row, or a stack of rows (one
+per backward path), against them; each row's moments are bit for bit those
+of a call with that row alone.  Both walk the queries in row blocks of at
+most _BLOCK_ENTRIES band entries, and the knot band and its mu - knot
+offsets are gathered per block rather than stored, so the window holds
+three (queries, band) arrays and no temporary grows with the lattice.  A
+lattice solver builds one window per volatility and step size and applies
+it at every step; `pl_gauss_moments` is setup-then-apply in one call.
+Knots must be increasing and uniform up to `linspace` rounding; anything
+else raises `InvalidArgumentError`.  `_moments_numpy`, the same moments
+over full query-by-knot matrices with each segment's own width, is kept
+only as the oracle the tests compare the window against.
 """
 
 from __future__ import annotations
@@ -32,9 +35,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import ndtr
 
+from .errors import InvalidArgumentError
+
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _ZMAX = 10.0  # Gaussian mass beyond 10 sigma is ~1e-23; segments outside are skipped
 _BLOCK_ENTRIES = 1 << 14  # band entries per row block: its temporaries stay in cache
+_UNIFORM_ULPS = 8  # linspace knots are uniform to ~3 ulp of max|knot| at any offset
 
 
 def linear_interp(xq, knots, vals):
@@ -46,16 +52,9 @@ def linear_interp(xq, knots, vals):
     return vals[..., idx] + slope * (xq - knots[idx])
 
 
-def _per_row(moments, vals):
-    """moments(v) -> (m0, m1) for 1-D vals; stacked row by row for 2-D vals."""
-    if vals.ndim == 1:
-        return moments(vals)
-    m0, m1 = zip(*map(moments, vals))
-    return np.array(m0), np.array(m1)
-
-
 def _moments_numpy(knots, vals, mu, sigma):
-    """Reference implementation: full (n_query, n_knot) matrices."""
+    """Test oracle for `GaussWindow`: full (n_query, n_knot) matrices, each
+    segment with its own width, on any increasing knots."""
     mu = np.asarray(mu, dtype=float)
     z = (knots[None, :] - mu[:, None]) / sigma
     z = np.clip(z, -38.0, 38.0)
@@ -92,34 +91,34 @@ def _moments_numpy(knots, vals, mu, sigma):
 class GaussWindow:
     """The Gaussian terms of the moments for fixed (knots, mu, sigma).
 
-    On a uniform lattice each query mu[j] sees only the band of `width`
-    knots from lo[j], those within 10 sigma of it; the window keeps lo, the
-    segment integrals i0, i1, i2 over each band and six tail vectors, and
-    `apply` combines value rows against them.  Without a window (too few
-    knots, non-uniform knots, or a band as wide as the lattice; width 0)
-    `apply` runs `_moments_numpy`.
+    Each query mu[j] sees only the band of `width` knots from lo[j]: those
+    within 10 sigma of it, or all knots when that band would span the
+    lattice, in which case lo is 0 and the band's edge tails are the
+    lattice's own.  The window keeps lo, the segment integrals i0, i1, i2
+    over each band and six tail vectors, and `apply` combines value rows
+    against them.  The knots must number at least 2 and be increasing and
+    uniform up to `linspace` rounding, at any offset; slopes use the one
+    spacing h of the first segment.
     """
 
     def __init__(self, knots, mu, sigma):
         self.knots = knots = np.ascontiguousarray(knots, dtype=float)
         self.mu = mu = np.ascontiguousarray(np.atleast_1d(mu), dtype=float)
         self.sigma = sigma = float(sigma)
-        self.width = 0
         n = len(knots)
-        if n < 3:
-            return
+        if n < 2:
+            raise InvalidArgumentError(f"the kernel needs at least 2 knots, got {n}")
         dx = np.diff(knots)
-        if abs(dx.max() - dx.min()) > 1e-12 * abs(dx.mean()):
-            return
         self.h = h = dx[0]
+        slack = _UNIFORM_ULPS * np.spacing(np.abs(knots).max())
+        if not (h > 0 and np.abs(dx - h).max() <= slack):
+            raise InvalidArgumentError("kernel knots must be increasing and uniformly spaced")
         half = int(math.ceil(_ZMAX * sigma / h)) + 1
-        if 2 * half >= n - 1:
-            return
-        self.width = 2 * half + 1
+        self.width = min(2 * half + 1, n)
 
         center = np.clip(((mu - knots[0]) / h).astype(int), 0, n - 1)
-        self.lo = np.clip(center - half, 0, n - 1 - 2 * half)
-        self.i0, self.i1, self.i2 = (np.empty((len(mu), 2 * half)) for _ in range(3))
+        self.lo = np.clip(center - half, 0, n - self.width)
+        self.i0, self.i1, self.i2 = (np.empty((len(mu), self.width - 1)) for _ in range(3))
         # window-edge tails extend the local edge segments to +-infinity; the
         # global lattice tails are recovered exactly when the window hits an end
         self.tails = np.empty((6, len(mu)))   # cdf_l, pdf_l, i2_l, t0, pdf_r, i2_r
@@ -145,8 +144,6 @@ class GaussWindow:
         """(m0, m1) of one row of knot values, or row by row of a 2-D stack."""
         vals = np.ascontiguousarray(vals, dtype=float)
         knots, mu, sigma = self.knots, self.mu, self.sigma
-        if not self.width:
-            return _per_row(lambda v: _moments_numpy(knots, v, mu, sigma), vals)
         seg = self.width - 1
         # a band's slopes and left values are windows of the whole row's
         slope_band = sliding_window_view(np.diff(vals) / self.h, seg, axis=-1)

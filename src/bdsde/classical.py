@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import combinations_with_replacement
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,6 +35,8 @@ from .generators import g_dot
 from .grids import BackwardPath, BrownianTree, PathEnsemble, batch_paths
 
 PHANTOM_STREAM_BASE = 1_000_001
+FP_TOL = 1e-12      # the implicit step's fixed point stops at a change <= FP_TOL
+MAX_ITERS = 50      # ... or raises ConvergenceError after MAX_ITERS iterations
 
 
 @dataclass(frozen=True)
@@ -46,14 +47,11 @@ class BdsdeProblem:
     f: Callable                        # (t, x, y, z) -> array
     g: Callable                        # (t, x, y, z) -> array; pairs with W's first component
     forcing: Optional[np.ndarray] = None   # V at grid nodes, shape (n_steps + 1,)
-    a: Optional[float] = None
     lipschitz_f: Optional[float] = None
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    fp_tol: float = 1e-12
-    max_iters: int = 50
     g_scheme: str = "ito"              # "ito" (right endpoint) or "stratonovich" (midpoint)
 
     def __post_init__(self):
@@ -79,11 +77,12 @@ def _check_contraction(problem: BdsdeProblem, dt: float):
             suggested_dt=0.5 / problem.lipschitz_f)
 
 
-def _fixed_point(update, y_start, tol, max_iters, i, a):
-    """Iterate y <- update(y) to tolerance at step i; returns (y, n_iters, defect).
+def _fixed_point(update, y_start, i, a):
+    """Iterate y <- update(y) to FP_TOL at step i under volatility a; returns
+    (y, n_iters, defect), or raises ConvergenceError after MAX_ITERS iterations.
 
     A 2-D y holds one row per backward path, and update must act on each row
-    on its own.  A row's result is frozen at its own first change <= tol,
+    on its own.  A row's result is frozen at its own first change <= FP_TOL,
     with its own n_iters and its defect taken at the frozen value, so it is
     what the row would give alone; the batch iterates until its last row is
     frozen.
@@ -92,7 +91,7 @@ def _fixed_point(update, y_start, tol, max_iters, i, a):
     shape = np.shape(y)[:-1]
     iters, defect = [0] * math.prod(shape), [0.0] * math.prod(shape)
     live, owed = list(range(len(iters))), []
-    for k in range(1, max_iters + 2):
+    for k in range(1, MAX_ITERS + 2):
         y_new = update(y)
         change = np.abs(y_new - y).max(axis=-1, initial=0.0).reshape(-1).tolist()
         for r in owed:  # a frozen row's next change is its defect
@@ -101,10 +100,10 @@ def _fixed_point(update, y_start, tol, max_iters, i, a):
             if not shape:  # one path: plain numbers, as callers store them per step
                 return y, iters[0], defect[0]
             return y if out is None else out, np.array(iters), np.array(defect)
-        if k > max_iters:
+        if k > MAX_ITERS:
             break
-        owed = [r for r in live if change[r] <= tol]
-        live = [r for r in live if not change[r] <= tol]
+        owed = [r for r in live if change[r] <= FP_TOL]
+        live = [r for r in live if not change[r] <= FP_TOL]
         for r in owed:
             iters[r] = k
         if owed and out is not None:
@@ -116,8 +115,8 @@ def _fixed_point(update, y_start, tol, max_iters, i, a):
                 out.reshape(len(iters), -1)[live] = y_new.reshape(len(iters), -1)[live]
             _check_finite(i, a, iterate=y_new if out is None else out)
         y = y_new
-    raise ConvergenceError(
-        f"inner fixed point did not reach {tol:g} in {max_iters} iterations")
+    raise ConvergenceError(f"inner fixed point did not reach {FP_TOL:g} in {MAX_ITERS} "
+                           f"iterations at step {i}, volatility {a:g}")
 
 
 def _path0(w: BackwardPath) -> Callable:
@@ -176,8 +175,7 @@ def backward_step(problem: BdsdeProblem, cond: Callable, states: Callable, i: in
         return u + problem.f(t_i, x_i, y, z) * dt
 
     project = (lambda u: u) if constraint is None else (lambda u: constraint(i, u))
-    y, iters, defect = _fixed_point(lambda y: project(unconstrained(y)), project(base),
-                                    opts.fp_tol, opts.max_iters, i, a)
+    y, iters, defect = _fixed_point(lambda y: project(unconstrained(y)), project(base), i, a)
     return y, z, iters, defect, None if constraint is None else y - unconstrained(y)
 
 
@@ -296,17 +294,10 @@ def check_comparison(sol1: BdsdeSolution, sol2: BdsdeSolution,
 
 
 def polynomial_features(x: np.ndarray, degree: int) -> np.ndarray:
-    """Total-degree monomials of the (normalized) state, shape (N, p)."""
-    if x.ndim == 1:
-        x = x[:, None]
-    n, d = x.shape
-    cols = [np.ones(n)]
-    for deg in range(1, degree + 1):
-        for combo in combinations_with_replacement(range(d), deg):
-            col = np.ones(n)
-            for j in combo:
-                col = col * x[:, j]
-            cols.append(col)
+    """Monomials 1, x, ..., x^degree of the (normalized) 1-D state, shape (N, degree + 1)."""
+    cols = [np.ones(len(x))]
+    for _ in range(degree):
+        cols.append(cols[-1] * x)
     return np.column_stack(cols)
 
 

@@ -111,14 +111,13 @@ def _solve_with_barrier(problem, barrier, tree, w, opts, constraint, jump_flags)
     probs = tree.level_probabilities()
     k_cont = np.zeros(n + 1)
     k_jump = np.zeros(n + 1)
-    sk_sum = 0.0
     for i in range(n):
         e_inc = float(np.dot(probs[i], k_incs[i]))
         k_cont[i + 1] = k_cont[i] + (0.0 if jump_flags[i] else e_inc)
         k_jump[i + 1] = k_jump[i] + (e_inc if jump_flags[i] else 0.0)
-        sk_sum += float(np.dot(probs[i], (sol.y[i] - levels[i]) * k_incs[i]))
     return ReflectedSolution(y=sol.y, z=sol.z, k_increments=k_incs,
-                             k_continuous=k_cont, k_jump=k_jump, skorokhod_sum=sk_sum,
+                             k_continuous=k_cont, k_jump=k_jump,
+                             skorokhod_sum=_flat_off_sum(probs, sol.y, levels, k_incs),
                              residual=sol.residual, y0=sol.y0,
                              y0_paths=sol.meta["y0_paths"])
 
@@ -174,9 +173,13 @@ def skorokhod_diagnostic(solution: ReflectedSolution, barrier: Barrier,
     O(dt) trace.  Passing modified increments turns this into a guard.
     """
     incs = solution.k_increments if k_increments is None else k_increments
-    probs = tree.level_probabilities()
+    levels = [barrier.values(tree, i) for i in range(tree.grid.n_steps)]
+    return _flat_off_sum(tree.level_probabilities(), solution.y, levels, incs)
+
+
+def _flat_off_sum(probs, y, levels, k_incs):
+    """Sum over steps i of E[(Y_i - S_i) dK_i] under the node probabilities."""
     total = 0.0
-    for i in range(tree.grid.n_steps):
-        gap = solution.y[i] - barrier.values(tree, i)
-        total += float(np.dot(probs[i], gap * np.asarray(incs[i])))
+    for p, y_i, s_i, k_i in zip(probs, y, levels, k_incs):
+        total += float(np.dot(p, (y_i - s_i) * np.asarray(k_i)))
     return total

@@ -59,7 +59,7 @@ class TbdsdeProblem:
     def classical_problem(self, a: float) -> BdsdeProblem:
         return BdsdeProblem(terminal=self.terminal,
                             f=lambda t, x, y, z: self.F(t, x, y, z, a),
-                            g=self.g, a=a, lipschitz_f=self.lipschitz_f)
+                            g=self.g, lipschitz_f=self.lipschitz_f)
 
     def finite_volatilities(self) -> np.ndarray:
         """Volatilities where the generator is finite at a probe point."""

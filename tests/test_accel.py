@@ -94,34 +94,62 @@ def test_window_reuse_is_stateless():
         np.testing.assert_array_equal(second[m], once2[m])
 
 
-def test_window_blocks_agree_with_reference():
+def exact_lattice(lo, n, k):
+    """n knots from lo spaced 2**-k: every knot and every spacing is exact."""
+    return lo + np.arange(n) * 2.0**-k
+
+
+def window_cases():
+    """(name, knots, mus, sigma, window): the multi-block lattice, then exact
+    lattices with bands of 67 knots, 311 of 2049 (rows span many row blocks)
+    and the whole 33-knot lattice, queried on, between and off the knots."""
     knots, sigma, window = block_lattice()
-    rng = np.random.default_rng(6)
-    rows = np.cumsum(rng.standard_normal((3, len(knots))), axis=1) * 0.1
-    stacked = window.apply(rows)
-    probe = np.arange(0, len(knots), 7)   # the reference on every 7th query row
-    for r, v in enumerate(rows):
-        single = window.apply(v)
-        ref = _accel._moments_numpy(knots, v, knots[probe], sigma)
-        for m, (rtol, s, b) in enumerate(zip((1e-12, 1e-10), single, stacked)):
-            np.testing.assert_array_equal(b[r], s)
-            np.testing.assert_allclose(s[probe], ref[m], rtol=rtol, atol=1e-14)
+    yield "blocks", knots, knots, sigma, window
+    for name, knots, sigma in (("narrow", exact_lattice(-2.0, 257, 6), 0.05),
+                               ("block-spanning", exact_lattice(-2.0, 2049, 9), 0.03),
+                               ("lattice-wide", exact_lattice(-2.0, 33, 3), 0.5)):
+        h, ends = knots[1] - knots[0], knots[[0, 0, -1, -1]]
+        mus = np.concatenate([knots, knots[:-1] + 0.37 * h, ends + [-1.3, -0.01, 0.02, 4.0]])
+        window = _accel.GaussWindow(knots, mus, sigma)
+        assert (window.width == len(knots)) == (name == "lattice-wide")
+        yield name, knots, mus, sigma, window
+
+
+def test_window_blocks_agree_with_reference():
+    for name, knots, mus, sigma, window in window_cases():
+        rng = np.random.default_rng(6)
+        rows = np.cumsum(rng.standard_normal((3, len(knots))), axis=1) * 0.1
+        stacked = window.apply(rows)
+        # the reference on every 7th query row and the last four
+        probe = np.union1d(np.arange(0, len(mus), 7), np.arange(len(mus) - 4, len(mus)))
+        for r, v in enumerate(rows):
+            single = window.apply(v)
+            ref = _accel._moments_numpy(knots, v, mus[probe], sigma)
+            for m, (rtol, s, b) in enumerate(zip((1e-12, 1e-10), single, stacked)):
+                np.testing.assert_array_equal(b[r], s)
+                np.testing.assert_allclose(s[probe], ref[m], rtol=rtol, atol=1e-14,
+                                           err_msg=name)
 
 
 def test_window_caches_only_the_segment_integrals():
     # three (rows, band - 1) float arrays plus O(rows): the int64 band columns
-    # and the mu - knot band, each (rows, band), must not be kept
-    knots, _, window = block_lattice()
-    q, w = len(knots), window.width
-    slack = 16 * 8 * q
-    assert slack < q * w * 8
-    owners = {}
-    for value in vars(window).values():
-        while isinstance(value, np.ndarray) and isinstance(value.base, np.ndarray):
-            value = value.base
-        if isinstance(value, np.ndarray):
-            owners[id(value)] = value.nbytes
-    assert sum(owners.values()) <= 3 * q * (w - 1) * 8 + slack
+    # and the mu - knot band, each (rows, band), must not be kept.  A lattice
+    # far from 0, uniform only up to linspace rounding, still gets a band
+    # narrower than the lattice.
+    shifted = np.linspace(1000.0, 1017.0, 401)
+    for knots, window in (block_lattice()[::2],
+                          (shifted, _accel.GaussWindow(shifted, shifted, 0.1))):
+        q, w = len(knots), window.width
+        assert w < q
+        slack = 16 * 8 * q
+        assert slack < q * w * 8
+        owners = {}
+        for value in vars(window).values():
+            while isinstance(value, np.ndarray) and isinstance(value.base, np.ndarray):
+                value = value.base
+            if isinstance(value, np.ndarray):
+                owners[id(value)] = value.nbytes
+        assert sum(owners.values()) <= 3 * q * (w - 1) * 8 + slack
 
 
 def test_linear_interp_extends_linearly():

@@ -185,8 +185,7 @@ def test_criterion_05_semilinear_noise_oracle():
     assert oracle == pytest.approx(math.exp(0.1), rel=1e-12)
 
     # probabilistic route: midpoint scheme on the exact tree
-    prob = BdsdeProblem(terminal=lambda x: x**2, f=ZERO,
-                        g=lambda t, x, y, z: beta * y, a=1.0)
+    prob = BdsdeProblem(terminal=lambda x: x**2, f=ZERO, g=lambda t, x, y, z: beta * y)
     tree = build_tree(grid, 1.0, x0=0.0)
     y0 = solve_tree(prob, tree, w, SolverOptions(g_scheme="stratonovich")).y0
     solver_ok = abs(y0 - oracle) <= 0.02 * oracle

@@ -165,8 +165,13 @@ def test_reflected_batch_equals_per_path_solves(penalty, scheme, beta, c, shift,
                               np.array([-2.0, -0.5, 0.0, 1.5, 3.0])]),
        sigma=st.floats(0.05, 1.0), rows=st.integers(1, 4), seed=SEEDS)
 def test_kernel_rows_equal_one_row_calls(knots, sigma, rows, seed):
-    # uniform windowed path, a lattice too narrow for the window, a non-uniform one
+    # a narrow band, a band as wide as the lattice, and non-uniform knots,
+    # which the kernel rejects
     vals = np.random.default_rng(seed).normal(size=(rows, len(knots)))
+    if np.ptp(np.diff(knots)) > 0.1:
+        with pytest.raises(InvalidArgumentError, match="uniformly spaced"):
+            pl_gauss_moments(knots, vals, knots, sigma)
+        return
     m0, m1 = pl_gauss_moments(knots, vals, knots, sigma)
     for r in range(rows):
         r0, r1 = pl_gauss_moments(knots, vals[r], knots, sigma)

@@ -8,7 +8,7 @@ from bdsde.classical import (
     solve_tree,
     solve_with_forcing,
 )
-from bdsde.errors import RegressionError, StepSizeError
+from bdsde.errors import ConvergenceError, RegressionError, StepSizeError
 from bdsde.grids import (
     BackwardPath,
     build_time_grid,
@@ -81,6 +81,16 @@ class TestTreeSolver:
                             g=ZERO, lipschitz_f=5.0)
         with pytest.raises(StepSizeError):
             solve_tree(prob, tree, w)
+
+    def test_divergent_fixed_point_names_step_and_volatility(self):
+        # f = -1.5 y / dt makes the implicit update y <- base - 1.5 y; with no
+        # Lipschitz constant declared, the step guard cannot pre-empt it
+        grid, tree, w = make_setup(n=4)
+        prob = BdsdeProblem(terminal=lambda x: 1.0 + x**2,
+                            f=lambda t, x, y, z: -1.5 * y / grid.dt, g=ZERO)
+        for paths in (w, [w, sample_backward_path(grid, 1, seed=12)]):
+            with pytest.raises(ConvergenceError, match="at step 3, volatility 1$"):
+                solve_tree(prob, tree, paths)
 
     def test_linearity_in_terminal_data(self):
         # affine (f, g): solve(a xi1 + b xi2) = a solve(xi1) + b solve(xi2)

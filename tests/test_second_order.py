@@ -96,6 +96,15 @@ class TestBsbOracle:
                                opts=DpOptions(x_steps=x_steps))
                 assert sol.y0 - 3.0 == pytest.approx(n * h**2 / 6, rel=0.02)
 
+    def test_shifted_lattice_translates(self):
+        # terminal (x - c)^2 from x0 = c is the c = 0 problem moved along x; a
+        # lattice around c = 300 is uniform only up to linspace rounding
+        grid = build_time_grid(0, 1, 32)
+        w = sample_backward_path(grid, 1, seed=1)
+        y0 = [solve_dp(bsb_problem(lambda x, c=c: (x - c) ** 2), grid, w, x0=c,
+                       opts=DpOptions(x_steps=400)).y0 for c in (0.0, 300.0)]
+        assert y0[1] == pytest.approx(y0[0], rel=1e-13)
+
     def test_concave_terminal_selects_low_volatility(self):
         grid = build_time_grid(0, 1, 64)
         w = sample_backward_path(grid, 1, seed=1)
