@@ -5,13 +5,13 @@ Solves, under a fixed volatility measure,
     y_t = xi + int_t^T f(s, X_s, y_s, z_s) ds + int_t^T g(s, X_s, y_s, z_s) . dW(backward)
           + V_T - V_t - int_t^T z_s . dB_s
 
-by backward induction.  The backward integral anchors g at the RIGHT time
-endpoint against dW_i = W_{t_{i+1}} - W_{t_i} ("ito" scheme); the midpoint
-("stratonovich") scheme averages the two endpoints instead.  The y-update
-is implicit with an inner fixed point (contraction for dt * Lip(f) < 1);
-z comes from an explicit conditional projection against the forward
-increment.  The conditional expectation backend is either exact (a
-recombining tree, d = 1) or least-squares Monte Carlo.  Both sweep several
+by one backward induction, `backward_sweep`.  The backward integral anchors
+g at the RIGHT endpoint against dW_i = W_{t_{i+1}} - W_{t_i} ("ito"); the
+midpoint ("stratonovich") scheme averages the two endpoints instead.  The
+y-update is implicit with an inner fixed point (contraction for
+dt * Lip(f) < 1); z comes from an explicit conditional projection against
+the forward increment.  The conditional expectation backend is either exact
+(a recombining tree, d = 1) or least-squares Monte Carlo.  Both sweep several
 frozen backward paths at once, as a leading axis of their values.
 """
 
@@ -61,11 +61,12 @@ class SolverOptions:
 
 @dataclass
 class BdsdeSolution:
-    y: list                            # per-level node values (tree) or (N, n+1) (MC)
+    y: list                            # per-level values: tree nodes, or MC paths (N,)
     z: list
     residual: np.ndarray               # per-step fixed-point defect (max-norm)
     picard_iters: np.ndarray
     y0: float
+    y0_paths: np.ndarray               # every backward path's y0, in order
     projection_rms: Optional[np.ndarray] = None  # MC only: per-step regression residual
     meta: dict = field(default_factory=dict)
 
@@ -117,14 +118,6 @@ def _fixed_point(update, y_start, i, a):
         y = y_new
     raise ConvergenceError(f"inner fixed point did not reach {FP_TOL:g} in {MAX_ITERS} "
                            f"iterations at step {i}, volatility {a:g}")
-
-
-def _path0(w: BackwardPath) -> Callable:
-    """Picks path 0's entry of a step's results: row 0 of a batch, copied so
-    that the other rows are freed, or a single path's values as they are."""
-    if w.values.ndim == 3:
-        return lambda values: values[0].copy()
-    return lambda values: values
 
 
 def tree_cond(tree: BrownianTree) -> Callable:
@@ -179,45 +172,64 @@ def backward_step(problem: BdsdeProblem, cond: Callable, states: Callable, i: in
     return y, z, iters, defect, None if constraint is None else y - unconstrained(y)
 
 
-def _solve_on_tree(problem: BdsdeProblem, tree: BrownianTree, w: BackwardPath | list,
-                   opts: SolverOptions, constraint: Optional[Callable] = None):
-    """Backward induction on the tree for one path or a list of paths, swept
-    together; returns path 0's solution and pushes, every path's y0 in
-    meta["y0_paths"]."""
-    grid = tree.grid
+def backward_sweep(problem, grid, w: BackwardPath | list, y_T, z_T, step: Callable) -> tuple:
+    """Backward induction from the terminal data (y_T, z_T) at level n to level 0.
+
+    w is one BackwardPath or a list of paths on grid, swept together as one
+    batch (grids.batch_paths): the values carry paths as a leading axis.
+    step(i, y_next, z_next, w) -> (y, z, iters, defect, extra) moves level
+    i + 1 to level i, extra None or one value per node.  Checks that w lives
+    on grid and that the implicit step contracts (dt * Lip(f) < 1).  Returns
+    (y, z, residual, iters, extras, level0): path 0's levels (y[n], z[n] the
+    terminal data) and per-step defects, iterations and extras, as if it
+    were solved alone, and every path's level-0 y, from which a solver reads
+    its y0_paths.
+    """
     w = batch_paths(w)
-    if w.grid.n_steps != grid.n_steps:
-        raise InvalidArgumentError("tree and backward path must share the grid")
+    w.require_grid(grid)
     _check_contraction(problem, grid.dt)
     n = grid.n_steps
-    cond = tree_cond(tree)
-    y, z, pushes = [None] * (n + 1), [None] * (n + 1), [None] * n
+    # path 0's entry of a step's results: row 0 of a batch, copied so that
+    # the other rows are freed, or a single path's values as they are
+    keep = (lambda values: values[0].copy()) if w.values.ndim == 3 else (lambda values: values)
+    y, z, extras = [None] * n + [y_T], [None] * n + [z_T], [None] * n
     residual, iters = np.zeros(n), np.zeros(n, dtype=int)
-    leaves = tree.states(n)
-    y[n] = y_next = np.asarray(problem.terminal(leaves), dtype=float)
-    # phantom-step projection z_T = E[xi(x + dX) dX] / (a dt) per leaf
-    z[n] = z_next = sum(pk * problem.terminal(leaves + ok) * ok for pk, ok in
-                        zip(tree.transition_probs, tree.branch_offsets())) / (tree.a * grid.dt)
-    keep = _path0(w)
+    y_next, z_next = y_T, z_T
     for i in range(n - 1, -1, -1):
-        y_next, z_next, it, res, push = backward_step(
-            problem, cond, tree.states, i, grid, y_next, z_next, w, tree.a, opts, constraint)
+        y_next, z_next, it, res, extra = step(i, y_next, z_next, w)
         y[i], z[i], iters[i], residual[i] = keep(y_next), keep(z_next), keep(it), keep(res)
-        pushes[i] = None if push is None else keep(push)
+        extras[i] = None if extra is None else keep(extra)
+    return y, z, residual, iters, extras, y_next
+
+
+def _solve_on_tree(problem: BdsdeProblem, tree: BrownianTree, w: BackwardPath | list,
+                   opts: SolverOptions, constraint: Optional[Callable] = None):
+    """The sweep on the tree for one path or a list of paths; returns path 0's
+    solution, with every path's y0, and path 0's per-step pushes."""
+    grid = tree.grid
+    cond = tree_cond(tree)
+    leaves = tree.states(grid.n_steps)
+    y_T = np.asarray(problem.terminal(leaves), dtype=float)
+    # phantom-step projection z_T = E[xi(x + dX) dX] / (a dt) per leaf
+    z_T = sum(pk * problem.terminal(leaves + ok) * ok for pk, ok in
+              zip(tree.transition_probs, tree.branch_offsets())) / (tree.a * grid.dt)
+    y, z, residual, iters, pushes, level0 = backward_sweep(
+        problem, grid, w, y_T, z_T, lambda i, y, z, w: backward_step(
+            problem, cond, tree.states, i, grid, y, z, w, tree.a, opts, constraint))
     return BdsdeSolution(y=y, z=z, residual=residual, picard_iters=iters, y0=float(y[0][0]),
-                         meta={"backend": "tree", "a": tree.a,
-                               "y0_paths": y_next[..., 0].reshape(-1)}), pushes
+                         y0_paths=level0[..., 0].reshape(-1),
+                         meta={"backend": "tree", "a": tree.a}), pushes
 
 
 def solve_tree(problem: BdsdeProblem, tree: BrownianTree, w: BackwardPath | list,
                opts: SolverOptions = SolverOptions()) -> BdsdeSolution:
     """Exact-expectation backward induction on a recombining tree (d = 1).
 
-    w is one BackwardPath or a list of paths on the tree's grid.  A list is
-    solved in one backward sweep with the paths as a leading batch axis; the
+    w is one BackwardPath or a list of paths on the tree's grid, solved in
+    one `backward_sweep` with the paths as a leading batch axis.  The
     solution is path 0's (levels, z, residual and iterations as if solved
-    alone) and meta["y0_paths"] holds every path's y0 in list order, each
-    equal to that path's own solve.
+    alone) and y0_paths holds every path's y0 in list order, each equal to
+    that path's own solve.
     """
     return _solve_on_tree(problem, tree, w, opts)[0]
 
@@ -248,6 +260,7 @@ def solve_with_forcing(problem: BdsdeProblem, tree: BrownianTree, w: BackwardPat
     y_levels = [bar.y[i] - V[i] for i in range(len(bar.y))]
     return BdsdeSolution(y=y_levels, z=bar.z, residual=bar.residual,
                          picard_iters=bar.picard_iters, y0=float(y_levels[0][0]),
+                         y0_paths=bar.y0_paths - V[0],
                          meta={"backend": "tree+forcing", "a": tree.a})
 
 
@@ -318,56 +331,43 @@ def solve_regression(problem: BdsdeProblem, ensemble: PathEnsemble, w: BackwardP
 
     w is one BackwardPath or a list of paths on the ensemble's grid, solved as
     in `solve_tree`: one sweep over the shared ensemble with one regression
-    basis per step, path 0's solution and every path's y0 in meta["y0_paths"].
+    basis per step, path 0's solution and every path's y0 in y0_paths.  The
+    levels y[i] and z[i] hold one value per ensemble path.
     """
     grid = ensemble.grid
-    w = batch_paths(w)
-    if w.grid.n_steps != grid.n_steps:
-        raise InvalidArgumentError("ensemble and backward path must share the grid")
     if ensemble.d_dim != 1:
         raise InvalidArgumentError("regression backend implemented for d = 1")
-    _check_contraction(problem, grid.dt)
 
     n, dt = grid.n_steps, grid.dt
     a_steps = _step_controls(ensemble)
     X = ensemble.states[:, :, 0]
     dX = ensemble.increments[:, :, 0]
     N = ensemble.n_paths
-
-    y = np.empty((N, n + 1))
-    z = np.empty((N, n + 1))
-    residual = np.zeros(n)
-    iters = np.zeros(n, dtype=int)
     proj_rms = np.zeros(n)
 
-    y[:, n] = problem.terminal(X[:, n])
-
+    y_T = np.asarray(problem.terminal(X[:, n]), dtype=float)
     # phantom projection for the terminal z: one extra seeded step on a
     # shifted key so it cannot collide with the ensemble's own streams
     zp = rng.blocked_normals(ensemble.seed + PHANTOM_STREAM_BASE, N, (1,))[:, 0]
     dx_ph = math.sqrt(a_steps[-1] * dt) * zp
     x_ph = X[:, n] + dx_ph
     xi_ph = problem.terminal(x_ph)
-    z[:, n] = _regress_on_state(X[:, n], [xi_ph * dx_ph / (a_steps[-1] * dt)],
-                                basis_degree, ridge, cond_max)[0][0]
+    z_T = _regress_on_state(X[:, n], [xi_ph * dx_ph / (a_steps[-1] * dt)],
+                            basis_degree, ridge, cond_max)[0][0]
 
-    keep = _path0(w)
-    y_next, z_next = y[:, n], z[:, n]
-    for i in range(n - 1, -1, -1):
+    def step(i, y_next, z_next, w):
         def cond(r):
             fits, rms = _regress_on_state(X[:, i], [r, r * dX[:, i] / (a_steps[i] * dt)],
                                           basis_degree, ridge, cond_max)
             proj_rms[i] = rms[0]
             return fits
+        return backward_step(problem, cond, lambda j: X[:, j], i, grid, y_next, z_next, w,
+                             a_steps[i], opts)
 
-        y_next, z_next, it, res, _ = backward_step(
-            problem, cond, lambda j: X[:, j], i, grid, y_next, z_next, w, a_steps[i], opts)
-        y[:, i], z[:, i], iters[i], residual[i] = keep(y_next), keep(z_next), keep(it), keep(res)
-
-    return BdsdeSolution(y=y, z=z, residual=residual, picard_iters=iters,
-                         y0=float(y[0, 0]), projection_rms=proj_rms,
-                         meta={"backend": "mc", "n_paths": N, "basis_degree": basis_degree,
-                               "y0_paths": y_next[..., 0].reshape(-1)})
+    y, z, residual, iters, _, level0 = backward_sweep(problem, grid, w, y_T, z_T, step)
+    return BdsdeSolution(y=y, z=z, residual=residual, picard_iters=iters, y0=float(y[0][0]),
+                         y0_paths=level0[..., 0].reshape(-1), projection_rms=proj_rms,
+                         meta={"backend": "mc", "n_paths": N, "basis_degree": basis_degree})
 
 
 def _regress_on_state(x, targets, degree, ridge, cond_max):

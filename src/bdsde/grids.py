@@ -66,6 +66,12 @@ class BackwardPath:
         """W_T - W_{t_i}."""
         return self.values[-1] - self.values[i]
 
+    def require_grid(self, grid: TimeGrid):
+        """InvalidArgumentError unless the path lives on grid (start, horizon and steps)."""
+        if self.grid != grid:
+            raise InvalidArgumentError(
+                f"backward path and solver must share the grid, got {self.grid} and {grid}")
+
     @classmethod
     def from_values(cls, grid: TimeGrid, values, seed: int = -1) -> "BackwardPath":
         values = np.atleast_2d(np.asarray(values, dtype=float))

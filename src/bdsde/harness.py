@@ -91,9 +91,8 @@ def _solve_paths(pdef: ProblemDef, cfg: ExperimentConfig, backend: str,
         classical = prob.classical_problem(a)
     if backend == "tree":
         sol = solve_tree(classical, build_tree(grid, a, x0=pdef.x0), paths, opts)
-        return ({"y0": sol.y0, "residual_max": float(sol.residual.max(initial=0.0))},
-                sol.meta["y0_paths"])
-    if backend == "dp":
+        out = {"y0": sol.y0, "residual_max": float(sol.residual.max(initial=0.0))}
+    elif backend == "dp":
         dp_opts = DpOptions(x_steps=cfg.get("spatial", "x_steps"),
                             span_sigmas=cfg.get("spatial", "span_sigmas"),
                             g_scheme=pdef.g_scheme)
@@ -105,28 +104,28 @@ def _solve_paths(pdef: ProblemDef, cfg: ExperimentConfig, backend: str,
                                   for lv in sol.argmax_a[:-1]]))
             out["argmax_high_frac"] = frac
             out["gap_min0"] = float(minimality_gap(prob, sol, paths[0])[0])
-        return out, sol.meta["y0_paths"]
-    if backend == "mc":
+    elif backend == "mc":
         ens = sample_forward_ensemble(grid, cfg.get("mc", "n_paths"), a,
                                       seed=cfg.get("seeds", "b_seed"), x0=pdef.x0,
                                       workers=cfg.get("mc", "workers"))
         sol = solve_regression(classical, ens, paths, basis_degree=cfg.get("mc", "basis_degree"),
                                opts=opts)
-        return ({"y0": sol.y0, "projection_rms_max": float(sol.projection_rms.max(initial=0.0))},
-                sol.meta["y0_paths"])
-    if backend == "reflected":
+        out = {"y0": sol.y0, "projection_rms_max": float(sol.projection_rms.max(initial=0.0))}
+    elif backend == "reflected":
         sol = solve_reflected(classical, pdef.barrier(cfg), build_tree(grid, a, x0=pdef.x0),
                               paths, opts)
-        return ({"y0": sol.y0, "k_terminal": float(sol.k_continuous[-1] + sol.k_jump[-1]),
-                 "skorokhod_sum": sol.skorokhod_sum}, sol.y0_paths)
-    if backend == "fd":
+        out = {"y0": sol.y0, "k_terminal": float(sol.k_continuous[-1] + sol.k_jump[-1]),
+               "skorokhod_sum": sol.skorokhod_sum}
+    elif backend == "fd":
         domain = lattice_bounds(grid, prob.volgrid, pdef.x0, cfg.get("spatial", "span_sigmas"))
         pde = RandomPdeProblem(hhat_tilde=hamiltonian(prob), terminal=prob.terminal,
                                x_domain=domain)
         xs, v = fd_random_pde(pde, grid, cfg.get("spatial", "x_steps"))
         y0 = float(v[0, int(np.argmin(np.abs(xs - pdef.x0)))])
         return {"y0": y0}, [y0] * len(paths)
-    raise ConfigError(f"unknown backend {backend!r}")
+    else:
+        raise ConfigError(f"unknown backend {backend!r}")
+    return out, sol.y0_paths
 
 
 def run(cfg: ExperimentConfig) -> RunRecord:
@@ -146,8 +145,9 @@ def run(cfg: ExperimentConfig) -> RunRecord:
     w = paths[0]
     quantities, y0s = _solve_paths(pdef, cfg, backend, paths)
     if m > 1:
-        quantities["y0_w_mean"] = float(np.mean(y0s))
-        quantities["y0_w_std"] = float(np.std(y0s, ddof=1))
+        dev = np.asarray(y0s) - y0s[0]  # deviations from path 0: exactly 0 where paths agree
+        quantities["y0_w_mean"] = float(y0s[0] + np.mean(dev))
+        quantities["y0_w_std"] = float(np.std(dev, ddof=1))
 
     oracle = abs_error = tolerance_ok = None
     if pdef.oracle is not None:

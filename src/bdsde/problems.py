@@ -140,8 +140,8 @@ REGISTRY = {
             lambda x: -(x**2), *band_from(cfg),
             cfg.get("grid", "horizon"), cfg.get("grid", "t0"), 1.0))),
     "bsb_mixed": ProblemDef(
-        name="bsb_mixed", backends=("dp",),
-        description="mixed-convexity terminal; no closed form (use the FD oracle)",
+        name="bsb_mixed", backends=("dp", "fd"),
+        description="mixed-convexity terminal; no closed form (the fd backend is the reference)",
         x0=0.0, equation=_bsb(lambda x: np.where(x > 0, x**2, -(x**2))),
         oracle=None),
     "bsb_doss": ProblemDef(

@@ -119,7 +119,7 @@ def _solve_with_barrier(problem, barrier, tree, w, opts, constraint, jump_flags)
                              k_continuous=k_cont, k_jump=k_jump,
                              skorokhod_sum=_flat_off_sum(probs, sol.y, levels, k_incs),
                              residual=sol.residual, y0=sol.y0,
-                             y0_paths=sol.meta["y0_paths"])
+                             y0_paths=sol.y0_paths)
 
 
 def solve_reflected(problem: BdsdeProblem, barrier: Barrier, tree: BrownianTree,

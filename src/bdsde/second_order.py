@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._accel import GaussWindow, linear_interp, pl_gauss_moments
-from .classical import BdsdeProblem, SolverOptions, _path0, backward_step, solve_tree
+from .classical import BdsdeProblem, SolverOptions, backward_step, backward_sweep, solve_tree
 from .errors import ConsistencyError, InvalidArgumentError, VerificationError
 from .generators import g_dot
 from .grids import (
@@ -30,7 +30,6 @@ from .grids import (
     PathEnsemble,
     TimeGrid,
     VolatilityGrid,
-    batch_paths,
     build_tree,
 )
 
@@ -107,6 +106,7 @@ class TbdsdeSolution:
     K: KTrace
     residual: np.ndarray
     y0: float
+    y0_paths: np.ndarray            # every backward path's y0, in order
     meta: dict = field(default_factory=dict)
 
     @property
@@ -155,56 +155,48 @@ def solve_dp(problem: TbdsdeProblem, grid: TimeGrid, w: BackwardPath | list,
     """Backward induction with a per-step, per-node supremum over volatilities.
 
     A single finite volatility is solved on its exact tree (sol.backend
-    "tree"); several share the lattice ("lattice").  w is one BackwardPath
-    or a list of paths on grid.  A list is solved in one backward sweep with
-    the paths as a leading batch axis; the solution is path 0's (Y, Z,
-    argmax, K and residual as if solved alone) and meta["y0_paths"] holds
-    every path's y0 in list order, each equal to that path's own solve.
+    "tree"); several share the lattice ("lattice"), where each step of the
+    `backward_sweep` keeps the per-node argmax of every volatility's step.
+    w is one BackwardPath or a list of paths on grid, swept together; the
+    solution is path 0's (Y, Z, argmax, K and residual as if solved alone)
+    and y0_paths holds every path's y0, each equal to its own solve.
     """
     a_vals = problem.finite_volatilities()
     if len(a_vals) == 1:
         return _solve_dp_tree(problem, grid, w, x0, opts, a_vals)
-    w = batch_paths(w)
     n, dt = grid.n_steps, grid.dt
     xs = np.linspace(*lattice_bounds(grid, problem.volgrid, x0, opts.span_sigmas),
                      opts.x_steps + 1)
     problems = [problem.classical_problem(float(a)) for a in a_vals]
     conds = [lattice_cond(xs, float(a), dt) for a in a_vals]
+    y_T = np.asarray(problem.terminal(xs), dtype=float)
+    phantom = np.array([cond(y_T)[1] for cond in conds])   # z_T under each volatility
 
-    Y = [None] * (n + 1)
-    Z = [None] * (n + 1)
-    argmax = [None] * (n + 1)
-    residual = np.zeros(n)
-
-    Y[n] = y_next = np.asarray(problem.terminal(xs), dtype=float)
-    phantom = np.array([cond(Y[n])[1] for cond in conds])
-    z_next = phantom
-    keep = _path0(w)
-
-    for i in range(n - 1, -1, -1):
-        steps = [backward_step(problems[k], conds[k], lambda _: xs, i, grid, y_next,
-                               z_next[k] if i == n - 1 else z_next, w, float(a), opts)
-                 for k, a in enumerate(a_vals)]
-        cands = np.array([step[0] for step in steps])   # (volatility, [path,] node)
+    def step(i, y_next, z_next, w):
+        # one (y, z, iters, defect) per volatility, each (volatility, [path,] node)
+        y, z, iters, defect, _ = zip(*(
+            backward_step(problems[k], conds[k], lambda _: xs, i, grid, y_next,
+                          z_next[k] if i == n - 1 else z_next, w, float(a), opts)
+            for k, a in enumerate(a_vals)))
+        cands = np.array(y)
         best = np.argmax(cands, axis=0)  # first max = smallest volatility on ties
-        y_next = np.take_along_axis(cands, best[None], axis=0)[0]
-        z_next = np.take_along_axis(np.array([step[1] for step in steps]), best[None], axis=0)[0]
-        Y[i], Z[i], argmax[i] = keep(y_next), keep(z_next), a_vals[keep(best)]
-        if i == n - 1:
-            Z[n] = np.take_along_axis(phantom, keep(best)[None], axis=0)[0]
-            argmax[n] = argmax[i]
-        residual[i] = max(keep(step[3]) for step in steps)
+        return (np.take_along_axis(cands, best[None], axis=0)[0],
+                np.take_along_axis(np.array(z), best[None], axis=0)[0],
+                np.maximum.reduce(iters), np.maximum.reduce(defect), best)
 
+    Y, Z, residual, _, best, level0 = backward_sweep(problem, grid, w, y_T, phantom, step)
+    # level n takes the control, and so the z_T, of the first step's argmax
+    argmax = [a_vals[b] for b in best + best[-1:]]
+    Z[n] = np.take_along_axis(phantom, best[-1][None], axis=0)[0]
     # Y[i] is its node's argmax candidate cands[best], so the defect of the
     # value against the step under the argmax control vanishes identically
     k_argmax = KTrace(increments=np.zeros((n, len(xs))), expected_cumulative=np.zeros(n + 1),
                       clamped=0, volatility=None)
-    y0_paths = linear_interp(np.array([x0]), xs, y_next).reshape(-1)
+    y0_paths = linear_interp(np.array([x0]), xs, level0).reshape(-1)
     return TbdsdeSolution(Y=Y, Z=Z, argmax_a=argmax, K=k_argmax, residual=residual,
-                          y0=float(y0_paths[0]),
+                          y0=float(y0_paths[0]), y0_paths=y0_paths,
                           meta={"backend": "lattice", "lattice": xs, "x0": x0,
-                                "grid": grid, "a_values": a_vals, "opts": opts,
-                                "y0_paths": y0_paths})
+                                "grid": grid, "a_values": a_vals, "opts": opts})
 
 
 def _solve_dp_tree(problem, grid, w, x0, opts, a_vals):
@@ -218,10 +210,9 @@ def _solve_dp_tree(problem, grid, w, x0, opts, a_vals):
     k_sole = KTrace(increments=np.zeros((n, tree.n_nodes(n - 1))),
                     expected_cumulative=np.zeros(n + 1), clamped=0, volatility=a)
     return TbdsdeSolution(Y=base.y, Z=base.z, argmax_a=argmax, K=k_sole,
-                          residual=base.residual, y0=base.y0,
+                          residual=base.residual, y0=base.y0, y0_paths=base.y0_paths,
                           meta={"backend": "tree", "tree": tree, "x0": x0,
-                                "grid": grid, "a_values": a_vals, "opts": opts,
-                                "y0_paths": base.meta["y0_paths"]})
+                                "grid": grid, "a_values": a_vals, "opts": opts})
 
 
 def _value_at(sol: TbdsdeSolution, i: int, x: np.ndarray) -> np.ndarray:
@@ -243,8 +234,9 @@ def extract_k(sol: TbdsdeSolution, problem: TbdsdeProblem, w: BackwardPath,
     other volatility raises InvalidArgumentError.  On the lattice a fixed
     volatility gives the compensator seen under that constant control, with
     the cumulative trace integrated against its forward law from x0.  The
-    step runs under the solve's own options.
+    step runs under the solve's own options, on a w of the solve's grid.
     """
+    w.require_grid(sol.meta["grid"])
     if volatility is None:
         return sol.K
     if sol.backend == "tree":

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bdsde._accel import pl_gauss_moments
 from bdsde.classical import BdsdeProblem, SolverOptions, solve_regression, solve_tree
-from bdsde.errors import InvalidArgumentError
+from bdsde.errors import InvalidArgumentError, StepSizeError
 from bdsde.grids import (
     batch_paths,
     build_time_grid,
@@ -35,7 +35,7 @@ def assert_levels_equal(a, b):
 
 def assert_meta_equal(batch, single):
     assert batch.keys() == single.keys()
-    for key in batch.keys() - {"y0_paths"}:
+    for key in batch:
         if isinstance(batch[key], np.ndarray):
             np.testing.assert_array_equal(batch[key], single[key])
         else:
@@ -54,7 +54,7 @@ def test_tree_batch_equals_per_path_solves(branching, scheme, beta, c, n, m, see
     batch = solve_tree(prob, tree, paths, opts)
     singles = [solve_tree(prob, tree, w, opts) for w in paths]
 
-    np.testing.assert_array_equal(batch.meta["y0_paths"], [s.y0 for s in singles])
+    np.testing.assert_array_equal(batch.y0_paths, [s.y0 for s in singles])
     first = singles[0]
     assert batch.y0 == first.y0
     assert_levels_equal(batch.y, first.y)
@@ -65,7 +65,7 @@ def test_tree_batch_equals_per_path_solves(branching, scheme, beta, c, n, m, see
 
     order = np.random.default_rng(seed).permutation(m)
     permuted = solve_tree(prob, tree, [paths[k] for k in order], opts)
-    np.testing.assert_array_equal(permuted.meta["y0_paths"], batch.meta["y0_paths"][order])
+    np.testing.assert_array_equal(permuted.y0_paths, batch.y0_paths[order])
 
 
 @given(a_low=st.floats(0.3, 1.0), a_high=st.floats(1.2, 2.5), n_a=st.integers(2, 5),
@@ -83,7 +83,7 @@ def test_lattice_batch_equals_per_path_solves(a_low, a_high, n_a, scheme, beta, 
     singles = [solve_dp(prob, grid, w, x0=0.5, opts=opts) for w in paths]
 
     assert batch.backend == "lattice"
-    np.testing.assert_array_equal(batch.meta["y0_paths"], [s.y0 for s in singles])
+    np.testing.assert_array_equal(batch.y0_paths, [s.y0 for s in singles])
     first = singles[0]
     assert batch.y0 == first.y0
     for levels in ("Y", "Z", "argmax_a"):
@@ -97,7 +97,7 @@ def test_lattice_batch_equals_per_path_solves(a_low, a_high, n_a, scheme, beta, 
 
     order = np.random.default_rng(seed).permutation(m)
     permuted = solve_dp(prob, grid, [paths[k] for k in order], x0=0.5, opts=opts)
-    np.testing.assert_array_equal(permuted.meta["y0_paths"], batch.meta["y0_paths"][order])
+    np.testing.assert_array_equal(permuted.y0_paths, batch.y0_paths[order])
 
 
 @given(scheme=SCHEMES, beta=st.floats(-0.5, 0.5), c=st.floats(-1.0, 1.0),
@@ -113,16 +113,19 @@ def test_regression_batch_equals_per_path_solves(scheme, beta, c, n, m, seed):
     batch = solve_regression(prob, ens, paths, basis_degree=3, opts=opts)
     singles = [solve_regression(prob, ens, w, basis_degree=3, opts=opts) for w in paths]
 
-    np.testing.assert_array_equal(batch.meta["y0_paths"], [s.y0 for s in singles])
+    np.testing.assert_array_equal(batch.y0_paths, [s.y0 for s in singles])
     first = singles[0]
     assert batch.y0 == first.y0
+    # per-level values, one per ensemble path, as the tree's are per node
+    assert isinstance(batch.y, list) and len(batch.y) == n + 1
+    assert_levels_equal(batch.y, first.y)
     for field in ("y", "z", "projection_rms", "residual", "picard_iters"):
         np.testing.assert_array_equal(getattr(batch, field), getattr(first, field))
     assert_meta_equal(batch.meta, first.meta)
 
     order = np.random.default_rng(seed).permutation(m)
     permuted = solve_regression(prob, ens, [paths[k] for k in order], basis_degree=3, opts=opts)
-    np.testing.assert_array_equal(permuted.meta["y0_paths"], batch.meta["y0_paths"][order])
+    np.testing.assert_array_equal(permuted.y0_paths, batch.y0_paths[order])
 
 
 @given(penalty=st.sampled_from([None, 5.0, 80.0]), scheme=SCHEMES, beta=st.floats(-0.5, 0.5),
@@ -185,3 +188,30 @@ def test_batch_paths_rejects_mixed_grids():
         batch_paths([sample_backward_path(coarse, 1, 1), sample_backward_path(fine, 1, 2)])
     with pytest.raises(InvalidArgumentError, match="at least one"):
         batch_paths([])
+
+
+@pytest.mark.parametrize("solver", ["tree", "regression", "dp"])
+def test_solvers_check_the_path_grid_and_the_step(solver):
+    # every backend sweeps through the same checks: W lives on the solver's
+    # whole grid (steps and horizon), and dt * Lip(F) < 1
+    grid = build_time_grid(0, 1, 8)
+
+    def solve(w, lipschitz_f=0.5):
+        prob = TbdsdeProblem(terminal=lambda x: x**2, F=lambda t, x, y, z, a: 0.5 * y,
+                             g=lambda t, x, y, z: 0.0 * y, lipschitz_f=lipschitz_f,
+                             volgrid=build_volatility_grid(0.5, 2.0, 3))
+        if solver == "tree":
+            return solve_tree(prob.classical_problem(1.0), build_tree(grid, 1.0), w)
+        if solver == "regression":
+            ens = sample_forward_ensemble(grid, 500, 1.0, seed=3)
+            return solve_regression(prob.classical_problem(1.0), ens, w, basis_degree=2)
+        return solve_dp(prob, grid, w, opts=DpOptions(x_steps=40))
+
+    for other in (build_time_grid(0, 1, 16), build_time_grid(0, 2, 8)):
+        for w in (sample_backward_path(other, 1, seed=1), paths_for(other, 1, 2)):
+            with pytest.raises(InvalidArgumentError, match="share the grid"):
+                solve(w)
+    w = sample_backward_path(grid, 1, seed=1)
+    with pytest.raises(StepSizeError):
+        solve(w, lipschitz_f=8.0)
+    assert np.isfinite(solve(w).y0)

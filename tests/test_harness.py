@@ -136,8 +136,12 @@ class TestRun:
         # one solve of all paths whose statistics are those of the per-path solves
         assert calls["solve"] == 1
         assert rec.quantities["y0"] == y0s[0]
-        assert rec.quantities["y0_w_mean"] == float(np.mean(y0s))
-        assert rec.quantities["y0_w_std"] == float(np.std(y0s, ddof=1))
+        dev = np.asarray(y0s) - y0s[0]
+        assert rec.quantities["y0_w_mean"] == float(y0s[0] + np.mean(dev))
+        assert rec.quantities["y0_w_std"] == float(np.std(dev, ddof=1))
+        if len(set(y0s)) == 1:  # g = 0 or fd: paths that agree give their y0 and no spread
+            assert rec.quantities["y0_w_mean"] == y0s[0]
+            assert rec.quantities["y0_w_std"] == 0.0
         # W_T - W_0 pinned (linear_spde) or no W in the data: a small spread
         assert rec.quantities["y0_w_std"] < 0.1
         # diagnostics are computed for the reported path only
@@ -207,6 +211,18 @@ class TestStudies:
         res = flow_order_study(halvings=3, base_n=32)
         assert res.fitted_order == pytest.approx(2.0, abs=0.4)
 
+    def test_mixed_convexity_dp_converges_to_fd(self):
+        # no closed form: the fd backend at a fine step is the reference,
+        # and the dp error halves with dt (x_steps growing with n)
+        y_fd = run(cfg_for("bsb_mixed", "fd", n_steps=2000,
+                           **{"spatial.x_steps": 400})).quantities["y0"]
+        errs = [abs(run(cfg_for("bsb_mixed", "dp", n_steps=n,
+                                **{"spatial.x_steps": xs})).quantities["y0"] - y_fd)
+                for n, xs in ((16, 100), (32, 200), (64, 400))]
+        assert errs[0] < 0.03
+        assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.2)
+        assert errs[1] / errs[2] == pytest.approx(2.0, rel=0.2)
+
     def test_requires_two_halvings(self):
         with pytest.raises(ConfigError):
             convergence_study(cfg_for("identity", "tree"), halvings=1)
@@ -236,7 +252,8 @@ class TestCli:
                              "[tolerances]\ny0_rel = 0.05\n")
         out = str(tmp_path / "out.csv")
         assert main(["--quiet", "run", "--config", cfg, "--out", out]) == 0
-        header = open(out).readline().strip()
+        with open(out) as fh:
+            header = fh.readline().strip()
         assert header == "quantity,dt,value,oracle,abs_error,seed_w,seed_b"
 
     def test_tolerance_failure_exit_2(self, tmp_path):

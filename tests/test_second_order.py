@@ -175,6 +175,10 @@ class TestCompensator:
         for foreign in (0.5, 2.0):
             with pytest.raises(InvalidArgumentError):
                 extract_k(sol, prob, self.w, volatility=foreign)
+        # a path off the solve's grid is rejected, not read as a compensator
+        fine = sample_backward_path(build_time_grid(0, 1, 64), 1, seed=5)
+        with pytest.raises(InvalidArgumentError, match="share the grid"):
+            extract_k(self.sol, self.prob, fine, volatility=0.5)
 
     @pytest.mark.parametrize("g_scheme", ["ito", "stratonovich"])
     def test_affine_terminal_all_controls_optimal(self, g_scheme):
