@@ -29,11 +29,8 @@ from .doss import (
     untransform_solution,
 )
 from .generators import (
-    ConjugatePair,
-    GeneratorBundle,
     GeneratorConstants,
     HamiltonianSpec,
-    biconjugate,
     fenchel_conjugate,
     make_conjugate_map,
     stratonovich_correction,

@@ -1,9 +1,11 @@
-"""Nonlinearities: convex conjugation in the curvature slot and generator checks.
+"""Nonlinearities: convex conjugation in the curvature slot, the Stratonovich
+transform of a problem, and sampled generator checks.
 
 The Hamiltonian h(t, x, y, z, gamma) is conjugated over a finite curvature
-grid to obtain F(t, x, y, z, a); conjugating back over a volatility grid
-gives the effective (convex, nondecreasing) Hamiltonian actually solved,
-by a TbdsdeProblem with F = -F_conj (the solver adds its F).
+grid to obtain F_conj(t, x, y, z, a).  A TbdsdeProblem with F = -F_conj
+conjugates it back over its volatility grid: second_order.hamiltonian of
+that problem is the effective (convex, nondecreasing) Hamiltonian actually
+solved, since the solver adds its F.
 A numeric code needs an explicit blow-up rule for the extended-real F: the
 grid supremum is probed on geometrically extended curvature grids and a
 +inf sentinel is returned once it keeps growing past a threshold.
@@ -12,13 +14,15 @@ grid supremum is probed on geometrically extended curvature grids and a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .grids import VolatilityGrid
+
+if TYPE_CHECKING:
+    from .second_order import TbdsdeProblem
 
 BLOWUP_THRESHOLD = 1.0e6
 FD_STEP = 1.0e-5
@@ -77,9 +81,9 @@ def fenchel_conjugate(spec: HamiltonianSpec, state, a: float) -> float:
 def make_conjugate_map(spec: HamiltonianSpec) -> Callable:
     """Vectorized F_conj(t, x, y, z, a) built by grid conjugation of h.
 
-    biconjugate conjugates it back under the conjugate layer's sign.  A
-    TbdsdeProblem whose Hamiltonian is h takes F = -make_conjugate_map(spec),
-    because second_order.hamiltonian adds F: sup_a (a gamma / 2 + F(a)).
+    A TbdsdeProblem whose Hamiltonian is h takes F = -make_conjugate_map(spec),
+    because second_order.hamiltonian adds F: max_a (a gamma / 2 + F(a)), the
+    conjugate of F_conj over the problem's volatility grid.
     """
 
     def F(t, x, y, z, a):
@@ -95,32 +99,6 @@ def make_conjugate_map(spec: HamiltonianSpec) -> Callable:
 
 
 @dataclass(frozen=True)
-class ConjugatePair:
-    """Conjugate F and the volatility grid of its biconjugate."""
-
-    F: Callable
-    domain: VolatilityGrid
-
-
-def biconjugate(pair: ConjugatePair, state, gamma) -> float:
-    """sup over the volatility grid of (a*gamma/2 - F(state, a)), F = pair.F
-    under the conjugate layer's sign (see make_conjugate_map)."""
-    if len(pair.domain) == 0:
-        raise InvalidArgumentError("volatility grid must be nonempty")
-    t, x, y, z = state
-    best = -math.inf
-    for a in pair.domain:
-        fa = pair.F(t, np.atleast_1d(float(x)), float(y), float(z), float(a))
-        fa = float(np.asarray(fa).reshape(-1)[0])
-        if math.isinf(fa):
-            continue
-        best = max(best, 0.5 * float(a) * gamma - fa)
-    if math.isinf(best):
-        raise InvalidArgumentError("F is infinite on the entire volatility grid")
-    return best
-
-
-@dataclass(frozen=True)
 class GeneratorConstants:
     C: float          # Lipschitz constant of F in (y, z)
     alpha: float      # z-contraction of g, in [0, 1)
@@ -129,39 +107,32 @@ class GeneratorConstants:
     beta: float = 0.0  # z z^T growth coefficient, in [0, 1)
 
 
-@dataclass(frozen=True)
-class GeneratorBundle:
-    """The pair (g, f) actually fed to solvers, with declared constants."""
-
-    g: Callable                      # (t, x, y, z) -> scalar or (..., l)
-    constants: GeneratorConstants
-    dy_g: Optional[Callable] = None  # analytic d/dy of g; finite differences otherwise
-    fd_step: float = FD_STEP
-
-    def dy_g_eval(self, t, x, y, z):
-        if self.dy_g is not None:
-            return np.asarray(self.dy_g(t, x, y, z), dtype=float)
-        h = self.fd_step
-        up = np.asarray(self.g(t, x, y + h, z), dtype=float)
-        dn = np.asarray(self.g(t, x, y - h, z), dtype=float)
-        return (up - dn) / (2.0 * h)
-
-
 def g_dot(g_vals, w_inc):
     """Product of a scalar-valued generator value with the first component of a
     backward-driver increment.  Leading axes broadcast."""
     return np.asarray(g_vals, dtype=float) * np.atleast_1d(np.asarray(w_inc, dtype=float))[..., 0]
 
 
-def stratonovich_correction(bundle: GeneratorBundle, F_val, t, x, y, z):
-    """F + (1/2) sum_j g_j * d_y g_j at the given point."""
-    gv = np.asarray(bundle.g(t, x, y, z), dtype=float)
-    dgv = np.asarray(bundle.dy_g_eval(t, x, y, z), dtype=float)
-    if gv.ndim and gv.shape == np.shape(x):
-        corr = 0.5 * gv * dgv
-    else:
-        corr = 0.5 * np.sum(gv * dgv, axis=-1)
-    return F_val + corr
+def stratonovich_correction(problem: TbdsdeProblem,
+                            dy_g: Optional[Callable] = None) -> TbdsdeProblem:
+    """The problem's equation read with a Stratonovich backward integral,
+    rewritten for the Ito (right-endpoint) scheme: F becomes F + g * d_y g / 2.
+
+    g is scalar-valued (see g_dot), so the correction is elementwise at every
+    state and path.  d_y g is the analytic dy_g(t, x, y, z) when given, else
+    the central difference of g with step FD_STEP.  Everything else, the
+    declared lipschitz_f too, is the problem's own: declare the constant of
+    the corrected F.
+    """
+    F, g = problem.F, problem.g
+    if dy_g is None:
+        def dy_g(t, x, y, z):
+            return (np.asarray(g(t, x, y + FD_STEP, z), dtype=float)
+                    - np.asarray(g(t, x, y - FD_STEP, z), dtype=float)) / (2.0 * FD_STEP)
+
+    def F_strat(t, x, y, z, a):
+        return F(t, x, y, z, a) + 0.5 * np.asarray(g(t, x, y, z), dtype=float) * dy_g(t, x, y, z)
+    return replace(problem, F=F_strat)
 
 
 @dataclass
@@ -187,10 +158,10 @@ class AssumptionReport:
         raise KeyError(name)
 
 
-def validate_assumptions(bundle: GeneratorBundle, pair: Optional[ConjugatePair],
-                         volgrid: VolatilityGrid, n_samples: int = 200,
-                         seed: int = 0) -> AssumptionReport:
-    """Sampled pass/fail report for the structural generator conditions.
+def validate_assumptions(problem: TbdsdeProblem, constants: GeneratorConstants,
+                         n_samples: int = 200, seed: int = 0) -> AssumptionReport:
+    """Sampled pass/fail report for the structural conditions on the
+    problem's g, F and volatility grid under the declared constants.
 
     Report-only: each check carries the worst violating sample.  Sampling
     can refute but not certify the conditions.
@@ -198,7 +169,8 @@ def validate_assumptions(bundle: GeneratorBundle, pair: Optional[ConjugatePair],
     if n_samples < 1:
         raise InvalidArgumentError("n_samples must be >= 1")
     rs = np.random.default_rng(seed)
-    cst = bundle.constants
+    cst = constants
+    volgrid = problem.volgrid
     checks = []
 
     # g contraction: ||g(y,z) - g(y',z')||^2 <= C|y-y'|^2 + alpha||z-z'||^2
@@ -209,7 +181,7 @@ def validate_assumptions(bundle: GeneratorBundle, pair: Optional[ConjugatePair],
         x = rs.normal()
         y1, y2 = rs.normal(size=2) * 2
         z1, z2 = rs.normal(size=2) * 2
-        dg = np.asarray(bundle.g(t, x, y1, z1)) - np.asarray(bundle.g(t, x, y2, z2))
+        dg = np.asarray(problem.g(t, x, y1, z1)) - np.asarray(problem.g(t, x, y2, z2))
         lhs = float(np.sum(dg**2))
         rhs = cst.C * (y1 - y2) ** 2 + cst.alpha * (z1 - z2) ** 2
         v = lhs - rhs
@@ -235,31 +207,30 @@ def validate_assumptions(bundle: GeneratorBundle, pair: Optional[ConjugatePair],
         x = rs.normal() * 2
         y = rs.normal() * 3
         z = rs.normal() * 3
-        gv = np.asarray(bundle.g(t, x, y, z))
+        gv = np.asarray(problem.g(t, x, y, z))
         v = float(np.sum(gv**2)) - (cst.c * (1 + y * y) + cst.beta * z * z)
         if v > worst:
             worst, worst_at = v, (t, x, y, z)
     checks.append(AssumptionCheck("g_growth", worst <= 1e-10 * (1 + cst.c),
                                   worst, worst_at))
 
-    # F Lipschitz in (y, a^{1/2} z) when a conjugate map is supplied
-    if pair is not None:
-        worst = -math.inf
-        worst_at = ()
-        for _ in range(n_samples):
-            t = rs.uniform(0, 1)
-            x = rs.normal()
-            y1, y2 = rs.normal(size=2) * 2
-            z1, z2 = rs.normal(size=2) * 2
-            a = float(rs.choice(volgrid.a_values))
-            f1 = float(np.asarray(pair.F(t, np.atleast_1d(x), y1, z1, a)).reshape(-1)[0])
-            f2 = float(np.asarray(pair.F(t, np.atleast_1d(x), y2, z2, a)).reshape(-1)[0])
-            if math.isinf(f1) or math.isinf(f2):
-                continue
-            v = abs(f1 - f2) - cst.C * (abs(y1 - y2) + math.sqrt(a) * abs(z1 - z2))
-            if v > worst:
-                worst, worst_at = v, (t, x, y1, y2, z1, z2, a)
-        checks.append(AssumptionCheck("F_lipschitz", worst <= 1e-8 * (1 + cst.C),
-                                      worst, worst_at))
+    # F Lipschitz in (y, a^{1/2} z)
+    worst = -math.inf
+    worst_at = ()
+    for _ in range(n_samples):
+        t = rs.uniform(0, 1)
+        x = rs.normal()
+        y1, y2 = rs.normal(size=2) * 2
+        z1, z2 = rs.normal(size=2) * 2
+        a = float(rs.choice(volgrid.a_values))
+        f1 = float(np.asarray(problem.F(t, np.atleast_1d(x), y1, z1, a)).reshape(-1)[0])
+        f2 = float(np.asarray(problem.F(t, np.atleast_1d(x), y2, z2, a)).reshape(-1)[0])
+        if math.isinf(f1) or math.isinf(f2):
+            continue
+        v = abs(f1 - f2) - cst.C * (abs(y1 - y2) + math.sqrt(a) * abs(z1 - z2))
+        if v > worst:
+            worst, worst_at = v, (t, x, y1, y2, z1, z2, a)
+    checks.append(AssumptionCheck("F_lipschitz", worst <= 1e-8 * (1 + cst.C),
+                                  worst, worst_at))
 
     return AssumptionReport(checks)

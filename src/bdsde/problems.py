@@ -14,6 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError
+from .generators import stratonovich_correction
 from .grids import (
     TimeGrid,
     build_time_grid,
@@ -149,9 +150,10 @@ REGISTRY = {
         description="uncertain volatility with multiplicative backward noise "
                     "g = y/2; positively homogeneous Hamiltonian gives a "
                     "closed form through the exponential flow", x0=1.0,
-        # g = beta y with beta = 1/2, F its Stratonovich correction beta^2 y / 2
-        equation=_bsb(lambda x: x**2, g=lambda t, x, y, z: 0.5 * y, lipschitz_f=0.125,
-                      F=lambda t, x, y, z, a: 0.125 * y + FZERO(t, x, y, z, a)),
+        # g = beta y with beta = 1/2; F = 0 in Stratonovich form is beta^2 y / 2
+        equation=lambda cfg: stratonovich_correction(
+            _bsb(lambda x: x**2, g=lambda t, x, y, z: 0.5 * y, lipschitz_f=0.125)(cfg),
+            dy_g=lambda t, x, y, z: 0.5),
         oracle=lambda cfg, w: math.exp(0.5 * float(w.tail_increment(0)[0])) * (
             1.0 + band_from(cfg)[1] * (cfg.get("grid", "horizon") - cfg.get("grid", "t0")))),
     "linear_spde": ProblemDef(

@@ -46,7 +46,10 @@ class TbdsdeProblem:
     (`hamiltonian`): F enters with a plus sign.  A single finite volatility
     is the classical equation with generator F(., a) (`classical_problem`).
     A problem built from a conjugate-layer Hamiltonian h takes
-    F = -generators.make_conjugate_map(spec).
+    F = -generators.make_conjugate_map(spec), and its `hamiltonian` is the
+    conjugate of that map over volgrid.  generators.stratonovich_correction
+    rewrites a problem read with a Stratonovich backward integral for the
+    Ito scheme.
     """
 
     terminal: Callable                 # x array -> xi array
@@ -117,7 +120,8 @@ class TbdsdeSolution:
 def hamiltonian(problem: TbdsdeProblem) -> Callable:
     """(t, x, y, z, gamma) -> max over the finite volatilities a of
     a gamma / 2 + F(t, x, y, z, a): the Hamiltonian of the problem's PDE.
-    The volatilities are fixed when it is built."""
+    The volatilities are fixed when it is built.  A state where F is -inf at
+    every one of them raises InvalidArgumentError."""
     a_vals = [float(a) for a in problem.finite_volatilities()]
 
     def h(t, x, y, z, gamma):
@@ -125,6 +129,12 @@ def hamiltonian(problem: TbdsdeProblem) -> Callable:
         for a in a_vals:
             cand = 0.5 * a * gamma + np.asarray(problem.F(t, x, y, z, a), dtype=float)
             best = cand if best is None else np.maximum(best, cand)
+        if best.min() == -math.inf:
+            *state, best = np.broadcast_arrays(x, y, z, best)
+            k = np.unravel_index(np.argmin(best), best.shape)
+            raise InvalidArgumentError(
+                f"F is -inf at every volatility at t = {t}, (x, y, z) = "
+                f"{tuple(float(v[k]) for v in state)}")
         return best
     return h
 
@@ -354,33 +364,29 @@ class FeynmanKacReport:
 
 def feynman_kac_residual(u: Callable, du: Callable, d2u: Callable,
                          problem: TbdsdeProblem, ensemble: PathEnsemble,
-                         w: BackwardPath, eps: float = 1e-8,
-                         hhat: Optional[Callable] = None) -> FeynmanKacReport:
+                         w: BackwardPath, eps: float = 1e-8) -> FeynmanKacReport:
     """Verify a candidate classical solution along simulated paths.
 
     Along paths under the ensemble's constant control a, with Y = u, Z = Du
     and curvature G = D^2 u, the compensator rate
 
-        k = hhat(., G) - a G / 2 - F(., a)
+        k = H(., G) - a G / 2 - F(., a)
 
     must be nonnegative, and the discrete closed-loop defect of the value
     equation Y_0 = xi + int F(., a) + int g dW + K_T - int Z dX (with the
     backward integral at the midpoint) must vanish with the step size.
-    F enters with the sign `solve_dp` gives it, so hhat defaults to the
-    problem's own `hamiltonian`, under which k >= 0 holds by construction;
-    a negative rate therefore flags an hhat supplied inconsistently with F,
-    or a control outside the generator's domain.  A candidate u that fails
-    to solve the equation shows up as a residual that does not vanish
-    under step refinement.
-
-    hhat: optional (t, x, y, z, gamma) -> array overriding `hamiltonian(problem)`.
+    F enters with the sign `solve_dp` gives it, and H is the problem's own
+    `hamiltonian`, under which k >= 0 holds by construction for a control
+    among its volatilities; a negative rate (VerificationError) therefore
+    flags a control that H does not dominate, such as one outside the band.
+    A candidate u that fails to solve the equation shows up as a residual
+    that does not vanish under step refinement.
     """
     grid = ensemble.grid
     n, dt = grid.n_steps, grid.dt
     a = float(np.asarray(ensemble.control).reshape(-1)[0])
     X = ensemble.states[:, :, 0]
-    if hhat is None:
-        hhat = hamiltonian(problem)
+    H = hamiltonian(problem)
 
     min_k, mean_k, n_neg, total = math.inf, 0.0, 0, 0
     k_path = np.zeros((ensemble.n_paths, n + 1))
@@ -394,7 +400,7 @@ def feynman_kac_residual(u: Callable, du: Callable, d2u: Callable,
         yv, zv, gv = u(t, x), du(t, x), d2u(t, x)
         uv[i] = (yv, zv, gv)
         f_here = np.asarray(problem.F(t, x, yv, zv, a), dtype=float)
-        k = np.asarray(hhat(t, x, yv, zv, gv), dtype=float) - 0.5 * a * gv - f_here
+        k = np.asarray(H(t, x, yv, zv, gv), dtype=float) - 0.5 * a * gv - f_here
         k_path[:, i] = k
         f_path[:, i] = f_here
         min_k = min(min_k, float(k.min()))

@@ -21,7 +21,7 @@ from bdsde.doss import (
     transformed_generator,
     untransform_solution,
 )
-from bdsde.generators import ConjugatePair, HamiltonianSpec, biconjugate, make_conjugate_map
+from bdsde.generators import HamiltonianSpec, make_conjugate_map, stratonovich_correction
 from bdsde.grids import (
     build_time_grid,
     build_tree,
@@ -40,7 +40,7 @@ from bdsde.oracles import (
     linear_spde_closed_form,
 )
 from bdsde.reflected import Barrier, penalization_sweep, solve_penalized
-from bdsde.second_order import DpOptions, TbdsdeProblem, minimality_gap, solve_dp
+from bdsde.second_order import DpOptions, TbdsdeProblem, hamiltonian, minimality_gap, solve_dp
 
 FZERO = lambda t, x, y, z, a: np.zeros_like(np.asarray(x, dtype=float))
 ZERO = lambda t, x, y, z: np.zeros_like(np.asarray(x, dtype=float))
@@ -102,10 +102,10 @@ def test_criterion_02_bsb_quadratic_oracle():
 def test_criterion_03_flow_transform_roundtrip():
     beta = 0.5
     vg = build_volatility_grid(0.5, 2.0, 5)
-    p_direct = TbdsdeProblem(
-        terminal=lambda x: x**2,
-        F=lambda t, x, y, z, a: 0.5 * beta**2 * y + np.zeros_like(np.asarray(x, dtype=float)),
-        g=lambda t, x, y, z: beta * y, volgrid=vg, lipschitz_f=0.5 * beta**2)
+    p_direct = stratonovich_correction(
+        TbdsdeProblem(terminal=lambda x: x**2, F=FZERO, g=lambda t, x, y, z: beta * y,
+                      volgrid=vg, lipschitz_f=0.5 * beta**2),
+        dy_g=lambda t, x, y, z: beta)
     grid = build_time_grid(0, 1, 64)
     w = sample_backward_path(grid, 1, seed=2)
     oracle = math.exp(beta * float(w.tail_increment(0)[0])) * 3.0
@@ -297,19 +297,22 @@ def test_criterion_09_conjugate_layer():
     h = lambda t, x, y, z, g: np.maximum(g, 0.0) ** 2 / 2  # convex nondecreasing
     spec = HamiltonianSpec(h=h, gamma_domain=np.linspace(-30, 30, 4001))
     vg = build_volatility_grid(0.25, 8.0, 400)
-    pair = ConjugatePair(F=make_conjugate_map(spec), domain=vg)
+    F_conj = make_conjugate_map(spec)
+    h_hat = hamiltonian(TbdsdeProblem(terminal=lambda x: x**2,
+                                      F=lambda t, x, y, z, a: -F_conj(t, x, y, z, a),
+                                      g=ZERO, volgrid=vg))
     a_spacing = float(vg.a_values[1] - vg.a_values[0])
     g_spacing = 60.0 / 4000
     state = (0.0, 0.0, 0.0, 0.0)
     eq_ok = True
     for gamma in (0.3, 1.0, 2.5):
         tol = max(a_spacing, g_spacing) * max(gamma, 1.0)  # spacing x slope bound
-        if abs(biconjugate(pair, state, gamma) - h(0, 0, 0, 0, gamma)) > tol:
+        if abs(h_hat(*state, gamma) - h(0, 0, 0, 0, gamma)) > tol:
             eq_ok = False
     # the gamma-grid conjugation underestimates F, so domination holds up to
     # the same spacing-times-slope tolerance as the equality check
     below_ok = all(
-        biconjugate(pair, state, gm) <= h(0, 0, 0, 0, gm)
+        h_hat(*state, gm) <= h(0, 0, 0, 0, gm)
         + max(a_spacing, g_spacing) * max(abs(gm), 1.0)
         for gm in np.linspace(-3, 3, 25))
     order = property_suite("conjugate-order", seed=29)

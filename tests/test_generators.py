@@ -1,27 +1,37 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bdsde.errors import InvalidArgumentError
 from bdsde.generators import (
-    ConjugatePair,
-    GeneratorBundle,
     GeneratorConstants,
     HamiltonianSpec,
-    biconjugate,
     fenchel_conjugate,
     make_conjugate_map,
     stratonovich_correction,
     validate_assumptions,
 )
-from bdsde.grids import build_volatility_grid
+from bdsde.grids import build_time_grid, build_volatility_grid, sample_backward_path
+from bdsde.second_order import DpOptions, TbdsdeProblem, hamiltonian, solve_dp
 
 STATE = (0.0, 0.0, 0.0, 0.0)
+FZERO = lambda t, x, y, z, a: np.zeros_like(np.asarray(x, dtype=float))
 
 
 def grid(lo=-10.0, hi=10.0, n=2001):
     return np.linspace(lo, hi, n)
+
+
+def problem(vg, F=FZERO, g=lambda t, x, y, z: 0.0 * np.asarray(y)):
+    return TbdsdeProblem(terminal=lambda x: x**2, F=F, g=g, volgrid=vg)
+
+
+def conjugate_problem(spec, vg):
+    """The problem whose hamiltonian conjugates make_conjugate_map(spec) over vg."""
+    F_conj = make_conjugate_map(spec)
+    return problem(vg, F=lambda t, x, y, z, a: -F_conj(t, x, y, z, a))
 
 
 class TestFenchelConjugate:
@@ -61,20 +71,20 @@ class TestFenchelConjugate:
 
 
 class TestBiconjugate:
-    def pair_flat(self):
-        vg = build_volatility_grid(0.5, 2.0, 7)
-        return ConjugatePair(F=lambda t, x, y, z, a: np.zeros_like(np.asarray(x)),
-                             domain=vg)
+    """The problem's hamiltonian conjugates its F back over the volatility grid."""
+
+    def flat_hamiltonian(self):
+        return hamiltonian(problem(build_volatility_grid(0.5, 2.0, 7)))
 
     def test_flat_conjugate(self):
         # F = 0 on [0.5, 2]: hhat(gamma) = max_a a*gamma/2
-        pair = self.pair_flat()
-        assert biconjugate(pair, STATE, 2.0) == pytest.approx(2.0)
-        assert biconjugate(pair, STATE, -2.0) == pytest.approx(-0.5)
+        H = self.flat_hamiltonian()
+        assert H(*STATE, 2.0) == pytest.approx(2.0)
+        assert H(*STATE, -2.0) == pytest.approx(-0.5)
 
     def test_gamma_zero(self):
-        pair = self.pair_flat()
-        assert biconjugate(pair, STATE, 0.0) == pytest.approx(0.0)
+        H = self.flat_hamiltonian()
+        assert H(*STATE, 0.0) == pytest.approx(0.0)
 
     def test_biconjugate_recovers_convex_nondecreasing_h(self):
         # h(gamma) = (gamma^+)^2 / 2 is convex nondecreasing: hhat == h on
@@ -82,33 +92,38 @@ class TestBiconjugate:
         h = lambda t, x, y, z, g: np.maximum(g, 0.0) ** 2 / 2
         spec = HamiltonianSpec(h=h, gamma_domain=grid(-30, 30, 4001))
         vg = build_volatility_grid(0.25, 8.0, 400)
-        pair = ConjugatePair(F=make_conjugate_map(spec), domain=vg)
+        H = hamiltonian(conjugate_problem(spec, vg))
         a_spacing = vg.a_values[1] - vg.a_values[0]
         for gamma in [0.3, 1.0, 2.5]:
             slope = gamma  # local slope bound of h
             tol = max(a_spacing, 60.0 / 4000) * max(slope, 1.0)
-            assert biconjugate(pair, STATE, gamma) == pytest.approx(
-                h(0, 0, 0, 0, gamma), abs=tol)
+            assert H(*STATE, gamma) == pytest.approx(h(0, 0, 0, 0, gamma), abs=tol)
 
     def test_biconjugate_below_h(self):
         h = lambda t, x, y, z, g: np.abs(g)  # convex but not nondecreasing
         spec = HamiltonianSpec(h=h, gamma_domain=grid(-20, 20, 2001))
-        vg = build_volatility_grid(0.1, 1.0, 50)
-        pair = ConjugatePair(F=make_conjugate_map(spec), domain=vg)
+        H = hamiltonian(conjugate_problem(spec, build_volatility_grid(0.1, 1.0, 50)))
         for gamma in [-3.0, -1.0, 0.0, 0.5, 2.0]:
-            assert biconjugate(pair, STATE, gamma) <= h(0, 0, 0, 0, gamma) + 1e-9
+            assert H(*STATE, gamma) <= h(0, 0, 0, 0, gamma) + 1e-9
 
     def test_all_infinite_rejected(self):
         vg = build_volatility_grid(0.5, 2.0, 3)
-        pair = ConjugatePair(F=lambda t, x, y, z, a: np.full_like(np.asarray(x, dtype=float), np.inf),
-                             domain=vg)
+        p = problem(vg, F=lambda t, x, y, z, a: np.full_like(np.asarray(x, dtype=float), -np.inf))
         with pytest.raises(InvalidArgumentError):
-            biconjugate(pair, STATE, 1.0)
+            hamiltonian(p)(*STATE, 1.0)
+
+    def test_infinite_at_every_volatility_off_the_probe_rejected(self):
+        # F is finite at the probe state x = 0 but -inf at x = 1 for every a
+        F = lambda t, x, y, z, a: np.where(np.asarray(x) == 1.0, -np.inf, 0.0)
+        H = hamiltonian(problem(build_volatility_grid(0.5, 2.0, 3), F=F))
+        assert H(0.0, np.array([0.0, 0.5]), 0.0, 0.0, 1.0) == pytest.approx([1.0, 1.0])
+        with pytest.raises(InvalidArgumentError, match=r"t = 0.25.*\(1.0, 0.0, 0.0\)"):
+            H(0.25, np.array([0.0, 1.0]), 0.0, 0.0, 1.0)
 
     def test_hhat_convex_nondecreasing_along_lines(self):
-        pair = self.pair_flat()
+        H = self.flat_hamiltonian()
         gammas = np.linspace(-3, 3, 41)
-        vals = np.array([biconjugate(pair, STATE, g) for g in gammas])
+        vals = np.array([H(*STATE, g) for g in gammas])
         slopes = np.diff(vals)
         assert np.all(slopes >= -1e-12)          # nondecreasing
         assert np.all(np.diff(slopes) >= -1e-12)  # convex
@@ -132,51 +147,72 @@ class TestOrderReversal:
 
 
 class TestStratonovichCorrection:
+    VG = build_volatility_grid(0.5, 2.0, 3)
+
     def test_y_free_g_is_identity(self):
-        b = GeneratorBundle(g=lambda t, x, y, z: 0.7 * z + 1.0,
-                            constants=GeneratorConstants(C=1, alpha=0.49, lam=0.2))
-        assert stratonovich_correction(b, 2.5, 0, 0, 1.0, 1.0) == pytest.approx(2.5, abs=1e-9)
+        p = stratonovich_correction(problem(self.VG, F=lambda t, x, y, z, a: 2.5,
+                                            g=lambda t, x, y, z: 0.7 * z + 1.0))
+        assert p.F(0, 0, 1.0, 1.0, 1.0) == pytest.approx(2.5, abs=1e-9)
 
     def test_linear_g_hand_value(self):
-        b = GeneratorBundle(g=lambda t, x, y, z: 0.4 * y,
-                            constants=GeneratorConstants(C=0.16, alpha=0.0, lam=0.0),
-                            dy_g=lambda t, x, y, z: 0.4 + 0.0 * np.asarray(y))
+        p = stratonovich_correction(problem(self.VG, F=lambda t, x, y, z, a: 1.0,
+                                            g=lambda t, x, y, z: 0.4 * y),
+                                    dy_g=lambda t, x, y, z: 0.4 + 0.0 * np.asarray(y))
         # F = 1, y = 2: f = 1 + 0.5 * (0.8) * (0.4) = 1.16
-        assert stratonovich_correction(b, 1.0, 0, 0, 2.0, 0.0) == pytest.approx(1.16)
+        assert p.F(0, 0, 2.0, 0.0, 1.0) == pytest.approx(1.16)
 
-    def test_fd_derivative_matches_analytic_at_order_two(self):
-        errs = []
-        for h in (1e-2, 1e-3):
-            b = GeneratorBundle(g=lambda t, x, y, z: np.sin(y),
-                                constants=GeneratorConstants(C=1, alpha=0, lam=0),
-                                fd_step=h)
-            errs.append(abs(b.dy_g_eval(0, 0, 0.7, 0.0) - np.cos(0.7)))
-        assert errs[1] / errs[0] == pytest.approx(1e-2, rel=0.2)
+    def test_correction_is_elementwise_on_batched_paths(self):
+        # g = y / 2 pairs with W's first component at every node of every
+        # path: the correction is g g_y / 2 = y / 8, never a sum over nodes
+        p = stratonovich_correction(problem(self.VG, g=lambda t, x, y, z: 0.5 * y))
+        ys = np.array([1.0, 2.0, 3.0, 4.0])
+        expected = [0.125, 0.25, 0.375, 0.5]
+        batched = p.F(0.0, np.zeros(4), np.stack([ys, ys]), 0.0, 1.0)
+        np.testing.assert_allclose(batched, [expected, expected], rtol=1e-9)
+        np.testing.assert_allclose(p.F(0.0, 0.0, ys, 0.0, 1.0), expected, rtol=1e-9)
+
+    def test_nonlinear_g_finite_difference(self):
+        # g = 0.3 cos y: g g_y / 2 = -0.045 sin y cos y = -0.0225 sin 2y
+        F = lambda t, x, y, z, a: 0.5 * y + 0.0 * np.asarray(x)
+        base = problem(self.VG, F=F, g=lambda t, x, y, z: 0.3 * np.cos(y))
+        p = stratonovich_correction(base)
+        ys = np.linspace(-4.0, 4.0, 81)
+        np.testing.assert_allclose(p.F(0.3, np.zeros(81), ys, 0.0, 1.0),
+                                   F(0.3, 0, ys, 0, 1.0) - 0.0225 * np.sin(2 * ys),
+                                   rtol=0, atol=1e-9)
+
+    def test_nonlinear_g_solves_over_a_batch(self):
+        p = stratonovich_correction(TbdsdeProblem(
+            terminal=lambda x: x**2, F=lambda t, x, y, z, a: 0.5 * y + 0.0 * np.asarray(x),
+            g=lambda t, x, y, z: 0.3 * np.cos(y), volgrid=self.VG, lipschitz_f=0.55))
+        grid = build_time_grid(0, 1, 8)
+        paths = [sample_backward_path(grid, 1, seed=s) for s in range(4)]
+        opts = DpOptions(x_steps=60)
+        batch = solve_dp(p, grid, paths, x0=1.0, opts=opts)
+        assert np.all(np.isfinite(batch.y0_paths))
+        np.testing.assert_array_equal(
+            batch.y0_paths, [solve_dp(p, grid, w, x0=1.0, opts=opts).y0 for w in paths])
 
 
 class TestValidateAssumptions:
     def test_passing_bundle(self):
-        b = GeneratorBundle(g=lambda t, x, y, z: 0.3 * z,
-                            constants=GeneratorConstants(C=0.01, alpha=0.09, lam=0.5, c=0.1))
-        vg = build_volatility_grid(0.5, 2.0, 3)
-        rep = validate_assumptions(b, None, vg, n_samples=300)
+        p = problem(build_volatility_grid(0.5, 2.0, 3), g=lambda t, x, y, z: 0.3 * z)
+        rep = validate_assumptions(p, GeneratorConstants(C=0.01, alpha=0.09, lam=0.5, c=0.1),
+                                   n_samples=300)
         assert rep["g_contraction"].passed
         assert rep["ellipticity"].passed  # (1 - 0.5) * 0.5 = 0.25 >= 0.09
 
     def test_alpha_one_fails(self):
-        b = GeneratorBundle(g=lambda t, x, y, z: z,
-                            constants=GeneratorConstants(C=0.0, alpha=1.0, lam=0.0))
-        vg = build_volatility_grid(1.0, 2.0, 2)
-        rep = validate_assumptions(b, None, vg, n_samples=50)
+        p = problem(build_volatility_grid(1.0, 2.0, 2), g=lambda t, x, y, z: z)
+        rep = validate_assumptions(p, GeneratorConstants(C=0.0, alpha=1.0, lam=0.0),
+                                   n_samples=50)
         assert not rep["alpha_below_one"].passed
 
     def test_linear_y_growth_constant(self):
         beta = 0.4
-        b = GeneratorBundle(g=lambda t, x, y, z: beta * y,
-                            constants=GeneratorConstants(C=beta**2, alpha=0.0, lam=0.0,
-                                                         c=beta**2))
-        vg = build_volatility_grid(1.0, 2.0, 2)
-        rep = validate_assumptions(b, None, vg, n_samples=300)
+        p = problem(build_volatility_grid(1.0, 2.0, 2), g=lambda t, x, y, z: beta * y)
+        rep = validate_assumptions(p, GeneratorConstants(C=beta**2, alpha=0.0, lam=0.0,
+                                                         c=beta**2), n_samples=300)
         assert rep["g_growth"].passed
         assert rep.passed
 
@@ -188,20 +224,18 @@ class TestConjugateLipschitz:
         L = 0.7
         h = lambda t, x, y, z, g: g**2 / 2 + L * y + L * z
         spec = HamiltonianSpec(h=h, gamma_domain=grid(-20, 20, 2001))
-        vg = build_volatility_grid(0.5, 2.0, 4)
-        pair = ConjugatePair(F=make_conjugate_map(spec), domain=vg)
-        b = GeneratorBundle(g=lambda t, x, y, z: 0.1 * y,
-                            constants=GeneratorConstants(C=2.0, alpha=0.0, lam=0.0))
-        rep = validate_assumptions(b, pair, vg, n_samples=60)
+        p = replace(conjugate_problem(spec, build_volatility_grid(0.5, 2.0, 4)),
+                    g=lambda t, x, y, z: 0.1 * y)
+        rep = validate_assumptions(p, GeneratorConstants(C=2.0, alpha=0.0, lam=0.0),
+                                   n_samples=60)
         assert rep["F_lipschitz"].passed
 
     def test_f_lipschitz_flagged_when_constant_too_small(self):
         L = 5.0
         h = lambda t, x, y, z, g: g**2 / 2 + L * y
         spec = HamiltonianSpec(h=h, gamma_domain=grid(-20, 20, 2001))
-        vg = build_volatility_grid(0.5, 2.0, 2)
-        pair = ConjugatePair(F=make_conjugate_map(spec), domain=vg)
-        b = GeneratorBundle(g=lambda t, x, y, z: 0.1 * y,
-                            constants=GeneratorConstants(C=0.01, alpha=0.0, lam=0.0))
-        rep = validate_assumptions(b, pair, vg, n_samples=60)
+        p = replace(conjugate_problem(spec, build_volatility_grid(0.5, 2.0, 2)),
+                    g=lambda t, x, y, z: 0.1 * y)
+        rep = validate_assumptions(p, GeneratorConstants(C=0.01, alpha=0.0, lam=0.0),
+                                   n_samples=60)
         assert not rep["F_lipschitz"].passed

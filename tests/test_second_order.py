@@ -368,12 +368,12 @@ class TestFeynmanKac:
     def test_inconsistent_hamiltonian_rejected(self):
         grid = build_time_grid(0, 1, 16)
         w = sample_backward_path(grid, 1, seed=6)
-        ens = sample_forward_ensemble(grid, 200, 2.0, seed=8, x0=1.0)
-        # an hhat smaller than the conjugate of F makes the rate negative:
-        # the candidate cannot be a supersolution under the high control
-        low_hhat = lambda t, x, y, z, gam: 0.25 * gam
+        ens = sample_forward_ensemble(grid, 200, 3.0, seed=8, x0=1.0)
+        # a control a = 3 above the band [0.5, 2] is not dominated by the
+        # Hamiltonian: the rate is H(2) - a = 2 - 3 = -1 < 0, so the
+        # candidate cannot be a supersolution under it
         with pytest.raises(VerificationError):
-            feynman_kac_residual(*self.u_bsb(), bsb_problem(), ens, w, hhat=low_hhat)
+            feynman_kac_residual(*self.u_bsb(), bsb_problem(), ens, w)
 
     def test_generator_enters_with_the_solver_sign(self):
         # F = 0.3 on the band: solve_dp's value is x^2 + 2.3 (1 - t), since
