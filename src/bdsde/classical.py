@@ -306,14 +306,6 @@ def check_comparison(sol1: BdsdeSolution, sol2: BdsdeSolution,
 # least-squares Monte Carlo backend
 
 
-def polynomial_features(x: np.ndarray, degree: int) -> np.ndarray:
-    """Monomials 1, x, ..., x^degree of the (normalized) 1-D state, shape (N, degree + 1)."""
-    cols = [np.ones(len(x))]
-    for _ in range(degree):
-        cols.append(cols[-1] * x)
-    return np.column_stack(cols)
-
-
 def _step_controls(ensemble: PathEnsemble) -> np.ndarray:
     c = np.asarray(ensemble.control, dtype=float)
     n = ensemble.grid.n_steps
@@ -373,25 +365,30 @@ def solve_regression(problem: BdsdeProblem, ensemble: PathEnsemble, w: BackwardP
 def _regress_on_state(x, targets, degree, ridge, cond_max):
     """Conditional-expectation estimates E[t | x] of each target t on one basis.
 
-    The polynomial basis of the normalized state, its ridge-regularized Gram
-    matrix and the condition-number guard are computed once; each target, and
-    each row of a 2-D target (one row per backward path), is fitted on its
-    own.  Returns (fitted targets, rms residual of each row of the first).
+    The rows 1, u, ..., u^degree of the normalized state u, their ridge-
+    regularized Gram matrix and the condition-number guard are computed once;
+    each target, and each row of a 2-D target (one row per backward path), is
+    fitted on its own.  Returns (fitted targets, rms residual of each row of the first).
     """
-    std = float(np.std(x))
-    if std < 1e-12 * (1.0 + float(np.abs(np.mean(x)))):
+    n, mean = len(x), float(np.mean(x))
+    u = x - mean
+    std = math.sqrt(float(np.mean(u * u)))  # np.std(x), bit for bit
+    if std < 1e-12 * (1.0 + abs(mean)):
         fit = lambda t: np.full_like(t, float(np.mean(t)))
     else:
-        phi = polynomial_features((x - np.mean(x)) / std, degree)
-        gram = phi.T @ phi / phi.shape[0] + ridge * np.eye(phi.shape[1])
+        u /= std
+        basis = np.ones((degree + 1, n))
+        for k in range(1, degree + 1):
+            np.multiply(basis[k - 1], u, out=basis[k])
+        gram = basis @ basis.T / n + ridge * np.eye(degree + 1)
         cond = np.linalg.cond(gram)
         if cond > cond_max:
             raise RegressionError(
                 f"normal equations condition number {cond:.3g} exceeds {cond_max:.3g}",
                 condition_number=cond)
-        fit = lambda t: phi @ np.linalg.solve(gram, phi.T @ t / phi.shape[0])
-    fits = [np.array([fit(row) for row in np.reshape(t, (-1, len(x)))]).reshape(np.shape(t))
+        fit = lambda t: np.linalg.solve(gram, basis @ t / n) @ basis
+    fits = [np.array([fit(row) for row in np.reshape(t, (-1, n))]).reshape(np.shape(t))
             for t in targets]
     rms = [float(np.sqrt(np.mean((t - f) ** 2)))
-           for t, f in zip(np.reshape(targets[0], (-1, len(x))), fits[0].reshape(-1, len(x)))]
+           for t, f in zip(np.reshape(targets[0], (-1, n)), fits[0].reshape(-1, n))]
     return fits, rms

@@ -230,7 +230,8 @@ def validate_assumptions(problem: TbdsdeProblem, constants: GeneratorConstants,
         v = abs(f1 - f2) - cst.C * (abs(y1 - y2) + math.sqrt(a) * abs(z1 - z2))
         if v > worst:
             worst, worst_at = v, (t, x, y1, y2, z1, z2, a)
-    checks.append(AssumptionCheck("F_lipschitz", worst <= 1e-8 * (1 + cst.C),
+    # worst stays -inf when F is infinite at every sample: nothing was checked
+    checks.append(AssumptionCheck("F_lipschitz", -math.inf < worst <= 1e-8 * (1 + cst.C),
                                   worst, worst_at))
 
     return AssumptionReport(checks)

@@ -3,6 +3,7 @@ import pytest
 
 from bdsde.classical import (
     BdsdeProblem,
+    _regress_on_state,
     check_comparison,
     solve_regression,
     solve_tree,
@@ -299,6 +300,47 @@ class TestRegressionSolver:
         prob = BdsdeProblem(terminal=lambda x: x, f=ZERO, g=ZERO)
         with pytest.raises(RegressionError):
             solve_regression(prob, ens, w, basis_degree=9, ridge=0.0, cond_max=1e6)
+
+
+class TestRegressOnState:
+    @staticmethod
+    def column_fit(x, target, degree, ridge):
+        # normal equations on a column-layout basis of the normalized state
+        u = (x - np.mean(x)) / np.std(x)
+        phi = np.column_stack([u**k for k in range(degree + 1)])
+        gram = phi.T @ phi / len(x) + ridge * np.eye(degree + 1)
+        rows = np.reshape(target, (-1, len(x)))
+        fits = [phi @ np.linalg.solve(gram, phi.T @ row / len(x)) for row in rows]
+        return np.reshape(fits, np.shape(target))
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_matches_column_layout_fit(self, degree):
+        rng = np.random.default_rng(degree)
+        x = 1.0 + 0.4 * rng.normal(size=3000)
+        targets = [np.sin(3 * x) + 0.2 * rng.normal(size=3000),
+                   x**2 + rng.normal(size=(3, 3000))]
+        fits, rms = _regress_on_state(x, targets, degree, 1e-10, 1e12)
+        wants = [self.column_fit(x, t, degree, 1e-10) for t in targets]
+        for t, fit, want in zip(targets, fits, wants):
+            assert fit.shape == t.shape
+            np.testing.assert_allclose(fit, want, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(want)))
+        assert rms == pytest.approx([np.sqrt(np.mean((targets[0] - wants[0]) ** 2))],
+                                    rel=1e-12)
+
+    @pytest.mark.parametrize("x", [np.full(500, 2.0), np.linspace(-1, 1, 500)],
+                             ids=["constant", "spread"])
+    def test_fits_own_their_memory(self, x):
+        # a view into one block of all fits would keep every row of a step alive
+        rng = np.random.default_rng(1)
+        targets = [rng.normal(size=500), rng.normal(size=(2, 500)), rng.normal(size=500)]
+        fits, _ = _regress_on_state(x, targets, 2, 1e-10, 1e12)
+        for k, fit in enumerate(fits):
+            assert fit.base is None or fit.base.nbytes == fit.nbytes
+            assert not any(np.shares_memory(fit, other) for other in fits[k + 1:] + targets)
+        if np.std(x) == 0:  # degenerate state: every fit is its row's mean
+            np.testing.assert_array_equal(fits[1], np.mean(targets[1], axis=1)[:, None]
+                                          * np.ones(500))
 
 
 class TestAprioriBoundedness:

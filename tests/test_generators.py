@@ -216,6 +216,15 @@ class TestValidateAssumptions:
         assert rep["g_growth"].passed
         assert rep.passed
 
+    def test_f_lipschitz_fails_when_no_sample_is_finite(self):
+        # every sampled pair is skipped, so the check has compared nothing
+        F = lambda t, x, y, z, a: np.full_like(np.asarray(x, dtype=float), -np.inf)
+        p = problem(build_volatility_grid(0.5, 2.0, 3), F=F)
+        rep = validate_assumptions(p, GeneratorConstants(C=1.0, alpha=0.0, lam=0.0),
+                                   n_samples=20)
+        assert not rep["F_lipschitz"].passed
+        assert rep["F_lipschitz"].worst_violation == -math.inf
+
 
 class TestConjugateLipschitz:
     def test_f_lipschitz_check_with_declared_constants(self):

@@ -211,6 +211,16 @@ class TestStudies:
         res = flow_order_study(halvings=3, base_n=32)
         assert res.fitted_order == pytest.approx(2.0, abs=0.4)
 
+    def test_flow_reference_is_the_straight_path_limit(self):
+        # g does not depend on t, so the flow's limit depends on W only
+        # through W_T - W_0: two straight paths agree to rounding, and the
+        # study's own driver reaches them at a fine step
+        r64, r256 = harness._flow_eta0(64, straight=True), harness._flow_eta0(256, straight=True)
+        fine = harness._flow_eta0(4096)
+        assert abs(r64 - r256) <= 1e-14
+        assert abs(r64 - fine) <= 5e-12 and abs(r256 - fine) <= 5e-12
+        assert flow_order_study(halvings=2).records[0].oracle == r64
+
     def test_mixed_convexity_dp_converges_to_fd(self):
         # no closed form: the fd backend at a fine step is the reference,
         # and the dp error halves with dt (x_steps growing with n)
