@@ -33,7 +33,6 @@ import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import ndtr
 
 from .errors import InvalidArgumentError
 
@@ -41,6 +40,12 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _ZMAX = 10.0  # Gaussian mass beyond 10 sigma is ~1e-23; segments outside are skipped
 _BLOCK_ENTRIES = 1 << 14  # band entries per row block: its temporaries stay in cache
 _UNIFORM_ULPS = 8  # linspace knots are uniform to ~3 ulp of max|knot| at any offset
+
+
+def _ndtr(z):
+    """Normal cdf; scipy.special loads on the first kernel call, not on import."""
+    from scipy.special import ndtr
+    return ndtr(z)
 
 
 def linear_interp(xq, knots, vals):
@@ -58,7 +63,7 @@ def _moments_numpy(knots, vals, mu, sigma):
     mu = np.asarray(mu, dtype=float)
     z = (knots[None, :] - mu[:, None]) / sigma
     z = np.clip(z, -38.0, 38.0)
-    cdf = ndtr(z)
+    cdf = _ndtr(z)
     pdf = _INV_SQRT2PI * np.exp(-0.5 * z * z)
     slopes = np.diff(vals) / np.diff(knots)
 
@@ -125,7 +130,7 @@ class GaussWindow:
         band = sliding_window_view(knots, self.width)
         for rows in self._blocks(1):
             z = np.clip((band[self.lo[rows]] - mu[rows, None]) / sigma, -38.0, 38.0)
-            cdf = ndtr(z)
+            cdf = _ndtr(z)
             pdf = _INV_SQRT2PI * np.exp(-0.5 * z * z)
             zpdf = z * pdf
             i0 = np.subtract(cdf[:, 1:], cdf[:, :-1], out=self.i0[rows])

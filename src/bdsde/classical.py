@@ -37,6 +37,7 @@ from .grids import BackwardPath, BrownianTree, PathEnsemble, batch_paths
 PHANTOM_STREAM_BASE = 1_000_001
 FP_TOL = 1e-12      # the implicit step's fixed point stops at a change <= FP_TOL
 MAX_ITERS = 50      # ... or raises ConvergenceError after MAX_ITERS iterations
+SWEEP_VALUES = 1 << 16  # values per level (paths x nodes) one batched sweep carries
 
 
 @dataclass(frozen=True)
@@ -172,34 +173,53 @@ def backward_step(problem: BdsdeProblem, cond: Callable, states: Callable, i: in
     return y, z, iters, defect, None if constraint is None else y - unconstrained(y)
 
 
-def backward_sweep(problem, grid, w: BackwardPath | list, y_T, z_T, step: Callable) -> tuple:
+def backward_sweep(problem, grid, w: BackwardPath | list, y_T, z_T, step: Callable,
+                   y0_of: Callable = lambda level0: level0[..., 0]) -> tuple:
     """Backward induction from the terminal data (y_T, z_T) at level n to level 0.
 
-    w is one BackwardPath or a list of paths on grid, swept together as one
-    batch (grids.batch_paths): the values carry paths as a leading axis.
-    step(i, y_next, z_next, w) -> (y, z, iters, defect, extra) moves level
-    i + 1 to level i, extra None or one value per node.  Checks that w lives
-    on grid and that the implicit step contracts (dt * Lip(f) < 1).  Returns
-    (y, z, residual, iters, extras, level0): path 0's levels (y[n], z[n] the
-    terminal data) and per-step defects, iterations and extras, as if it
-    were solved alone, and every path's level-0 y, from which a solver reads
-    its y0_paths.
+    w is one BackwardPath or a list of paths on grid, swept as batches
+    (grids.batch_paths): the values carry paths as a leading axis.  A batch
+    holds at most SWEEP_VALUES values per level, so a wider list is swept in
+    chunks of paths one after another, path 0's chunk last so that the
+    levels it keeps never share memory with another chunk's working arrays;
+    a chunk of one is that path alone.  Every path's values are those of
+    its own solve either way.  step(i, y_next, z_next, w) -> (y, z, iters,
+    defect, extra) moves level i + 1 to level i, extra None or an array with
+    the leading axes of y.  Checks that w lives on grid and that the
+    implicit step contracts (dt * Lip(f) < 1).  Returns (y, z, residual,
+    iters, extras, y0_paths): path 0's levels (y[n], z[n] the terminal data)
+    and per-step defects, iterations and extras, as if it were solved
+    alone, and y0_of(level-0 y) of every path in order (by default node 0's
+    value: a tree's root, or any LSMC path, all of which start at x0).
     """
     w = batch_paths(w)
     w.require_grid(grid)
     _check_contraction(problem, grid.dt)
     n = grid.n_steps
+    chunks = _path_chunks(w, max(1, SWEEP_VALUES // np.shape(y_T)[-1]))
     # path 0's entry of a step's results: row 0 of a batch, copied so that
     # the other rows are freed, or a single path's values as they are
-    keep = (lambda values: values[0].copy()) if w.values.ndim == 3 else (lambda values: values)
+    keep = (lambda v: v[0].copy()) if chunks[0].values.ndim == 3 else (lambda v: v)
     y, z, extras = [None] * n + [y_T], [None] * n + [z_T], [None] * n
     residual, iters = np.zeros(n), np.zeros(n, dtype=int)
-    y_next, z_next = y_T, z_T
-    for i in range(n - 1, -1, -1):
-        y_next, z_next, it, res, extra = step(i, y_next, z_next, w)
-        y[i], z[i], iters[i], residual[i] = keep(y_next), keep(z_next), keep(it), keep(res)
-        extras[i] = None if extra is None else keep(extra)
-    return y, z, residual, iters, extras, y_next
+    y0_paths = [None] * len(chunks)
+    for c in range(len(chunks) - 1, -1, -1):
+        y_next, z_next = y_T, z_T
+        for i in range(n - 1, -1, -1):
+            y_next, z_next, it, res, extra = step(i, y_next, z_next, chunks[c])
+            if c == 0:
+                y[i], z[i], iters[i], residual[i] = keep(y_next), keep(z_next), keep(it), keep(res)
+                extras[i] = None if extra is None else keep(extra)
+        y0_paths[c] = np.array(np.reshape(y0_of(y_next), -1))  # a copy, not a view of a level
+    return y, z, residual, iters, extras, np.concatenate(y0_paths)
+
+
+def _path_chunks(w: BackwardPath, size: int) -> list:
+    """A batch's paths in batches of at most size, a batch of one as that path."""
+    if w.values.ndim == 2:
+        return [w]
+    chunks = (w.values[:, k:k + size] for k in range(0, w.values.shape[1], size))
+    return [replace(w, values=v[:, 0] if v.shape[1] == 1 else v) for v in chunks]
 
 
 def _solve_on_tree(problem: BdsdeProblem, tree: BrownianTree, w: BackwardPath | list,
@@ -213,11 +233,11 @@ def _solve_on_tree(problem: BdsdeProblem, tree: BrownianTree, w: BackwardPath | 
     # phantom-step projection z_T = E[xi(x + dX) dX] / (a dt) per leaf
     z_T = sum(pk * problem.terminal(leaves + ok) * ok for pk, ok in
               zip(tree.transition_probs, tree.branch_offsets())) / (tree.a * grid.dt)
-    y, z, residual, iters, pushes, level0 = backward_sweep(
+    y, z, residual, iters, pushes, y0_paths = backward_sweep(
         problem, grid, w, y_T, z_T, lambda i, y, z, w: backward_step(
             problem, cond, tree.states, i, grid, y, z, w, tree.a, opts, constraint))
     return BdsdeSolution(y=y, z=z, residual=residual, picard_iters=iters, y0=float(y[0][0]),
-                         y0_paths=level0[..., 0].reshape(-1),
+                         y0_paths=y0_paths,
                          meta={"backend": "tree", "a": tree.a}), pushes
 
 
@@ -335,7 +355,6 @@ def solve_regression(problem: BdsdeProblem, ensemble: PathEnsemble, w: BackwardP
     X = ensemble.states[:, :, 0]
     dX = ensemble.increments[:, :, 0]
     N = ensemble.n_paths
-    proj_rms = np.zeros(n)
 
     y_T = np.asarray(problem.terminal(X[:, n]), dtype=float)
     # phantom projection for the terminal z: one extra seeded step on a
@@ -348,17 +367,19 @@ def solve_regression(problem: BdsdeProblem, ensemble: PathEnsemble, w: BackwardP
                             basis_degree, ridge, cond_max)[0][0]
 
     def step(i, y_next, z_next, w):
-        def cond(r):
-            fits, rms = _regress_on_state(X[:, i], [r, r * dX[:, i] / (a_steps[i] * dt)],
-                                          basis_degree, ridge, cond_max)
-            proj_rms[i] = rms[0]
-            return fits
-        return backward_step(problem, cond, lambda j: X[:, j], i, grid, y_next, z_next, w,
-                             a_steps[i], opts)
+        rms = []  # each path's regression residual, the step's extra
 
-    y, z, residual, iters, _, level0 = backward_sweep(problem, grid, w, y_T, z_T, step)
+        def cond(r):
+            fits, rms[:] = _regress_on_state(X[:, i], [r, r * dX[:, i] / (a_steps[i] * dt)],
+                                             basis_degree, ridge, cond_max)
+            return fits
+        y, z, it, res, _ = backward_step(problem, cond, lambda j: X[:, j], i, grid,
+                                         y_next, z_next, w, a_steps[i], opts)
+        return y, z, it, res, np.reshape(rms, np.shape(y)[:-1])
+
+    y, z, residual, iters, proj_rms, y0_paths = backward_sweep(problem, grid, w, y_T, z_T, step)
     return BdsdeSolution(y=y, z=z, residual=residual, picard_iters=iters, y0=float(y[0][0]),
-                         y0_paths=level0[..., 0].reshape(-1), projection_rms=proj_rms,
+                         y0_paths=y0_paths, projection_rms=np.array(proj_rms, dtype=float),
                          meta={"backend": "mc", "n_paths": N, "basis_degree": basis_degree})
 
 

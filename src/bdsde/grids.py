@@ -254,7 +254,8 @@ class PathEnsemble:
     """Seeded Monte Carlo ensemble of X = x0 + sum a_i^{1/2} dB_i.
 
     states has shape (n_paths, n_steps + 1, d); increments are the realized
-    a^{1/2} dB draws.  Identical for any worker count at fixed seed.
+    a^{1/2} dB draws.  Both view time-major arrays, so states[:, i] and
+    increments[:, i] are contiguous.  Identical for any worker count at fixed seed.
     """
 
     grid: TimeGrid
@@ -268,10 +269,6 @@ class PathEnsemble:
     @property
     def d_dim(self) -> int:
         return self.states.shape[2]
-
-    def quadratic_variation(self) -> np.ndarray:
-        """Realized QV per path, summed over components."""
-        return np.sum(self.increments ** 2, axis=(1, 2))
 
 
 def _control_matrix_sqrt(control, n_steps: int):
@@ -307,10 +304,11 @@ def sample_forward_ensemble(grid: TimeGrid, n_paths: int, control, seed: int,
         raise InvalidArgumentError("n_paths must be >= 1")
     sqrts, d = _control_matrix_sqrt(control, grid.n_steps)
     z = rng.blocked_normals(seed, n_paths, (grid.n_steps, d), workers=workers)
-    incs = np.sqrt(grid.dt) * np.einsum("ijk,pik->pij", sqrts, z)
-    states = np.empty((n_paths, grid.n_steps + 1, d))
-    states[:, 0, :] = x0
-    np.cumsum(incs, axis=1, out=states[:, 1:, :])
-    states[:, 1:, :] += x0
+    incs = np.sqrt(grid.dt) * np.einsum("ijk,pik->ipj", sqrts, z)   # (n_steps, N, d)
+    states = np.empty((grid.n_steps + 1, n_paths, d))
+    states[0] = x0
+    np.cumsum(incs, axis=0, out=states[1:])
+    states[1:] += x0
     return PathEnsemble(grid=grid, n_paths=n_paths, control=np.asarray(control, dtype=float),
-                        increments=incs, states=states, seed=seed, x0=float(x0))
+                        increments=incs.transpose(1, 0, 2), states=states.transpose(1, 0, 2),
+                        seed=seed, x0=float(x0))

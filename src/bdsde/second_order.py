@@ -194,7 +194,9 @@ def solve_dp(problem: TbdsdeProblem, grid: TimeGrid, w: BackwardPath | list,
                 np.take_along_axis(np.array(z), best[None], axis=0)[0],
                 np.maximum.reduce(iters), np.maximum.reduce(defect), best)
 
-    Y, Z, residual, _, best, level0 = backward_sweep(problem, grid, w, y_T, phantom, step)
+    Y, Z, residual, _, best, y0_paths = backward_sweep(
+        problem, grid, w, y_T, phantom, step,
+        lambda level0: linear_interp(np.array([x0]), xs, level0))
     # level n takes the control, and so the z_T, of the first step's argmax
     argmax = [a_vals[b] for b in best + best[-1:]]
     Z[n] = np.take_along_axis(phantom, best[-1][None], axis=0)[0]
@@ -202,7 +204,6 @@ def solve_dp(problem: TbdsdeProblem, grid: TimeGrid, w: BackwardPath | list,
     # value against the step under the argmax control vanishes identically
     k_argmax = KTrace(increments=np.zeros((n, len(xs))), expected_cumulative=np.zeros(n + 1),
                       clamped=0, volatility=None)
-    y0_paths = linear_interp(np.array([x0]), xs, level0).reshape(-1)
     return TbdsdeSolution(Y=Y, Z=Z, argmax_a=argmax, K=k_argmax, residual=residual,
                           y0=float(y0_paths[0]), y0_paths=y0_paths,
                           meta={"backend": "lattice", "lattice": xs, "x0": x0,

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from bdsde import _accel
+from bdsde.grids import build_time_grid, build_volatility_grid
+from bdsde.second_order import lattice_bounds
 
 
 def brute_moments(knots, vals, mu, sigma):
@@ -150,6 +154,29 @@ def test_window_caches_only_the_segment_integrals():
             if isinstance(value, np.ndarray):
                 owners[id(value)] = value.nbytes
         assert sum(owners.values()) <= 3 * q * (w - 1) * 8 + slack
+
+
+@pytest.mark.parametrize("a", [0.5, 2.0])
+@pytest.mark.parametrize("n, x_steps", [(64, 400), (16, 800), (32, 200)])
+def test_lattice_operator_is_monotone_off_the_edge_band(n, x_steps, a):
+    """The one-step lattice operator (the weights of each knot's value in
+    the moment m0 at each query knot) has no negative weight beyond
+    rounding in rows at least ceil(10 sigma / h) + 1 knots from both ends:
+    the worst over these cases is -2.1e-14.
+
+    The edge band is a known weak spot: the linear extension of the values
+    beyond the lattice's ends gives negative weights in the rows nearest
+    each end (-1.57 at n = 64, x_steps = 400, a = 2; -6.6 at n = 16,
+    x_steps = 800, a = 2), so within the band the operator is not monotone.
+    """
+    grid = build_time_grid(0, 1, n)
+    xs = np.linspace(*lattice_bounds(grid, build_volatility_grid(0.5, 2.0, 5), 0.0, 6.0),
+                     x_steps + 1)
+    sigma = math.sqrt(a * grid.dt)
+    weights = _accel.GaussWindow(xs, xs, sigma).apply(np.eye(len(xs)))[0].T  # [query, knot]
+    band = math.ceil(10 * sigma / (xs[1] - xs[0])) + 1
+    assert weights[band:len(xs) - band].min() >= -1e-13
+    assert weights[:band].min() < -0.1 and weights[len(xs) - band:].min() < -0.1
 
 
 def test_linear_interp_extends_linearly():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bdsde import classical
 from bdsde._accel import pl_gauss_moments
 from bdsde.classical import BdsdeProblem, SolverOptions, solve_regression, solve_tree
 from bdsde.errors import InvalidArgumentError, StepSizeError
@@ -162,6 +163,44 @@ def test_reflected_batch_equals_per_path_solves(penalty, scheme, beta, c, shift,
     order = np.random.default_rng(seed).permutation(m)
     np.testing.assert_array_equal(solve([paths[k] for k in order]).y0_paths,
                                   batch.y0_paths[order])
+
+
+@pytest.mark.parametrize("per_chunk", [1, 2])
+@pytest.mark.parametrize("backend", ["tree", "lattice", "mc"])
+def test_chunked_sweep_equals_per_path_solves(monkeypatch, backend, per_chunk):
+    """A list of paths wider than the sweep's value budget is swept in chunks
+    (here of per_chunk paths, the last of one), and gives every path's y0
+    and path 0's levels bit for bit as the per-path solves do."""
+    grid = build_time_grid(0, 1, 6)
+    prob = TbdsdeProblem(terminal=lambda x: x**2 - x, F=lambda t, x, y, z, a: 0.3 * y - 0.2 * z,
+                         g=lambda t, x, y, z: 0.4 * y + 0.1 * z,
+                         volgrid=build_volatility_grid(0.5, 2.0, 3), lipschitz_f=0.3)
+    if backend == "tree":
+        tree = build_tree(grid, 1.2, x0=0.3)
+        nodes, fields = grid.n_steps + 1, ("y", "z", "residual", "picard_iters")
+        solve = lambda w: solve_tree(prob.classical_problem(1.2), tree, w)
+    elif backend == "lattice":
+        opts = DpOptions(x_steps=40)
+        nodes, fields = opts.x_steps + 1, ("Y", "Z", "argmax_a", "residual")
+        solve = lambda w: solve_dp(prob, grid, w, x0=0.3, opts=opts)
+    else:
+        ens = sample_forward_ensemble(grid, 1000, 1.2, seed=5, x0=0.3)
+        nodes, fields = 1000, ("y", "z", "residual", "picard_iters", "projection_rms")
+        solve = lambda w: solve_regression(prob.classical_problem(1.2), ens, w, basis_degree=3)
+    monkeypatch.setattr(classical, "SWEEP_VALUES", per_chunk * nodes)
+    sizes = []
+    chunks = classical._path_chunks
+    monkeypatch.setattr(classical, "_path_chunks",
+                        lambda w, size: sizes.append(size) or chunks(w, size))
+    paths = paths_for(grid, 11, 2 * per_chunk + 1)
+    batch = solve(paths)
+    assert sizes == [per_chunk]
+    singles = [solve(w) for w in paths]
+
+    np.testing.assert_array_equal(batch.y0_paths, [s.y0 for s in singles])
+    assert batch.y0 == singles[0].y0
+    for name in fields:
+        assert_levels_equal(getattr(batch, name), getattr(singles[0], name))
 
 
 @given(knots=st.sampled_from([np.linspace(-3, 3, 41), np.linspace(-3, 3, 5),

@@ -186,7 +186,8 @@ class TestEnsemble:
         for n in (16, 64):
             g = build_time_grid(0, 1, n)
             ens = sample_forward_ensemble(g, 4000, 2.0, seed=5)
-            maes.append(np.abs(ens.quadratic_variation() - 2.0).mean())
+            qv = np.sum(ens.increments ** 2, axis=(1, 2))  # realized QV per path
+            maes.append(np.abs(qv - 2.0).mean())
         assert maes[1] < maes[0]
         assert maes[0] / maes[1] == pytest.approx(2.0, rel=0.3)  # sqrt(4) for dt/4
 

@@ -1,4 +1,9 @@
 import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,6 +290,31 @@ class TestCli:
 
     def test_props_subcommand(self):
         assert main(["--quiet", "props", "conjugate-order", "--seed", "3"]) == 0
+
+    def test_scipy_loads_with_the_lattice_kernel_only(self, tmp_path):
+        # a fresh interpreter: importing the package and a tree run load no
+        # scipy module; the first lattice kernel call loads scipy.special
+        tree = self.write_cfg(tmp_path, "[problem]\nname = identity\nbackend = tree\n"
+                              "[grid]\nn_steps = 4\n")
+        lattice = tmp_path / "lattice.ini"
+        lattice.write_text("[problem]\nname = bsb_quadratic\nbackend = dp\n"
+                           "[grid]\nn_steps = 2\n[spatial]\nx_steps = 20\n")
+        script = (
+            "import json, sys\n"
+            "import bdsde, bdsde.cli\n"
+            "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "seen = [scipy()]\n"
+            f"for cfg in ({tree!r}, {str(lattice)!r}):\n"
+            "    assert bdsde.cli.main(['--quiet', 'run', '--config', cfg,\n"
+            f"                           '--out', {str(tmp_path / 'out.csv')!r}]) == 0\n"
+            "    seen.append(scipy())\n"
+            "print(json.dumps(seen))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True)
+        after_import, after_tree, after_lattice = json.loads(proc.stdout)
+        assert after_import == [] and after_tree == []
+        assert "scipy.special" in after_lattice
 
 
 class TestOutputDirEnv:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bdsde import second_order
+from bdsde import _accel, second_order
 from bdsde.classical import BdsdeProblem, SolverOptions, solve_tree
 from bdsde.errors import InvalidArgumentError, NonFiniteError, VerificationError
 from bdsde.grids import (
@@ -179,6 +179,22 @@ class TestCompensator:
         fine = sample_backward_path(build_time_grid(0, 1, 64), 1, seed=5)
         with pytest.raises(InvalidArgumentError, match="share the grid"):
             extract_k(self.sol, self.prob, fine, volatility=0.5)
+
+    @pytest.mark.parametrize("x_steps", [201, 200])
+    def test_expected_compensator_matches_full_matrix_moments(self, x_steps):
+        # at odd x_steps x0 is not a knot, so the forward law's query at x0
+        # falls between knots; the windowed kernel must still agree with the
+        # full-matrix oracle there
+        sol = solve_dp(self.prob, self.grid, self.w, x0=1.0, opts=DpOptions(x_steps=x_steps))
+        xs = sol.meta["lattice"]
+        assert (1.0 in xs) == (x_steps % 2 == 0)
+        k = extract_k(sol, self.prob, self.w, volatility=0.5)
+        ref = [0.0, float(_accel.linear_interp(np.array([1.0]), xs, k.increments[0])[0])]
+        for i in range(1, self.grid.n_steps):
+            sigma = np.sqrt(0.5 * (self.grid.time(i) - self.grid.t0))
+            ref.append(ref[-1] + _accel._moments_numpy(xs, k.increments[i], [1.0], sigma)[0][0])
+        assert k.k_terminal > 1.0
+        np.testing.assert_allclose(k.expected_cumulative, ref, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("g_scheme", ["ito", "stratonovich"])
     def test_affine_terminal_all_controls_optimal(self, g_scheme):
