@@ -83,11 +83,11 @@ def _fixed_point(update, y_start, i, a):
     """Iterate y <- update(y) to FP_TOL at step i under volatility a; returns
     (y, n_iters, defect), or raises ConvergenceError after MAX_ITERS iterations.
 
-    A 2-D y holds one row per backward path, and update must act on each row
-    on its own.  A row's result is frozen at its own first change <= FP_TOL,
-    with its own n_iters and its defect taken at the frozen value, so it is
-    what the row would give alone; the batch iterates until its last row is
-    frozen.
+    y holds one row per index of its leading axes (path, or volatility and
+    path against a column a), and update must act on each row on its own.
+    A row's result is frozen at its own first change <= FP_TOL, with its own
+    n_iters and its defect taken at the frozen value, so it is what the row
+    would give alone; the batch iterates until its last row is frozen.
     """
     y, out = y_start, None  # out holds the frozen rows once rows freeze at different passes
     shape = np.shape(y)[:-1]
@@ -99,9 +99,7 @@ def _fixed_point(update, y_start, i, a):
         for r in owed:  # a frozen row's next change is its defect
             defect[r] = change[r]
         if not live:
-            if not shape:  # one path: plain numbers, as callers store them per step
-                return y, iters[0], defect[0]
-            return y if out is None else out, np.array(iters), np.array(defect)
+            return y if out is None else out, np.reshape(iters, shape), np.reshape(defect, shape)
         if k > MAX_ITERS:
             break
         owed = [r for r in live if change[r] <= FP_TOL]
@@ -117,8 +115,10 @@ def _fixed_point(update, y_start, i, a):
                 out.reshape(len(iters), -1)[live] = y_new.reshape(len(iters), -1)[live]
             _check_finite(i, a, iterate=y_new if out is None else out)
         y = y_new
-    raise ConvergenceError(f"inner fixed point did not reach {FP_TOL:g} in {MAX_ITERS} "
-                           f"iterations at step {i}, volatility {a:g}")
+    node = int(np.argmax(np.abs(y_new - y).reshape(len(iters), -1)[live[0]]))
+    vol, _, _, where = _locate(a, np.unravel_index(live[0], shape) + (node,))
+    raise ConvergenceError(f"inner fixed point at {where} did not reach {FP_TOL:g} in "
+                           f"{MAX_ITERS} iterations at step {i}, volatility {vol:g}")
 
 
 def tree_cond(tree: BrownianTree) -> Callable:
@@ -126,21 +126,30 @@ def tree_cond(tree: BrownianTree) -> Callable:
     return lambda r: (tree.child_expectation(r), tree.child_cross(r) / (tree.a * tree.grid.dt))
 
 
+def _locate(a, index):
+    """(volatility, path, node, "[path p, ]node j") of an index ([volatility,]
+    [path,] node); the volatility axis is there when a is a column."""
+    *rows, node = (int(v) for v in index)
+    vol = float(np.reshape(a, -1)[rows.pop(0)]) if np.ndim(a) else float(a)
+    path = rows[0] if rows else None
+    return vol, path, node, f"node {node}" if path is None else f"path {path}, node {node}"
+
+
 def _check_finite(i, a, **arrays):
     """NonFiniteError naming the step, volatility, path (rows of a batch) and
-    node of the first bad entry of the first bad array."""
+    node of the first bad entry of the first bad array.  An array without
+    the volatility axis of a column a is shared by all and named under a[0]."""
     for what, values in arrays.items():
+        values = np.broadcast_to(values, np.broadcast_shapes(np.shape(a), np.shape(values)))
         bad = np.argwhere(~np.isfinite(np.atleast_1d(values)))
         if bad.size:
-            *path, node = (int(v) for v in bad[0])
-            where = f"path {path[0]}, node {node}" if path else f"node {node}"
-            raise NonFiniteError(f"non-finite {what} at step {i}, volatility {a:g}, {where}",
-                                 step=i, volatility=float(a), node=node,
-                                 path=path[0] if path else None)
+            vol, path, node, where = _locate(a, bad[0])
+            raise NonFiniteError(f"non-finite {what} at step {i}, volatility {vol:g}, {where}",
+                                 step=i, volatility=vol, node=node, path=path)
 
 
 def backward_step(problem: BdsdeProblem, cond: Callable, states: Callable, i: int, grid,
-                  y_next, z_next, w: BackwardPath, a: float, opts: SolverOptions,
+                  y_next, z_next, w: BackwardPath, a, opts: SolverOptions,
                   constraint: Optional[Callable] = None):
     """One Euler step of the backward pair from level i + 1 to level i (states: level -> x).
 
@@ -149,7 +158,8 @@ def backward_step(problem: BdsdeProblem, cond: Callable, states: Callable, i: in
     and constraint(i, u) maps its value u onto the admissible set.  Returns
     (y, z, iters, defect, push), push = y - u(y) under a constraint, else None.
     For a batch w (grids.batch_paths) the values gain a leading path axis and
-    iters and defect are arrays with one entry per path.
+    iters and defect are arrays with one entry per path.  A column a, (V, 1)
+    or (V, 1, 1), stacks V volatilities as a further leading axis.
     """
     t_i, t_next, dt = grid.time(i), grid.time(i + 1), grid.dt
     # dW_i as (1, l), or (m, 1, l) against (m, nodes) values

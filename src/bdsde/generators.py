@@ -81,18 +81,19 @@ def fenchel_conjugate(spec: HamiltonianSpec, state, a: float) -> float:
 def make_conjugate_map(spec: HamiltonianSpec) -> Callable:
     """Vectorized F_conj(t, x, y, z, a) built by grid conjugation of h.
 
+    a broadcasts with x, y and z, and each entry is conjugated at its own a.
     A TbdsdeProblem whose Hamiltonian is h takes F = -make_conjugate_map(spec),
     because second_order.hamiltonian adds F: max_a (a gamma / 2 + F(a)), the
     conjugate of F_conj over the problem's volatility grid.
     """
 
     def F(t, x, y, z, a):
-        # y and z of a batched solve carry a leading path axis over the states x
-        x, y, z = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, z)))
+        # a leading path axis of y and z, and a column a, broadcast over the states x
+        x, y, z, a = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, z, a)))
         out = np.empty(x.shape)
         for idx in np.ndindex(x.shape):
             out[idx] = fenchel_conjugate(
-                spec, (t, x[idx], y[idx], z[idx]), a)
+                spec, (t, x[idx], y[idx], z[idx]), float(a[idx]))
         return out
 
     return F

@@ -143,12 +143,6 @@ class VolatilityGrid:
     a_low: float
     a_high: float
 
-    def __iter__(self):
-        return iter(self.a_values)
-
-    def __len__(self):
-        return len(self.a_values)
-
 
 def build_volatility_grid(a_low: float, a_high: float, n_points: int = 2) -> VolatilityGrid:
     if a_low <= 0:

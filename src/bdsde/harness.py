@@ -13,6 +13,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
+from ._accel import linear_interp
 from .classical import SolverOptions, solve_regression, solve_tree
 from .config import ExperimentConfig
 from .doss import FlowCoefficient, build_y_lattice, solve_flow
@@ -77,8 +78,8 @@ def _solve_paths(pdef: ProblemDef, cfg: ExperimentConfig, backend: str,
 
     dp solves the problem's equation; tree, mc and reflected solve its
     classical equation under the sole finite volatility; fd solves the PDE
-    of its Hamiltonian on the dp lattice's domain.  The registry's FD
-    problems carry no W, so fd solves its PDE once."""
+    of its Hamiltonian on the dp lattice's domain, reading y0 at x0 as dp
+    does.  The registry's FD problems carry no W, so fd solves its PDE once."""
     grid = paths[0].grid
     opts = SolverOptions(g_scheme=pdef.g_scheme)
     prob = pdef.equation(cfg)
@@ -121,7 +122,7 @@ def _solve_paths(pdef: ProblemDef, cfg: ExperimentConfig, backend: str,
         pde = RandomPdeProblem(hhat_tilde=hamiltonian(prob), terminal=prob.terminal,
                                x_domain=domain)
         xs, v = fd_random_pde(pde, grid, cfg.get("spatial", "x_steps"))
-        y0 = float(v[0, int(np.argmin(np.abs(xs - pdef.x0)))])
+        y0 = float(linear_interp(np.array([pdef.x0]), xs, v[0])[0])
         return {"y0": y0}, [y0] * len(paths)
     else:
         raise ConfigError(f"unknown backend {backend!r}")

@@ -50,6 +50,10 @@ class TbdsdeProblem:
     conjugate of that map over volgrid.  generators.stratonovich_correction
     rewrites a problem read with a Stratonovich backward integral for the
     Ito scheme.
+
+    F broadcasts over a column of volatilities, (V, 1) against x of shape
+    (nodes,) or (V, 1, 1) against a batch's (m, nodes), and its result's
+    leading axis is the volatility's; one volatility may come as a scalar.
     """
 
     terminal: Callable                 # x array -> xi array
@@ -58,21 +62,19 @@ class TbdsdeProblem:
     volgrid: VolatilityGrid
     lipschitz_f: Optional[float] = None
 
-    def classical_problem(self, a: float) -> BdsdeProblem:
+    def classical_problem(self, a) -> BdsdeProblem:
         return BdsdeProblem(terminal=self.terminal,
                             f=lambda t, x, y, z: self.F(t, x, y, z, a),
                             g=self.g, lipschitz_f=self.lipschitz_f)
 
     def finite_volatilities(self) -> np.ndarray:
-        """Volatilities where the generator is finite at a probe point."""
-        keep = []
-        for a in self.volgrid:
-            probe = float(np.asarray(self.F(0.0, np.zeros(1), 0.0, 0.0, float(a))).reshape(-1)[0])
-            if math.isfinite(probe):
-                keep.append(float(a))
-        if not keep:
+        """Volatilities where the generator is finite at a probe point (one F call)."""
+        a = np.asarray(self.volgrid.a_values, dtype=float)
+        probe = np.asarray(self.F(0.0, np.zeros(1), 0.0, 0.0, a[:, None]), dtype=float)
+        keep = a[np.isfinite(np.broadcast_to(probe, (len(a), 1))[:, 0])]
+        if not keep.size:
             raise InvalidArgumentError("generator infinite on the entire volatility grid")
-        return np.asarray(keep)
+        return keep
 
 
 @dataclass(frozen=True)
@@ -120,15 +122,18 @@ class TbdsdeSolution:
 def hamiltonian(problem: TbdsdeProblem) -> Callable:
     """(t, x, y, z, gamma) -> max over the finite volatilities a of
     a gamma / 2 + F(t, x, y, z, a): the Hamiltonian of the problem's PDE.
-    The volatilities are fixed when it is built.  A state where F is -inf at
-    every one of them raises InvalidArgumentError."""
-    a_vals = [float(a) for a in problem.finite_volatilities()]
+    The volatilities are fixed when it is built, and each evaluation calls F
+    once, with them as a column (or with the one volatility as a scalar).
+    A state where F is -inf at every one of them raises InvalidArgumentError."""
+    a_vals = problem.finite_volatilities()
+    several = len(a_vals) > 1  # one goes in as a scalar: no stack to broadcast or reduce
 
     def h(t, x, y, z, gamma):
-        best = None
-        for a in a_vals:
-            cand = 0.5 * a * gamma + np.asarray(problem.F(t, x, y, z, a), dtype=float)
-            best = cand if best is None else np.maximum(best, cand)
+        a = (a_vals.reshape((-1,) + (1,) * np.broadcast(x, y, z, gamma).ndim) if several
+             else a_vals.item())
+        best = 0.5 * a * gamma + np.asarray(problem.F(t, x, y, z, a), dtype=float)
+        if several:
+            best = best.max(axis=0)
         if best.min() == -math.inf:
             *state, best = np.broadcast_arrays(x, y, z, best)
             k = np.unravel_index(np.argmin(best), best.shape)
@@ -166,7 +171,8 @@ def solve_dp(problem: TbdsdeProblem, grid: TimeGrid, w: BackwardPath | list,
 
     A single finite volatility is solved on its exact tree (sol.backend
     "tree"); several share the lattice ("lattice"), where each step of the
-    `backward_sweep` keeps the per-node argmax of every volatility's step.
+    `backward_sweep` is one `backward_step` of all volatilities along a leading
+    axis, keeping the per-node argmax and each path's worst iterations and defect.
     w is one BackwardPath or a list of paths on grid, swept together; the
     solution is path 0's (Y, Z, argmax, K and residual as if solved alone)
     and y0_paths holds every path's y0, each equal to its own solve.
@@ -177,22 +183,26 @@ def solve_dp(problem: TbdsdeProblem, grid: TimeGrid, w: BackwardPath | list,
     n, dt = grid.n_steps, grid.dt
     xs = np.linspace(*lattice_bounds(grid, problem.volgrid, x0, opts.span_sigmas),
                      opts.x_steps + 1)
-    problems = [problem.classical_problem(float(a)) for a in a_vals]
     conds = [lattice_cond(xs, float(a), dt) for a in a_vals]
     y_T = np.asarray(problem.terminal(xs), dtype=float)
     phantom = np.array([cond(y_T)[1] for cond in conds])   # z_T under each volatility
 
     def step(i, y_next, z_next, w):
-        # one (y, z, iters, defect) per volatility, each (volatility, [path,] node)
-        y, z, iters, defect, _ = zip(*(
-            backward_step(problems[k], conds[k], lambda _: xs, i, grid, y_next,
-                          z_next[k] if i == n - 1 else z_next, w, float(a), opts)
-            for k, a in enumerate(a_vals)))
-        cands = np.array(y)
+        # every volatility at once: values are (volatility, [path,] node) against a
+        a = a_vals.reshape((-1,) + (1,) * (w.values.ndim - 1))
+        if i == n - 1:
+            z_next = z_next.reshape(a.shape[:-1] + z_next.shape[-1:])
+
+        def cond(r):  # volatility k's window on row k of R, or on R where all share it
+            m0, m1 = zip(*(c(row) for c, row in
+                           zip(conds, np.broadcast_to(r, np.broadcast_shapes(a.shape, r.shape)))))
+            return np.array(m0), np.array(m1)
+        cands, z, iters, defect, _ = backward_step(
+            problem.classical_problem(a), cond, lambda _: xs, i, grid, y_next, z_next, w, a, opts)
         best = np.argmax(cands, axis=0)  # first max = smallest volatility on ties
         return (np.take_along_axis(cands, best[None], axis=0)[0],
-                np.take_along_axis(np.array(z), best[None], axis=0)[0],
-                np.maximum.reduce(iters), np.maximum.reduce(defect), best)
+                np.take_along_axis(z, best[None], axis=0)[0],
+                iters.max(axis=0), defect.max(axis=0), best)
 
     Y, Z, residual, _, best, y0_paths = backward_sweep(
         problem, grid, w, y_T, phantom, step,

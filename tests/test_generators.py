@@ -70,6 +70,20 @@ class TestFenchelConjugate:
             HamiltonianSpec(h=lambda *a: 0.0, gamma_domain=np.array([1.0, 2.0]))
 
 
+class TestConjugateMap:
+    def test_column_of_volatilities_matches_scalar_calls(self):
+        # F_conj(a) = a^2 / (8 (1 + x^2)) - y z, on a gamma grid that misses the argmax
+        h = lambda t, x, y, z, g: (1 + x * x) * np.maximum(g, 0.0) ** 2 / 2 + y * z
+        F = make_conjugate_map(HamiltonianSpec(h=h, gamma_domain=grid(-10, 10, 1001)))
+        x, y, z = np.array([0.0, 0.3, -1.2]), 0.4, np.array([1.0, -0.5, 2.0])
+        a = np.array([0.5, 1.0, 2.0])
+        rows = F(0.2, x, y, z, a[:, None])
+        assert rows.shape == (3, 3)
+        for k in range(3):
+            assert np.array_equal(rows[k], F(0.2, x, y, z, float(a[k])))
+        assert rows[1] == pytest.approx(1.0 / (8 * (1 + x * x)) - y * z, abs=1e-4)
+
+
 class TestBiconjugate:
     """The problem's hamiltonian conjugates its F back over the volatility grid."""
 

@@ -112,6 +112,22 @@ class TestRun:
                           **{"spatial.x_steps": 64}))
         assert rec.abs_error < 0.03
 
+    def test_fd_reads_y0_by_interpolation_at_x0(self, monkeypatch):
+        # x0 = 1 is the middle node at even x_steps only; at odd x_steps the
+        # two nearest nodes are a half cell away on either side
+        levels, fd = [], harness.fd_random_pde
+
+        def keeping(*args):
+            levels.append(fd(*args))
+            return levels[-1]
+        monkeypatch.setattr(harness, "fd_random_pde", keeping)
+        even, odd = (run(cfg_for("bsb_quadratic", "fd", n_steps=2000,
+                                 **{"spatial.x_steps": x_steps})) for x_steps in (400, 401))
+        xs, v = levels[0]
+        assert even.quantities["y0"] == v[0, int(np.argmin(np.abs(xs - 1.0)))]
+        assert even.abs_error < 1e-8
+        assert odd.abs_error < 1e-3
+
     @pytest.mark.parametrize("problem, backend, extra, solver, gap_calls", [
         ("linear_spde", "tree", {}, "solve_tree", 0),
         ("bsb_quadratic", "dp", {"spatial.x_steps": 40}, "solve_dp", 1),

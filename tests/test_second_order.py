@@ -3,7 +3,12 @@ import pytest
 
 from bdsde import _accel, second_order
 from bdsde.classical import BdsdeProblem, SolverOptions, solve_tree
-from bdsde.errors import InvalidArgumentError, NonFiniteError, VerificationError
+from bdsde.errors import (
+    ConvergenceError,
+    InvalidArgumentError,
+    NonFiniteError,
+    VerificationError,
+)
 from bdsde.grids import (
     build_time_grid,
     build_tree,
@@ -17,6 +22,8 @@ from bdsde.second_order import (
     TbdsdeProblem,
     extract_k,
     feynman_kac_residual,
+    hamiltonian,
+    lattice_bounds,
     minimality_gap,
     representation_check,
     solve_dp,
@@ -209,7 +216,7 @@ class TestCompensator:
     def test_infinite_generator_entry_excluded(self):
         def F(t, x, y, z, a):
             base = np.zeros_like(np.asarray(x, dtype=float))
-            return base + (np.inf if a > 1.9 else 0.0)
+            return base + np.where(np.asarray(a) > 1.9, np.inf, 0.0)
         vg = build_volatility_grid(0.5, 2.0, 2)
         prob = TbdsdeProblem(terminal=lambda x: x**2, F=F, g=ZERO, volgrid=vg)
         assert list(prob.finite_volatilities()) == [0.5]
@@ -246,6 +253,68 @@ class TestNonFinite:
         err = info.value
         assert (err.path, err.step, err.volatility, err.node) == (1, k, 0.5, 0)
         assert f"step {k}" in str(err) and "path 1, node 0" in str(err)
+
+    def test_nan_at_one_interior_volatility_names_that_volatility(self):
+        # F is NaN right of x = 1.5 under a = 1.25 only, the middle of five
+        grid = build_time_grid(0, 1, 8)
+        w = sample_backward_path(grid, 1, seed=5)
+        vg = build_volatility_grid(0.5, 2.0, 5)
+        F = lambda t, x, y, z, a: np.where((np.asarray(a) == 1.25) & (np.asarray(x) > 1.5),
+                                           np.nan, 0.0)
+        prob = TbdsdeProblem(terminal=lambda x: x**2, F=F, g=ZERO, volgrid=vg)
+        xs = np.linspace(*lattice_bounds(grid, vg, 1.0, 6.0), 51)
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError) as info:
+            solve_dp(prob, grid, w, x0=1.0, opts=DpOptions(x_steps=50))
+        err = info.value
+        node = int(np.argmax(xs > 1.5))
+        assert (err.step, err.volatility, err.node, err.path) == (7, 1.25, node, None)
+        assert f"volatility 1.25, node {node}" in str(err)
+
+
+class TestStackedVolatilities:
+    """One backward step of every volatility at once on the lattice."""
+
+    @pytest.mark.parametrize("m", [1, 3], ids=["path", "batch"])
+    def test_one_g_evaluation_per_ito_step(self, m):
+        calls = []
+
+        def g(t, x, y, z):
+            calls.append(t)
+            return 0.5 * y
+        grid = build_time_grid(0, 1, 32)
+        paths = [sample_backward_path(grid, 1, seed=s) for s in range(1, m + 1)]
+        solve_dp(bsb_problem(g=g), grid, paths if m > 1 else paths[0], x0=1.0,
+                 opts=DpOptions(x_steps=60))
+        assert len(calls) == 32
+
+    def test_one_f_call_per_hamiltonian_evaluation(self):
+        calls = []
+
+        def F(t, x, y, z, a):
+            calls.append(np.shape(a))
+            return FZERO(t, x, y, z, a)
+        prob = TbdsdeProblem(terminal=lambda x: x**2, F=F, g=ZERO,
+                             volgrid=build_volatility_grid(0.5, 2.0, 5))
+        assert list(prob.finite_volatilities()) == [0.5, 0.875, 1.25, 1.625, 2.0]
+        assert calls == [(5, 1)]
+        H = hamiltonian(prob)
+        del calls[:]
+        x = np.linspace(-1.0, 1.0, 7)
+        assert H(0.0, x, x**2, 2 * x, 2.0) == pytest.approx(np.full(7, 2.0))
+        assert calls == [(5, 1)]
+
+    @pytest.mark.parametrize("m", [1, 2], ids=["path", "batch"])
+    def test_divergence_at_the_high_volatility_names_it(self, m):
+        # f = -1.5 y / dt under a_high only: that row's implicit update diverges
+        grid = build_time_grid(0, 1, 4)
+        paths = [sample_backward_path(grid, 1, seed=s) for s in range(1, m + 1)]
+        F = lambda t, x, y, z, a: np.where(np.asarray(a) == 2.0, -1.5 * y / grid.dt, 0.0)
+        prob = TbdsdeProblem(terminal=lambda x: 1.0 + x**2, F=F, g=ZERO,
+                             volgrid=build_volatility_grid(0.5, 2.0, 5))
+        where = "path 0, node" if m > 1 else "at node"
+        with pytest.raises(ConvergenceError, match=rf"{where} .*at step 3, volatility 2$"):
+            solve_dp(prob, grid, paths if m > 1 else paths[0], x0=1.0,
+                     opts=DpOptions(x_steps=40))
 
 
 class TestMinimalityGap:
