@@ -36,7 +36,9 @@ from .grids import BackwardPath, BrownianTree, PathEnsemble, batch_paths
 
 PHANTOM_STREAM_BASE = 1_000_001
 FP_TOL = 1e-12      # the implicit step's fixed point stops at a change <= FP_TOL
-MAX_ITERS = 50      # ... or raises ConvergenceError after MAX_ITERS iterations
+MAX_ITERS = 200     # ... or raises ConvergenceError after MAX_ITERS iterations: a
+                    # contraction q from a first change d needs ln(d / FP_TOL) / ln(1 / q),
+                    # 184 at q = 0.85, d = 10
 SWEEP_VALUES = 1 << 16  # values per level (paths x nodes) one batched sweep carries
 
 

@@ -95,7 +95,7 @@ class DpOptions(SolverOptions):
 class KTrace:
     increments: np.ndarray          # (n_steps, n_nodes) nonnegative defects
     expected_cumulative: np.ndarray  # (n_steps + 1,) forward-law expectation
-    clamped: int
+    clamped: int                    # defects set to 0 from below: none on any backend
     volatility: Optional[float]     # None = per-node argmax
 
     @property
@@ -175,7 +175,11 @@ def solve_dp(problem: TbdsdeProblem, grid: TimeGrid, w: BackwardPath | list,
     axis, keeping the per-node argmax and each path's worst iterations and defect.
     w is one BackwardPath or a list of paths on grid, swept together; the
     solution is path 0's (Y, Z, argmax, K and residual as if solved alone)
-    and y0_paths holds every path's y0, each equal to its own solve.
+    and y0_paths holds every path's y0, each equal to its own solve.  On the lattice,
+    meta["defects"] holds path 0's defects Y[i] - cands[k] of the value against
+    each volatility k's own step candidate (phantom z_T at step n - 1), an
+    (n_steps, V, x_steps + 1) array (1.0 MB at 5 x 64 x 401): max - own,
+    so >= 0, and exactly 0 at the argmax.
     """
     a_vals = problem.finite_volatilities()
     if len(a_vals) == 1:
@@ -199,25 +203,28 @@ def solve_dp(problem: TbdsdeProblem, grid: TimeGrid, w: BackwardPath | list,
             return np.array(m0), np.array(m1)
         cands, z, iters, defect, _ = backward_step(
             problem.classical_problem(a), cond, lambda _: xs, i, grid, y_next, z_next, w, a, opts)
-        best = np.argmax(cands, axis=0)  # first max = smallest volatility on ties
-        return (np.take_along_axis(cands, best[None], axis=0)[0],
-                np.take_along_axis(z, best[None], axis=0)[0],
-                iters.max(axis=0), defect.max(axis=0), best)
+        best = np.argmax(cands, axis=0)[None]  # first max = smallest volatility on ties
+        y = np.take_along_axis(cands, best, axis=0)[0]
+        # each volatility's defect, path axis first for the sweep to keep path 0's
+        return (y, np.take_along_axis(z, best, axis=0)[0], iters.max(axis=0),
+                defect.max(axis=0), np.moveaxis(y - cands, 0, -2))
 
-    Y, Z, residual, _, best, y0_paths = backward_sweep(
+    Y, Z, residual, _, defects, y0_paths = backward_sweep(
         problem, grid, w, y_T, phantom, step,
         lambda level0: linear_interp(np.array([x0]), xs, level0))
+    defects = np.array(defects)
+    # Y[i] is cands[best], whose defect is 0.0; every smaller volatility's is not
+    best = np.argmax(defects == 0, axis=1)
     # level n takes the control, and so the z_T, of the first step's argmax
-    argmax = [a_vals[b] for b in best + best[-1:]]
+    argmax = [a_vals[b] for b in best] + [a_vals[best[-1]]]
     Z[n] = np.take_along_axis(phantom, best[-1][None], axis=0)[0]
-    # Y[i] is its node's argmax candidate cands[best], so the defect of the
-    # value against the step under the argmax control vanishes identically
+    # the defect of the value against the step under the argmax control vanishes
     k_argmax = KTrace(increments=np.zeros((n, len(xs))), expected_cumulative=np.zeros(n + 1),
                       clamped=0, volatility=None)
     return TbdsdeSolution(Y=Y, Z=Z, argmax_a=argmax, K=k_argmax, residual=residual,
                           y0=float(y0_paths[0]), y0_paths=y0_paths,
-                          meta={"backend": "lattice", "lattice": xs, "x0": x0,
-                                "grid": grid, "a_values": a_vals, "opts": opts})
+                          meta={"backend": "lattice", "lattice": xs, "x0": x0, "grid": grid,
+                                "a_values": a_vals, "opts": opts, "defects": defects})
 
 
 def _solve_dp_tree(problem, grid, w, x0, opts, a_vals):
@@ -245,48 +252,29 @@ def _value_at(sol: TbdsdeSolution, i: int, x: np.ndarray) -> np.ndarray:
     return linear_interp(x, sol.meta["lattice"], sol.Y[i])
 
 
-def extract_k(sol: TbdsdeSolution, problem: TbdsdeProblem, w: BackwardPath,
-              volatility: Optional[float] = None) -> KTrace:
+def extract_k(sol: TbdsdeSolution, volatility: Optional[float] = None) -> KTrace:
     """Per-step defect of the value against the one-step operator of a control.
 
     volatility None returns the solve's own compensator, under each node's
     argmax control (where it vanishes: the value is that control's step).
-    A tree solution holds one volatility, whose compensator that is; any
-    other volatility raises InvalidArgumentError.  On the lattice a fixed
-    volatility gives the compensator seen under that constant control, with
-    the cumulative trace integrated against its forward law from x0.  The
-    step runs under the solve's own options, on a w of the solve's grid.
+    A volatility outside the solve's finite ones (meta["a_values"]) raises
+    InvalidArgumentError.  A tree solution holds one volatility, whose
+    compensator that is.  On the lattice a fixed volatility gives the
+    compensator seen under that constant control: its row of the solve's
+    own defects (meta["defects"], see `solve_dp`), with the cumulative trace
+    integrated against its forward law from x0.  Nothing is solved again.
     """
-    w.require_grid(sol.meta["grid"])
     if volatility is None:
         return sol.K
+    a, a_vals = float(volatility), sol.meta["a_values"].tolist()
+    if a not in a_vals:
+        raise InvalidArgumentError(f"volatility {a} is foreign to the solution's {a_vals}")
     if sol.backend == "tree":
-        if float(volatility) != sol.K.volatility:
-            raise InvalidArgumentError(
-                f"volatility {volatility} is foreign to a tree solution at {sol.K.volatility}")
         return sol.K
-    grid, x0, opts, xs = sol.meta["grid"], sol.meta["x0"], sol.meta["opts"], sol.meta["lattice"]
-    n = grid.n_steps
-    a = float(volatility)
-    cond = lattice_cond(xs, a, grid.dt)
-    step_problem = problem.classical_problem(a)
-    scale = 1.0 + max(abs(float(np.max(v))) for v in sol.Y)
-    eps = 1e-9 * scale
-
-    incs = [None] * n
-    clamped = 0
-    for i in range(n - 1, -1, -1):
-        cand = backward_step(step_problem, cond, lambda _: xs, i, grid, sol.Y[i + 1],
-                             sol.Z[i + 1], w, a, opts)[0]
-        delta = sol.Y[i] - cand
-        if float(delta.min()) < -10 * eps:
-            raise ConsistencyError(
-                f"compensator increment {delta.min():.3e} below -10 eps at step {i}")
-        clamped += int(np.sum(delta < 0))
-        incs[i] = np.maximum(delta, 0.0)
-
-    cum = np.zeros(n + 1)
-    for i in range(n):
+    grid, x0, xs = sol.meta["grid"], sol.meta["x0"], sol.meta["lattice"]
+    incs = sol.meta["defects"][:, a_vals.index(a)]  # max - own >= 0 in IEEE arithmetic
+    cum = np.zeros(grid.n_steps + 1)
+    for i in range(grid.n_steps):
         t_i = grid.time(i) - grid.t0
         if t_i <= 0:
             e_i = float(linear_interp(np.array([x0]), xs, incs[i])[0])
@@ -294,8 +282,7 @@ def extract_k(sol: TbdsdeSolution, problem: TbdsdeProblem, w: BackwardPath,
             e_i = float(pl_gauss_moments(xs, incs[i], np.array([x0]),
                                          math.sqrt(a * t_i))[0][0])
         cum[i + 1] = cum[i] + e_i
-    return KTrace(increments=np.array(incs), expected_cumulative=cum, clamped=clamped,
-                  volatility=a)
+    return KTrace(increments=incs, expected_cumulative=cum, clamped=0, volatility=a)
 
 
 def _constant_control_solves(problem: TbdsdeProblem, sol: TbdsdeSolution,

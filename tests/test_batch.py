@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bdsde import classical
@@ -72,6 +72,9 @@ def test_tree_batch_equals_per_path_solves(branching, scheme, beta, c, n, m, see
 @given(a_low=st.floats(0.3, 1.0), a_high=st.floats(1.2, 2.5), n_a=st.integers(2, 5),
        scheme=SCHEMES, beta=st.floats(-0.8, 0.8), n=st.integers(1, 6), x_steps=st.integers(20, 60),
        m=st.integers(2, 4), seed=SEEDS)
+# path 1's one implicit step contracts by ~0.56 from values ~8, past 50 iterations
+@example(a_low=1.0, a_high=2.0, n_a=2, scheme="stratonovich", beta=0.5, n=1, x_steps=20, m=2,
+         seed=0)
 def test_lattice_batch_equals_per_path_solves(a_low, a_high, n_a, scheme, beta, n, x_steps, m,
                                               seed):
     grid = build_time_grid(0, 1, n)
@@ -93,8 +96,8 @@ def test_lattice_batch_equals_per_path_solves(a_low, a_high, n_a, scheme, beta, 
     np.testing.assert_array_equal(batch.K.increments, first.K.increments)
     assert_meta_equal(batch.meta, first.meta)
     # diagnostics of the batch read path 0's solution
-    np.testing.assert_array_equal(extract_k(batch, prob, paths[0], a_low).increments,
-                                  extract_k(first, prob, paths[0], a_low).increments)
+    np.testing.assert_array_equal(extract_k(batch, volatility=a_low).increments,
+                                  extract_k(first, volatility=a_low).increments)
 
     order = np.random.default_rng(seed).permutation(m)
     permuted = solve_dp(prob, grid, [paths[k] for k in order], x0=0.5, opts=opts)

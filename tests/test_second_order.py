@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bdsde import _accel, second_order
-from bdsde.classical import BdsdeProblem, SolverOptions, solve_tree
+from bdsde.classical import BdsdeProblem, SolverOptions, backward_step, solve_tree
+from bdsde.config import ExperimentConfig
 from bdsde.errors import (
     ConvergenceError,
     InvalidArgumentError,
@@ -17,6 +22,7 @@ from bdsde.grids import (
     sample_forward_ensemble,
     subsample_path,
 )
+from bdsde.problems import REGISTRY
 from bdsde.second_order import (
     DpOptions,
     TbdsdeProblem,
@@ -24,6 +30,7 @@ from bdsde.second_order import (
     feynman_kac_residual,
     hamiltonian,
     lattice_bounds,
+    lattice_cond,
     minimality_gap,
     representation_check,
     solve_dp,
@@ -170,7 +177,8 @@ class TestCompensator:
 
     def test_suboptimal_control_sees_positive_compensator(self):
         # under the low control the expected compensator equals the value gap
-        k_low = extract_k(self.sol, self.prob, self.w, volatility=0.5)
+        assert extract_k(self.sol) is self.sol.K
+        k_low = extract_k(self.sol, volatility=0.5)
         assert k_low.k_terminal > 1.0
         assert np.all(k_low.increments >= 0)
         assert np.all(np.diff(k_low.expected_cumulative) >= -1e-15)
@@ -178,14 +186,13 @@ class TestCompensator:
         prob = TbdsdeProblem(terminal=lambda x: x**2, F=FZERO, g=ZERO,
                              volgrid=build_volatility_grid(1.0, 1.0, 1))
         sol = solve_dp(prob, self.grid, self.w, x0=1.0)
-        assert extract_k(sol, prob, self.w, volatility=1.0).k_terminal == 0.0
+        assert extract_k(sol, volatility=1.0).k_terminal == 0.0
         for foreign in (0.5, 2.0):
             with pytest.raises(InvalidArgumentError):
-                extract_k(sol, prob, self.w, volatility=foreign)
-        # a path off the solve's grid is rejected, not read as a compensator
-        fine = sample_backward_path(build_time_grid(0, 1, 64), 1, seed=5)
-        with pytest.raises(InvalidArgumentError, match="share the grid"):
-            extract_k(self.sol, self.prob, fine, volatility=0.5)
+                extract_k(sol, volatility=foreign)
+        # a volatility off the lattice's grid is refused, not solved for
+        with pytest.raises(InvalidArgumentError, match="foreign"):
+            extract_k(self.sol, volatility=0.7)
 
     @pytest.mark.parametrize("x_steps", [201, 200])
     def test_expected_compensator_matches_full_matrix_moments(self, x_steps):
@@ -195,7 +202,7 @@ class TestCompensator:
         sol = solve_dp(self.prob, self.grid, self.w, x0=1.0, opts=DpOptions(x_steps=x_steps))
         xs = sol.meta["lattice"]
         assert (1.0 in xs) == (x_steps % 2 == 0)
-        k = extract_k(sol, self.prob, self.w, volatility=0.5)
+        k = extract_k(sol, volatility=0.5)
         ref = [0.0, float(_accel.linear_interp(np.array([1.0]), xs, k.increments[0])[0])]
         for i in range(1, self.grid.n_steps):
             sigma = np.sqrt(0.5 * (self.grid.time(i) - self.grid.t0))
@@ -209,7 +216,7 @@ class TestCompensator:
         sol = solve_dp(prob, self.grid, self.w, x0=1.0,
                        opts=DpOptions(x_steps=200, g_scheme=g_scheme))
         assert sol.K.k_terminal < 1e-9
-        assert extract_k(sol, prob, self.w, volatility=0.5).k_terminal < 1e-9
+        assert extract_k(sol, volatility=0.5).k_terminal < 1e-9
         assert minimality_gap(prob, sol, self.w)[0] == pytest.approx(
             best_constant_gap(prob, sol, self.grid, self.w, g_scheme), abs=1e-12)
 
@@ -225,6 +232,108 @@ class TestCompensator:
         # solved on its exact tree
         assert sol.backend == "tree"
         assert sol.y0 == pytest.approx(1.0 + 0.5, abs=1e-12)
+
+
+def recomputed_compensator(prob, sol, w, a, z_T=None):
+    """(increments, expected_cumulative, clamped) of the constant control a,
+    from backward_step under a at every level against the solve's levels, as
+    extract_k once computed it; z_T, if given, replaces sol.Z[n] at step n - 1."""
+    grid, xs, x0, opts = (sol.meta[k] for k in ("grid", "lattice", "x0", "opts"))
+    n = grid.n_steps
+    cond = lattice_cond(xs, a, grid.dt)
+    incs, clamped = [None] * n, 0
+    for i in range(n - 1, -1, -1):
+        z_next = z_T if i == n - 1 and z_T is not None else sol.Z[i + 1]
+        cand = backward_step(prob.classical_problem(a), cond, lambda _: xs, i, grid,
+                             sol.Y[i + 1], z_next, w, a, opts)[0]
+        delta = sol.Y[i] - cand
+        clamped += int(np.sum(delta < 0))
+        incs[i] = np.maximum(delta, 0.0)
+    cum = np.zeros(n + 1)
+    for i in range(n):
+        t_i = grid.time(i) - grid.t0
+        cum[i + 1] = cum[i] + float(
+            _accel.linear_interp(np.array([x0]), xs, incs[i])[0] if t_i <= 0 else
+            _accel.pl_gauss_moments(xs, incs[i], np.array([x0]), math.sqrt(a * t_i))[0][0])
+    return np.array(incs), cum, clamped
+
+
+def assert_trace_is(k, expected):
+    incs, cum, clamped = expected
+    np.testing.assert_array_equal(k.increments, incs)
+    np.testing.assert_array_equal(k.expected_cumulative, cum)
+    assert k.clamped == clamped
+
+
+class TestCompensatorFromSweep:
+    """extract_k reads the defects the lattice step formed; it solves nothing."""
+
+    @pytest.mark.parametrize("g_scheme", ["ito", "stratonovich"])
+    @pytest.mark.parametrize("n, x_steps", [(16, 200), (32, 201)])
+    @pytest.mark.parametrize("name", ["bsb_mixed", "bsb_doss"])
+    def test_stored_compensator_is_the_recomputed_one(self, name, n, x_steps, g_scheme):
+        pdef = REGISTRY[name]
+        prob = pdef.equation(ExperimentConfig.from_defaults())
+        grid = build_time_grid(0, 1, n)
+        w = sample_backward_path(grid, 1, seed=3)
+        sol = solve_dp(prob, grid, w, x0=pdef.x0,
+                       opts=DpOptions(x_steps=x_steps, g_scheme=g_scheme))
+        a_vals = prob.finite_volatilities()
+        assert len(a_vals) == 5
+        for a in a_vals:
+            assert_trace_is(extract_k(sol, volatility=a),
+                            recomputed_compensator(prob, sol, w, float(a)))
+        assert extract_k(sol, volatility=a_vals[0]).increments.max() > 0.0
+
+    def test_z_dependent_g_reads_each_volatility_own_phantom(self):
+        # at step n - 1 the solve formed each volatility's candidate with its
+        # own phantom z_T, where sol.Z[n] is the argmax's
+        prob = bsb_problem(terminal=lambda x: np.where(x > 0, x**2, -(x**2)),
+                           g=lambda t, x, y, z: 0.2 * z + 0.1 * y)
+        grid = build_time_grid(0, 1, 16)
+        w = sample_backward_path(grid, 1, seed=3)
+        sol = solve_dp(prob, grid, w, x0=0.0, opts=DpOptions(x_steps=200))
+        xs = sol.meta["lattice"]
+        moved = 0
+        for a in prob.finite_volatilities():
+            k = extract_k(sol, volatility=a)
+            with_argmax_z = recomputed_compensator(prob, sol, w, float(a))[0]
+            np.testing.assert_array_equal(k.increments[:-1], with_argmax_z[:-1])
+            own_z = lattice_cond(xs, float(a), grid.dt)(prob.terminal(xs))[1]
+            assert_trace_is(k, recomputed_compensator(prob, sol, w, float(a), z_T=own_z))
+            moved += not np.array_equal(k.increments[-1], with_argmax_z[-1])
+        assert moved > 0
+
+
+@given(c=st.floats(-1.0, 1.0), b=st.floats(-1.0, 1.0), s=st.floats(-0.5, 0.5),
+       a_low=st.floats(0.2, 1.2), a_high=st.floats(1.3, 2.5), n_a=st.integers(2, 6),
+       beta=st.floats(-0.5, 0.5), g_scheme=st.sampled_from(["ito", "stratonovich"]),
+       n=st.sampled_from([8, 16]), seed=st.integers(0, 2**20))
+def test_every_constant_control_sees_a_nonnegative_compensator(c, b, s, a_low, a_high, n_a,
+                                                               beta, g_scheme, n, seed):
+    prob = TbdsdeProblem(terminal=lambda x: c * x**2 + b * np.abs(x - s), F=FZERO,
+                         g=lambda t, x, y, z: beta * y,
+                         volgrid=build_volatility_grid(a_low, a_high, n_a))
+    grid = build_time_grid(0, 1, n)
+    sol = solve_dp(prob, grid, sample_backward_path(grid, 1, seed=seed), x0=0.0,
+                   opts=DpOptions(x_steps=80, g_scheme=g_scheme))
+    a_vals, defects, xs = sol.meta["a_values"], sol.meta["defects"], sol.meta["lattice"]
+    # E[K_{i+1} - K_i] weighs nonnegative increments, so it is >= 0 up to
+    # rounding and to the linear extension beyond the lattice's ends (the
+    # edge band), whose weight is at most E[(X - end)^+] / h per end: the
+    # lattice ends lie 6 sd of the widest forward law away, and
+    # E[(Z - 6)^+] = phi(6) - 6 Phi(-6)
+    tail = math.exp(-18.0) / math.sqrt(2 * math.pi) - 3.0 * math.erfc(6.0 / math.sqrt(2.0))
+    weight = 2.0 * tail * math.sqrt(a_vals[-1]) / (xs[1] - xs[0]) + 64 * np.finfo(float).eps
+    for a in a_vals:
+        k = extract_k(sol, volatility=a)
+        assert np.all(np.diff(k.expected_cumulative) >= -weight * k.increments.max(axis=1))
+    # the argmax's defect is exactly 0, every smaller volatility's is positive
+    rows = np.arange(len(a_vals))[:, None]
+    for i in range(n):
+        own = np.searchsorted(a_vals, sol.argmax_a[i])
+        assert np.all(defects[i][own, np.arange(defects.shape[-1])] == 0.0)
+        assert np.all((defects[i] > 0.0) | (rows >= own))
 
 
 class TestNonFinite:
