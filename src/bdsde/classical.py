@@ -338,34 +338,21 @@ def check_comparison(sol1: BdsdeSolution, sol2: BdsdeSolution,
 # least-squares Monte Carlo backend
 
 
-def _step_controls(ensemble: PathEnsemble) -> np.ndarray:
-    c = np.asarray(ensemble.control, dtype=float)
-    n = ensemble.grid.n_steps
-    if c.ndim == 0:
-        return np.full(n, float(c))
-    if c.ndim == 1:
-        return c
-    raise InvalidArgumentError("regression backend supports scalar controls (d = 1)")
-
-
 def solve_regression(problem: BdsdeProblem, ensemble: PathEnsemble, w: BackwardPath | list,
                      basis_degree: int = 3, opts: SolverOptions = SolverOptions(),
                      ridge: float = 1e-10, cond_max: float = 1e12) -> BdsdeSolution:
     """Least-squares Monte Carlo backward induction (d = 1).
 
-    w is one BackwardPath or a list of paths on the ensemble's grid, solved as
-    in `solve_tree`: one sweep over the shared ensemble with one regression
-    basis per step, path 0's solution and every path's y0 in y0_paths.  The
-    levels y[i] and z[i] hold one value per ensemble path.
+    Step i regresses on the ensemble's states X[:, i] and increments dX[:, i]
+    under its volatility ensemble.control[i].  w is one BackwardPath or a list
+    of paths on the ensemble's grid, solved as in `solve_tree`: one sweep over
+    the shared ensemble with one regression basis per step, path 0's solution
+    and every path's y0 in y0_paths.  The levels y[i] and z[i] hold one value
+    per ensemble path.
     """
     grid = ensemble.grid
-    if ensemble.d_dim != 1:
-        raise InvalidArgumentError("regression backend implemented for d = 1")
-
     n, dt = grid.n_steps, grid.dt
-    a_steps = _step_controls(ensemble)
-    X = ensemble.states[:, :, 0]
-    dX = ensemble.increments[:, :, 0]
+    a_steps, X, dX = ensemble.control, ensemble.states, ensemble.increments
     N = ensemble.n_paths
 
     y_T = np.asarray(problem.terminal(X[:, n]), dtype=float)

@@ -1,11 +1,11 @@
 """Time grids, frozen backward paths, and forward-noise structures.
 
-The forward noise B is represented either exactly (a recombining tree in
-one dimension) or by a seeded Monte Carlo ensemble under a piecewise
-constant volatility control.  The backward Brownian path W is frozen per
-run: a single sampled trajectory stands in for conditioning on the
-external noise, and statistics over W come from a batch of such paths
-solved together (see `batch_paths`).
+The forward noise B is one-dimensional, represented either exactly (a
+recombining tree) or by a seeded Monte Carlo ensemble under a piecewise
+constant volatility control: a positive scalar or one volatility per step.
+The backward Brownian path W is frozen per run: a single sampled trajectory
+stands in for conditioning on the external noise, and statistics over W come
+from a batch of such paths solved together (see `batch_paths`).
 """
 
 from __future__ import annotations
@@ -245,10 +245,11 @@ def build_tree(grid: TimeGrid, a, branching: int = 2, x0: float = 0.0) -> Browni
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """Seeded Monte Carlo ensemble of X = x0 + sum a_i^{1/2} dB_i.
+    """Seeded Monte Carlo ensemble of X = x0 + sum a_i^{1/2} dB_i in d = 1.
 
-    states has shape (n_paths, n_steps + 1, d); increments are the realized
-    a^{1/2} dB draws.  Both view time-major arrays, so states[:, i] and
+    control holds the volatility a_i of each step, shape (n_steps,).  states
+    has shape (n_paths, n_steps + 1) and increments, the realized a_i^{1/2} dB_i,
+    shape (n_paths, n_steps).  Both view time-major arrays, so states[:, i] and
     increments[:, i] are contiguous.  Identical for any worker count at fixed seed.
     """
 
@@ -260,49 +261,40 @@ class PathEnsemble:
     seed: int
     x0: float = 0.0
 
-    @property
-    def d_dim(self) -> int:
-        return self.states.shape[2]
 
-
-def _control_matrix_sqrt(control, n_steps: int):
-    """Normalize control to per-step sqrt factors; returns (sqrts, d)."""
-    c = np.asarray(control, dtype=float)
+def _step_controls(control, n_steps: int) -> np.ndarray:
+    """The (n_steps,) volatilities of a positive scalar or per-step control."""
+    c = np.array(control, dtype=float)
     if c.ndim == 0:
         c = np.full(n_steps, float(c))
-    if c.ndim == 1:
-        if c.shape[0] != n_steps:
-            raise InvalidArgumentError(
-                f"control must have one entry per step ({n_steps}), got {c.shape[0]}")
-        if np.any(c <= 0):
-            raise InvalidArgumentError("control must be positive definite at every step")
-        return np.sqrt(c)[:, None, None] * np.eye(1)[None, :, :], 1
-    if c.ndim == 2:  # single matrix, constant in time
-        c = np.broadcast_to(c, (n_steps,) + c.shape)
-    if c.ndim != 3 or c.shape[0] != n_steps or c.shape[1] != c.shape[2]:
-        raise InvalidArgumentError("control must be scalar, (n_steps,), or (n_steps, d, d)")
-    d = c.shape[1]
-    sqrts = np.empty_like(c)
-    for i in range(n_steps):
-        w, v = np.linalg.eigh(0.5 * (c[i] + c[i].T))
-        if np.any(w <= 0):
-            raise InvalidArgumentError("control must be positive definite at every step")
-        sqrts[i] = (v * np.sqrt(w)) @ v.T
-    return sqrts, d
+    if c.shape != (n_steps,):
+        raise InvalidArgumentError(
+            f"control must be a scalar or one volatility per step, shape ({n_steps},); "
+            f"got shape {c.shape}")
+    if not np.all((c > 0) & np.isfinite(c)):
+        raise InvalidArgumentError(f"control must be positive and finite at every step, got {c}")
+    return c
 
 
 def sample_forward_ensemble(grid: TimeGrid, n_paths: int, control, seed: int,
                             x0: float = 0.0, workers: int = 1) -> PathEnsemble:
-    """Simulate n_paths forward trajectories under a per-step control."""
+    """Simulate n_paths forward trajectories under a scalar or per-step control.
+
+    Step i's increment of path p is sqrt(dt) * (sqrt(a_i) * z[p, i]), z the
+    `rng.blocked_normals` draws of shape (n_paths, n_steps) for seed, and the
+    states are x0 plus their running sums.
+    """
     if n_paths < 1:
         raise InvalidArgumentError("n_paths must be >= 1")
-    sqrts, d = _control_matrix_sqrt(control, grid.n_steps)
-    z = rng.blocked_normals(seed, n_paths, (grid.n_steps, d), workers=workers)
-    incs = np.sqrt(grid.dt) * np.einsum("ijk,pik->ipj", sqrts, z)   # (n_steps, N, d)
-    states = np.empty((grid.n_steps + 1, n_paths, d))
-    states[0] = x0
-    np.cumsum(incs, axis=0, out=states[1:])
-    states[1:] += x0
-    return PathEnsemble(grid=grid, n_paths=n_paths, control=np.asarray(control, dtype=float),
-                        increments=incs.transpose(1, 0, 2), states=states.transpose(1, 0, 2),
-                        seed=seed, x0=float(x0))
+    a = _step_controls(control, grid.n_steps)
+    incs = np.empty((grid.n_steps, n_paths))
+    np.multiply(np.sqrt(a)[:, None],
+                rng.blocked_normals(seed, n_paths, (grid.n_steps,), workers=workers).T, out=incs)
+    incs *= np.sqrt(grid.dt)
+    # the running sum row by row: np.cumsum along axis 0 strides across rows
+    states = np.zeros((grid.n_steps + 1, n_paths))
+    for i in range(grid.n_steps):
+        np.add(states[i], incs[i], out=states[i + 1])
+    states += x0
+    return PathEnsemble(grid=grid, n_paths=n_paths, control=a, increments=incs.T,
+                        states=states.T, seed=seed, x0=float(x0))

@@ -214,16 +214,16 @@ def ito_product_check(p1: ItoProcess, p2: ItoProcess, ensemble: PathEnsemble,
                       w: BackwardPath, flip_backward_bracket: bool = False) -> ItoProductReport:
     """Simulate both sides of the mixed product formula.
 
-    The ds-bracket carries a^{1/2} beta^1 . a^{1/2} beta^2 from the forward
-    driver and MINUS gamma^1 . gamma^2 from the backward one; flipping that
-    sign (the control experiment) must break convergence.
+    The ds-bracket of step i carries a_i beta^1 beta^2 from the forward
+    driver, a_i the ensemble's control on that step, and MINUS gamma^1 gamma^2
+    from the backward one; flipping that sign (the control experiment) must
+    break convergence.
     """
     grid = ensemble.grid
     n, dt = grid.n_steps, grid.dt
     N = ensemble.n_paths
-    B = ensemble.states[:, :, 0]
+    B = ensemble.states
     dB_raw = np.diff(B, axis=1)
-    a_const = float(np.asarray(ensemble.control).reshape(-1)[0])
     sign = +1.0 if flip_backward_bracket else -1.0
 
     def components(p, i):
@@ -242,7 +242,7 @@ def ito_product_check(p1: ItoProcess, p2: ItoProcess, ensemble: PathEnsemble,
         for p, X, al, be, ga in ((p1, X1, al1, be1, ga1), (p2, X2, al2, be2, ga2)):
             dk = (p.k[i + 1] - p.k[i]) if p.k is not None else 0.0
             X[:, i + 1] = X[:, i] + al * dt + be * dB_raw[:, i] + ga * dw + dk
-        rhs += (a_const * be1 * be2 + sign * ga1 * ga2
+        rhs += (ensemble.control[i] * be1 * be2 + sign * ga1 * ga2
                 + al1 * X2[:, i] + al2 * X1[:, i]) * dt
         rhs += (X2[:, i] * be1 + X1[:, i] * be2) * dB_raw[:, i]
         rhs += (X1[:, i + 1] * ga2 + X2[:, i + 1] * ga1) * dw

@@ -95,7 +95,6 @@ class DpOptions(SolverOptions):
 class KTrace:
     increments: np.ndarray          # (n_steps, n_nodes) nonnegative defects
     expected_cumulative: np.ndarray  # (n_steps + 1,) forward-law expectation
-    clamped: int                    # defects set to 0 from below: none on any backend
     volatility: Optional[float]     # None = per-node argmax
 
     @property
@@ -220,7 +219,7 @@ def solve_dp(problem: TbdsdeProblem, grid: TimeGrid, w: BackwardPath | list,
     Z[n] = np.take_along_axis(phantom, best[-1][None], axis=0)[0]
     # the defect of the value against the step under the argmax control vanishes
     k_argmax = KTrace(increments=np.zeros((n, len(xs))), expected_cumulative=np.zeros(n + 1),
-                      clamped=0, volatility=None)
+                      volatility=None)
     return TbdsdeSolution(Y=Y, Z=Z, argmax_a=argmax, K=k_argmax, residual=residual,
                           y0=float(y0_paths[0]), y0_paths=y0_paths,
                           meta={"backend": "lattice", "lattice": xs, "x0": x0, "grid": grid,
@@ -236,7 +235,7 @@ def _solve_dp_tree(problem, grid, w, x0, opts, a_vals):
     argmax = [np.full(tree.n_nodes(i), a) for i in range(n + 1)]
     # the value is the sole control's own step, so its compensator vanishes
     k_sole = KTrace(increments=np.zeros((n, tree.n_nodes(n - 1))),
-                    expected_cumulative=np.zeros(n + 1), clamped=0, volatility=a)
+                    expected_cumulative=np.zeros(n + 1), volatility=a)
     return TbdsdeSolution(Y=base.y, Z=base.z, argmax_a=argmax, K=k_sole,
                           residual=base.residual, y0=base.y0, y0_paths=base.y0_paths,
                           meta={"backend": "tree", "tree": tree, "x0": x0,
@@ -282,7 +281,7 @@ def extract_k(sol: TbdsdeSolution, volatility: Optional[float] = None) -> KTrace
             e_i = float(pl_gauss_moments(xs, incs[i], np.array([x0]),
                                          math.sqrt(a * t_i))[0][0])
         cum[i + 1] = cum[i] + e_i
-    return KTrace(increments=incs, expected_cumulative=cum, clamped=0, volatility=a)
+    return KTrace(increments=incs, expected_cumulative=cum, volatility=a)
 
 
 def _constant_control_solves(problem: TbdsdeProblem, sol: TbdsdeSolution,
@@ -365,7 +364,8 @@ def feynman_kac_residual(u: Callable, du: Callable, d2u: Callable,
                          w: BackwardPath, eps: float = 1e-8) -> FeynmanKacReport:
     """Verify a candidate classical solution along simulated paths.
 
-    Along paths under the ensemble's constant control a, with Y = u, Z = Du
+    Along paths under the ensemble's control a, which must be constant in
+    time (InvalidArgumentError otherwise), with Y = u, Z = Du
     and curvature G = D^2 u, the compensator rate
 
         k = H(., G) - a G / 2 - F(., a)
@@ -382,8 +382,11 @@ def feynman_kac_residual(u: Callable, du: Callable, d2u: Callable,
     """
     grid = ensemble.grid
     n, dt = grid.n_steps, grid.dt
-    a = float(np.asarray(ensemble.control).reshape(-1)[0])
-    X = ensemble.states[:, :, 0]
+    a = float(ensemble.control[0])
+    if np.any(ensemble.control != a):
+        raise InvalidArgumentError(
+            f"feynman_kac_residual needs a constant control, got {ensemble.control}")
+    X = ensemble.states
     H = hamiltonian(problem)
 
     min_k, mean_k, n_neg, total = math.inf, 0.0, 0, 0
@@ -418,7 +421,7 @@ def feynman_kac_residual(u: Callable, du: Callable, d2u: Callable,
         g_i = g_dot(problem.g(t, X[:, i], y_i, z_i), wi)
         g_n = g_dot(problem.g(t_next, X[:, i + 1], y_n, uv[i + 1][1]), wi)
         g_half += 0.5 * (g_i + g_n)
-        z_dx += z_i * ensemble.increments[:, i, 0]
+        z_dx += z_i * ensemble.increments[:, i]
 
     trap = 0.5 * dt * (f_path[:, 0] + f_path[:, -1] + 2 * f_path[:, 1:-1].sum(axis=1))
     trap_k = 0.5 * dt * (k_path[:, 0] + k_path[:, -1] + 2 * k_path[:, 1:-1].sum(axis=1))

@@ -251,7 +251,7 @@ class TestRegressionSolver:
         w = sample_backward_path(grid, 1, seed=1)
         prob = BdsdeProblem(terminal=lambda x: x, f=ZERO, g=ZERO)
         sol = solve_regression(prob, ens, w, basis_degree=2)
-        se = ens.states[:, -1, 0].std() / np.sqrt(ens.n_paths)
+        se = ens.states[:, -1].std() / np.sqrt(ens.n_paths)
         assert abs(sol.y0) < 3 * se
 
     def test_matches_tree_on_additive_problem(self):

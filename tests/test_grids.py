@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bdsde import rng
 from bdsde.errors import InvalidArgumentError, UnsupportedBackendError
 from bdsde.grids import (
     BackwardPath,
@@ -153,7 +154,7 @@ class TestEnsemble:
     def test_mean_of_terminal_state(self):
         g = build_time_grid(0, 1, 8)
         ens = sample_forward_ensemble(g, 100_000, 1.0, seed=1)
-        xt = ens.states[:, -1, 0]
+        xt = ens.states[:, -1]
         se = xt.std(ddof=1) / np.sqrt(len(xt))
         assert abs(xt.mean()) < 3 * se
 
@@ -162,11 +163,17 @@ class TestEnsemble:
         with pytest.raises(InvalidArgumentError):
             sample_forward_ensemble(g, 10, 0.0, seed=1)
 
+    @pytest.mark.parametrize("control", [np.nan, np.inf, [1.0, 1.0, -1.0, 1.0]])
+    def test_nonpositive_or_nonfinite_control_rejected(self, control):
+        g = build_time_grid(0, 1, 4)
+        with pytest.raises(InvalidArgumentError, match="positive and finite"):
+            sample_forward_ensemble(g, 10, control, seed=1)
+
     def test_variance_scaling(self):
         g = build_time_grid(0, 1, 8)
         e1 = sample_forward_ensemble(g, 50_000, 1.0, seed=2)
         e4 = sample_forward_ensemble(g, 50_000, 4.0, seed=2)
-        r = e4.states[:, -1, 0].var() / e1.states[:, -1, 0].var()
+        r = e4.states[:, -1].var() / e1.states[:, -1].var()
         assert r == pytest.approx(4.0, rel=0.05)
 
     def test_control_length_mismatch(self):
@@ -186,14 +193,30 @@ class TestEnsemble:
         for n in (16, 64):
             g = build_time_grid(0, 1, n)
             ens = sample_forward_ensemble(g, 4000, 2.0, seed=5)
-            qv = np.sum(ens.increments ** 2, axis=(1, 2))  # realized QV per path
+            qv = np.sum(ens.increments ** 2, axis=1)  # realized QV per path
             maes.append(np.abs(qv - 2.0).mean())
         assert maes[1] < maes[0]
         assert maes[0] / maes[1] == pytest.approx(2.0, rel=0.3)  # sqrt(4) for dt/4
 
-    def test_matrix_control(self):
+    def test_matrix_control_rejected(self):
         g = build_time_grid(0, 1, 4)
-        a = np.array([[1.0, 0.3], [0.3, 2.0]])
-        ens = sample_forward_ensemble(g, 30_000, a, seed=3)
-        cov = np.cov(ens.states[:, -1, :].T)
-        np.testing.assert_allclose(cov, a, atol=0.06)
+        with pytest.raises(InvalidArgumentError, match=r"shape \(2, 2\)"):
+            sample_forward_ensemble(g, 10, np.array([[1.0, 0.3], [0.3, 2.0]]), seed=1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("control", [1.3, np.array([0.5, 2.0, 1.0, 4.0, 0.25])])
+    def test_states_are_cumulated_scaled_blocked_normals(self, control, workers):
+        # two Philox blocks, so workers = 2 fills them on two threads
+        g = build_time_grid(0, 1, 5)
+        n_paths = rng.BLOCK_SIZE + 100
+        ens = sample_forward_ensemble(g, n_paths, control, seed=9, x0=0.4, workers=workers)
+        a = np.broadcast_to(control, (5,))
+        z = rng.blocked_normals(9, n_paths, (5,))
+        incs = np.sqrt(g.dt) * (np.sqrt(a) * z)
+        assert np.array_equal(ens.control, a)
+        assert np.array_equal(ens.increments, incs)
+        states = np.empty((n_paths, 6))
+        states[:, 0] = 0.4
+        states[:, 1:] = 0.4 + np.cumsum(incs, axis=1)
+        assert np.array_equal(ens.states, states)
+        assert ens.states[:, 2].flags.c_contiguous and ens.increments[:, 2].flags.c_contiguous

@@ -203,6 +203,21 @@ class TestItoProduct:
         assert flipped[2] > 10 * correct[2]
         assert flipped[2] == pytest.approx(2.0, rel=0.3)
 
+    def test_forward_bracket_reads_each_steps_control(self):
+        # volatility 1 on the first half of the steps and 4 on the second: the
+        # bracket must integrate a_i step by step; reading step 0's volatility
+        # throughout leaves a residual of ~1.6 at every n
+        p = ItoProcess(beta=lambda t, b, wv: 1.0)
+        stepped, const = {}, {}
+        for n in (64, 256):
+            grid, ens, w = self.make(n, a=np.where(np.arange(n) < n // 2, 1.0, 4.0), seed=4)
+            stepped[n] = ito_product_check(p, p, ens, w).mean_abs_residual
+            grid, ens, w = self.make(n, a=2.5, seed=4)
+            const[n] = ito_product_check(p, p, ens, w).mean_abs_residual
+        assert stepped[256] < 0.6 * stepped[64]
+        for n in (64, 256):
+            assert stepped[n] < 1.5 * const[n]
+
     def test_independent_drivers_cross_bracket_zero(self):
         grid, ens, w = self.make(64, n_paths=20000)
         p1 = ItoProcess(gamma=lambda t, b, wv: 1.0)
