@@ -31,7 +31,6 @@ from .errors import (
     RegressionError,
     StepSizeError,
 )
-from .generators import g_dot
 from .grids import BackwardPath, BrownianTree, PathEnsemble, batch_paths
 
 PHANTOM_STREAM_BASE = 1_000_001
@@ -48,7 +47,7 @@ class BdsdeProblem:
 
     terminal: Callable                 # x array -> xi array (Markovian)
     f: Callable                        # (t, x, y, z) -> array
-    g: Callable                        # (t, x, y, z) -> array; pairs with W's first component
+    g: Callable                        # (t, x, y, z) -> array; multiplies the scalar dW
     forcing: Optional[np.ndarray] = None   # V at grid nodes, shape (n_steps + 1,)
     lipschitz_f: Optional[float] = None
 
@@ -164,20 +163,20 @@ def backward_step(problem: BdsdeProblem, cond: Callable, states: Callable, i: in
     or (V, 1, 1), stacks V volatilities as a further leading axis.
     """
     t_i, t_next, dt = grid.time(i), grid.time(i + 1), grid.dt
-    # dW_i as (1, l), or (m, 1, l) against (m, nodes) values
-    wi = (w.values[i + 1] - w.values[i])[..., None, :]
+    # dW_i as (1,), or (m, 1) against (m, nodes) values
+    wi = (w.values[i + 1] - w.values[i])[..., None]
     x_i, x_next = states(i), states(i + 1)
     dV = 0.0 if problem.forcing is None else problem.forcing[i + 1] - problem.forcing[i]
     half = 0.5 if opts.g_scheme == "stratonovich" else 1.0
 
-    r = y_next + half * g_dot(problem.g(t_next, x_next, y_next, z_next), wi)
+    r = y_next + half * (problem.g(t_next, x_next, y_next, z_next) * wi)
     e_mean, z = cond(r)
     if not (np.isfinite(e_mean).all() and np.isfinite(z).all()):
         _check_finite(i, a, R=r, mean=e_mean, z=z)  # a bad R poisons its moments
     base = e_mean + dV
 
     def unconstrained(y):
-        u = base if half == 1.0 else base + (1.0 - half) * g_dot(problem.g(t_i, x_i, y, z), wi)
+        u = base if half == 1.0 else base + (1.0 - half) * (problem.g(t_i, x_i, y, z) * wi)
         return u + problem.f(t_i, x_i, y, z) * dt
 
     project = (lambda u: u) if constraint is None else (lambda u: constraint(i, u))
@@ -211,7 +210,7 @@ def backward_sweep(problem, grid, w: BackwardPath | list, y_T, z_T, step: Callab
     chunks = _path_chunks(w, max(1, SWEEP_VALUES // np.shape(y_T)[-1]))
     # path 0's entry of a step's results: row 0 of a batch, copied so that
     # the other rows are freed, or a single path's values as they are
-    keep = (lambda v: v[0].copy()) if chunks[0].values.ndim == 3 else (lambda v: v)
+    keep = (lambda v: v[0].copy()) if chunks[0].values.ndim == 2 else (lambda v: v)
     y, z, extras = [None] * n + [y_T], [None] * n + [z_T], [None] * n
     residual, iters = np.zeros(n), np.zeros(n, dtype=int)
     y0_paths = [None] * len(chunks)
@@ -228,10 +227,10 @@ def backward_sweep(problem, grid, w: BackwardPath | list, y_T, z_T, step: Callab
 
 def _path_chunks(w: BackwardPath, size: int) -> list:
     """A batch's paths in batches of at most size, a batch of one as that path."""
-    if w.values.ndim == 2:
+    if w.values.ndim == 1:
         return [w]
     chunks = (w.values[:, k:k + size] for k in range(0, w.values.shape[1], size))
-    return [replace(w, values=v[:, 0] if v.shape[1] == 1 else v) for v in chunks]
+    return [replace(w, values=v.squeeze(axis=1) if v.shape[1] == 1 else v) for v in chunks]
 
 
 def _solve_on_tree(problem: BdsdeProblem, tree: BrownianTree, w: BackwardPath | list,

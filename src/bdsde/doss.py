@@ -193,11 +193,13 @@ def build_y_lattice(y_lo: float, y_hi: float, n: int, pad: float = 3.0) -> np.nd
 
 def solve_flow(coef: FlowCoefficient, w: BackwardPath, x_lattice, y_lattice,
                y_core: Optional[tuple] = None) -> FlowField:
-    """Integrate the flow and its variational derivatives backward along W.
+    """Integrate the flow and its variational derivatives backward along one path W.
 
-    Raises NonFiniteError naming the step and lattice node of the first
-    non-finite entry, and SingularFlowError when d_y eta falls to MIN_DY.
+    Raises InvalidArgumentError for a batch of paths, NonFiniteError naming
+    the step and lattice node of the first non-finite entry, and
+    SingularFlowError when d_y eta falls to MIN_DY.
     """
+    w.require_single("solve_flow")
     xs = np.asarray(x_lattice, dtype=float)
     ys = np.asarray(y_lattice, dtype=float)
     grid = w.grid
@@ -226,8 +228,7 @@ def solve_flow(coef: FlowCoefficient, w: BackwardPath, x_lattice, y_lattice,
         return d
 
     for i in range(n - 1, -1, -1):
-        # g is scalar-valued: it pairs with the driver's first component
-        dw = w.values[i + 1, 0] - w.values[i, 0]
+        dw = w.values[i + 1] - w.values[i]
         k1 = drift(grid.time(i + 1), s) * dw
         k2 = drift(grid.time(i), s + k1) * dw
         s = s + 0.5 * (k1 + k2)
@@ -438,7 +439,7 @@ def growth_check(flow: FlowField, inv: FlowField) -> GrowthReport:
     |W_t| and the remaining-increment sup over [t, T].
     """
     n = flow.grid.n_steps
-    wv = flow.w.values[:, 0]
+    wv = flow.w.values
     norms = {
         "position": np.abs(wv),
         "increment_sup": np.array([np.max(np.abs(wv[i:] - wv[i])) for i in range(n + 1)]),

@@ -108,18 +108,12 @@ class GeneratorConstants:
     beta: float = 0.0  # z z^T growth coefficient, in [0, 1)
 
 
-def g_dot(g_vals, w_inc):
-    """Product of a scalar-valued generator value with the first component of a
-    backward-driver increment.  Leading axes broadcast."""
-    return np.asarray(g_vals, dtype=float) * np.atleast_1d(np.asarray(w_inc, dtype=float))[..., 0]
-
-
 def stratonovich_correction(problem: TbdsdeProblem,
                             dy_g: Optional[Callable] = None) -> TbdsdeProblem:
     """The problem's equation read with a Stratonovich backward integral,
     rewritten for the Ito (right-endpoint) scheme: F becomes F + g * d_y g / 2.
 
-    g is scalar-valued (see g_dot), so the correction is elementwise at every
+    g and the driver W are scalar, so the correction is elementwise at every
     state and path.  d_y g is the analytic dy_g(t, x, y, z) when given, else
     the central difference of g with step FD_STEP.  Everything else, the
     declared lipschitz_f too, is the problem's own: declare the constant of

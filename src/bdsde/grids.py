@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError, UnsupportedBackendError
+from .errors import InvalidArgumentError
 from . import rng
 
 _BRANCH_PROBS = {2: np.array([0.5, 0.5]), 3: np.array([1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0])}
@@ -47,10 +47,10 @@ def build_time_grid(t0: float, horizon: float, n: int) -> TimeGrid:
 
 @dataclass(frozen=True)
 class BackwardPath:
-    """Frozen trajectory of the backward driver W on a time grid.
+    """Frozen trajectory of the scalar backward driver W on a time grid.
 
-    values has shape (n_steps + 1, l) with values[0] = 0, or (n_steps + 1, m, l)
-    for a batch of m paths (see `batch_paths`).
+    values has shape (n_steps + 1,) with values[0] = 0, or (n_steps + 1, m)
+    for a batch of m paths, path k at values[:, k] (see `batch_paths`).
     """
 
     grid: TimeGrid
@@ -59,10 +59,10 @@ class BackwardPath:
 
     @property
     def increments(self) -> np.ndarray:
-        """dW_i = W_{t_{i+1}} - W_{t_i}, shape (n_steps, l) or (n_steps, m, l)."""
+        """dW_i = W_{t_{i+1}} - W_{t_i}, shape (n_steps,) or (n_steps, m)."""
         return np.diff(self.values, axis=0)
 
-    def tail_increment(self, i: int) -> np.ndarray:
+    def tail_increment(self, i: int):
         """W_T - W_{t_i}."""
         return self.values[-1] - self.values[i]
 
@@ -72,40 +72,44 @@ class BackwardPath:
             raise InvalidArgumentError(
                 f"backward path and solver must share the grid, got {self.grid} and {grid}")
 
+    def require_single(self, what: str):
+        """InvalidArgumentError unless this is one path, not a batch."""
+        if self.values.ndim != 1:
+            raise InvalidArgumentError(
+                f"{what} takes one backward path of shape ({self.grid.n_steps + 1},), "
+                f"got values of shape {self.values.shape}")
+
     @classmethod
     def from_values(cls, grid: TimeGrid, values, seed: int = -1) -> "BackwardPath":
-        values = np.atleast_2d(np.asarray(values, dtype=float))
-        if values.shape[0] == 1 and grid.n_steps + 1 > 1:
-            values = values.T
-        if values.shape[0] != grid.n_steps + 1:
+        """One path from its n_steps + 1 values, a 1-D array."""
+        values = np.asarray(values, dtype=float)
+        if values.shape != (grid.n_steps + 1,):
             raise InvalidArgumentError(
-                f"need {grid.n_steps + 1} path values, got {values.shape[0]}")
+                f"need {grid.n_steps + 1} path values in a 1-D array, got shape {values.shape}")
         return cls(grid=grid, values=values, seed=seed)
 
 
 def batch_paths(w: BackwardPath | list) -> BackwardPath:
     """A path as it is (so is a list of one), or a list of paths on one grid as
-    one batch: values of shape (n_steps + 1, m, l), path k at values[:, k]."""
+    one batch: values of shape (n_steps + 1, m), path k at values[:, k]."""
     paths = [w] if isinstance(w, BackwardPath) else list(w)
     if not paths:
         raise InvalidArgumentError("need at least one backward path")
     first = paths[0]
-    if any(p.grid != first.grid or p.values.shape != first.values.shape
-           or p.values.ndim != 2 for p in paths):
-        raise InvalidArgumentError("batched backward paths must share the grid and dimension")
+    if any(p.grid != first.grid or p.values.ndim != 1 for p in paths):
+        raise InvalidArgumentError("batched backward paths must be single paths that "
+                                   "share the grid")
     if len(paths) == 1:
         return first
     return BackwardPath(grid=first.grid, values=np.stack([p.values for p in paths], axis=1),
                         seed=first.seed)
 
 
-def sample_backward_path(grid: TimeGrid, l: int, seed: int) -> BackwardPath:
-    """Sample one W trajectory; deterministic given seed."""
-    if l < 1:
-        raise InvalidArgumentError(f"l must be >= 1, got {l}")
-    dW = np.sqrt(grid.dt) * rng.stream(seed).standard_normal((grid.n_steps, l))
-    values = np.vstack([np.zeros((1, l)), np.cumsum(dW, axis=0)])
-    return BackwardPath(grid=grid, values=values, seed=seed)
+def sample_backward_path(grid: TimeGrid, seed: int) -> BackwardPath:
+    """Sample one W trajectory: 0, then the running sum of sqrt(dt) times the
+    n_steps standard normals of seed's stream."""
+    dW = np.sqrt(grid.dt) * rng.stream(seed).standard_normal(grid.n_steps)
+    return BackwardPath(grid=grid, values=np.concatenate([[0.0], np.cumsum(dW)]), seed=seed)
 
 
 def subsample_path(w: BackwardPath, factor: int) -> BackwardPath:
@@ -120,18 +124,15 @@ def subsample_path(w: BackwardPath, factor: int) -> BackwardPath:
     return BackwardPath(grid=coarse, values=w.values[::factor].copy(), seed=w.seed)
 
 
-def sample_backward_bridge(grid: TimeGrid, l: int, seed: int, total) -> BackwardPath:
+def sample_backward_bridge(grid: TimeGrid, seed: int, total: float) -> BackwardPath:
     """Sample W conditioned on W_T - W_0 = total (Brownian bridge plus drift).
 
     Keeps the quadratic variation of a genuine Brownian draw while pinning
     the endpoint, which matters for schemes carrying an Ito correction.
     """
-    base = sample_backward_path(grid, l, seed)
-    total = np.atleast_1d(np.asarray(total, dtype=float))
-    if total.shape != (l,):
-        raise InvalidArgumentError(f"total must have shape ({l},)")
-    frac = ((grid.nodes - grid.t0) / (grid.horizon - grid.t0))[:, None]
-    values = base.values + frac * (total[None, :] - base.values[-1])
+    base = sample_backward_path(grid, seed)
+    frac = (grid.nodes - grid.t0) / (grid.horizon - grid.t0)
+    values = base.values + frac * (float(total) - base.values[-1])
     return BackwardPath(grid=grid, values=values, seed=seed)
 
 
@@ -226,13 +227,10 @@ class BrownianTree:
 
 
 def build_tree(grid: TimeGrid, a, branching: int = 2, x0: float = 0.0) -> BrownianTree:
-    """Moment-matched recombining tree; requires d = 1 and a > 0."""
-    a_arr = np.asarray(a, dtype=float)
-    if a_arr.ndim >= 2 and a_arr.shape != (1, 1):
-        raise UnsupportedBackendError("tree backend requires d = 1")
-    a_val = float(a_arr.reshape(-1)[0])
-    if a_val <= 0:
-        raise InvalidArgumentError("a must be positive definite")
+    """Moment-matched recombining tree under one positive, finite scalar volatility a."""
+    if np.ndim(a) != 0 or not (0 < float(a) < np.inf):
+        raise InvalidArgumentError(f"a must be one positive, finite volatility, got {a!r}")
+    a_val = float(a)
     if branching not in (2, 3):
         raise InvalidArgumentError("branching must be 2 or 3")
     if branching == 2:

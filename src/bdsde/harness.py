@@ -266,7 +266,7 @@ def _suite_comparison(seed: int) -> PropertyResult:
                   "shift": float(rng.uniform(0, 2))}
         grid = build_time_grid(0, 1, params["n"])
         tree = build_tree(grid, params["a"], x0=params["x0"])
-        w = sample_backward_path(grid, 1, seed=params["w_seed"])
+        w = sample_backward_path(grid, seed=params["w_seed"])
         f2 = lambda t, x, y, z, c=params["c"]: c * np.tanh(y)
         f1 = lambda t, x, y, z, f2=f2, b=params["bump"]: f2(t, x, y, z) + b
         g = lambda t, x, y, z: 0.3 * np.cos(y)
@@ -290,7 +290,7 @@ def _suite_minimality(seed: int) -> PropertyResult:
     prob1 = TbdsdeProblem(terminal=lambda x: x**2, F=fz, g=lambda t, x, y, z: 0.0 * x,
                           volgrid=build_volatility_grid(1.0, 1.0, 1))
     grid = build_time_grid(0, 1, 16)
-    w = sample_backward_path(grid, 1, seed=seed)
+    w = sample_backward_path(grid, seed=seed)
     sol = solve_dp(prob1, grid, w, x0=1.0)
     gap = minimality_gap(prob1, sol, w)
     if np.max(np.abs(gap)) > 1e-9:
@@ -301,7 +301,7 @@ def _suite_minimality(seed: int) -> PropertyResult:
     gaps = []
     for n, x_steps in ((16, 100), (32, 200)):
         grid = build_time_grid(0, 1, n)
-        w = sample_backward_path(grid, 1, seed=seed)
+        w = sample_backward_path(grid, seed=seed)
         sol = solve_dp(prob2, grid, w, x0=1.0, opts=DpOptions(x_steps=x_steps))
         gaps.append(minimality_gap(prob2, sol, w)[0])
     if not (gaps[0] > 0 and 1.5 <= gaps[0] / gaps[1] <= 2.5):
@@ -314,7 +314,7 @@ def _suite_doss_identities(seed: int) -> PropertyResult:
     from .grids import sample_backward_path
 
     grid = build_time_grid(0, 1, 48)
-    w = sample_backward_path(grid, 1, seed=seed)
+    w = sample_backward_path(grid, seed=seed)
     beta = 0.5
     coef = FlowCoefficient(g=lambda t, x, y: beta * y,
                            g_y=lambda t, x, y: beta + 0.0 * np.asarray(y),
@@ -339,7 +339,7 @@ def _suite_skorokhod(seed: int) -> PropertyResult:
 
     grid = build_time_grid(0, 1, 16)
     tree = build_tree(grid, 1.0, x0=1.0)
-    w = sample_backward_path(grid, 1, seed=seed)
+    w = sample_backward_path(grid, seed=seed)
     prob = BdsdeProblem(terminal=lambda x: np.maximum(1.0 - x, 0.0),
                         f=lambda t, x, y, z: -0.4 * y,
                         g=lambda t, x, y, z: 0.0 * x, lipschitz_f=0.4)
@@ -386,14 +386,14 @@ def _suite_ito_product(seed: int) -> PropertyResult:
     for n in (16, 64, 256):
         grid = build_time_grid(0, 1, n)
         ens = sample_forward_ensemble(grid, 2000, 1.0, seed=seed)
-        w = sample_backward_path(grid, 1, seed=seed + 1)
+        w = sample_backward_path(grid, seed=seed + 1)
         p = ItoProcess(beta=lambda t, b, wv: 1.0, gamma=lambda t, b, wv: 1.0)
         res.append(ito_product_check(p, p, ens, w).mean_abs_residual)
     if not (res[0] > res[2]):
         violations.append({"case": "no-decay", "residuals": res})
     grid = build_time_grid(0, 1, 256)
     ens = sample_forward_ensemble(grid, 500, 1.0, seed=seed)
-    w = sample_backward_path(grid, 1, seed=seed + 1)
+    w = sample_backward_path(grid, seed=seed + 1)
     p = ItoProcess(gamma=lambda t, b, wv: 1.0)
     good = ito_product_check(p, p, ens, w).mean_abs_residual
     bad = ito_product_check(p, p, ens, w, flip_backward_bracket=True).mean_abs_residual

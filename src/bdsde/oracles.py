@@ -99,11 +99,12 @@ def linear_spde_closed_form(beta: float, phi, w: BackwardPath, t: float, x):
     The noise-removing flow is the exponential scale exp(beta (W_T - W_t));
     what remains is the unit-volatility heat semigroup.
     """
+    w.require_single("linear_spde_closed_form")
     grid = w.grid
     i = int(round((t - grid.t0) / grid.dt))
     if abs(grid.time(i) - t) > 1e-9 * (1 + abs(t)):
         raise InvalidArgumentError("t must be a grid node of the frozen path")
-    scale = math.exp(beta * float(w.tail_increment(i)[0]))
+    scale = math.exp(beta * float(w.tail_increment(i)))
     return scale * heat_semigroup(phi, 1.0, grid.horizon - t)(x)
 
 
@@ -219,6 +220,7 @@ def ito_product_check(p1: ItoProcess, p2: ItoProcess, ensemble: PathEnsemble,
     from the backward one; flipping that sign (the control experiment) must
     break convergence.
     """
+    w.require_single("ito_product_check")
     grid = ensemble.grid
     n, dt = grid.n_steps, grid.dt
     N = ensemble.n_paths
@@ -229,15 +231,15 @@ def ito_product_check(p1: ItoProcess, p2: ItoProcess, ensemble: PathEnsemble,
     def components(p, i):
         """(alpha, beta, gamma) of p on step i, each evaluated once."""
         t_i, t_next = grid.time(i), grid.time(i + 1)
-        return (p._eval(p.alpha, t_i, B[:, i], w.values[i, 0], N),
-                p._eval(p.beta, t_i, B[:, i], w.values[i, 0], N),
-                p._eval(p.gamma, t_next, B[:, i + 1], w.values[i + 1, 0], N))
+        return (p._eval(p.alpha, t_i, B[:, i], w.values[i], N),
+                p._eval(p.beta, t_i, B[:, i], w.values[i], N),
+                p._eval(p.gamma, t_next, B[:, i + 1], w.values[i + 1], N))
 
     X1, X2 = np.empty((N, n + 1)), np.empty((N, n + 1))
     X1[:, 0], X2[:, 0] = p1.x0, p2.x0
     rhs = np.zeros(N)
     for i in range(n):
-        dw = w.values[i + 1, 0] - w.values[i, 0]
+        dw = w.values[i + 1] - w.values[i]
         (al1, be1, ga1), (al2, be2, ga2) = components(p1, i), components(p2, i)
         for p, X, al, be, ga in ((p1, X1, al1, be1, ga1), (p2, X2, al2, be2, ga2)):
             dk = (p.k[i + 1] - p.k[i]) if p.k is not None else 0.0

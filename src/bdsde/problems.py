@@ -67,7 +67,7 @@ def volgrid_from(cfg):
 def backward_path_for(pdef: ProblemDef, grid: TimeGrid, seed: int):
     if pdef.w_sampler is not None:
         return pdef.w_sampler(grid, seed)
-    return sample_backward_path(grid, 1, seed)
+    return sample_backward_path(grid, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +90,7 @@ def _bsb(terminal, F=FZERO, g=ZERO, lipschitz_f=None):
 
 
 def _linear_spde_w(grid, seed):
-    return sample_backward_bridge(grid, 1, seed, total=0.25)
+    return sample_backward_bridge(grid, seed, total=0.25)
 
 
 def _linear_spde_oracle(cfg, w):
@@ -154,7 +154,7 @@ REGISTRY = {
         equation=lambda cfg: stratonovich_correction(
             _bsb(lambda x: x**2, g=lambda t, x, y, z: 0.5 * y, lipschitz_f=0.125)(cfg),
             dy_g=lambda t, x, y, z: 0.5),
-        oracle=lambda cfg, w: math.exp(0.5 * float(w.tail_increment(0)[0])) * (
+        oracle=lambda cfg, w: math.exp(0.5 * float(w.tail_increment(0))) * (
             1.0 + band_from(cfg)[1] * (cfg.get("grid", "horizon") - cfg.get("grid", "t0")))),
     "linear_spde": ProblemDef(
         name="linear_spde", backends=("tree", "mc"),

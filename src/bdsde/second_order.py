@@ -24,7 +24,6 @@ import numpy as np
 from ._accel import GaussWindow, linear_interp, pl_gauss_moments
 from .classical import BdsdeProblem, SolverOptions, backward_step, backward_sweep, solve_tree
 from .errors import ConsistencyError, InvalidArgumentError, VerificationError
-from .generators import g_dot
 from .grids import (
     BackwardPath,
     PathEnsemble,
@@ -192,7 +191,7 @@ def solve_dp(problem: TbdsdeProblem, grid: TimeGrid, w: BackwardPath | list,
 
     def step(i, y_next, z_next, w):
         # every volatility at once: values are (volatility, [path,] node) against a
-        a = a_vals.reshape((-1,) + (1,) * (w.values.ndim - 1))
+        a = a_vals.reshape((-1,) + (1,) * w.values.ndim)
         if i == n - 1:
             z_next = z_next.reshape(a.shape[:-1] + z_next.shape[-1:])
 
@@ -380,6 +379,7 @@ def feynman_kac_residual(u: Callable, du: Callable, d2u: Callable,
     A candidate u that fails to solve the equation shows up as a residual
     that does not vanish under step refinement.
     """
+    w.require_single("feynman_kac_residual")
     grid = ensemble.grid
     n, dt = grid.n_steps, grid.dt
     a = float(ensemble.control[0])
@@ -418,8 +418,8 @@ def feynman_kac_residual(u: Callable, du: Callable, d2u: Callable,
         wi = w.values[i + 1] - w.values[i]
         y_i, z_i, _ = uv[i]
         y_n, _, _ = uv[i + 1]
-        g_i = g_dot(problem.g(t, X[:, i], y_i, z_i), wi)
-        g_n = g_dot(problem.g(t_next, X[:, i + 1], y_n, uv[i + 1][1]), wi)
+        g_i = problem.g(t, X[:, i], y_i, z_i) * wi
+        g_n = problem.g(t_next, X[:, i + 1], y_n, uv[i + 1][1]) * wi
         g_half += 0.5 * (g_i + g_n)
         z_dx += z_i * ensemble.increments[:, i]
 

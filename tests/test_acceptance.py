@@ -59,7 +59,7 @@ def bsb_problem(n_a=5):
 
 def test_criterion_01_classical_reduction():
     grid = build_time_grid(0, 1, 64)
-    w = sample_backward_path(grid, 1, seed=7)
+    w = sample_backward_path(grid, seed=7)
     vg = build_volatility_grid(1.0, 1.0, 1)
     prob2 = TbdsdeProblem(terminal=lambda x: x**2,
                           F=lambda t, x, y, z, a: 0.5 * y,
@@ -82,7 +82,7 @@ def test_criterion_02_bsb_quadratic_oracle():
     t_ref = None
     for n, xs in [(32, 200), (64, 400), (128, 800)]:
         grid = build_time_grid(0, 1, n)
-        w = sample_backward_path(grid, 1, seed=1)
+        w = sample_backward_path(grid, seed=1)
         t0 = time.perf_counter()
         sol = solve_dp(prob, grid, w, x0=1.0, opts=DpOptions(x_steps=xs))
         if n == 64:
@@ -107,8 +107,8 @@ def test_criterion_03_flow_transform_roundtrip():
                       volgrid=vg, lipschitz_f=0.5 * beta**2),
         dy_g=lambda t, x, y, z: beta)
     grid = build_time_grid(0, 1, 64)
-    w = sample_backward_path(grid, 1, seed=2)
-    oracle = math.exp(beta * float(w.tail_increment(0)[0])) * 3.0
+    w = sample_backward_path(grid, seed=2)
+    oracle = math.exp(beta * float(w.tail_increment(0))) * 3.0
 
     sd = solve_dp(p_direct, grid, w, x0=1.0, opts=DpOptions(x_steps=400, g_scheme="ito"))
     xs = sd.meta["lattice"]
@@ -156,11 +156,11 @@ def test_criterion_04_midpoint_vs_converted_endpoint():
     sums = {n: 0.0 for n in levels}
     n_seeds = 40
     for seed in range(n_seeds):
-        fine = sample_backward_path(build_time_grid(0, 1, 64), 1, seed=seed)
+        fine = sample_backward_path(build_time_grid(0, 1, 64), seed=seed)
         for n in levels:
             w = subsample_path(fine, 64 // n)
             tree = build_tree(w.grid, 1.0, x0=1.0)
-            br = {round(w.grid.time(i), 12): float(w.increments[i, 0] ** 2) / w.grid.dt
+            br = {round(w.grid.time(i), 12): float(w.increments[i] ** 2) / w.grid.dt
                   for i in range(n)}
             p_s = BdsdeProblem(terminal=lambda x: x**2, f=ZERO, g=g)
             p_i = BdsdeProblem(
@@ -180,7 +180,7 @@ def test_criterion_04_midpoint_vs_converted_endpoint():
 def test_criterion_05_semilinear_noise_oracle():
     beta = 0.4
     grid = build_time_grid(0, 1, 64)
-    w = sample_backward_bridge(grid, 1, seed=5, total=0.25)
+    w = sample_backward_bridge(grid, seed=5, total=0.25)
     oracle = float(np.asarray(linear_spde_closed_form(beta, [0, 0, 1.0], w, 0.0, 0.0)))
     assert oracle == pytest.approx(math.exp(0.1), rel=1e-12)
 
@@ -226,7 +226,7 @@ def test_criterion_06_comparison_suites():
     for _ in range(100):
         n = int(rng.integers(4, 9))
         grid = build_time_grid(0, 1, n)
-        w = sample_backward_path(grid, 1, seed=int(rng.integers(1 << 30)))
+        w = sample_backward_path(grid, seed=int(rng.integers(1 << 30)))
         vg = build_volatility_grid(float(rng.uniform(0.3, 1.0)),
                                    float(rng.uniform(1.0, 2.5)),
                                    int(rng.integers(2, 4)))
@@ -255,7 +255,7 @@ def test_criterion_07_minimality_gap_decay():
     gaps = []
     for n, xs in [(16, 100), (32, 200), (64, 400)]:
         grid = build_time_grid(0, 1, n)
-        w = sample_backward_path(grid, 1, seed=1)
+        w = sample_backward_path(grid, seed=1)
         sol = solve_dp(prob, grid, w, x0=1.0, opts=DpOptions(x_steps=xs))
         gaps.append(float(minimality_gap(prob, sol, w)[0]))
     r1, r2 = gaps[0] / gaps[1], gaps[1] / gaps[2]
@@ -267,7 +267,7 @@ def test_criterion_07_minimality_gap_decay():
 def test_criterion_08_reflected_equation():
     grid = build_time_grid(0, 1, 64)
     tree = build_tree(grid, 1.0, x0=0.0)
-    w = sample_backward_path(grid, 1, seed=3)
+    w = sample_backward_path(grid, seed=3)
     prob = BdsdeProblem(terminal=lambda x: 0.0 * x, f=ZERO, g=ZERO)
     bar = Barrier(fn=lambda t, x: np.where(t < 1.0 - 1e-12, 1.0, 0.0) + 0.0 * x)
     roots = penalization_sweep(prob, bar, [1, 10, 100, 1000], tree, w)
@@ -282,7 +282,7 @@ def test_criterion_08_reflected_equation():
     for n in (16, 32, 64):
         g_n = build_time_grid(0, 1, n)
         tr = build_tree(g_n, 1.0, x0=1.0)
-        wn = sample_backward_path(g_n, 1, seed=3)
+        wn = sample_backward_path(g_n, seed=3)
         sol = solve_penalized(put, put_bar, 4.0 * n, tr, wn)
         assert abs(sol.skorokhod_sum) < g_n.dt * 1.0
         sums.append(abs(sol.skorokhod_sum))
@@ -326,14 +326,14 @@ def test_criterion_10_product_formula_witness():
     for n in (16, 64, 256):
         grid = build_time_grid(0, 1, n)
         ens = sample_forward_ensemble(grid, 4000, 1.0, seed=3)
-        w = sample_backward_path(grid, 1, seed=11)
+        w = sample_backward_path(grid, seed=11)
         p = ItoProcess(beta=lambda t, b, wv: 1.0)
         res.append(ito_product_check(p, p, ens, w).mean_abs_residual)
     decays = res[0] > res[1] > res[2]
 
     grid = build_time_grid(0, 1, 256)
     ens = sample_forward_ensemble(grid, 500, 1.0, seed=3)
-    w = sample_backward_path(grid, 1, seed=11)
+    w = sample_backward_path(grid, seed=11)
     pw = ItoProcess(gamma=lambda t, b, wv: 1.0)
     good = ito_product_check(pw, pw, ens, w).mean_abs_residual
     bad = ito_product_check(pw, pw, ens, w, flip_backward_bracket=True).mean_abs_residual

@@ -25,7 +25,7 @@ SEEDS = st.integers(0, 2**20)
 
 
 def paths_for(grid, seed, m):
-    return [sample_backward_path(grid, 1, seed=seed + k) for k in range(m)]
+    return [sample_backward_path(grid, seed=seed + k) for k in range(m)]
 
 
 def assert_levels_equal(a, b):
@@ -227,7 +227,7 @@ def test_kernel_rows_equal_one_row_calls(knots, sigma, rows, seed):
 def test_batch_paths_rejects_mixed_grids():
     coarse, fine = build_time_grid(0, 1, 4), build_time_grid(0, 1, 8)
     with pytest.raises(InvalidArgumentError, match="share the grid"):
-        batch_paths([sample_backward_path(coarse, 1, 1), sample_backward_path(fine, 1, 2)])
+        batch_paths([sample_backward_path(coarse, 1), sample_backward_path(fine, 2)])
     with pytest.raises(InvalidArgumentError, match="at least one"):
         batch_paths([])
 
@@ -250,10 +250,10 @@ def test_solvers_check_the_path_grid_and_the_step(solver):
         return solve_dp(prob, grid, w, opts=DpOptions(x_steps=40))
 
     for other in (build_time_grid(0, 1, 16), build_time_grid(0, 2, 8)):
-        for w in (sample_backward_path(other, 1, seed=1), paths_for(other, 1, 2)):
+        for w in (sample_backward_path(other, seed=1), paths_for(other, 1, 2)):
             with pytest.raises(InvalidArgumentError, match="share the grid"):
                 solve(w)
-    w = sample_backward_path(grid, 1, seed=1)
+    w = sample_backward_path(grid, seed=1)
     with pytest.raises(StepSizeError):
         solve(w, lipschitz_f=8.0)
     assert np.isfinite(solve(w).y0)

@@ -11,7 +11,6 @@ from bdsde.classical import (
 )
 from bdsde.errors import ConvergenceError, RegressionError, StepSizeError
 from bdsde.grids import (
-    BackwardPath,
     build_time_grid,
     build_tree,
     sample_backward_path,
@@ -24,7 +23,7 @@ ZERO = lambda t, x, y, z: np.zeros_like(np.asarray(x, dtype=float))
 def make_setup(n=16, a=1.0, T=1.0, x0=0.0, seed=11, branching=2):
     grid = build_time_grid(0.0, T, n)
     tree = build_tree(grid, a, branching=branching, x0=x0)
-    w = sample_backward_path(grid, 1, seed=seed)
+    w = sample_backward_path(grid, seed=seed)
     return grid, tree, w
 
 
@@ -50,18 +49,9 @@ class TestTreeSolver:
         sol = solve_tree(prob, tree, w)
         for i in range(grid.n_steps + 1):
             x = tree.states(i)
-            expected = x**2 + a * (T - grid.time(i)) + beta * w.tail_increment(i)[0]
+            expected = x**2 + a * (T - grid.time(i)) + beta * w.tail_increment(i)
             np.testing.assert_allclose(sol.y[i], expected, atol=1e-12)
             np.testing.assert_allclose(sol.z[i], 2 * x, atol=1e-12)
-
-    def test_scalar_g_pairs_with_first_driver_component(self):
-        # a 2-node level against a 2-component driver must not pair nodes
-        # with driver components
-        grid, tree, _ = make_setup(n=4)
-        w2 = sample_backward_path(grid, 2, seed=3)
-        w1 = BackwardPath.from_values(grid, w2.values[:, :1])
-        prob = BdsdeProblem(terminal=lambda x: x**2, f=ZERO, g=lambda t, x, y, z: y / 2)
-        assert solve_tree(prob, tree, w2).y0 == solve_tree(prob, tree, w1).y0
 
     def test_linear_ode_closed_form_and_order(self):
         # f = c y, g = 0, xi = 1: y_i = exp(c (T - t_i)) up to O(dt)
@@ -89,7 +79,7 @@ class TestTreeSolver:
         grid, tree, w = make_setup(n=4)
         prob = BdsdeProblem(terminal=lambda x: 1.0 + x**2,
                             f=lambda t, x, y, z: -1.5 * y / grid.dt, g=ZERO)
-        for paths in (w, [w, sample_backward_path(grid, 1, seed=12)]):
+        for paths in (w, [w, sample_backward_path(grid, seed=12)]):
             with pytest.raises(ConvergenceError, match="at step 3, volatility 1$"):
                 solve_tree(prob, tree, paths)
 
@@ -140,7 +130,7 @@ class TestTreeSolver:
             x_node = tree.states(i)[j]
             sub_grid = build_time_grid(grid.time(i), grid.horizon, grid.n_steps - i)
             sub_tree = build_tree(sub_grid, 1.5, x0=x_node)
-            sub_w = sample_backward_path(sub_grid, 1, seed=0)
+            sub_w = sample_backward_path(sub_grid, seed=0)
             sub = solve_tree(prob, sub_tree, sub_w)
             assert sub.y0 == pytest.approx(sol.y[i][j], abs=1e-12)
 
@@ -227,7 +217,7 @@ class TestComparison:
             a = float(rng_.uniform(0.3, 2.5))
             grid = build_time_grid(0, 1, n)
             tree = build_tree(grid, a, x0=float(rng_.normal()))
-            w = sample_backward_path(grid, 1, seed=int(rng_.integers(1 << 30)))
+            w = sample_backward_path(grid, seed=int(rng_.integers(1 << 30)))
             c1 = rng_.uniform(0.1, 0.6)
             c2 = rng_.uniform(0.1, 0.6)
             bump = rng_.uniform(0.0, 1.0)
@@ -248,7 +238,7 @@ class TestRegressionSolver:
     def test_martingale_y0_near_zero(self):
         grid = build_time_grid(0, 1, 8)
         ens = sample_forward_ensemble(grid, 40_000, 1.0, seed=17)
-        w = sample_backward_path(grid, 1, seed=1)
+        w = sample_backward_path(grid, seed=1)
         prob = BdsdeProblem(terminal=lambda x: x, f=ZERO, g=ZERO)
         sol = solve_regression(prob, ens, w, basis_degree=2)
         se = ens.states[:, -1].std() / np.sqrt(ens.n_paths)
@@ -259,7 +249,7 @@ class TestRegressionSolver:
         beta = 0.5
         grid = build_time_grid(0, 1, 16)
         tree = build_tree(grid, 1.0)
-        w = sample_backward_path(grid, 1, seed=23)
+        w = sample_backward_path(grid, seed=23)
         prob = BdsdeProblem(terminal=lambda x: x**2, f=ZERO,
                             g=lambda t, x, y, z: np.full_like(np.asarray(x, dtype=float), beta))
         ref = solve_tree(prob, tree, w).y0
@@ -277,7 +267,7 @@ class TestRegressionSolver:
         # adequate basis leaves only the O(sqrt(dt)) conditional noise
         grid = build_time_grid(0, 1, 64)
         ens = sample_forward_ensemble(grid, 20_000, 1.0, seed=3)
-        w = sample_backward_path(grid, 1, seed=2)
+        w = sample_backward_path(grid, seed=2)
         prob = BdsdeProblem(terminal=lambda x: x**2, f=ZERO, g=ZERO)
         s0 = solve_regression(prob, ens, w, basis_degree=0)
         s2 = solve_regression(prob, ens, w, basis_degree=2)
@@ -285,7 +275,7 @@ class TestRegressionSolver:
 
     def test_deterministic_given_seed(self):
         grid = build_time_grid(0, 1, 6)
-        w = sample_backward_path(grid, 1, seed=5)
+        w = sample_backward_path(grid, seed=5)
         prob = BdsdeProblem(terminal=lambda x: np.maximum(x, 0.0), f=ZERO, g=ZERO)
         outs = []
         for _ in range(2):
@@ -296,7 +286,7 @@ class TestRegressionSolver:
     def test_condition_guard(self):
         grid = build_time_grid(0, 1, 3)
         ens = sample_forward_ensemble(grid, 200, 1.0, seed=4)
-        w = sample_backward_path(grid, 1, seed=4)
+        w = sample_backward_path(grid, seed=4)
         prob = BdsdeProblem(terminal=lambda x: x, f=ZERO, g=ZERO)
         with pytest.raises(RegressionError):
             solve_regression(prob, ens, w, basis_degree=9, ridge=0.0, cond_max=1e6)
@@ -354,7 +344,7 @@ class TestAprioriBoundedness:
         def sup_pair(n, scale, seed):
             grid = build_time_grid(0, 1, n)
             tree = build_tree(grid, 1.0)
-            w = sample_backward_path(grid, 1, seed=seed)
+            w = sample_backward_path(grid, seed=seed)
             prob = BdsdeProblem(terminal=lambda x, s=scale: s * np.abs(np.sin(x)),
                                 f=f, g=g, lipschitz_f=0.3)
             sol = solve_tree(prob, tree, w)

@@ -13,9 +13,9 @@ from bdsde.doss import (
     transformed_generator,
     untransform_solution,
 )
-from bdsde.errors import NonFiniteError, RangeError, SingularFlowError
+from bdsde.errors import InvalidArgumentError, NonFiniteError, RangeError, SingularFlowError
 from bdsde.generators import FD_STEP
-from bdsde.grids import BackwardPath, build_time_grid, sample_backward_path
+from bdsde.grids import BackwardPath, batch_paths, build_time_grid, sample_backward_path
 
 
 def smooth_path(grid, amp=0.3):
@@ -33,7 +33,7 @@ def skew_path(grid):
 
 def linear_flow(beta=0.5, n=64, seed=3, nx=9, ny=41):
     grid = build_time_grid(0, 1, n)
-    w = sample_backward_path(grid, 1, seed=seed)
+    w = sample_backward_path(grid, seed=seed)
     xs = np.linspace(-2, 2, nx)
     ys = build_y_lattice(-1.5, 1.5, ny)
     coef = FlowCoefficient(g=lambda t, x, y: beta * y,
@@ -46,6 +46,15 @@ def linear_flow(beta=0.5, n=64, seed=3, nx=9, ny=41):
 
 
 class TestFlowIntegration:
+    def test_refuses_a_batch(self):
+        # one W path per y node would broadcast against the flow state
+        grid = build_time_grid(0, 1, 8)
+        ys = build_y_lattice(-1.0, 1.0, 5)
+        batch = batch_paths([sample_backward_path(grid, seed=s) for s in range(len(ys))])
+        with pytest.raises(InvalidArgumentError, match=r"shape \(9, 5\)"):
+            solve_flow(FlowCoefficient(g=lambda t, x, y: 0.5 * y), batch,
+                       np.linspace(-1.0, 1.0, 3), ys)
+
     def test_parts_evaluate_each_stencil_point_once(self):
         calls = []
 
@@ -80,7 +89,7 @@ class TestFlowIntegration:
     def test_non_finite_flow_names_step_and_node(self):
         # sqrt(y) is NaN on the negative half of the y-lattice from the first step
         grid = build_time_grid(0, 1, 16)
-        w = sample_backward_path(grid, 1, seed=3)
+        w = sample_backward_path(grid, seed=3)
         coef = FlowCoefficient(g=lambda t, x, y: 0.3 * np.sqrt(y))
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError) as info:
             solve_flow(coef, w, np.linspace(-1, 1, 5), np.linspace(-2, 2, 17))
@@ -90,7 +99,7 @@ class TestFlowIntegration:
 
     def test_zero_intensity_identity(self):
         grid = build_time_grid(0, 1, 8)
-        w = sample_backward_path(grid, 1, seed=1)
+        w = sample_backward_path(grid, seed=1)
         xs = np.linspace(-1, 1, 5)
         ys = np.linspace(-2, 2, 9)
         flow = solve_flow(FlowCoefficient(g=lambda t, x, y: 0.0 * np.asarray(y)),
@@ -109,7 +118,7 @@ class TestFlowIntegration:
 
     def test_linear_flow_matches_exponential(self):
         flow, w, beta = linear_flow(n=64)
-        dw_total = w.tail_increment(0)[0]
+        dw_total = w.tail_increment(0)
         got = flow.eval("eta", 0, np.array([0.0]), np.array([1.0]))[0]
         # per-step midpoint error is cubic in the Brownian increments
         assert got == pytest.approx(np.exp(beta * dw_total), rel=2e-3)
@@ -143,7 +152,7 @@ class TestFlowIntegration:
 class TestInversion:
     def test_zero_intensity_inverse_is_identity(self):
         grid = build_time_grid(0, 1, 6)
-        w = sample_backward_path(grid, 1, seed=2)
+        w = sample_backward_path(grid, seed=2)
         xs = np.linspace(-1, 1, 5)
         ys = np.linspace(-2, 2, 21)
         flow = solve_flow(FlowCoefficient(g=lambda t, x, y: 0.0 * np.asarray(y)),
@@ -157,7 +166,7 @@ class TestInversion:
         flow, w, beta = linear_flow()
         inv = invert_flow(flow)
         for i in (0, 17, 40):
-            scale = np.exp(-beta * w.tail_increment(i)[0])
+            scale = np.exp(-beta * w.tail_increment(i))
             got = inv.eval("eps", i, np.zeros(3), np.array([-1.0, 0.2, 1.3]))
             # the tabulated flow is the Heun product, not the exact
             # exponential; invert the tabulated map itself for the reference
@@ -183,7 +192,7 @@ class TestInversion:
         coef = FlowCoefficient(g=lambda t, x, y: 0.3 * np.sin(y) + 0.1 * np.cos(x))
         grid = build_time_grid(0, 1, 16)
         xs = np.linspace(-1, 1, 7)
-        flow = solve_flow(coef, sample_backward_path(grid, 1, seed=4), xs,
+        flow = solve_flow(coef, sample_backward_path(grid, seed=4), xs,
                           build_y_lattice(-1.0, 1.0, 41), y_core=(-1.0, 1.0))
         targets = np.linspace(-1.0, 1.0, 23)
         inv = invert_flow(flow, targets)
@@ -242,7 +251,7 @@ class TestDerivativeIdentities:
 class TestTransformedGenerator:
     def test_zero_intensity_passthrough(self):
         grid = build_time_grid(0, 1, 4)
-        w = sample_backward_path(grid, 1, seed=4)
+        w = sample_backward_path(grid, seed=4)
         xs = np.linspace(-1, 1, 5)
         ys = np.linspace(-3, 3, 13)
         flow = solve_flow(FlowCoefficient(g=lambda t, x, y: 0.0 * np.asarray(y)), w, xs, ys)
@@ -281,7 +290,7 @@ class TestTransformedGenerator:
         # alpha + beta |y| + (gamma/2) a z^2 envelope with finite constants
         coef = FlowCoefficient(g=lambda t, x, y: 0.3 * np.sin(y) + 0.1)
         grid = build_time_grid(0, 1, 32)
-        w = sample_backward_path(grid, 1, seed=5)
+        w = sample_backward_path(grid, seed=5)
         xs = np.linspace(-1, 1, 7)
         ys = build_y_lattice(-1.0, 1.0, 81)
         flow = solve_flow(coef, w, xs, ys, y_core=(-1.0, 1.0))
@@ -312,7 +321,7 @@ class TestSolutionTransform:
 
     def test_zero_intensity_is_identity_map(self):
         grid = build_time_grid(0, 1, 5)
-        w = sample_backward_path(grid, 1, seed=6)
+        w = sample_backward_path(grid, seed=6)
         xs = np.linspace(-2, 2, 9)
         ys = np.linspace(-3, 3, 25)
         flow = solve_flow(FlowCoefficient(g=lambda t, x, y: 0.0 * np.asarray(y)), w, xs, ys)
@@ -376,7 +385,7 @@ class TestConsistencyAndGrowth:
 
     def test_growth_zero_intensity(self):
         grid = build_time_grid(0, 1, 8)
-        w = sample_backward_path(grid, 1, seed=8)
+        w = sample_backward_path(grid, seed=8)
         xs = np.linspace(-1, 1, 5)
         ys = np.linspace(-2, 2, 11)
         flow = solve_flow(FlowCoefficient(g=lambda t, x, y: 0.0 * np.asarray(y)),
@@ -391,7 +400,7 @@ class TestConsistencyAndGrowth:
         # fits C = |beta| exactly
         beta = 0.8
         grid = build_time_grid(0, 1, 32)
-        w = sample_backward_path(grid, 1, seed=9)
+        w = sample_backward_path(grid, seed=9)
         xs = np.linspace(-1, 1, 5)
         ys = np.linspace(-2, 2, 11)
         flow = solve_flow(FlowCoefficient(
@@ -405,7 +414,7 @@ class TestConsistencyAndGrowth:
         fits = []
         for ny in (41, 81):
             grid = build_time_grid(0, 1, 32)
-            w = sample_backward_path(grid, 1, seed=10)
+            w = sample_backward_path(grid, seed=10)
             flow = solve_flow(coef, w, np.linspace(-1, 1, 5),
                               build_y_lattice(-1, 1, ny), y_core=(-1, 1))
             inv = invert_flow(flow)

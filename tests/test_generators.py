@@ -200,7 +200,7 @@ class TestStratonovichCorrection:
             terminal=lambda x: x**2, F=lambda t, x, y, z, a: 0.5 * y + 0.0 * np.asarray(x),
             g=lambda t, x, y, z: 0.3 * np.cos(y), volgrid=self.VG, lipschitz_f=0.55))
         grid = build_time_grid(0, 1, 8)
-        paths = [sample_backward_path(grid, 1, seed=s) for s in range(4)]
+        paths = [sample_backward_path(grid, seed=s) for s in range(4)]
         opts = DpOptions(x_steps=60)
         batch = solve_dp(p, grid, paths, x0=1.0, opts=opts)
         assert np.all(np.isfinite(batch.y0_paths))

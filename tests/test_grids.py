@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from bdsde import rng
-from bdsde.errors import InvalidArgumentError, UnsupportedBackendError
+from bdsde.errors import InvalidArgumentError
 from bdsde.grids import (
     BackwardPath,
+    batch_paths,
     build_time_grid,
     build_tree,
     build_volatility_grid,
@@ -43,21 +44,36 @@ class TestTimeGrid:
 class TestBackwardPath:
     def test_deterministic_given_seed(self):
         g = build_time_grid(0, 1, 16)
-        w1 = sample_backward_path(g, 2, seed=42)
-        w2 = sample_backward_path(g, 2, seed=42)
+        w1 = sample_backward_path(g, seed=42)
+        w2 = sample_backward_path(g, seed=42)
         assert np.array_equal(w1.values, w2.values)
 
     def test_starts_at_zero_and_shapes(self):
         g = build_time_grid(0, 1, 1)
-        w = sample_backward_path(g, 1, seed=0)
-        assert w.values.shape == (2, 1)
-        assert w.values[0, 0] == 0.0
+        w = sample_backward_path(g, seed=0)
+        assert w.values.shape == (2,)
+        assert w.values[0] == 0.0
+
+    @pytest.mark.parametrize("n", [1, 3, 16])
+    def test_values_are_running_sum_of_seeded_normals(self, n):
+        g = build_time_grid(0, 1, n)
+        draws = np.sqrt(g.dt) * rng.stream(7).standard_normal(n)
+        np.testing.assert_array_equal(sample_backward_path(g, seed=7).values,
+                                      np.concatenate([[0.0], np.cumsum(draws)]))
+
+    def test_batch_is_time_by_path(self):
+        g = build_time_grid(0, 1, 4)
+        paths = [sample_backward_path(g, seed=s) for s in range(3)]
+        batch = batch_paths(paths)
+        assert batch.values.shape == (5, 3)
+        for k, p in enumerate(paths):
+            np.testing.assert_array_equal(batch.values[:, k], p.values)
 
     def test_terminal_variance_matches_horizon(self):
         # sample variance of W_T over many seeds ~ T within 3 standard errors
         g = build_time_grid(0, 1, 1)
         n = 100_000
-        vals = np.array([sample_backward_path(g, 1, seed=s).values[-1, 0]
+        vals = np.array([sample_backward_path(g, seed=s).values[-1]
                          for s in range(n)])
         v = vals.var(ddof=1)
         se = 1.0 * np.sqrt(2.0 / (n - 1))
@@ -65,20 +81,26 @@ class TestBackwardPath:
 
     def test_increment_variance(self):
         g = build_time_grid(0, 1, 64)
-        w = sample_backward_path(g, 1, seed=3)
+        w = sample_backward_path(g, seed=3)
         # single-path QV of a Brownian path concentrates near T
         assert w.increments.var() * 64 == pytest.approx(1.0, rel=0.5)
 
     def test_bridge_hits_endpoint(self):
         g = build_time_grid(0, 1, 32)
-        w = sample_backward_bridge(g, 1, seed=9, total=0.25)
-        assert w.values[-1, 0] == pytest.approx(0.25, abs=1e-14)
-        assert w.values[0, 0] == 0.0
+        w = sample_backward_bridge(g, seed=9, total=0.25)
+        assert w.values[-1] == pytest.approx(0.25, abs=1e-14)
+        assert w.values[0] == 0.0
 
     def test_from_values_validates_length(self):
         g = build_time_grid(0, 1, 4)
         with pytest.raises(InvalidArgumentError):
             BackwardPath.from_values(g, np.zeros(3))
+
+    @pytest.mark.parametrize("shape", [(5, 1), (1, 5), (5, 2)])
+    def test_from_values_refuses_2d(self, shape):
+        g = build_time_grid(0, 1, 4)
+        with pytest.raises(InvalidArgumentError, match="1-D"):
+            BackwardPath.from_values(g, np.zeros(shape))
 
 
 class TestVolatilityGrid:
@@ -146,8 +168,9 @@ class TestTree:
             build_tree(g, -1.0)
         with pytest.raises(InvalidArgumentError):
             build_tree(g, 1.0, branching=4)
-        with pytest.raises(UnsupportedBackendError):
-            build_tree(g, np.eye(2))
+        for a in (np.eye(2), np.eye(1), [1.0, 4.0, 4.0, 4.0], np.nan, np.inf, 0.0):
+            with pytest.raises(InvalidArgumentError):
+                build_tree(g, a)
 
 
 class TestEnsemble:

@@ -67,7 +67,7 @@ class TestComputeNorms:
         for a in a_values:
             grid = build_time_grid(0, 1, n)
             tree = build_tree(grid, a)
-            w = sample_backward_path(grid, 1, seed=seed)
+            w = sample_backward_path(grid, seed=seed)
             sol = solve_tree(prob, tree, w)
             traces[a] = TreeTraces(y=sol.y, z=sol.z)
             trees[a] = tree
@@ -107,7 +107,7 @@ class TestStabilitySurrogate:
     def test_linear_problem_exact_ratio_under_scaling(self):
         grid = build_time_grid(0, 1, 8)
         tree = build_tree(grid, 1.0)
-        w = sample_backward_path(grid, 1, seed=3)
+        w = sample_backward_path(grid, seed=3)
         f = lambda t, x, y, z: 0.4 * y
         xi = lambda x: np.sin(x)
         kappa = 2.5
@@ -130,7 +130,7 @@ class TestStabilitySurrogate:
         tree = build_tree(grid, 1.0)
 
         def ratio(seed, shift):
-            w = sample_backward_path(grid, 1, seed=seed)
+            w = sample_backward_path(grid, seed=seed)
             f = lambda t, x, y, z: 0.3 * np.tanh(y)
             g = lambda t, x, y, z: 0.2 * np.cos(y)
             xi1 = lambda x: np.abs(x)

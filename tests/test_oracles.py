@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from bdsde.errors import StabilityError, UnsupportedOracleError
+from bdsde.errors import InvalidArgumentError, StabilityError, UnsupportedOracleError
 from bdsde.grids import (
+    batch_paths,
     build_time_grid,
     sample_backward_bridge,
     sample_backward_path,
@@ -72,25 +73,31 @@ class TestBsbClosedForm:
 class TestLinearSpdeClosedForm:
     def test_pinned_endpoint_value(self):
         grid = build_time_grid(0, 1, 64)
-        w = sample_backward_bridge(grid, 1, seed=5, total=0.25)
+        w = sample_backward_bridge(grid, seed=5, total=0.25)
         got = linear_spde_closed_form(0.4, [0.0, 0.0, 1.0], w, 0.0, 0.0)
         assert got == pytest.approx(np.exp(0.1), rel=1e-12)
 
     def test_zero_beta_reduces_to_heat(self):
         grid = build_time_grid(0, 1, 16)
-        w = sample_backward_path(grid, 1, seed=2)
+        w = sample_backward_path(grid, seed=2)
         got = linear_spde_closed_form(0.0, [0.0, 0.0, 1.0], w, 0.0, np.array([0.7]))
         assert got[0] == pytest.approx(0.7**2 + 1.0, rel=1e-12)
 
     def test_path_negation_scales_value(self):
         grid = build_time_grid(0, 1, 32)
-        w = sample_backward_path(grid, 1, seed=9)
-        w_neg = BackwardPath.from_values(grid, -w.values[:, 0])
+        w = sample_backward_path(grid, seed=9)
+        w_neg = BackwardPath.from_values(grid, -w.values)
         beta = 0.4
         v = linear_spde_closed_form(beta, [0.0, 0.0, 1.0], w, 0.0, 0.0)
         v_neg = linear_spde_closed_form(beta, [0.0, 0.0, 1.0], w_neg, 0.0, 0.0)
-        ratio = np.exp(-2 * beta * w.tail_increment(0)[0])
+        ratio = np.exp(-2 * beta * w.tail_increment(0))
         assert v_neg / v == pytest.approx(ratio, rel=1e-12)
+
+    def test_refuses_a_batch(self):
+        grid = build_time_grid(0, 1, 8)
+        batch = batch_paths([sample_backward_path(grid, seed=s) for s in (2, 3)])
+        with pytest.raises(InvalidArgumentError, match=r"shape \(9, 2\)"):
+            linear_spde_closed_form(0.4, [0.0, 0.0, 1.0], batch, 0.0, 0.0)
 
 
 def heat_problem(boundary=None):
@@ -171,8 +178,17 @@ class TestItoProduct:
     def make(self, n, n_paths=4000, a=1.0, seed=11):
         grid = build_time_grid(0, 1, n)
         ens = sample_forward_ensemble(grid, n_paths, a, seed=3)
-        w = sample_backward_path(grid, 1, seed=seed)
+        w = sample_backward_path(grid, seed=seed)
         return grid, ens, w
+
+    def test_refuses_a_batch(self):
+        # as many W paths as forward paths would broadcast without an error
+        grid = build_time_grid(0, 1, 8)
+        ens = sample_forward_ensemble(grid, 2, 1.0, seed=3)
+        batch = batch_paths([sample_backward_path(grid, seed=s) for s in (11, 12)])
+        p = ItoProcess(gamma=lambda t, b, wv: 1.0)
+        with pytest.raises(InvalidArgumentError, match=r"shape \(9, 2\)"):
+            ito_product_check(p, p, ens, batch)
 
     def test_deterministic_drift_case(self):
         # X1 = X2 = t: only the Riemann-sum bias of order dt remains

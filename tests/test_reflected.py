@@ -19,7 +19,7 @@ ZERO = lambda t, x, y, z: np.zeros_like(np.asarray(x, dtype=float))
 def setup(n=16, a=1.0, x0=0.0, seed=3):
     grid = build_time_grid(0, 1, n)
     tree = build_tree(grid, a, x0=x0)
-    w = sample_backward_path(grid, 1, seed=seed)
+    w = sample_backward_path(grid, seed=seed)
     return grid, tree, w
 
 
@@ -139,7 +139,7 @@ class TestReflected:
         bar = Barrier(fn=lambda t, x: np.maximum(0.8 - x, 0.0))
         sol = solve_reflected(prob, bar, tree, w)
 
-        gw = np.concatenate([[0.0], np.cumsum(beta * w.increments[:, 0])])
+        gw = np.concatenate([[0.0], np.cumsum(beta * w.increments)])
         shifted_payoff = [bar.values(tree, i) + gw[i] for i in range(grid.n_steps + 1)]
         shifted_term = prob.terminal(tree.states(grid.n_steps)) + gw[-1]
         vals = snell_envelope(tree, shifted_payoff, shifted_term)

@@ -15,6 +15,7 @@ from bdsde.errors import (
     VerificationError,
 )
 from bdsde.grids import (
+    batch_paths,
     build_time_grid,
     build_tree,
     build_volatility_grid,
@@ -58,7 +59,7 @@ def best_constant_gap(prob, sol, grid, w, g_scheme):
 class TestSingletonReduction:
     def test_tree_backend_matches_classical_nodewise(self):
         grid = build_time_grid(0, 1, 64)
-        w = sample_backward_path(grid, 1, seed=7)
+        w = sample_backward_path(grid, seed=7)
         vg = build_volatility_grid(1.0, 1.0, 1)
         prob = TbdsdeProblem(terminal=lambda x: x**2, F=FZERO,
                              g=lambda t, x, y, z: 0.3 * np.cos(y), volgrid=vg)
@@ -71,7 +72,7 @@ class TestSingletonReduction:
 
     def test_backend_follows_finite_volatilities(self):
         grid = build_time_grid(0, 1, 4)
-        w = sample_backward_path(grid, 1, seed=1)
+        w = sample_backward_path(grid, seed=1)
         assert solve_dp(bsb_problem(), grid, w, opts=DpOptions(x_steps=40)).backend == "lattice"
         singleton = TbdsdeProblem(terminal=lambda x: x**2, F=FZERO, g=ZERO,
                                   volgrid=build_volatility_grid(1.0, 1.0, 1))
@@ -81,7 +82,7 @@ class TestSingletonReduction:
 class TestBsbOracle:
     def test_value_and_argmax(self):
         grid = build_time_grid(0, 1, 64)
-        w = sample_backward_path(grid, 1, seed=1)
+        w = sample_backward_path(grid, seed=1)
         sol = solve_dp(bsb_problem(), grid, w, x0=1.0, opts=DpOptions(x_steps=400))
         assert sol.y0 == pytest.approx(3.0, rel=0.02)
         frac = np.mean([np.mean(np.asarray(a) == 2.0) for a in sol.argmax_a[:-1]])
@@ -91,7 +92,7 @@ class TestBsbOracle:
         errs = []
         for n, xs in [(16, 100), (32, 200), (64, 400)]:
             grid = build_time_grid(0, 1, n)
-            w = sample_backward_path(grid, 1, seed=1)
+            w = sample_backward_path(grid, seed=1)
             sol = solve_dp(bsb_problem(), grid, w, x0=1.0, opts=DpOptions(x_steps=xs))
             errs.append(abs(sol.y0 - 3.0))
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.3)
@@ -105,7 +106,7 @@ class TestBsbOracle:
             h = 12 * np.sqrt(2) / x_steps
             for n in (16, 32, 64):
                 grid = build_time_grid(0, 1, n)
-                w = sample_backward_path(grid, 1, seed=1)
+                w = sample_backward_path(grid, seed=1)
                 sol = solve_dp(bsb_problem(), grid, w, x0=1.0,
                                opts=DpOptions(x_steps=x_steps))
                 assert sol.y0 - 3.0 == pytest.approx(n * h**2 / 6, rel=0.02)
@@ -114,14 +115,14 @@ class TestBsbOracle:
         # terminal (x - c)^2 from x0 = c is the c = 0 problem moved along x; a
         # lattice around c = 300 is uniform only up to linspace rounding
         grid = build_time_grid(0, 1, 32)
-        w = sample_backward_path(grid, 1, seed=1)
+        w = sample_backward_path(grid, seed=1)
         y0 = [solve_dp(bsb_problem(lambda x, c=c: (x - c) ** 2), grid, w, x0=c,
                        opts=DpOptions(x_steps=400)).y0 for c in (0.0, 300.0)]
         assert y0[1] == pytest.approx(y0[0], rel=1e-13)
 
     def test_concave_terminal_selects_low_volatility(self):
         grid = build_time_grid(0, 1, 64)
-        w = sample_backward_path(grid, 1, seed=1)
+        w = sample_backward_path(grid, seed=1)
         sol = solve_dp(bsb_problem(terminal=lambda x: -(x**2)), grid, w, x0=1.0,
                        opts=DpOptions(x_steps=400))
         assert sol.y0 == pytest.approx(-1.5, rel=0.02)
@@ -130,7 +131,7 @@ class TestBsbOracle:
 
     def test_volgrid_enlargement_never_decreases_value(self):
         grid = build_time_grid(0, 1, 32)
-        w = sample_backward_path(grid, 1, seed=3)
+        w = sample_backward_path(grid, seed=3)
         opts = DpOptions(x_steps=200)
         small = TbdsdeProblem(terminal=lambda x: x**2, F=FZERO, g=ZERO,
                               volgrid=build_volatility_grid(1.0, 1.5, 2))
@@ -147,7 +148,7 @@ class TestBsbOracle:
         vals = []
         for n, xs in [(8, 50), (16, 100), (32, 200), (64, 400)]:
             grid = build_time_grid(0, 1, n)
-            w = sample_backward_path(grid, 1, seed=1)
+            w = sample_backward_path(grid, seed=1)
             vals.append(solve_dp(bsb_problem(), grid, w, x0=1.0,
                                  opts=DpOptions(x_steps=xs)).y0)
         diffs = np.abs(np.diff(vals))
@@ -157,7 +158,7 @@ class TestBsbOracle:
 class TestCompensator:
     def setup_method(self):
         self.grid = build_time_grid(0, 1, 32)
-        self.w = sample_backward_path(self.grid, 1, seed=5)
+        self.w = sample_backward_path(self.grid, seed=5)
         self.prob = bsb_problem()
         self.sol = solve_dp(self.prob, self.grid, self.w, x0=1.0,
                             opts=DpOptions(x_steps=200))
@@ -275,7 +276,7 @@ class TestCompensatorFromSweep:
         pdef = REGISTRY[name]
         prob = pdef.equation(ExperimentConfig.from_defaults())
         grid = build_time_grid(0, 1, n)
-        w = sample_backward_path(grid, 1, seed=3)
+        w = sample_backward_path(grid, seed=3)
         sol = solve_dp(prob, grid, w, x0=pdef.x0,
                        opts=DpOptions(x_steps=x_steps, g_scheme=g_scheme))
         a_vals = prob.finite_volatilities()
@@ -291,7 +292,7 @@ class TestCompensatorFromSweep:
         prob = bsb_problem(terminal=lambda x: np.where(x > 0, x**2, -(x**2)),
                            g=lambda t, x, y, z: 0.2 * z + 0.1 * y)
         grid = build_time_grid(0, 1, 16)
-        w = sample_backward_path(grid, 1, seed=3)
+        w = sample_backward_path(grid, seed=3)
         sol = solve_dp(prob, grid, w, x0=0.0, opts=DpOptions(x_steps=200))
         xs = sol.meta["lattice"]
         moved = 0
@@ -315,7 +316,7 @@ def test_every_constant_control_sees_a_nonnegative_compensator(c, b, s, a_low, a
                          g=lambda t, x, y, z: beta * y,
                          volgrid=build_volatility_grid(a_low, a_high, n_a))
     grid = build_time_grid(0, 1, n)
-    sol = solve_dp(prob, grid, sample_backward_path(grid, 1, seed=seed), x0=0.0,
+    sol = solve_dp(prob, grid, sample_backward_path(grid, seed=seed), x0=0.0,
                    opts=DpOptions(x_steps=80, g_scheme=g_scheme))
     a_vals, defects, xs = sol.meta["a_values"], sol.meta["defects"], sol.meta["lattice"]
     # E[K_{i+1} - K_i] weighs nonnegative increments, so it is >= 0 up to
@@ -340,7 +341,7 @@ class TestNonFinite:
     def test_nan_terminal_names_step_volatility_and_node(self):
         # sqrt of the terminal is NaN on the lattice knots left of 0
         grid = build_time_grid(0, 1, 8)
-        w = sample_backward_path(grid, 1, seed=5)
+        w = sample_backward_path(grid, seed=5)
         prob = TbdsdeProblem(terminal=np.sqrt, F=FZERO, g=ZERO,
                              volgrid=build_volatility_grid(0.5, 2.0, 3))
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError) as info:
@@ -353,7 +354,7 @@ class TestNonFinite:
     def test_nan_in_one_path_names_that_path(self, n_a):
         # W_{t_k} = NaN spoils dW_k and dW_{k-1}; the backward sweep meets step k first
         grid, k = build_time_grid(0, 1, 8), 5
-        paths = [sample_backward_path(grid, 1, seed=s) for s in (1, 2, 3)]
+        paths = [sample_backward_path(grid, seed=s) for s in (1, 2, 3)]
         paths[1].values[k] = np.nan
         prob = TbdsdeProblem(terminal=lambda x: x**2 + 1.0, F=FZERO, g=HALF_Y,
                              volgrid=build_volatility_grid(0.5, 2.0, n_a))
@@ -366,7 +367,7 @@ class TestNonFinite:
     def test_nan_at_one_interior_volatility_names_that_volatility(self):
         # F is NaN right of x = 1.5 under a = 1.25 only, the middle of five
         grid = build_time_grid(0, 1, 8)
-        w = sample_backward_path(grid, 1, seed=5)
+        w = sample_backward_path(grid, seed=5)
         vg = build_volatility_grid(0.5, 2.0, 5)
         F = lambda t, x, y, z, a: np.where((np.asarray(a) == 1.25) & (np.asarray(x) > 1.5),
                                            np.nan, 0.0)
@@ -391,7 +392,7 @@ class TestStackedVolatilities:
             calls.append(t)
             return 0.5 * y
         grid = build_time_grid(0, 1, 32)
-        paths = [sample_backward_path(grid, 1, seed=s) for s in range(1, m + 1)]
+        paths = [sample_backward_path(grid, seed=s) for s in range(1, m + 1)]
         solve_dp(bsb_problem(g=g), grid, paths if m > 1 else paths[0], x0=1.0,
                  opts=DpOptions(x_steps=60))
         assert len(calls) == 32
@@ -416,7 +417,7 @@ class TestStackedVolatilities:
     def test_divergence_at_the_high_volatility_names_it(self, m):
         # f = -1.5 y / dt under a_high only: that row's implicit update diverges
         grid = build_time_grid(0, 1, 4)
-        paths = [sample_backward_path(grid, 1, seed=s) for s in range(1, m + 1)]
+        paths = [sample_backward_path(grid, seed=s) for s in range(1, m + 1)]
         F = lambda t, x, y, z, a: np.where(np.asarray(a) == 2.0, -1.5 * y / grid.dt, 0.0)
         prob = TbdsdeProblem(terminal=lambda x: 1.0 + x**2, F=F, g=ZERO,
                              volgrid=build_volatility_grid(0.5, 2.0, 5))
@@ -429,7 +430,7 @@ class TestStackedVolatilities:
 class TestMinimalityGap:
     def test_singleton_gap_vanishes(self):
         grid = build_time_grid(0, 1, 16)
-        w = sample_backward_path(grid, 1, seed=2)
+        w = sample_backward_path(grid, seed=2)
         vg = build_volatility_grid(1.0, 1.0, 1)
         prob = TbdsdeProblem(terminal=lambda x: x**2, F=FZERO, g=ZERO, volgrid=vg)
         sol = solve_dp(prob, grid, w, x0=1.0)
@@ -440,7 +441,7 @@ class TestMinimalityGap:
         gaps = []
         for n, xs in [(16, 100), (32, 200), (64, 400)]:
             grid = build_time_grid(0, 1, n)
-            w = sample_backward_path(grid, 1, seed=1)
+            w = sample_backward_path(grid, seed=1)
             prob = bsb_problem()
             sol = solve_dp(prob, grid, w, x0=1.0, opts=DpOptions(x_steps=xs))
             gaps.append(minimality_gap(prob, sol, w)[0])
@@ -459,7 +460,7 @@ class TestRepresentation:
             return solve_tree(*args)
         monkeypatch.setattr(second_order, "solve_tree", counted)
         grid = build_time_grid(0, 1, 16)
-        w = sample_backward_path(grid, 1, seed=4)
+        w = sample_backward_path(grid, seed=4)
         vg = build_volatility_grid(1.3, 1.3, 1)
         prob = TbdsdeProblem(terminal=lambda x: np.abs(x), F=FZERO, g=ZERO, volgrid=vg)
         rep = representation_check(prob, grid, w, x0=0.5)
@@ -472,7 +473,7 @@ class TestRepresentation:
         surpluses = []
         for n, xs in [(32, 200), (64, 400)]:
             grid = build_time_grid(0, 1, n)
-            w = sample_backward_path(grid, 1, seed=4)
+            w = sample_backward_path(grid, seed=4)
             rep = representation_check(bsb_problem(), grid, w, x0=1.0,
                                        opts=DpOptions(x_steps=xs))
             assert rep.best_a == 2.0
@@ -482,7 +483,7 @@ class TestRepresentation:
 
     def test_mixed_convexity_strict_surplus(self):
         grid = build_time_grid(0, 1, 64)
-        w = sample_backward_path(grid, 1, seed=4)
+        w = sample_backward_path(grid, seed=4)
         prob = bsb_problem(terminal=lambda x: np.where(x > 0, x**2, -x**2))
         rep = representation_check(prob, grid, w, x0=0.0, opts=DpOptions(x_steps=400))
         assert rep.surplus > 0.1  # time-varying optimal control beats any constant
@@ -494,7 +495,7 @@ class TestComparisonPrinciple:
         for _ in range(100):
             n = int(rng.integers(4, 9))
             grid = build_time_grid(0, 1, n)
-            w = sample_backward_path(grid, 1, seed=int(rng.integers(1 << 30)))
+            w = sample_backward_path(grid, seed=int(rng.integers(1 << 30)))
             a_lo = float(rng.uniform(0.3, 1.0))
             a_hi = float(rng.uniform(a_lo, 2.5))
             vg = build_volatility_grid(a_lo, a_hi, int(rng.integers(2, 4)))
@@ -524,14 +525,14 @@ class TestFeynmanKac:
 
     def test_optimal_control_saturates(self):
         grid = build_time_grid(0, 1, 32)
-        w = sample_backward_path(grid, 1, seed=6)
+        w = sample_backward_path(grid, seed=6)
         ens = sample_forward_ensemble(grid, 2000, 2.0, seed=8, x0=1.0)
         rep = feynman_kac_residual(*self.u_bsb(), bsb_problem(), ens, w)
         assert abs(rep.min_k) < 1e-12 and abs(rep.mean_k) < 1e-12
 
     def test_suboptimal_control_constant_rate(self):
         grid = build_time_grid(0, 1, 32)
-        w = sample_backward_path(grid, 1, seed=6)
+        w = sample_backward_path(grid, seed=6)
         ens = sample_forward_ensemble(grid, 2000, 0.5, seed=8, x0=1.0)
         rep = feynman_kac_residual(*self.u_bsb(), bsb_problem(), ens, w)
         # k = hhat(2) - a_low + 0 = a_high - a_low = 1.5
@@ -540,7 +541,7 @@ class TestFeynmanKac:
 
     def test_affine_candidate_zero_rate(self):
         grid = build_time_grid(0, 1, 16)
-        w = sample_backward_path(grid, 1, seed=6)
+        w = sample_backward_path(grid, seed=6)
         ens = sample_forward_ensemble(grid, 500, 1.0, seed=8)
         u = lambda t, x: 2.0 * x + 1.0
         rep = feynman_kac_residual(u, lambda t, x: 2.0 + 0 * x, lambda t, x: 0.0 * x,
@@ -552,7 +553,7 @@ class TestFeynmanKac:
         res = []
         for n in (16, 64):
             grid = build_time_grid(0, 1, n)
-            w = sample_backward_path(grid, 1, seed=6)
+            w = sample_backward_path(grid, seed=6)
             ens = sample_forward_ensemble(grid, 4000, 2.0, seed=8, x0=1.0)
             rep = feynman_kac_residual(*self.u_bsb(), bsb_problem(), ens, w)
             res.append(rep.mean_abs_residual)
@@ -561,7 +562,7 @@ class TestFeynmanKac:
 
     def test_inconsistent_hamiltonian_rejected(self):
         grid = build_time_grid(0, 1, 16)
-        w = sample_backward_path(grid, 1, seed=6)
+        w = sample_backward_path(grid, seed=6)
         ens = sample_forward_ensemble(grid, 200, 3.0, seed=8, x0=1.0)
         # a control a = 3 above the band [0.5, 2] is not dominated by the
         # Hamiltonian: the rate is H(2) - a = 2 - 3 = -1 < 0, so the
@@ -571,10 +572,18 @@ class TestFeynmanKac:
 
     def test_time_varying_control_rejected(self):
         grid = build_time_grid(0, 1, 16)
-        w = sample_backward_path(grid, 1, seed=6)
+        w = sample_backward_path(grid, seed=6)
         ens = sample_forward_ensemble(grid, 200, np.linspace(0.5, 2.0, 16), seed=8, x0=1.0)
         with pytest.raises(InvalidArgumentError, match="constant control"):
             feynman_kac_residual(*self.u_bsb(), bsb_problem(), ens, w)
+
+    def test_refuses_a_batch(self):
+        # as many W paths as forward paths would broadcast without an error
+        grid = build_time_grid(0, 1, 8)
+        batch = batch_paths([sample_backward_path(grid, seed=s) for s in (6, 7)])
+        ens = sample_forward_ensemble(grid, 2, 2.0, seed=8, x0=1.0)
+        with pytest.raises(InvalidArgumentError, match=r"shape \(9, 2\)"):
+            feynman_kac_residual(*self.u_bsb(), bsb_problem(), ens, batch)
 
     def test_generator_enters_with_the_solver_sign(self):
         # F = 0.3 on the band: solve_dp's value is x^2 + 2.3 (1 - t), since
@@ -585,7 +594,7 @@ class TestFeynmanKac:
         reps = {}
         for n in (16, 64):
             grid = build_time_grid(0, 1, n)
-            w = sample_backward_path(grid, 1, seed=6)
+            w = sample_backward_path(grid, seed=6)
             ens = sample_forward_ensemble(grid, 2000, 2.0, seed=8, x0=1.0)
             for slope in (2.3, 1.7):
                 u = lambda t, x, c=slope: x**2 + c * (1.0 - t)
@@ -604,7 +613,7 @@ class TestFeynmanKac:
         res = []
         for n in (16, 64):
             grid = build_time_grid(0, 1, n)
-            w = sample_backward_path(grid, 1, seed=6)
+            w = sample_backward_path(grid, seed=6)
             ens = sample_forward_ensemble(grid, 2000, 2.0, seed=8, x0=1.0)
             res.append(feynman_kac_residual(u, du, d2u, bsb_problem(), ens, w).mean_abs_residual)
         assert min(res) > 1.0  # true slope is 2.0, defect ~ 1.5 independent of dt
@@ -621,11 +630,11 @@ class TestStratonovichItoEquivalence:
         n_seeds = 40
         from bdsde.classical import SolverOptions
         for seed in range(n_seeds):
-            fine = sample_backward_path(build_time_grid(0, 1, 64), 1, seed=seed)
+            fine = sample_backward_path(build_time_grid(0, 1, 64), seed=seed)
             for n in levels:
                 w = subsample_path(fine, 64 // n)
                 tree = build_tree(w.grid, 1.0, x0=1.0)
-                br = {round(w.grid.time(i), 12): float(w.increments[i, 0] ** 2) / w.grid.dt
+                br = {round(w.grid.time(i), 12): float(w.increments[i] ** 2) / w.grid.dt
                       for i in range(n)}
                 p_s = BdsdeProblem(terminal=lambda x: x**2,
                                    f=lambda t, x, y, z: np.zeros_like(x), g=g)
