@@ -11,7 +11,7 @@ midpoint ("stratonovich") scheme averages the two endpoints instead.  The
 y-update is implicit with an inner fixed point (contraction for
 dt * Lip(f) < 1); z comes from an explicit conditional projection against
 the forward increment.  The conditional expectation backend is either exact
-(a recombining tree, d = 1) or least-squares Monte Carlo.  Both sweep several
+(the binomial tree, d = 1) or least-squares Monte Carlo.  Both sweep several
 frozen backward paths at once, as a leading axis of their values.
 """
 
@@ -123,7 +123,7 @@ def _fixed_point(update, y_start, i, a):
 
 
 def tree_cond(tree: BrownianTree) -> Callable:
-    """Exact one-step moments R -> (E[R], E[R dX] / (a dt)) on a recombining tree."""
+    """Exact one-step moments R -> (E[R], E[R dX] / (a dt)) on the binomial tree."""
     return lambda r: (tree.child_expectation(r), tree.child_cross(r) / (tree.a * tree.grid.dt))
 
 
@@ -242,8 +242,9 @@ def _solve_on_tree(problem: BdsdeProblem, tree: BrownianTree, w: BackwardPath | 
     leaves = tree.states(grid.n_steps)
     y_T = np.asarray(problem.terminal(leaves), dtype=float)
     # phantom-step projection z_T = E[xi(x + dX) dX] / (a dt) per leaf
-    z_T = sum(pk * problem.terminal(leaves + ok) * ok for pk, ok in
-              zip(tree.transition_probs, tree.branch_offsets())) / (tree.a * grid.dt)
+    h = tree.step
+    z_T = (0.5 * problem.terminal(leaves + h) * h
+           + 0.5 * problem.terminal(leaves - h) * -h) / (tree.a * grid.dt)
     y, z, residual, iters, pushes, y0_paths = backward_sweep(
         problem, grid, w, y_T, z_T, lambda i, y, z, w: backward_step(
             problem, cond, tree.states, i, grid, y, z, w, tree.a, opts, constraint))
@@ -254,7 +255,7 @@ def _solve_on_tree(problem: BdsdeProblem, tree: BrownianTree, w: BackwardPath | 
 
 def solve_tree(problem: BdsdeProblem, tree: BrownianTree, w: BackwardPath | list,
                opts: SolverOptions = SolverOptions()) -> BdsdeSolution:
-    """Exact-expectation backward induction on a recombining tree (d = 1).
+    """Exact-expectation backward induction on the binomial tree (d = 1).
 
     w is one BackwardPath or a list of paths on the tree's grid, solved in
     one `backward_sweep` with the paths as a leading batch axis.  The

@@ -9,10 +9,6 @@ class InvalidArgumentError(BdsdeError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class UnsupportedBackendError(BdsdeError):
-    """The requested backend cannot handle this problem (e.g. tree with d > 1)."""
-
-
 class StepSizeError(BdsdeError):
     """The time step is too large for the scheme to be stable/contracting."""
 

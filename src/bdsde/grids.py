@@ -1,7 +1,7 @@
 """Time grids, frozen backward paths, and forward-noise structures.
 
-The forward noise B is one-dimensional, represented either exactly (a
-recombining tree) or by a seeded Monte Carlo ensemble under a piecewise
+The forward noise B is one-dimensional, represented either exactly (the
+binomial tree) or by a seeded Monte Carlo ensemble under a piecewise
 constant volatility control: a positive scalar or one volatility per step.
 The backward Brownian path W is frozen per run: a single sampled trajectory
 stands in for conditioning on the external noise, and statistics over W come
@@ -16,9 +16,6 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from . import rng
-
-_BRANCH_PROBS = {2: np.array([0.5, 0.5]), 3: np.array([1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0])}
-
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -37,6 +34,8 @@ class TimeGrid:
 
 def build_time_grid(t0: float, horizon: float, n: int) -> TimeGrid:
     """Uniform grid of n steps on [t0, horizon]."""
+    if not (np.isfinite(t0) and np.isfinite(horizon)):
+        raise InvalidArgumentError(f"t0 and horizon must be finite, got {t0} and {horizon}")
     if horizon <= t0:
         raise InvalidArgumentError(f"horizon {horizon} must exceed t0 {t0}")
     if n < 1:
@@ -130,6 +129,8 @@ def sample_backward_bridge(grid: TimeGrid, seed: int, total: float) -> BackwardP
     Keeps the quadratic variation of a genuine Brownian draw while pinning
     the endpoint, which matters for schemes carrying an Ito correction.
     """
+    if not np.isfinite(total):
+        raise InvalidArgumentError(f"the bridge endpoint must be finite, got {total}")
     base = sample_backward_path(grid, seed)
     frac = (grid.nodes - grid.t0) / (grid.horizon - grid.t0)
     values = base.values + frac * (float(total) - base.values[-1])
@@ -146,6 +147,8 @@ class VolatilityGrid:
 
 
 def build_volatility_grid(a_low: float, a_high: float, n_points: int = 2) -> VolatilityGrid:
+    if not (np.isfinite(a_low) and np.isfinite(a_high)):
+        raise InvalidArgumentError(f"volatility bounds must be finite, got {a_low} and {a_high}")
     if a_low <= 0:
         raise InvalidArgumentError("volatilities must be strictly positive definite")
     if a_high < a_low:
@@ -161,56 +164,37 @@ def build_volatility_grid(a_low: float, a_high: float, n_points: int = 2) -> Vol
 
 @dataclass(frozen=True)
 class BrownianTree:
-    """Recombining moment-matched lattice for X = x0 + int a^{1/2} dB, d = 1.
+    """Binomial tree for X = x0 + int a^{1/2} dB, d = 1 (Cox, Ross and Rubinstein).
 
-    Level i holds (branching - 1) * i + 1 nodes.  One-step conditional
-    moments are (0, a * dt) exactly by construction.
+    Level i holds i + 1 nodes, node j at x0 + (2j - i) * step.  Each node moves
+    up or down by step = sqrt(a * dt) with probability 1/2, so one-step
+    conditional moments are (0, a * dt) exactly.
     """
 
     grid: TimeGrid
     a: float
-    branching: int
     x0: float
     step: float
-    transition_probs: np.ndarray = field(repr=False)
 
     def n_nodes(self, level: int) -> int:
-        return (self.branching - 1) * level + 1
+        return level + 1
 
     def states(self, level: int) -> np.ndarray:
         j = np.arange(self.n_nodes(level))
-        if self.branching == 2:
-            return self.x0 + (2 * j - level) * self.step
-        return self.x0 + (j - level) * self.step
-
-    def branch_offsets(self) -> np.ndarray:
-        if self.branching == 2:
-            return np.array([self.step, -self.step])
-        return np.array([self.step, 0.0, -self.step])
+        return self.x0 + (2 * j - level) * self.step
 
     def child_expectation(self, values_next: np.ndarray) -> np.ndarray:
         """E_i[v(child)] for each node at the coarser level.
 
         values_next is indexed over level i+1 nodes along its last axis (a
-        leading axis holds one row per backward path); children of node j are
-        j .. j + branching - 1 in DESCENDING state order under the indexing
-        used by `states` (which ascends), so the slices below pair up with
-        ascending offsets.
+        leading axis holds one row per backward path); node j's children are
+        j + 1 (up) and j (down).
         """
-        p = self.transition_probs
-        if self.branching == 2:
-            # child states of node j (state s): s + step -> index j+1, s - step -> index j
-            return p[0] * values_next[..., 1:] + p[1] * values_next[..., :-1]
-        return (p[0] * values_next[..., 2:] + p[1] * values_next[..., 1:-1]
-                + p[2] * values_next[..., :-2])
+        return 0.5 * values_next[..., 1:] + 0.5 * values_next[..., :-1]
 
     def child_cross(self, values_next: np.ndarray) -> np.ndarray:
         """E_i[v(child) * (X_{i+1} - X_i)] for each coarser-level node."""
-        p = self.transition_probs
-        h = self.step
-        if self.branching == 2:
-            return h * (p[0] * values_next[..., 1:] - p[1] * values_next[..., :-1])
-        return h * (p[0] * values_next[..., 2:] - p[2] * values_next[..., :-2])
+        return self.step * (0.5 * values_next[..., 1:] - 0.5 * values_next[..., :-1])
 
     def level_probabilities(self) -> list[np.ndarray]:
         """Forward node probabilities per level (root mass 1)."""
@@ -218,27 +202,18 @@ class BrownianTree:
         for i in range(self.grid.n_steps):
             nxt = np.zeros(self.n_nodes(i + 1))
             cur = probs[-1]
-            for k, pk in enumerate(self.transition_probs):
-                # branch k moves node j -> child j + (branching - 1 - k)
-                off = self.branching - 1 - k
-                nxt[off:off + len(cur)] += pk * cur
+            nxt[1:] += 0.5 * cur   # up: node j -> child j + 1
+            nxt[:-1] += 0.5 * cur  # down: node j -> child j
             probs.append(nxt)
         return probs
 
 
-def build_tree(grid: TimeGrid, a, branching: int = 2, x0: float = 0.0) -> BrownianTree:
-    """Moment-matched recombining tree under one positive, finite scalar volatility a."""
+def build_tree(grid: TimeGrid, a, x0: float = 0.0) -> BrownianTree:
+    """Binomial tree under one positive, finite scalar volatility a."""
     if np.ndim(a) != 0 or not (0 < float(a) < np.inf):
         raise InvalidArgumentError(f"a must be one positive, finite volatility, got {a!r}")
     a_val = float(a)
-    if branching not in (2, 3):
-        raise InvalidArgumentError("branching must be 2 or 3")
-    if branching == 2:
-        step = np.sqrt(a_val * grid.dt)
-    else:
-        step = np.sqrt(3.0 * a_val * grid.dt)
-    return BrownianTree(grid=grid, a=a_val, branching=branching, x0=float(x0),
-                        step=float(step), transition_probs=_BRANCH_PROBS[branching])
+    return BrownianTree(grid=grid, a=a_val, x0=float(x0), step=float(np.sqrt(a_val * grid.dt)))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidArgumentError, UnsupportedBackendError
+from .errors import InvalidArgumentError
 from .grids import BrownianTree
 
 MAX_ENUM_STEPS = 16
@@ -53,8 +53,6 @@ def _path_node_indices(n_steps: int):
 
 def pathwise_sup_sq_expectation(tree: BrownianTree, levels: list) -> float:
     """E[ sup_t |Y_t|^2 ] by exact enumeration of all binomial tree paths."""
-    if tree.branching != 2:
-        raise UnsupportedBackendError("path enumeration implemented for binomial trees")
     n = tree.grid.n_steps
     idx = _path_node_indices(n)
     running = np.abs(np.asarray(levels[0], dtype=float))[idx[:, 0]]
@@ -65,8 +63,6 @@ def pathwise_sup_sq_expectation(tree: BrownianTree, levels: list) -> float:
 
 def pathwise_terminal_k_sq(tree: BrownianTree, k_increments: list) -> float:
     """E[ K_T^2 ] with K_T accumulated along every binomial path."""
-    if tree.branching != 2:
-        raise UnsupportedBackendError("path enumeration implemented for binomial trees")
     n = tree.grid.n_steps
     idx = _path_node_indices(n)
     k_T = np.zeros(idx.shape[0])

@@ -260,7 +260,9 @@ def extract_k(sol: TbdsdeSolution, volatility: Optional[float] = None) -> KTrace
     compensator that is.  On the lattice a fixed volatility gives the
     compensator seen under that constant control: its row of the solve's
     own defects (meta["defects"], see `solve_dp`), with the cumulative trace
-    integrated against its forward law from x0.  Nothing is solved again.
+    integrated against its forward law from x0 (each step's expectation
+    clamped at 0, as the increments are >= 0, so the trace is nondecreasing).
+    Nothing is solved again.
     """
     if volatility is None:
         return sol.K
@@ -279,7 +281,7 @@ def extract_k(sol: TbdsdeSolution, volatility: Optional[float] = None) -> KTrace
         else:
             e_i = float(pl_gauss_moments(xs, incs[i], np.array([x0]),
                                          math.sqrt(a * t_i))[0][0])
-        cum[i + 1] = cum[i] + e_i
+        cum[i + 1] = cum[i] + max(e_i, 0.0)  # rounding can take e_i below 0
     return KTrace(increments=incs, expected_cumulative=cum, volatility=a)
 
 

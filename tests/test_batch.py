@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bdsde import classical
 from bdsde._accel import pl_gauss_moments
 from bdsde.classical import BdsdeProblem, SolverOptions, solve_regression, solve_tree
-from bdsde.errors import InvalidArgumentError, StepSizeError
+from bdsde.errors import BdsdeError, InvalidArgumentError, StepSizeError
 from bdsde.grids import (
     batch_paths,
     build_time_grid,
@@ -43,17 +43,28 @@ def assert_meta_equal(batch, single):
             assert batch[key] == single[key]
 
 
-@given(branching=st.sampled_from([2, 3]), scheme=SCHEMES, beta=st.floats(-0.9, 0.9),
-       c=st.floats(-1.0, 1.0), n=st.integers(1, 24), m=st.integers(2, 4), seed=SEEDS)
-def test_tree_batch_equals_per_path_solves(branching, scheme, beta, c, n, m, seed):
+@given(scheme=SCHEMES, beta=st.floats(-0.9, 0.9), c=st.floats(-1.0, 1.0),
+       n=st.integers(1, 24), m=st.integers(2, 4), seed=SEEDS)
+# refused per path: dt * Lip = 1 (StepSizeError), and a contraction of 0.875
+# that needs more than MAX_ITERS Picard iterations (ConvergenceError)
+@example(scheme="ito", beta=0.0, c=1.0, n=1, m=2, seed=0)
+@example(scheme="ito", beta=0.0, c=0.875, n=1, m=2, seed=0)
+def test_tree_batch_equals_per_path_solves(scheme, beta, c, n, m, seed):
     grid = build_time_grid(0, 1, n)
-    tree = build_tree(grid, 1.2, branching=branching, x0=0.3)
+    tree = build_tree(grid, 1.2, x0=0.3)
     prob = BdsdeProblem(terminal=lambda x: x**2 - x, f=lambda t, x, y, z: c * y - 0.2 * z,
                         g=lambda t, x, y, z: beta * y, lipschitz_f=abs(c))
     opts = SolverOptions(g_scheme=scheme)
     paths = paths_for(grid, seed, m)
+    try:
+        singles = [solve_tree(prob, tree, w, opts) for w in paths]
+    except BdsdeError as refused:
+        # what one path's solve refuses, the batch refuses with the same error
+        with pytest.raises(BdsdeError) as batch_refused:
+            solve_tree(prob, tree, paths, opts)
+        assert type(batch_refused.value) is type(refused)
+        return
     batch = solve_tree(prob, tree, paths, opts)
-    singles = [solve_tree(prob, tree, w, opts) for w in paths]
 
     np.testing.assert_array_equal(batch.y0_paths, [s.y0 for s in singles])
     first = singles[0]

@@ -20,9 +20,9 @@ from bdsde.grids import (
 ZERO = lambda t, x, y, z: np.zeros_like(np.asarray(x, dtype=float))
 
 
-def make_setup(n=16, a=1.0, T=1.0, x0=0.0, seed=11, branching=2):
+def make_setup(n=16, a=1.0, T=1.0, x0=0.0, seed=11):
     grid = build_time_grid(0.0, T, n)
-    tree = build_tree(grid, a, branching=branching, x0=x0)
+    tree = build_tree(grid, a, x0=x0)
     w = sample_backward_path(grid, seed=seed)
     return grid, tree, w
 

@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,12 @@ class TestTimeGrid:
             build_time_grid(1, 1, 4)
         with pytest.raises(InvalidArgumentError):
             build_time_grid(0, 1, 0)
+
+    @pytest.mark.parametrize("t0, horizon", [(0, np.nan), (np.nan, 1), (0, np.inf),
+                                             (-np.inf, 0)])
+    def test_refuses_non_finite_ends(self, t0, horizon):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            build_time_grid(t0, horizon, 4)
 
 
 class TestBackwardPath:
@@ -91,6 +99,11 @@ class TestBackwardPath:
         assert w.values[-1] == pytest.approx(0.25, abs=1e-14)
         assert w.values[0] == 0.0
 
+    @pytest.mark.parametrize("total", [np.nan, np.inf, -np.inf])
+    def test_bridge_refuses_non_finite_endpoint(self, total):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            sample_backward_bridge(build_time_grid(0, 1, 8), seed=9, total=total)
+
     def test_from_values_validates_length(self):
         g = build_time_grid(0, 1, 4)
         with pytest.raises(InvalidArgumentError):
@@ -114,47 +127,53 @@ class TestVolatilityGrid:
         with pytest.raises(InvalidArgumentError):
             build_volatility_grid(0.0, 1.0)
 
+    @pytest.mark.parametrize("a_low, a_high", [(np.nan, 1.0), (1.0, np.nan), (1.0, np.inf),
+                                               (np.inf, np.inf)])
+    def test_refuses_non_finite_bounds(self, a_low, a_high):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            build_volatility_grid(a_low, a_high, 3)
+
 
 class TestTree:
     def test_symmetric_binomial(self):
         g = build_time_grid(0, 1, 4)
-        t = build_tree(g, 1.0, branching=2)
+        t = build_tree(g, 1.0)
         assert t.step == pytest.approx(np.sqrt(0.25))
-        np.testing.assert_allclose(t.transition_probs, [0.5, 0.5])
+        np.testing.assert_allclose(t.states(1), [-0.5, 0.5])
 
     def test_moment_matching_scaled(self):
         # a = 4, dt = 0.25: step = 1, conditional variance = 1 = a dt
         g = build_time_grid(0, 1, 4)
-        t = build_tree(g, 4.0, branching=2)
+        t = build_tree(g, 4.0)
         assert t.step == pytest.approx(1.0)
-        offs = t.branch_offsets()
-        p = t.transition_probs
-        assert np.dot(p, offs) == pytest.approx(0.0, abs=1e-15)
-        assert np.dot(p, offs**2) == pytest.approx(4.0 * 0.25)
+        assert 0.5 * t.step + 0.5 * -t.step == pytest.approx(0.0, abs=1e-15)
+        assert 0.5 * t.step**2 + 0.5 * (-t.step) ** 2 == pytest.approx(4.0 * 0.25)
 
-    @pytest.mark.parametrize("branching", [2, 3])
-    def test_terminal_second_moment_exact(self, branching):
+    def test_terminal_second_moment_exact(self):
         # brute-force sum over all leaves: E[X_T^2] = a T (x0 = 0)
         a, T = 1.7, 1.3
         g = build_time_grid(0, T, 9)
-        t = build_tree(g, a, branching=branching)
+        t = build_tree(g, a)
         probs = t.level_probabilities()[-1]
         states = t.states(g.n_steps)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.dot(probs, states**2) == pytest.approx(a * T, rel=1e-12)
 
-    @pytest.mark.parametrize("branching", [2, 3])
-    def test_one_step_conditional_moments(self, branching):
+    def test_one_step_conditional_moments(self):
         g = build_time_grid(0, 1, 5)
-        t = build_tree(g, 0.8, branching=branching, x0=1.0)
-        offs = t.branch_offsets()
-        p = t.transition_probs
-        assert np.dot(p, offs) == pytest.approx(0.0, abs=1e-15)
-        assert np.dot(p, offs**2) == pytest.approx(0.8 * g.dt, rel=1e-14)
+        t = build_tree(g, 0.8, x0=1.0)
+        assert 0.5 * t.step + 0.5 * -t.step == pytest.approx(0.0, abs=1e-15)
+        assert 0.5 * t.step**2 + 0.5 * (-t.step) ** 2 == pytest.approx(0.8 * g.dt, rel=1e-14)
+
+    def test_level_probabilities_are_binomial(self):
+        t = build_tree(build_time_grid(0, 1, 20), 1.0)
+        for i, probs in enumerate(t.level_probabilities()):
+            np.testing.assert_allclose(probs, [comb(i, j) / 2**i for j in range(i + 1)],
+                                       rtol=0, atol=1e-15)
 
     def test_child_expectation_consistency(self):
         g = build_time_grid(0, 1, 6)
-        t = build_tree(g, 1.0, branching=3, x0=0.5)
+        t = build_tree(g, 1.0, x0=0.5)
         # E_i[X_{i+1}] = X_i and E_i[X_{i+1} dX] = a dt
         for i in range(g.n_steps):
             nxt = t.states(i + 1)
@@ -166,8 +185,6 @@ class TestTree:
         g = build_time_grid(0, 1, 4)
         with pytest.raises(InvalidArgumentError):
             build_tree(g, -1.0)
-        with pytest.raises(InvalidArgumentError):
-            build_tree(g, 1.0, branching=4)
         for a in (np.eye(2), np.eye(1), [1.0, 4.0, 4.0, 4.0], np.nan, np.inf, 0.0):
             with pytest.raises(InvalidArgumentError):
                 build_tree(g, a)

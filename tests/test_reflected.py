@@ -47,7 +47,6 @@ class TestSnellEnvelope:
         terminal = lambda x: np.maximum(1.2 - x, 0.0)
         vals = snell_envelope(tree, payoff, terminal)
 
-        probs = tree.transition_probs
         pay = [payoff(grid.time(i), tree.states(i)) for i in range(3)]
         term = terminal(tree.states(3))
         best = -np.inf
@@ -60,7 +59,7 @@ class TestSnellEnvelope:
             # each full path, weighted by its full probability, pays at the
             # first stopping node it visits (or the terminal leaf)
             for moves in itertools.product([0, 1], repeat=3):
-                p_full = np.prod([probs[m] for m in moves])
+                p_full = 0.5**3
                 j = 0
                 reward = None
                 for i, m in enumerate(moves):
