@@ -22,9 +22,10 @@ three (queries, band) arrays and no temporary grows with the lattice.  A
 lattice solver builds one window per volatility and step size and applies
 it at every step; `pl_gauss_moments` is setup-then-apply in one call.
 Knots must be increasing and uniform up to `linspace` rounding; anything
-else raises `InvalidArgumentError`.  `_moments_numpy`, the same moments
-over full query-by-knot matrices with each segment's own width, is kept
-only as the oracle the tests compare the window against.
+else raises `InvalidArgumentError`.  The setup's normal cdf is `_ndtr`, a
+numpy port of Cephes `ndtr`.  `_moments_numpy`, the same moments over full
+query-by-knot matrices with each segment's own width and the normal cdf of
+`math.erfc`, is kept only as the oracle the tests compare the window against.
 """
 
 from __future__ import annotations
@@ -42,10 +43,85 @@ _BLOCK_ENTRIES = 1 << 14  # band entries per row block: its temporaries stay in 
 _UNIFORM_ULPS = 8  # linspace knots are uniform to ~3 ulp of max|knot| at any offset
 
 
+# Cephes `ndtr` (S. L. Moshier, Methods and Programs for Mathematical Functions,
+# 1989), on W. J. Cody's rational Chebyshev erf and erfc (Math. Comp. 23, 1969)
+_SQRT1_2 = math.sqrt(0.5)
+_MAXLOG = 7.09782712893383996843e2   # log(DBL_MAX): exp(-x^2) underflows beyond it
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+
+
+def _polevl(x, coefs):
+    """Horner's rule, highest power first."""
+    y = coefs[0] * x
+    y += coefs[1]
+    for c in coefs[2:]:
+        y *= x
+        y += c
+    return y
+
+
+def _p1evl(x, coefs):
+    """Horner's rule with an implicit leading coefficient 1."""
+    y = x + coefs[0]
+    for c in coefs[1:]:
+        y *= x
+        y += c
+    return y
+
+
+def _erf(x):
+    """erf(x) for |x| <= 1."""
+    x2 = x * x
+    return x * _polevl(x2, _ERF_T) / _p1evl(x2, _ERF_U)
+
+
+def _half_erfc(x, num, den):
+    """0.5 erfc(x) = 0.5 exp(-x^2) P(x) / Q(x) for 1 <= x and x^2 <= _MAXLOG."""
+    y = np.exp(-x * x)
+    y *= _polevl(x, num)
+    y /= _p1evl(x, den)
+    y *= 0.5
+    return y
+
+
 def _ndtr(z):
-    """Normal cdf; scipy.special loads on the first kernel call, not on import."""
-    from scipy.special import ndtr
-    return ndtr(z)
+    """Normal cdf, Cephes `ndtr` in numpy with its branches, coefficients and
+    operation order.  Each branch runs on its own entries only, and NaN,
+    which fails every branch test, stays NaN."""
+    x = np.multiply(z, _SQRT1_2, dtype=float).ravel()
+    ax = np.abs(x)
+    y = np.full_like(x, np.nan)
+    # 0.5 erfc(|x|) from |x| = 1/sqrt(2): 1 - erf below 1, P/Q below 8, R/S
+    # from 8 and 0 once exp(-x^2) underflows; then 1 - y for x > 0
+    small = np.flatnonzero(ax < 1.0)
+    near = ax[small] < _SQRT1_2
+    i = small[~near]
+    y[i] = 0.5 * (1.0 - _erf(ax[i]))
+    i = np.flatnonzero((ax >= 1.0) & (ax < 8.0))
+    y[i] = _half_erfc(ax[i], _ERFC_P, _ERFC_Q)
+    i = np.flatnonzero(ax >= 8.0)
+    under = ax[i] * ax[i] > _MAXLOG
+    y[i[under]] = 0.0
+    i = i[~under]
+    y[i] = _half_erfc(ax[i], _ERFC_R, _ERFC_S)
+    y = np.where(x > 0, 1.0 - y, y)
+    # 0.5 + 0.5 erf(x) below |x| = 1/sqrt(2)
+    i = small[near]
+    y[i] = 0.5 + 0.5 * _erf(x[i])
+    return y.reshape(np.shape(z))
 
 
 def linear_interp(xq, knots, vals):
@@ -57,13 +133,17 @@ def linear_interp(xq, knots, vals):
     return vals[..., idx] + slope * (xq - knots[idx])
 
 
+# the oracle's own normal cdf, from the standard library, independent of _ndtr
+_phi_erfc = np.frompyfunc(lambda z: 0.5 * math.erfc(-z / math.sqrt(2.0)), 1, 1)
+
+
 def _moments_numpy(knots, vals, mu, sigma):
     """Test oracle for `GaussWindow`: full (n_query, n_knot) matrices, each
     segment with its own width, on any increasing knots."""
     mu = np.asarray(mu, dtype=float)
     z = (knots[None, :] - mu[:, None]) / sigma
     z = np.clip(z, -38.0, 38.0)
-    cdf = _ndtr(z)
+    cdf = _phi_erfc(z).astype(float)
     pdf = _INV_SQRT2PI * np.exp(-0.5 * z * z)
     slopes = np.diff(vals) / np.diff(knots)
 

@@ -10,6 +10,8 @@ from a batch of such paths solved together (see `batch_paths`).
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,16 +34,22 @@ class TimeGrid:
         return self.t0 + self.dt * i
 
 
+def _count(value, name: str) -> int:
+    """value as an int, or InvalidArgumentError unless it is an integral number >= 1."""
+    if not (isinstance(value, numbers.Real) and float(value).is_integer() and value >= 1):
+        raise InvalidArgumentError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def build_time_grid(t0: float, horizon: float, n: int) -> TimeGrid:
     """Uniform grid of n steps on [t0, horizon]."""
     if not (np.isfinite(t0) and np.isfinite(horizon)):
         raise InvalidArgumentError(f"t0 and horizon must be finite, got {t0} and {horizon}")
     if horizon <= t0:
         raise InvalidArgumentError(f"horizon {horizon} must exceed t0 {t0}")
-    if n < 1:
-        raise InvalidArgumentError(f"n_steps must be >= 1, got {n}")
-    return TimeGrid(t0=float(t0), horizon=float(horizon), n_steps=int(n),
-                    dt=(float(horizon) - float(t0)) / int(n))
+    n = _count(n, "n_steps")
+    return TimeGrid(t0=float(t0), horizon=float(horizon), n_steps=n,
+                    dt=(float(horizon) - float(t0)) / n)
 
 
 @dataclass(frozen=True)
@@ -153,8 +161,7 @@ def build_volatility_grid(a_low: float, a_high: float, n_points: int = 2) -> Vol
         raise InvalidArgumentError("volatilities must be strictly positive definite")
     if a_high < a_low:
         raise InvalidArgumentError("a_high must be >= a_low")
-    if n_points < 1:
-        raise InvalidArgumentError("n_points must be >= 1")
+    n_points = _count(n_points, "n_points")
     if a_high == a_low or n_points == 1:
         vals = np.array([a_low], dtype=float)
     else:
@@ -209,9 +216,11 @@ class BrownianTree:
 
 
 def build_tree(grid: TimeGrid, a, x0: float = 0.0) -> BrownianTree:
-    """Binomial tree under one positive, finite scalar volatility a."""
+    """Binomial tree under one positive, finite scalar volatility a, rooted at a finite x0."""
     if np.ndim(a) != 0 or not (0 < float(a) < np.inf):
         raise InvalidArgumentError(f"a must be one positive, finite volatility, got {a!r}")
+    if np.ndim(x0) != 0 or not math.isfinite(x0):
+        raise InvalidArgumentError(f"x0 must be one finite start, got {x0!r}")
     a_val = float(a)
     return BrownianTree(grid=grid, a=a_val, x0=float(x0), step=float(np.sqrt(a_val * grid.dt)))
 
@@ -257,8 +266,7 @@ def sample_forward_ensemble(grid: TimeGrid, n_paths: int, control, seed: int,
     `rng.blocked_normals` draws of shape (n_paths, n_steps) for seed, and the
     states are x0 plus their running sums.
     """
-    if n_paths < 1:
-        raise InvalidArgumentError("n_paths must be >= 1")
+    n_paths = _count(n_paths, "n_paths")
     a = _step_controls(control, grid.n_steps)
     incs = np.empty((grid.n_steps, n_paths))
     np.multiply(np.sqrt(a)[:, None],

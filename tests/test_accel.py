@@ -76,6 +76,57 @@ def test_numpy_paths_agree():
     np.testing.assert_allclose(f1, r1, rtol=1e-10, atol=1e-14)
 
 
+def phi_reference(z):
+    return np.array([0.5 * math.erfc(-t / math.sqrt(2.0)) for t in z])
+
+
+def test_ndtr_matches_the_standard_library_over_the_clip_range():
+    # the window clips z to [-38, 38] before it takes the normal cdf
+    z = np.linspace(-38.0, 38.0, 152_001)
+    phi, ref = _accel._ndtr(z), phi_reference(z)
+    np.testing.assert_allclose(phi, ref, rtol=0, atol=2.3e-16)
+    core = np.abs(z) <= 8.3
+    np.testing.assert_allclose(phi[core], ref[core], rtol=1.5e-14, atol=0)
+
+
+def branch_edges():
+    """z at each branch edge of the port, x = z / sqrt(2) at 1/sqrt(2), 1 and 8
+    and where exp(-x^2) underflows, with 3 floats either side."""
+    edges = math.sqrt(2.0) * np.array([math.sqrt(0.5), 1.0, 8.0, math.sqrt(_accel._MAXLOG)])
+    near = [edges]
+    for direction in (np.inf, -np.inf):
+        z = edges
+        for _ in range(3):
+            z = np.nextafter(z, direction)
+            near.append(z)
+    return np.concatenate(near)
+
+
+def test_ndtr_is_symmetric_monotone_and_keeps_nan():
+    z = np.linspace(0.0, 38.0, 380_001)
+    phi, mirror = _accel._ndtr(z), _accel._ndtr(-z)
+    assert _accel._ndtr(np.zeros(1))[0] == 0.5
+    # exp(-x^2) underflows from z = -37.68: Phi is exactly 0 there, as in Cephes
+    np.testing.assert_array_equal(_accel._ndtr(np.array([-38.0, -37.7, 37.7, 38.0])),
+                                  [0.0, 0.0, 1.0, 1.0])
+    assert _accel._ndtr(np.array([-37.6]))[0] > 0
+    assert np.all(phi + mirror == 1.0)
+    # nondecreasing, so every segment mass i0 = cdf[j + 1] - cdf[j] is >= 0
+    assert np.all(np.diff(np.concatenate([mirror[::-1], phi])) >= 0)
+    assert (block_lattice()[2].i0 >= 0).all()
+    # Cephes steps back by one ulp of Phi where it turns from erf to erfc
+    # (z = +-sqrt(2), between adjacent floats of z), far inside any lattice
+    # segment; the port keeps that step
+    edges = np.sort(np.concatenate([-branch_edges(), branch_edges()]))
+    assert np.diff(_accel._ndtr(edges)).min() >= -1.2e-16
+    np.testing.assert_allclose(_accel._ndtr(branch_edges()), phi_reference(branch_edges()),
+                               rtol=1.5e-14, atol=0)
+    out = _accel._ndtr(np.array([[np.nan, 1.0], [-2.0, np.nan]]))
+    assert out.shape == (2, 2) and np.isnan(out.diagonal()).all()
+    np.testing.assert_allclose([out[0, 1], out[1, 0]], phi_reference([1.0, -2.0]),
+                               rtol=1.5e-14, atol=0)
+
+
 def block_lattice():
     """A lattice window whose rows span several row blocks: (knots, sigma, window)."""
     knots, sigma = np.linspace(-2.0, 2.0, 1601), 0.03

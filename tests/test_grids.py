@@ -48,6 +48,16 @@ class TestTimeGrid:
         with pytest.raises(InvalidArgumentError, match="finite"):
             build_time_grid(t0, horizon, 4)
 
+    @pytest.mark.parametrize("n", [2.5, np.nan, np.inf, "4", None])
+    def test_refuses_non_integral_step_counts(self, n):
+        with pytest.raises(InvalidArgumentError, match="n_steps"):
+            build_time_grid(0, 1, n)
+
+    @pytest.mark.parametrize("n", [4, 4.0, np.int64(4), np.float64(4.0)])
+    def test_integral_step_counts_build_one_grid(self, n):
+        g = build_time_grid(0, 1, n)
+        assert g == build_time_grid(0, 1, 4) and type(g.n_steps) is int
+
 
 class TestBackwardPath:
     def test_deterministic_given_seed(self):
@@ -133,6 +143,16 @@ class TestVolatilityGrid:
         with pytest.raises(InvalidArgumentError, match="finite"):
             build_volatility_grid(a_low, a_high, 3)
 
+    @pytest.mark.parametrize("n_points", [2.5, np.nan, 0, "3"])
+    def test_refuses_non_integral_point_counts(self, n_points):
+        with pytest.raises(InvalidArgumentError, match="n_points"):
+            build_volatility_grid(0.5, 2.0, n_points)
+
+    @pytest.mark.parametrize("n_points", [3.0, np.int32(3)])
+    def test_integral_point_counts_build_one_grid(self, n_points):
+        np.testing.assert_array_equal(build_volatility_grid(0.5, 2.0, n_points).a_values,
+                                      [0.5, 1.25, 2.0])
+
 
 class TestTree:
     def test_symmetric_binomial(self):
@@ -189,6 +209,11 @@ class TestTree:
             with pytest.raises(InvalidArgumentError):
                 build_tree(g, a)
 
+    @pytest.mark.parametrize("x0", [np.nan, np.inf, -np.inf, np.zeros(2)])
+    def test_refuses_a_non_finite_start(self, x0):
+        with pytest.raises(InvalidArgumentError, match="x0"):
+            build_tree(build_time_grid(0, 1, 4), 1.0, x0=x0)
+
 
 class TestEnsemble:
     def test_mean_of_terminal_state(self):
@@ -197,6 +222,11 @@ class TestEnsemble:
         xt = ens.states[:, -1]
         se = xt.std(ddof=1) / np.sqrt(len(xt))
         assert abs(xt.mean()) < 3 * se
+
+    @pytest.mark.parametrize("n_paths", [2.5, np.nan, 0])
+    def test_refuses_non_integral_path_counts(self, n_paths):
+        with pytest.raises(InvalidArgumentError, match="n_paths"):
+            sample_forward_ensemble(build_time_grid(0, 1, 4), n_paths, 1.0, seed=1)
 
     def test_zero_control_rejected(self):
         g = build_time_grid(0, 1, 4)
