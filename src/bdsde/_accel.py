@@ -190,6 +190,11 @@ class GaussWindow:
         self.knots = knots = np.ascontiguousarray(knots, dtype=float)
         self.mu = mu = np.ascontiguousarray(np.atleast_1d(mu), dtype=float)
         self.sigma = sigma = float(sigma)
+        if not 0.0 < sigma < math.inf:
+            raise InvalidArgumentError(f"the kernel needs a positive, finite sigma, got {sigma}")
+        if not np.isfinite(mu).all():
+            j = int(np.argmin(np.isfinite(mu)))
+            raise InvalidArgumentError(f"the kernel needs finite mu, got mu[{j}] = {mu[j]}")
         n = len(knots)
         if n < 2:
             raise InvalidArgumentError(f"the kernel needs at least 2 knots, got {n}")

@@ -63,7 +63,7 @@ class SolverOptions:
 
 @dataclass
 class BdsdeSolution:
-    y: list                            # per-level values: tree nodes, or MC paths (N,)
+    y: list                            # per-level values at tree nodes; LSMC: level 0 alone, (N,)
     z: list
     residual: np.ndarray               # per-step fixed-point defect (max-norm)
     picard_iters: np.ndarray
@@ -185,7 +185,8 @@ def backward_step(problem: BdsdeProblem, cond: Callable, states: Callable, i: in
 
 
 def backward_sweep(problem, grid, w: BackwardPath | list, y_T, z_T, step: Callable,
-                   y0_of: Callable = lambda level0: level0[..., 0]) -> tuple:
+                   y0_of: Callable = lambda level0: level0[..., 0],
+                   all_levels: bool = True) -> tuple:
     """Backward induction from the terminal data (y_T, z_T) at level n to level 0.
 
     w is one BackwardPath or a list of paths on grid, swept as batches
@@ -198,10 +199,11 @@ def backward_sweep(problem, grid, w: BackwardPath | list, y_T, z_T, step: Callab
     defect, extra) moves level i + 1 to level i, extra None or an array with
     the leading axes of y.  Checks that w lives on grid and that the
     implicit step contracts (dt * Lip(f) < 1).  Returns (y, z, residual,
-    iters, extras, y0_paths): path 0's levels (y[n], z[n] the terminal data)
-    and per-step defects, iterations and extras, as if it were solved
-    alone, and y0_of(level-0 y) of every path in order (by default node 0's
-    value: a tree's root, or any LSMC path, all of which start at x0).
+    iters, extras, y0_paths): path 0's levels (y[n], z[n] the terminal data;
+    with all_levels False, y and z hold level 0 alone) and per-step defects,
+    iterations and extras, as if it were solved alone, and y0_of(level-0 y)
+    of every path in order (by default node 0's value: a tree's root, or
+    any LSMC path, all of which start at x0).
     """
     w = batch_paths(w)
     w.require_grid(grid)
@@ -211,7 +213,8 @@ def backward_sweep(problem, grid, w: BackwardPath | list, y_T, z_T, step: Callab
     # path 0's entry of a step's results: row 0 of a batch, copied so that
     # the other rows are freed, or a single path's values as they are
     keep = (lambda v: v[0].copy()) if chunks[0].values.ndim == 2 else (lambda v: v)
-    y, z, extras = [None] * n + [y_T], [None] * n + [z_T], [None] * n
+    last = n if all_levels else 0  # y and z hold levels 0..last, level i at min(i, last)
+    y, z, extras = [None] * last + [y_T], [None] * last + [z_T], [None] * n
     residual, iters = np.zeros(n), np.zeros(n, dtype=int)
     y0_paths = [None] * len(chunks)
     for c in range(len(chunks) - 1, -1, -1):
@@ -219,7 +222,8 @@ def backward_sweep(problem, grid, w: BackwardPath | list, y_T, z_T, step: Callab
         for i in range(n - 1, -1, -1):
             y_next, z_next, it, res, extra = step(i, y_next, z_next, chunks[c])
             if c == 0:
-                y[i], z[i], iters[i], residual[i] = keep(y_next), keep(z_next), keep(it), keep(res)
+                k = min(i, last)
+                y[k], z[k], iters[i], residual[i] = keep(y_next), keep(z_next), keep(it), keep(res)
                 extras[i] = None if extra is None else keep(extra)
         y0_paths[c] = np.array(np.reshape(y0_of(y_next), -1))  # a copy, not a view of a level
     return y, z, residual, iters, extras, np.concatenate(y0_paths)
@@ -343,16 +347,16 @@ def solve_regression(problem: BdsdeProblem, ensemble: PathEnsemble, w: BackwardP
                      ridge: float = 1e-10, cond_max: float = 1e12) -> BdsdeSolution:
     """Least-squares Monte Carlo backward induction (d = 1).
 
-    Step i regresses on the ensemble's states X[:, i] and increments dX[:, i]
-    under its volatility ensemble.control[i].  w is one BackwardPath or a list
-    of paths on the ensemble's grid, solved as in `solve_tree`: one sweep over
-    the shared ensemble with one regression basis per step, path 0's solution
-    and every path's y0 in y0_paths.  The levels y[i] and z[i] hold one value
-    per ensemble path.
+    Step i regresses on the ensemble's states X[:, i] and its increments
+    dX = X[:, i + 1] - X[:, i] under the volatility ensemble.control[i].  w is
+    one BackwardPath or a list of paths on the ensemble's grid, solved as in
+    `solve_tree`: one sweep over the shared ensemble with one regression basis
+    per step, path 0's solution and every path's y0 in y0_paths.  y and z keep
+    level 0 alone, one value per ensemble path; the diagnostics keep every step.
     """
     grid = ensemble.grid
     n, dt = grid.n_steps, grid.dt
-    a_steps, X, dX = ensemble.control, ensemble.states, ensemble.increments
+    a_steps, X = ensemble.control, ensemble.states
     N = ensemble.n_paths
 
     y_T = np.asarray(problem.terminal(X[:, n]), dtype=float)
@@ -369,14 +373,16 @@ def solve_regression(problem: BdsdeProblem, ensemble: PathEnsemble, w: BackwardP
         rms = []  # each path's regression residual, the step's extra
 
         def cond(r):
-            fits, rms[:] = _regress_on_state(X[:, i], [r, r * dX[:, i] / (a_steps[i] * dt)],
+            dx = X[:, i + 1] - X[:, i]
+            fits, rms[:] = _regress_on_state(X[:, i], [r, r * dx / (a_steps[i] * dt)],
                                              basis_degree, ridge, cond_max)
             return fits
         y, z, it, res, _ = backward_step(problem, cond, lambda j: X[:, j], i, grid,
                                          y_next, z_next, w, a_steps[i], opts)
         return y, z, it, res, np.reshape(rms, np.shape(y)[:-1])
 
-    y, z, residual, iters, proj_rms, y0_paths = backward_sweep(problem, grid, w, y_T, z_T, step)
+    y, z, residual, iters, proj_rms, y0_paths = backward_sweep(problem, grid, w, y_T, z_T, step,
+                                                               all_levels=False)
     return BdsdeSolution(y=y, z=z, residual=residual, picard_iters=iters, y0=float(y[0][0]),
                          y0_paths=y0_paths, projection_rms=np.array(proj_rms, dtype=float),
                          meta={"backend": "mc", "n_paths": N, "basis_degree": basis_degree})

@@ -230,18 +230,22 @@ class PathEnsemble:
     """Seeded Monte Carlo ensemble of X = x0 + sum a_i^{1/2} dB_i in d = 1.
 
     control holds the volatility a_i of each step, shape (n_steps,).  states
-    has shape (n_paths, n_steps + 1) and increments, the realized a_i^{1/2} dB_i,
-    shape (n_paths, n_steps).  Both view time-major arrays, so states[:, i] and
-    increments[:, i] are contiguous.  Identical for any worker count at fixed seed.
+    has shape (n_paths, n_steps + 1) and views a time-major array, so
+    states[:, i] is contiguous; it is all the ensemble stores.  Identical for
+    any worker count at fixed seed.
     """
 
     grid: TimeGrid
     n_paths: int
     control: np.ndarray
-    increments: np.ndarray = field(repr=False)
     states: np.ndarray = field(repr=False)
     seed: int
     x0: float = 0.0
+
+    @property
+    def increments(self) -> np.ndarray:
+        """dX_i = X_{t_{i+1}} - X_{t_i}, shape (n_paths, n_steps), built on each access."""
+        return np.diff(self.states, axis=1)
 
 
 def _step_controls(control, n_steps: int) -> np.ndarray:
@@ -264,18 +268,19 @@ def sample_forward_ensemble(grid: TimeGrid, n_paths: int, control, seed: int,
 
     Step i's increment of path p is sqrt(dt) * (sqrt(a_i) * z[p, i]), z the
     `rng.blocked_normals` draws of shape (n_paths, n_steps) for seed, and the
-    states are x0 plus their running sums.
+    states are x0 plus their running sums.  Each Philox block of z is summed
+    into the states as it is drawn, so no increments or whole z are held.
     """
     n_paths = _count(n_paths, "n_paths")
     a = _step_controls(control, grid.n_steps)
-    incs = np.empty((grid.n_steps, n_paths))
-    np.multiply(np.sqrt(a)[:, None],
-                rng.blocked_normals(seed, n_paths, (grid.n_steps,), workers=workers).T, out=incs)
-    incs *= np.sqrt(grid.dt)
-    # the running sum row by row: np.cumsum along axis 0 strides across rows
     states = np.zeros((grid.n_steps + 1, n_paths))
-    for i in range(grid.n_steps):
-        np.add(states[i], incs[i], out=states[i + 1])
-    states += x0
-    return PathEnsemble(grid=grid, n_paths=n_paths, control=a, increments=incs.T,
-                        states=states.T, seed=seed, x0=float(x0))
+
+    def fill(lo, hi, z):
+        block = states[:, lo:hi]  # summed row by row: np.cumsum along axis 0 strides
+        for i in range(grid.n_steps):
+            np.add(block[i], np.sqrt(a[i]) * z[:, i] * np.sqrt(grid.dt), out=block[i + 1])
+        block += x0
+
+    rng.for_blocks(seed, n_paths, (grid.n_steps,), fill, workers)
+    return PathEnsemble(grid=grid, n_paths=n_paths, control=a, states=states.T, seed=seed,
+                        x0=float(x0))

@@ -225,7 +225,7 @@ def ito_product_check(p1: ItoProcess, p2: ItoProcess, ensemble: PathEnsemble,
     n, dt = grid.n_steps, grid.dt
     N = ensemble.n_paths
     B = ensemble.states
-    dB_raw = np.diff(B, axis=1)
+    dB_raw = ensemble.increments
     sign = +1.0 if flip_backward_bracket else -1.0
 
     def components(p, i):

@@ -3,7 +3,7 @@
 All sampling in the package goes through keyed Philox streams so that a
 (seed, stream) pair pins the draws exactly, independently of how work is
 partitioned across workers.  Path ensembles are generated in fixed-size
-blocks; block b of seed s always uses the stream keyed by (s, b), so the
+blocks; block b of seed s always uses the stream keyed by (s, b + 1), so the
 assembled arrays are bitwise identical for any worker count.
 """
 
@@ -23,25 +23,28 @@ def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def for_blocks(seed: int, n_rows: int, shape_per_row: tuple[int, ...], fn, workers: int = 1):
+    """Call fn(lo, hi, block) with each row block lo:hi of seed's standard normals.
+
+    Block b, rows from b * BLOCK_SIZE, comes from stream (seed, b + 1), whatever
+    `workers` is; above 1 the calls run on threads and must write disjoint data.
+    """
+    def call(lo):
+        hi = min(lo + BLOCK_SIZE, n_rows)
+        fn(lo, hi, stream(seed, lo // BLOCK_SIZE + 1).standard_normal((hi - lo,) + shape_per_row))
+
+    starts = range(0, n_rows, BLOCK_SIZE)
+    if workers > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(call, starts))
+    else:
+        for lo in starts:
+            call(lo)
+
+
 def blocked_normals(seed: int, n_rows: int, shape_per_row: tuple[int, ...],
                     workers: int = 1) -> np.ndarray:
-    """Standard normals of shape (n_rows, *shape_per_row), generated blockwise.
-
-    Row block b comes from stream (seed, b + 1), so the output does not
-    depend on `workers`; threads only fill disjoint slices.
-    """
+    """Standard normals of shape (n_rows, *shape_per_row): the blocks of `for_blocks`."""
     out = np.empty((n_rows,) + shape_per_row)
-    n_blocks = (n_rows + BLOCK_SIZE - 1) // BLOCK_SIZE
-
-    def fill(b):
-        lo = b * BLOCK_SIZE
-        hi = min(lo + BLOCK_SIZE, n_rows)
-        out[lo:hi] = stream(seed, b + 1).standard_normal((hi - lo,) + shape_per_row)
-
-    if workers > 1 and n_blocks > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(n_blocks)))
-    else:
-        for b in range(n_blocks):
-            fill(b)
+    for_blocks(seed, n_rows, shape_per_row, lambda lo, hi, z: np.copyto(out[lo:hi], z), workers)
     return out

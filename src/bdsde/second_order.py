@@ -423,7 +423,7 @@ def feynman_kac_residual(u: Callable, du: Callable, d2u: Callable,
         g_i = problem.g(t, X[:, i], y_i, z_i) * wi
         g_n = problem.g(t_next, X[:, i + 1], y_n, uv[i + 1][1]) * wi
         g_half += 0.5 * (g_i + g_n)
-        z_dx += z_i * ensemble.increments[:, i]
+        z_dx += z_i * (X[:, i + 1] - X[:, i])
 
     trap = 0.5 * dt * (f_path[:, 0] + f_path[:, -1] + 2 * f_path[:, 1:-1].sum(axis=1))
     trap_k = 0.5 * dt * (k_path[:, 0] + k_path[:, -1] + 2 * k_path[:, 1:-1].sum(axis=1))

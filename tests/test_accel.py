@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from bdsde import _accel
+from bdsde.errors import InvalidArgumentError
 from bdsde.grids import build_time_grid, build_volatility_grid
 from bdsde.second_order import lattice_bounds
 
@@ -205,6 +207,40 @@ def test_window_caches_only_the_segment_integrals():
             if isinstance(value, np.ndarray):
                 owners[id(value)] = value.nbytes
         assert sum(owners.values()) <= 3 * q * (w - 1) * 8 + slack
+
+
+@pytest.mark.parametrize("sigma", [0.0, -0.0, -0.3, np.nan, np.inf, -np.inf])
+def test_window_refuses_a_sigma_that_is_not_positive_and_finite(sigma):
+    knots = np.linspace(-1.0, 1.0, 21)
+    with pytest.raises(InvalidArgumentError, match=f"sigma, got {sigma}$"):
+        _accel.GaussWindow(knots, knots, sigma)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_window_refuses_a_non_finite_mu(bad):
+    knots = np.linspace(-1.0, 1.0, 21)
+    mu = knots.copy()
+    mu[[3, 7]] = bad
+    with pytest.raises(InvalidArgumentError, match=re.escape(f"mu[3] = {bad}")):
+        _accel.GaussWindow(knots, mu, 0.1)
+    with pytest.raises(InvalidArgumentError, match=re.escape(f"mu[0] = {bad}")):
+        _accel.pl_gauss_moments(knots, knots, bad, 0.1)
+
+
+@pytest.mark.parametrize("sigma", [1e-300, 0.1, 1e6])
+def test_window_keeps_a_valid_inputs_bits(sigma):
+    # the checks read sigma and mu and change neither: the window holds them
+    # bit for bit, and each query's moments are those of its own window
+    knots = np.linspace(-1.0, 1.0, 21)
+    mus = np.array([-40.0, -1.0, -0.13, 0.0, 0.5, 1.0, 40.0])
+    vals = knots**2 - knots
+    window = _accel.GaussWindow(knots, mus, np.float64(sigma))
+    assert window.sigma == sigma and np.array_equal(window.mu, mus)
+    m0, m1 = window.apply(vals)
+    assert np.isfinite(m0).all() and np.isfinite(m1).all()
+    for j, mu in enumerate(mus):
+        one = _accel.GaussWindow(knots, mu, sigma).apply(vals)
+        assert (one[0][0], one[1][0]) == (m0[j], m1[j])
 
 
 @pytest.mark.parametrize("a", [0.5, 2.0])

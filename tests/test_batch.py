@@ -131,10 +131,12 @@ def test_regression_batch_equals_per_path_solves(scheme, beta, c, n, m, seed):
     np.testing.assert_array_equal(batch.y0_paths, [s.y0 for s in singles])
     first = singles[0]
     assert batch.y0 == first.y0
-    # per-level values, one per ensemble path, as the tree's are per node
-    assert isinstance(batch.y, list) and len(batch.y) == n + 1
+    # level 0 alone, one value per ensemble path, and every step's diagnostics
+    assert len(batch.y) == len(batch.z) == 1 and batch.y[0].shape == (2000,)
     assert_levels_equal(batch.y, first.y)
-    for field in ("y", "z", "projection_rms", "residual", "picard_iters"):
+    assert_levels_equal(batch.z, first.z)
+    for field in ("projection_rms", "residual", "picard_iters"):
+        assert len(getattr(batch, field)) == n
         np.testing.assert_array_equal(getattr(batch, field), getattr(first, field))
     assert_meta_equal(batch.meta, first.meta)
 
@@ -184,7 +186,8 @@ def test_reflected_batch_equals_per_path_solves(penalty, scheme, beta, c, shift,
 def test_chunked_sweep_equals_per_path_solves(monkeypatch, backend, per_chunk):
     """A list of paths wider than the sweep's value budget is swept in chunks
     (here of per_chunk paths, the last of one), and gives every path's y0
-    and path 0's levels bit for bit as the per-path solves do."""
+    and path 0's levels bit for bit as the per-path solves do (mc keeps
+    level 0 alone)."""
     grid = build_time_grid(0, 1, 6)
     prob = TbdsdeProblem(terminal=lambda x: x**2 - x, F=lambda t, x, y, z, a: 0.3 * y - 0.2 * z,
                          g=lambda t, x, y, z: 0.4 * y + 0.1 * z,
@@ -215,6 +218,7 @@ def test_chunked_sweep_equals_per_path_solves(monkeypatch, backend, per_chunk):
     assert batch.y0 == singles[0].y0
     for name in fields:
         assert_levels_equal(getattr(batch, name), getattr(singles[0], name))
+    assert len(getattr(batch, fields[0])) == (1 if backend == "mc" else grid.n_steps + 1)
 
 
 @given(knots=st.sampled_from([np.linspace(-3, 3, 41), np.linspace(-3, 3, 5),

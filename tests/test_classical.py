@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from bdsde import rng
 from bdsde.classical import (
     BdsdeProblem,
     _regress_on_state,
@@ -280,8 +283,36 @@ class TestRegressionSolver:
         outs = []
         for _ in range(2):
             ens = sample_forward_ensemble(grid, 5000, 1.0, seed=9, workers=2)
-            outs.append(solve_regression(prob, ens, w, basis_degree=2).y)
-        assert np.array_equal(outs[0], outs[1])
+            outs.append(solve_regression(prob, ens, w, basis_degree=2))
+        # what an LSMC solution holds: level 0 and every step's diagnostics
+        for field in ("y0_paths", "projection_rms", "residual", "picard_iters"):
+            assert np.array_equal(getattr(outs[0], field), getattr(outs[1], field))
+        assert len(outs[0].y) == len(outs[0].z) == 1
+        assert np.array_equal(outs[0].y[0], outs[1].y[0])
+        assert np.array_equal(outs[0].z[0], outs[1].z[0])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_ensemble_and_solve_hold_about_the_states_alone(self, workers):
+        # sampling holds the states and, per worker, one Philox block's normals;
+        # the solve keeps level 0, not every level
+        grid = build_time_grid(0, 1, 64)
+        w = sample_backward_path(grid, seed=2)
+        prob = BdsdeProblem(terminal=lambda x: x**2, f=lambda t, x, y, z: 0.5 * y - 0.2 * z,
+                            g=lambda t, x, y, z: 0.3 * y, lipschitz_f=0.5)
+        block = rng.BLOCK_SIZE * grid.n_steps * 8
+        tracemalloc.start()
+        try:
+            ens = sample_forward_ensemble(grid, 20_000, 1.0, seed=3, workers=workers)
+            sampled = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            solve_regression(prob, ens, w, basis_degree=3)
+            solved = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        states = ens.states.nbytes
+        assert sampled <= states + workers * block + 2**21
+        assert solved <= states
 
     def test_condition_guard(self):
         grid = build_time_grid(0, 1, 3)

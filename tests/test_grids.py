@@ -1,7 +1,10 @@
+import sys
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from bdsde import rng
 from bdsde.errors import InvalidArgumentError
@@ -252,9 +255,16 @@ class TestEnsemble:
             sample_forward_ensemble(g, 10, np.ones(3), seed=1)
 
     def test_worker_count_does_not_change_output(self):
+        # four threads, more than the cores, fill three blocks' columns of one
+        # states array; a short switch interval interleaves them finely
         g = build_time_grid(0, 1, 16)
         e1 = sample_forward_ensemble(g, 20_000, 1.3, seed=7, workers=1)
-        e4 = sample_forward_ensemble(g, 20_000, 1.3, seed=7, workers=4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            e4 = sample_forward_ensemble(g, 20_000, 1.3, seed=7, workers=4)
+        finally:
+            sys.setswitchinterval(interval)
         assert np.array_equal(e1.states, e4.states)
 
     def test_quadratic_variation_concentrates(self):
@@ -273,20 +283,24 @@ class TestEnsemble:
         with pytest.raises(InvalidArgumentError, match=r"shape \(2, 2\)"):
             sample_forward_ensemble(g, 10, np.array([[1.0, 0.3], [0.3, 2.0]]), seed=1)
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("control", [1.3, np.array([0.5, 2.0, 1.0, 4.0, 0.25])])
-    def test_states_are_cumulated_scaled_blocked_normals(self, control, workers):
-        # two Philox blocks, so workers = 2 fills them on two threads
+    @given(n_paths=st.integers(1, 3 * rng.BLOCK_SIZE), x0=st.floats(-3.0, 3.0).filter(bool),
+           seed=st.integers(0, 2**20))
+    # one path; three full blocks; a ragged third block
+    @example(n_paths=1, x0=0.4, seed=9)
+    @example(n_paths=3 * rng.BLOCK_SIZE, x0=-1.0, seed=9)
+    @example(n_paths=2 * rng.BLOCK_SIZE + 100, x0=0.4, seed=9)
+    def test_states_are_cumulated_scaled_blocked_normals(self, control, workers, n_paths, x0,
+                                                         seed):
         g = build_time_grid(0, 1, 5)
-        n_paths = rng.BLOCK_SIZE + 100
-        ens = sample_forward_ensemble(g, n_paths, control, seed=9, x0=0.4, workers=workers)
+        ens = sample_forward_ensemble(g, n_paths, control, seed=seed, x0=x0, workers=workers)
         a = np.broadcast_to(control, (5,))
-        z = rng.blocked_normals(9, n_paths, (5,))
-        incs = np.sqrt(g.dt) * (np.sqrt(a) * z)
+        incs = np.sqrt(g.dt) * (np.sqrt(a) * rng.blocked_normals(seed, n_paths, (5,)))
+        states = np.zeros((n_paths, 6))
+        states[:, 1:] = np.cumsum(incs, axis=1)
+        states += x0
         assert np.array_equal(ens.control, a)
-        assert np.array_equal(ens.increments, incs)
-        states = np.empty((n_paths, 6))
-        states[:, 0] = 0.4
-        states[:, 1:] = 0.4 + np.cumsum(incs, axis=1)
         assert np.array_equal(ens.states, states)
-        assert ens.states[:, 2].flags.c_contiguous and ens.increments[:, 2].flags.c_contiguous
+        assert np.array_equal(ens.increments, np.diff(ens.states, axis=1))
+        assert ens.states[:, 2].flags.c_contiguous
