@@ -41,6 +41,7 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _ZMAX = 10.0  # Gaussian mass beyond 10 sigma is ~1e-23; segments outside are skipped
 _BLOCK_ENTRIES = 1 << 14  # band entries per row block: its temporaries stay in cache
 _UNIFORM_ULPS = 8  # linspace knots are uniform to ~3 ulp of max|knot| at any offset
+_MU_MAX = 1e300  # |mu| beyond it: slope * (mu - knot) overflows for slopes above ~1e8
 
 
 # Cephes `ndtr` (S. L. Moshier, Methods and Programs for Mathematical Functions,
@@ -192,9 +193,10 @@ class GaussWindow:
         self.sigma = sigma = float(sigma)
         if not 0.0 < sigma < math.inf:
             raise InvalidArgumentError(f"the kernel needs a positive, finite sigma, got {sigma}")
-        if not np.isfinite(mu).all():
-            j = int(np.argmin(np.isfinite(mu)))
-            raise InvalidArgumentError(f"the kernel needs finite mu, got mu[{j}] = {mu[j]}")
+        if not (np.abs(mu) <= _MU_MAX).all():
+            j = int(np.argmin(np.abs(mu) <= _MU_MAX))
+            raise InvalidArgumentError(
+                f"the kernel needs |mu| <= {_MU_MAX:g}, got mu[{j}] = {mu[j]}")
         n = len(knots)
         if n < 2:
             raise InvalidArgumentError(f"the kernel needs at least 2 knots, got {n}")
@@ -206,7 +208,10 @@ class GaussWindow:
         half = int(math.ceil(_ZMAX * sigma / h)) + 1
         self.width = min(2 * half + 1, n)
 
-        center = np.clip(((mu - knots[0]) / h).astype(int), 0, n - 1)
+        # a mu beyond the lattice sees every band knot at |z| > 38, as it does clipped
+        # to 40 sigma and one step past the ends, where no cast or division overflows
+        near = np.clip(mu, knots[0] - 40.0 * sigma - h, knots[-1] + 40.0 * sigma + h)
+        center = np.clip((near - knots[0]) / h, 0, n - 1).astype(int)
         self.lo = np.clip(center - half, 0, n - self.width)
         self.i0, self.i1, self.i2 = (np.empty((len(mu), self.width - 1)) for _ in range(3))
         # window-edge tails extend the local edge segments to +-infinity; the
@@ -214,7 +219,7 @@ class GaussWindow:
         self.tails = np.empty((6, len(mu)))   # cdf_l, pdf_l, i2_l, t0, pdf_r, i2_r
         band = sliding_window_view(knots, self.width)
         for rows in self._blocks(1):
-            z = np.clip((band[self.lo[rows]] - mu[rows, None]) / sigma, -38.0, 38.0)
+            z = np.clip((band[self.lo[rows]] - near[rows, None]) / sigma, -38.0, 38.0)
             cdf = _ndtr(z)
             pdf = _INV_SQRT2PI * np.exp(-0.5 * z * z)
             zpdf = z * pdf

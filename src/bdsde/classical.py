@@ -80,46 +80,36 @@ def _check_contraction(problem: BdsdeProblem, dt: float):
             suggested_dt=0.5 / problem.lipschitz_f)
 
 
-def _fixed_point(update, y_start, i, a):
+def _fixed_point(update, y, i, a):
     """Iterate y <- update(y) to FP_TOL at step i under volatility a; returns
     (y, n_iters, defect), or raises ConvergenceError after MAX_ITERS iterations.
 
     y holds one row per index of its leading axes (path, or volatility and
     path against a column a), and update must act on each row on its own.
-    A row's result is frozen at its own first change <= FP_TOL, with its own
-    n_iters and its defect taken at the frozen value, so it is what the row
-    would give alone; the batch iterates until its last row is frozen.
+    A row freezes at the iterate of its first change <= FP_TOL, n_iters that
+    pass, while others go on; once none is live, one more update gives each
+    row's defect there.  So a row's results are those of its own solve.
     """
-    y, out = y_start, None  # out holds the frozen rows once rows freeze at different passes
-    shape = np.shape(y)[:-1]
-    iters, defect = [0] * math.prod(shape), [0.0] * math.prod(shape)
-    live, owed = list(range(len(iters))), []
-    for k in range(1, MAX_ITERS + 2):
+    live = np.ones(np.shape(y)[:-1], dtype=bool)
+    iters = np.zeros(live.shape, dtype=int)
+    for k in range(MAX_ITERS + 1):
         y_new = update(y)
-        change = np.abs(y_new - y).max(axis=-1, initial=0.0).reshape(-1).tolist()
-        for r in owed:  # a frozen row's next change is its defect
-            defect[r] = change[r]
-        if not live:
-            return y if out is None else out, np.reshape(iters, shape), np.reshape(defect, shape)
-        if k > MAX_ITERS:
-            break
-        owed = [r for r in live if change[r] <= FP_TOL]
-        live = [r for r in live if not change[r] <= FP_TOL]
-        for r in owed:
-            iters[r] = k
-        if owed and out is not None:
-            out.reshape(len(iters), -1)[owed] = y_new.reshape(len(iters), -1)[owed]
-        elif owed and live:
-            out = y_new.copy()
-        if not math.isfinite(sum(change)):  # name the first bad entry of a live row
-            if out is not None:
-                out.reshape(len(iters), -1)[live] = y_new.reshape(len(iters), -1)[live]
-            _check_finite(i, a, iterate=y_new if out is None else out)
+        change = np.abs(y_new - y).max(axis=-1, initial=0.0)
+        n_live = np.count_nonzero(live)
+        if not n_live:
+            return y, iters, np.asarray(change)
+        if k == MAX_ITERS:  # name the first live row's largest change
+            row = tuple(np.argwhere(live)[0])
+            vol, _, _, where = _locate(a, row + (np.argmax(np.abs(y_new - y)[row]),))
+            raise ConvergenceError(f"inner fixed point at {where} did not reach {FP_TOL:g} in "
+                                   f"{MAX_ITERS} iterations at step {i}, volatility {vol:g}")
+        if n_live < live.size:  # frozen rows keep their value
+            y_new[~live] = y[~live]
+        if not math.isfinite(change.sum()):  # name the first bad entry of a live row
+            _check_finite(i, a, iterate=y_new)
+        iters += live
+        live &= ~(change <= FP_TOL)
         y = y_new
-    node = int(np.argmax(np.abs(y_new - y).reshape(len(iters), -1)[live[0]]))
-    vol, _, _, where = _locate(a, np.unravel_index(live[0], shape) + (node,))
-    raise ConvergenceError(f"inner fixed point at {where} did not reach {FP_TOL:g} in "
-                           f"{MAX_ITERS} iterations at step {i}, volatility {vol:g}")
 
 
 def tree_cond(tree: BrownianTree) -> Callable:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -24,6 +25,10 @@ SCHEMA = {
 }
 
 REQUIRED = {"problem": ("name", "backend"), "grid": ("n_steps",)}
+# the least value of each integer key that has one
+MINIMA = (("grid", "n_steps", 1), ("spatial", "x_steps", 1), ("mc", "n_paths", 1),
+          ("mc", "basis_degree", 0), ("mc", "workers", 1), ("seeds", "w_ensemble", 1),
+          ("outputs", "precision", 1))
 
 
 @dataclass
@@ -91,13 +96,12 @@ class ExperimentConfig:
             for key in keys:
                 if self.values.get(sec, {}).get(key) is None:
                     raise ConfigError(f"missing required field [{sec}] {key}")
-        if self.get("grid", "n_steps") is not None and self.get("grid", "n_steps") < 1:
-            raise ConfigError("[grid] n_steps must be >= 1")
+        for sec, key, least in MINIMA:
+            if self.get(sec, key) < least:
+                raise ConfigError(f"[{sec}] {key} must be >= {least}")
         if self.get("grid", "horizon") <= self.get("grid", "t0"):
             raise ConfigError("[grid] horizon must exceed t0")
-        if self.get("mc", "n_paths") < 1:
-            raise ConfigError("[mc] n_paths must be >= 1")
-        if self.get("seeds", "w_ensemble") < 1:
-            raise ConfigError("[seeds] w_ensemble must be >= 1")
+        if not 0.0 < self.get("spatial", "span_sigmas") < math.inf:
+            raise ConfigError("[spatial] span_sigmas must be positive and finite")
         if (self.get("volgrid", "a_low") is None) != (self.get("volgrid", "a_high") is None):
             raise ConfigError("[volgrid] set both a_low and a_high, or neither")

@@ -185,6 +185,8 @@ def _inverse_partials(flow: FlowField, i: int, x, e, second: bool = True) -> dic
 
 def build_y_lattice(y_lo: float, y_hi: float, n: int, pad: float = 3.0) -> np.ndarray:
     """Target range padded by pad * span on both sides (inversion needs slack)."""
+    if not (math.isfinite(y_lo) and math.isfinite(y_hi)):
+        raise InvalidArgumentError(f"y range must be finite, got {y_lo} and {y_hi}")
     span = y_hi - y_lo
     if span <= 0:
         raise InvalidArgumentError("y range must have positive width")

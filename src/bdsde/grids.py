@@ -125,7 +125,8 @@ def subsample_path(w: BackwardPath, factor: int) -> BackwardPath:
     The restricted path is a genuine Brownian trajectory on the coarse grid,
     so solves at nested step counts see one consistent driver.
     """
-    if factor < 1 or w.grid.n_steps % factor != 0:
+    factor = _count(factor, "factor")
+    if w.grid.n_steps % factor != 0:
         raise InvalidArgumentError("factor must divide the step count")
     coarse = build_time_grid(w.grid.t0, w.grid.horizon, w.grid.n_steps // factor)
     return BackwardPath(grid=coarse, values=w.values[::factor].copy(), seed=w.seed)

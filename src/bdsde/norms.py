@@ -88,6 +88,11 @@ def compute_norms(traces: dict, trees: dict, F0: Optional[Callable] = None,
         tree = trees[a]
         grid = tree.grid
         probs = tree.level_probabilities()
+
+        def integrability(h):  # E[ int |h(t, X_t, a)|^{2+eps} dt ] on the tree
+            return sum(float(np.dot(probs[i], np.abs(
+                np.asarray(h(grid.time(i), tree.states(i), a), dtype=float))**(2 + eps)))
+                * grid.dt for i in range(grid.n_steps))
         d2 = max(d2, pathwise_sup_sq_expectation(tree, tr.y))
         h2_a = sum(float(np.dot(probs[i], a * np.asarray(tr.z[i])**2)) * grid.dt
                    for i in range(grid.n_steps))
@@ -95,15 +100,9 @@ def compute_norms(traces: dict, trees: dict, F0: Optional[Callable] = None,
         if tr.k_increments is not None:
             i2 = max(i2, pathwise_terminal_k_sq(tree, tr.k_increments))
         if F0 is not None:
-            phi_a = sum(float(np.dot(probs[i], np.abs(
-                np.asarray(F0(grid.time(i), tree.states(i), a), dtype=float))**(2 + eps)))
-                * grid.dt for i in range(grid.n_steps))
-            phi = max(phi, phi_a)
+            phi = max(phi, integrability(F0))
         if g0 is not None:
-            psi_a = sum(float(np.dot(probs[i], np.abs(
-                np.asarray(g0(grid.time(i), tree.states(i), a), dtype=float))**(2 + eps)))
-                * grid.dt for i in range(grid.n_steps))
-            psi = max(psi, psi_a)
+            psi = max(psi, integrability(g0))
     return NormReport(d2_norm=d2, h2_norm=h2, i2_norm=i2,
                       phi_eps=phi, psi_eps=psi, exponent=2 + eps)
 

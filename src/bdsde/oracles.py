@@ -31,8 +31,8 @@ def heat_semigroup(phi, a: float, tau: float) -> Callable:
     moments; a callable phi is integrated by QUAD_NODES-point Gauss-Hermite
     quadrature.
     """
-    if tau < 0:
-        raise InvalidArgumentError("tau must be nonnegative")
+    if not (0.0 <= a < math.inf and 0.0 <= tau < math.inf):
+        raise InvalidArgumentError(f"a and tau must be nonnegative and finite, got {a} and {tau}")
     sig2 = a * tau
 
     if not callable(phi):

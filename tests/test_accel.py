@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -225,6 +226,22 @@ def test_window_refuses_a_non_finite_mu(bad):
         _accel.GaussWindow(knots, mu, 0.1)
     with pytest.raises(InvalidArgumentError, match=re.escape(f"mu[0] = {bad}")):
         _accel.pl_gauss_moments(knots, knots, bad, 0.1)
+
+
+@pytest.mark.parametrize("mu", [1e300, -1e300, 1.7e308])
+def test_window_takes_a_huge_finite_mu_without_a_warning(mu):
+    # finite moments, those of the linear extension, or a refusal naming the value
+    knots = np.linspace(-1.0, 1.0, 21)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            m0, m1 = _accel.pl_gauss_moments(knots, knots**2, [mu], 0.1)
+        except InvalidArgumentError as exc:
+            assert f"mu[0] = {mu}" in str(exc)
+            return
+    slope = (knots[-1]**2 - knots[-2]**2) / (knots[-1] - knots[-2])
+    assert m0[0] == pytest.approx(1.0 + slope * (abs(mu) - 1.0), rel=1e-12)
+    assert np.isfinite(m1).all()
 
 
 @pytest.mark.parametrize("sigma", [1e-300, 0.1, 1e6])

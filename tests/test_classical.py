@@ -5,7 +5,9 @@ import pytest
 
 from bdsde import rng
 from bdsde.classical import (
+    MAX_ITERS,
     BdsdeProblem,
+    _fixed_point,
     _regress_on_state,
     check_comparison,
     solve_regression,
@@ -136,6 +138,48 @@ class TestTreeSolver:
             sub_w = sample_backward_path(sub_grid, seed=0)
             sub = solve_tree(prob, sub_tree, sub_w)
             assert sub.y0 == pytest.approx(sol.y[i][j], abs=1e-12)
+
+
+def affine_update(c, b, calls):
+    """y <- c_r y + b_r on each row r, counting its calls."""
+    def update(y):
+        calls.append(None)
+        return c[..., None] * y + b
+    return update
+
+
+class TestFixedPoint:
+    @pytest.mark.parametrize("shape, a", [((), 1.0), ((4,), 1.0),
+                                          ((2, 3), np.array([[[0.5]], [[2.0]]]))])
+    def test_each_row_is_its_own_solve(self, shape, a):
+        gen = np.random.default_rng(4)
+        c = np.linspace(0.05, 0.8, max(1, int(np.prod(shape)))).reshape(shape)
+        b, y_start = gen.normal(size=(2,) + shape + (5,))
+        calls = []
+        y, iters, defect = _fixed_point(affine_update(c, b, calls), y_start, 3, a)
+        assert isinstance(iters, np.ndarray) and iters.shape == shape == defect.shape
+        assert y.shape == y_start.shape
+        assert len(calls) == iters.max() + 1
+        assert len(np.unique(iters)) == c.size  # every rate freezes at its own pass
+        for r in np.ndindex(shape):
+            alone = _fixed_point(affine_update(c[r], b[r], []), y_start[r], 3, 1.0)
+            for got, own in zip((y[r], iters[r], defect[r]), alone):
+                assert np.asarray(got).tobytes() == np.asarray(own).tobytes()
+
+    @pytest.mark.parametrize("shape, a, stuck, where", [
+        ((4,), 1.0, (2,), "path 2, node 3 did not reach 1e-12 in {} iterations at step 5, "
+                          "volatility 1$"),
+        ((2, 3), np.array([[[0.5]], [[2.0]]]), (1, 1),
+         "path 1, node 3 did not reach 1e-12 in {} iterations at step 5, volatility 2$")])
+    def test_convergence_error_names_the_first_live_row(self, shape, a, stuck, where):
+        # rows from stuck on contract at 0.99: they need ~2750 passes
+        c = np.full(shape, 0.5)
+        c.reshape(-1)[np.ravel_multi_index(stuck, shape):] = 0.99
+        b = np.zeros(shape + (5,))
+        b[..., 3] = 1.0
+        b[..., 1] = 0.5
+        with pytest.raises(ConvergenceError, match=where.format(MAX_ITERS)):
+            _fixed_point(affine_update(c, b, []), np.zeros_like(b), 5, a)
 
 
 class TestForcing:

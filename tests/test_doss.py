@@ -45,6 +45,12 @@ def linear_flow(beta=0.5, n=64, seed=3, nx=9, ny=41):
     return solve_flow(coef, w, xs, ys, y_core=(-1.5, 1.5)), w, beta
 
 
+@pytest.mark.parametrize("lo, hi", [(np.nan, 1.0), (0.0, np.nan), (0.0, np.inf), (-np.inf, 1.0)])
+def test_y_lattice_refuses_a_non_finite_range(lo, hi):
+    with pytest.raises(InvalidArgumentError, match="y range must be finite"):
+        build_y_lattice(lo, hi, 5)
+
+
 class TestFlowIntegration:
     def test_refuses_a_batch(self):
         # one W path per y node would broadcast against the flow state

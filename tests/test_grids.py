@@ -17,6 +17,7 @@ from bdsde.grids import (
     sample_backward_bridge,
     sample_backward_path,
     sample_forward_ensemble,
+    subsample_path,
 )
 
 
@@ -116,6 +117,18 @@ class TestBackwardPath:
     def test_bridge_refuses_non_finite_endpoint(self, total):
         with pytest.raises(InvalidArgumentError, match="finite"):
             sample_backward_bridge(build_time_grid(0, 1, 8), seed=9, total=total)
+
+    @pytest.mark.parametrize("factor", [2.5, 0, -2])
+    def test_subsample_refuses_a_factor_that_is_not_a_count(self, factor):
+        w = sample_backward_path(build_time_grid(0, 1, 8), seed=1)
+        with pytest.raises(InvalidArgumentError, match=f"an integer >= 1, got {factor}$"):
+            subsample_path(w, factor)
+
+    def test_subsample_takes_an_integral_float_as_its_count(self):
+        w = sample_backward_path(build_time_grid(0, 1, 8), seed=1)
+        coarse = subsample_path(w, 2.0)
+        assert coarse.grid == subsample_path(w, 2).grid and coarse.grid.n_steps == 4
+        np.testing.assert_array_equal(coarse.values, w.values[::2])
 
     def test_from_values_validates_length(self):
         g = build_time_grid(0, 1, 4)

@@ -73,6 +73,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match="w_ensemble"):
             run(cfg_for("identity", "tree", n_steps=4, **{"seeds.w_ensemble": m}))
 
+    @pytest.mark.parametrize("sec, key, value", [
+        ("mc", "basis_degree", "-1"), ("mc", "workers", "0"), ("mc", "workers", "-2"),
+        ("spatial", "x_steps", "0"), ("spatial", "x_steps", "-5"),
+        ("spatial", "span_sigmas", "0"), ("spatial", "span_sigmas", "-1"),
+        ("spatial", "span_sigmas", "nan"), ("spatial", "span_sigmas", "inf"),
+        ("outputs", "precision", "0"), ("outputs", "precision", "-3")])
+    def test_out_of_range_value_rejected(self, tmp_path, sec, key, value):
+        p = tmp_path / "bad.ini"
+        p.write_text("[problem]\nname = identity\nbackend = tree\n"
+                     f"[grid]\nn_steps = 4\n[{sec}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=rf"\[{sec}\] {key}"):
+            ExperimentConfig.from_file(p)
+        with pytest.raises(ConfigError, match=rf"\[{sec}\] {key}"):
+            run(cfg_for("identity", "tree", n_steps=4, **{f"{sec}.{key}": float(value)}))
+
     def test_hash_stable_under_key_order(self, tmp_path):
         a = tmp_path / "a.ini"
         b = tmp_path / "b.ini"

@@ -39,6 +39,13 @@ class TestHeatSemigroup:
         s2 = a * tau
         np.testing.assert_allclose(p(xs), xs**4 + 6 * xs**2 * s2 + 3 * s2**2, rtol=1e-13)
 
+    @pytest.mark.parametrize("a, tau", [(-1.0, 1.0), (np.nan, 1.0), (np.inf, 1.0),
+                                        (1.0, -0.5), (1.0, np.nan), (1.0, np.inf)])
+    def test_refuses_a_negative_or_non_finite_variance(self, a, tau):
+        for phi in ([0.0, 0.0, 1.0], lambda x: x**2):
+            with pytest.raises(InvalidArgumentError, match="nonnegative and finite"):
+                heat_semigroup(phi, a, tau)
+
     def test_callable_route_matches_polynomial_route(self):
         a, tau = 1.1, 0.4
         p_poly = heat_semigroup([1.0, -0.5, 2.0], a, tau)
