@@ -31,7 +31,7 @@ from .errors import (
     RegressionError,
     StepSizeError,
 )
-from .grids import BackwardPath, BrownianTree, PathEnsemble, batch_paths
+from .grids import BackwardPath, BrownianTree, PathEnsemble, _count, batch_paths
 
 PHANTOM_STREAM_BASE = 1_000_001
 FP_TOL = 1e-12      # the implicit step's fixed point stops at a change <= FP_TOL
@@ -344,6 +344,7 @@ def solve_regression(problem: BdsdeProblem, ensemble: PathEnsemble, w: BackwardP
     per step, path 0's solution and every path's y0 in y0_paths.  y and z keep
     level 0 alone, one value per ensemble path; the diagnostics keep every step.
     """
+    basis_degree = _count(basis_degree, "basis_degree", least=0)
     grid = ensemble.grid
     n, dt = grid.n_steps, grid.dt
     a_steps, X = ensemble.control, ensemble.states

@@ -103,5 +103,8 @@ class ExperimentConfig:
             raise ConfigError("[grid] horizon must exceed t0")
         if not 0.0 < self.get("spatial", "span_sigmas") < math.inf:
             raise ConfigError("[spatial] span_sigmas must be positive and finite")
+        y0_rel = self.get("tolerances", "y0_rel")
+        if y0_rel is not None and not 0.0 <= y0_rel < math.inf:
+            raise ConfigError(f"[tolerances] y0_rel must be nonnegative and finite, got {y0_rel!r}")
         if (self.get("volgrid", "a_low") is None) != (self.get("volgrid", "a_high") is None):
             raise ConfigError("[volgrid] set both a_low and a_high, or neither")

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NonFiniteError, RangeError, SingularFlowError
 from .generators import FD_STEP
-from .grids import BackwardPath, TimeGrid
+from .grids import BackwardPath, TimeGrid, _count
 
 DERIV_NAMES = ("eta", "d_y", "d_x", "d_yy", "d_xy", "d_xx")
 INVERSE_NAMES = ("eps",) + DERIV_NAMES[1:]
@@ -190,7 +190,9 @@ def build_y_lattice(y_lo: float, y_hi: float, n: int, pad: float = 3.0) -> np.nd
     span = y_hi - y_lo
     if span <= 0:
         raise InvalidArgumentError("y range must have positive width")
-    return np.linspace(y_lo - pad * span, y_hi + pad * span, n)
+    if not 0 <= pad < math.inf:
+        raise InvalidArgumentError(f"pad must be nonnegative and finite, got {pad!r}")
+    return np.linspace(y_lo - pad * span, y_hi + pad * span, _count(n, "n", least=2))
 
 
 def solve_flow(coef: FlowCoefficient, w: BackwardPath, x_lattice, y_lattice,

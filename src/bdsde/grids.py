@@ -34,11 +34,18 @@ class TimeGrid:
         return self.t0 + self.dt * i
 
 
-def _count(value, name: str) -> int:
-    """value as an int, or InvalidArgumentError unless it is an integral number >= 1."""
-    if not (isinstance(value, numbers.Real) and float(value).is_integer() and value >= 1):
-        raise InvalidArgumentError(f"{name} must be an integer >= 1, got {value!r}")
+def _count(value, name: str, least: int = 1) -> int:
+    """value as an int, or InvalidArgumentError unless it is an integral number >= least."""
+    if not (isinstance(value, numbers.Real) and float(value).is_integer() and value >= least):
+        raise InvalidArgumentError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def _start(x0) -> float:
+    """x0 as a float, or InvalidArgumentError unless it is one finite number."""
+    if np.ndim(x0) != 0 or not math.isfinite(x0):
+        raise InvalidArgumentError(f"x0 must be one finite start, got {x0!r}")
+    return float(x0)
 
 
 def build_time_grid(t0: float, horizon: float, n: int) -> TimeGrid:
@@ -220,10 +227,8 @@ def build_tree(grid: TimeGrid, a, x0: float = 0.0) -> BrownianTree:
     """Binomial tree under one positive, finite scalar volatility a, rooted at a finite x0."""
     if np.ndim(a) != 0 or not (0 < float(a) < np.inf):
         raise InvalidArgumentError(f"a must be one positive, finite volatility, got {a!r}")
-    if np.ndim(x0) != 0 or not math.isfinite(x0):
-        raise InvalidArgumentError(f"x0 must be one finite start, got {x0!r}")
     a_val = float(a)
-    return BrownianTree(grid=grid, a=a_val, x0=float(x0), step=float(np.sqrt(a_val * grid.dt)))
+    return BrownianTree(grid=grid, a=a_val, x0=_start(x0), step=float(np.sqrt(a_val * grid.dt)))
 
 
 @dataclass(frozen=True)
@@ -272,7 +277,7 @@ def sample_forward_ensemble(grid: TimeGrid, n_paths: int, control, seed: int,
     states are x0 plus their running sums.  Each Philox block of z is summed
     into the states as it is drawn, so no increments or whole z are held.
     """
-    n_paths = _count(n_paths, "n_paths")
+    n_paths, x0 = _count(n_paths, "n_paths"), _start(x0)
     a = _step_controls(control, grid.n_steps)
     states = np.zeros((grid.n_steps + 1, n_paths))
 
@@ -284,4 +289,4 @@ def sample_forward_ensemble(grid: TimeGrid, n_paths: int, control, seed: int,
 
     rng.for_blocks(seed, n_paths, (grid.n_steps,), fill, workers)
     return PathEnsemble(grid=grid, n_paths=n_paths, control=a, states=states.T, seed=seed,
-                        x0=float(x0))
+                        x0=x0)

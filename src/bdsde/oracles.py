@@ -17,7 +17,7 @@ from .errors import (
     StabilityError,
     UnsupportedOracleError,
 )
-from .grids import BackwardPath, PathEnsemble, TimeGrid
+from .grids import BackwardPath, PathEnsemble, TimeGrid, _count
 
 QUAD_NODES = 64      # Gauss-Hermite nodes of heat_semigroup on a callable
 Z_PROBE = 1e-6       # gradient probe of the fd upwind choice
@@ -140,7 +140,7 @@ def fd_random_pde(problem: RandomPdeProblem, grid: TimeGrid, x_steps: int):
     parabolic stability bound before stepping.
     """
     lo, hi = problem.x_domain
-    xs = np.linspace(lo, hi, x_steps + 1)
+    xs = np.linspace(lo, hi, _count(x_steps, "x_steps", least=2) + 1)
     dx = xs[1] - xs[0]
     n, dt = grid.n_steps, grid.dt
 

@@ -13,6 +13,7 @@ which serves as the independent oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -144,8 +145,9 @@ def solve_penalized(problem: BdsdeProblem, barrier: Barrier, n_penalty: float,
     affine in y), so only the generator's own Lipschitz constant limits dt.
     A list of paths is solved in one sweep, as in `solve_reflected`.
     """
-    if n_penalty < 0:
-        raise InvalidArgumentError("penalty level must be nonnegative")
+    if not 0 <= n_penalty < math.inf:
+        raise InvalidArgumentError(
+            f"penalty level must be nonnegative and finite, got {n_penalty!r}")
     dt = tree.grid.dt
 
     def penalty(u, s):

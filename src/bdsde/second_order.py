@@ -29,6 +29,8 @@ from .grids import (
     PathEnsemble,
     TimeGrid,
     VolatilityGrid,
+    _count,
+    _start,
     build_tree,
 )
 
@@ -89,12 +91,19 @@ class DpOptions(SolverOptions):
     x_steps: int = 400
     span_sigmas: float = 6.0
 
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "x_steps", _count(self.x_steps, "x_steps"))
+        if not 0 < self.span_sigmas < math.inf:
+            raise InvalidArgumentError(
+                f"span_sigmas must be positive and finite, got {self.span_sigmas!r}")
+
 
 @dataclass
 class KTrace:
     increments: np.ndarray          # (n_steps, n_nodes) nonnegative defects
     expected_cumulative: np.ndarray  # (n_steps + 1,) forward-law expectation
-    volatility: Optional[float]     # None = per-node argmax
+    volatility: float               # the constant control
 
     @property
     def k_terminal(self) -> float:
@@ -106,7 +115,6 @@ class TbdsdeSolution:
     Y: list
     Z: list
     argmax_a: list
-    K: KTrace
     residual: np.ndarray
     y0: float
     y0_paths: np.ndarray            # every backward path's y0, in order
@@ -172,14 +180,14 @@ def solve_dp(problem: TbdsdeProblem, grid: TimeGrid, w: BackwardPath | list,
     `backward_sweep` is one `backward_step` of all volatilities along a leading
     axis, keeping the per-node argmax and each path's worst iterations and defect.
     w is one BackwardPath or a list of paths on grid, swept together; the
-    solution is path 0's (Y, Z, argmax, K and residual as if solved alone)
+    solution is path 0's (Y, Z, argmax and residual as if solved alone)
     and y0_paths holds every path's y0, each equal to its own solve.  On the lattice,
     meta["defects"] holds path 0's defects Y[i] - cands[k] of the value against
     each volatility k's own step candidate (phantom z_T at step n - 1), an
     (n_steps, V, x_steps + 1) array (1.0 MB at 5 x 64 x 401): max - own,
     so >= 0, and exactly 0 at the argmax.
     """
-    a_vals = problem.finite_volatilities()
+    x0, a_vals = _start(x0), problem.finite_volatilities()
     if len(a_vals) == 1:
         return _solve_dp_tree(problem, grid, w, x0, opts, a_vals)
     n, dt = grid.n_steps, grid.dt
@@ -216,10 +224,7 @@ def solve_dp(problem: TbdsdeProblem, grid: TimeGrid, w: BackwardPath | list,
     # level n takes the control, and so the z_T, of the first step's argmax
     argmax = [a_vals[b] for b in best] + [a_vals[best[-1]]]
     Z[n] = np.take_along_axis(phantom, best[-1][None], axis=0)[0]
-    # the defect of the value against the step under the argmax control vanishes
-    k_argmax = KTrace(increments=np.zeros((n, len(xs))), expected_cumulative=np.zeros(n + 1),
-                      volatility=None)
-    return TbdsdeSolution(Y=Y, Z=Z, argmax_a=argmax, K=k_argmax, residual=residual,
+    return TbdsdeSolution(Y=Y, Z=Z, argmax_a=argmax, residual=residual,
                           y0=float(y0_paths[0]), y0_paths=y0_paths,
                           meta={"backend": "lattice", "lattice": xs, "x0": x0, "grid": grid,
                                 "a_values": a_vals, "opts": opts, "defects": defects})
@@ -232,49 +237,36 @@ def _solve_dp_tree(problem, grid, w, x0, opts, a_vals):
     base = solve_tree(problem.classical_problem(a), tree, w, opts)
     n = grid.n_steps
     argmax = [np.full(tree.n_nodes(i), a) for i in range(n + 1)]
-    # the value is the sole control's own step, so its compensator vanishes
-    k_sole = KTrace(increments=np.zeros((n, tree.n_nodes(n - 1))),
-                    expected_cumulative=np.zeros(n + 1), volatility=a)
-    return TbdsdeSolution(Y=base.y, Z=base.z, argmax_a=argmax, K=k_sole,
+    return TbdsdeSolution(Y=base.y, Z=base.z, argmax_a=argmax,
                           residual=base.residual, y0=base.y0, y0_paths=base.y0_paths,
                           meta={"backend": "tree", "tree": tree, "x0": x0,
                                 "grid": grid, "a_values": a_vals, "opts": opts})
 
 
-def _value_at(sol: TbdsdeSolution, i: int, x: np.ndarray) -> np.ndarray:
-    """Solution value Y_i evaluated at arbitrary states."""
-    if sol.backend == "tree":
-        tree = sol.meta["tree"]
-        return linear_interp(x, tree.states(i), sol.Y[i]) if i > 0 else \
-            np.full_like(np.asarray(x, dtype=float), sol.Y[0][0])
-    return linear_interp(x, sol.meta["lattice"], sol.Y[i])
+def extract_k(sol: TbdsdeSolution, volatility: float) -> KTrace:
+    """Per-step defect of the value against the one-step operator of the
+    constant control volatility: the compensator seen under that control.
 
-
-def extract_k(sol: TbdsdeSolution, volatility: Optional[float] = None) -> KTrace:
-    """Per-step defect of the value against the one-step operator of a control.
-
-    volatility None returns the solve's own compensator, under each node's
-    argmax control (where it vanishes: the value is that control's step).
     A volatility outside the solve's finite ones (meta["a_values"]) raises
-    InvalidArgumentError.  A tree solution holds one volatility, whose
-    compensator that is.  On the lattice a fixed volatility gives the
-    compensator seen under that constant control: its row of the solve's
-    own defects (meta["defects"], see `solve_dp`), with the cumulative trace
-    integrated against its forward law from x0 (each step's expectation
-    clamped at 0, as the increments are >= 0, so the trace is nondecreasing).
-    Nothing is solved again.
+    InvalidArgumentError.  A tree solution holds one volatility, whose value
+    is that control's own step, so its trace is zero.  On the lattice it is
+    the volatility's row of the solve's own defects (meta["defects"], see
+    `solve_dp`), with the cumulative trace integrated against its forward
+    law from x0 (each step's expectation clamped at 0, as the increments are
+    >= 0, so the trace is nondecreasing).  Nothing is solved again.
     """
-    if volatility is None:
-        return sol.K
     a, a_vals = float(volatility), sol.meta["a_values"].tolist()
     if a not in a_vals:
         raise InvalidArgumentError(f"volatility {a} is foreign to the solution's {a_vals}")
+    grid = sol.meta["grid"]
+    n = grid.n_steps
     if sol.backend == "tree":
-        return sol.K
-    grid, x0, xs = sol.meta["grid"], sol.meta["x0"], sol.meta["lattice"]
+        return KTrace(increments=np.zeros((n, sol.meta["tree"].n_nodes(n - 1))),
+                      expected_cumulative=np.zeros(n + 1), volatility=a)
+    x0, xs = sol.meta["x0"], sol.meta["lattice"]
     incs = sol.meta["defects"][:, a_vals.index(a)]  # max - own >= 0 in IEEE arithmetic
-    cum = np.zeros(grid.n_steps + 1)
-    for i in range(grid.n_steps):
+    cum = np.zeros(n + 1)
+    for i in range(n):
         t_i = grid.time(i) - grid.t0
         if t_i <= 0:
             e_i = float(linear_interp(np.array([x0]), xs, incs[i])[0])
@@ -285,39 +277,32 @@ def extract_k(sol: TbdsdeSolution, volatility: Optional[float] = None) -> KTrace
     return KTrace(increments=incs, expected_cumulative=cum, volatility=a)
 
 
-def _constant_control_solves(problem: TbdsdeProblem, sol: TbdsdeSolution,
-                             w: BackwardPath):
-    """(a, tree, levels) per finite volatility: the constant-control classical
-    solve on a's exact tree, under the solve's grid, x0 and options.  A tree
-    solution is that solve for its sole volatility, so its levels are reused."""
+def _constant_control_values(problem: TbdsdeProblem, sol: TbdsdeSolution,
+                             w: BackwardPath) -> dict:
+    """{a: y0} per finite volatility a of the solve: the root value of the
+    constant-control classical solve on a's exact tree, under the solve's
+    grid, x0 and options.  A tree solution is that solve for its sole
+    volatility, so its own y0 is reused."""
     if sol.backend == "tree":
-        yield sol.K.volatility, sol.meta["tree"], sol.Y
-        return
+        return {float(sol.meta["a_values"][0]): sol.y0}
     grid, x0, opts = sol.meta["grid"], sol.meta["x0"], sol.meta["opts"]
-    for a in problem.finite_volatilities():
-        tree = build_tree(grid, float(a), x0=x0)
-        yield float(a), tree, solve_tree(problem.classical_problem(float(a)), tree, w, opts).y
+    return {float(a): solve_tree(problem.classical_problem(float(a)),
+                                 build_tree(grid, float(a), x0=x0), w, opts).y0
+            for a in sol.meta["a_values"]}
 
 
-def minimality_gap(problem: TbdsdeProblem, sol: TbdsdeSolution,
-                   w: BackwardPath) -> np.ndarray:
-    """Per-step min over constant controls of the expected remaining compensator.
+def minimality_gap(problem: TbdsdeProblem, sol: TbdsdeSolution, w: BackwardPath) -> float:
+    """sol.y0 minus the best constant-control value at the root.
 
-    Under a constant control the remaining compensator from t_i is, through
-    the equation itself, the gap between the value and the constant-control
-    solution restarted from the terminal data; that solution is computed on
-    the control's exact tree and the gap is integrated against the tree's
-    forward law.  Vanishes at O(dt) for problems whose optimal control is a
-    constant element of the grid.  The constant-control solves run under
-    the solve's own options, on w, the path sol was solved on (path 0 of a
-    batch).
+    Under a constant control the expected compensator K_T - K_0 is, through
+    the equation itself, the gap between the value and that control's
+    solution, so the gap is the least expected compensator over the constant
+    controls; it vanishes at O(dt) for problems whose optimal control is a
+    constant element of the grid, and is exactly 0.0 on a tree solution.
+    The constant-control solves run under the solve's own options, on w,
+    the path sol was solved on (path 0 of a batch).
     """
-    gaps = []
-    for _, tree, ya in _constant_control_solves(problem, sol, w):
-        probs = tree.level_probabilities()
-        gaps.append([float(np.dot(probs[i], _value_at(sol, i, tree.states(i)) - ya[i]))
-                     for i in range(len(probs))])
-    return np.min(gaps, axis=0)
+    return sol.y0 - max(_constant_control_values(problem, sol, w).values())
 
 
 @dataclass
@@ -336,18 +321,18 @@ def representation_check(problem: TbdsdeProblem, grid: TimeGrid, w: BackwardPath
 
     The value comes from solve_dp, so its backend follows from the finite
     volatilities; each constant-control value from that volatility's tree.
+    The surplus is `minimality_gap` of that solve.
     """
     sol = solve_dp(problem, grid, w, x0=x0, opts=opts)
-    per_a = {a: float(ya[0][0]) for a, _, ya in _constant_control_solves(problem, sol, w)}
+    per_a = _constant_control_values(problem, sol, w)
     best_a = max(per_a, key=per_a.get)
-    best = per_a[best_a]
-    surplus = sol.y0 - best
+    surplus = sol.y0 - per_a[best_a]
     if eps is None:
         eps = 10.0 * grid.dt * (1.0 + abs(sol.y0))
     if surplus < -10 * eps:
         raise ConsistencyError(
             f"value {sol.y0} fell {-surplus:.3e} below the best constant control")
-    return RepresentationReport(y0_dp=sol.y0, best_constant=best, best_a=best_a,
+    return RepresentationReport(y0_dp=sol.y0, best_constant=per_a[best_a], best_a=best_a,
                                 surplus=surplus, per_a=per_a)
 
 

@@ -40,7 +40,8 @@ from bdsde.oracles import (
     linear_spde_closed_form,
 )
 from bdsde.reflected import Barrier, penalization_sweep, solve_penalized
-from bdsde.second_order import DpOptions, TbdsdeProblem, hamiltonian, minimality_gap, solve_dp
+from bdsde.second_order import (DpOptions, TbdsdeProblem, extract_k, hamiltonian, minimality_gap,
+                                 solve_dp)
 
 FZERO = lambda t, x, y, z, a: np.zeros_like(np.asarray(x, dtype=float))
 ZERO = lambda t, x, y, z: np.zeros_like(np.asarray(x, dtype=float))
@@ -71,9 +72,10 @@ def test_criterion_01_classical_reduction():
     tree = build_tree(grid, 1.0, x0=1.0)
     sol1 = solve_tree(prob2.classical_problem(1.0), tree, w)
     diff = max(float(np.max(np.abs(sol2.Y[i] - sol1.y[i]))) for i in range(65))
+    k_T = extract_k(sol2, volatility=1.0).k_terminal
     check(1, "classical reduction (singleton grid, tree backend)",
-          diff < 1e-10 and sol2.K.k_terminal < 1e-9 and elapsed < 1.0,
-          f"nodewise diff={diff:.2e} K_T={sol2.K.k_terminal:.2e} time={elapsed:.3f}s")
+          diff < 1e-10 and k_T < 1e-9 and elapsed < 1.0,
+          f"nodewise diff={diff:.2e} K_T={k_T:.2e} time={elapsed:.3f}s")
 
 
 def test_criterion_02_bsb_quadratic_oracle():
@@ -124,7 +126,8 @@ def test_criterion_03_flow_transform_roundtrip():
                       y_core=(y_lo, y_hi))
 
     states = [xs for _ in range(65)]
-    U, V, Kt = transform_solution(sd.Y, sd.Z, list(sd.K.increments), flow, states)
+    U, V, Kt = transform_solution(sd.Y, sd.Z, list(extract_k(sd, volatility=0.5).increments),
+                                 flow, states)
     Y2, Z2, _ = untransform_solution(U, V, Kt, flow, states)
     rt = max(float(np.max(np.abs(Y2[i] - sd.Y[i]))) for i in range(65))
 
@@ -257,7 +260,7 @@ def test_criterion_07_minimality_gap_decay():
         grid = build_time_grid(0, 1, n)
         w = sample_backward_path(grid, seed=1)
         sol = solve_dp(prob, grid, w, x0=1.0, opts=DpOptions(x_steps=xs))
-        gaps.append(float(minimality_gap(prob, sol, w)[0]))
+        gaps.append(minimality_gap(prob, sol, w))
     r1, r2 = gaps[0] / gaps[1], gaps[1] / gaps[2]
     ok = gaps[0] > 0 and 1.5 <= r1 <= 2.5 and 1.5 <= r2 <= 2.5
     check(7, "expected remaining compensator decays with dt", ok,

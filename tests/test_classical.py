@@ -14,7 +14,7 @@ from bdsde.classical import (
     solve_tree,
     solve_with_forcing,
 )
-from bdsde.errors import ConvergenceError, RegressionError, StepSizeError
+from bdsde.errors import ConvergenceError, InvalidArgumentError, RegressionError, StepSizeError
 from bdsde.grids import (
     build_time_grid,
     build_tree,
@@ -282,6 +282,15 @@ class TestComparison:
 
 
 class TestRegressionSolver:
+    @pytest.mark.parametrize("degree", [-1, 2.5])
+    def test_refuses_a_basis_degree_that_is_not_a_count(self, degree):
+        grid = build_time_grid(0, 1, 4)
+        ens = sample_forward_ensemble(grid, 100, 1.0, seed=1)
+        prob = BdsdeProblem(terminal=lambda x: x, f=ZERO, g=ZERO)
+        with pytest.raises(InvalidArgumentError,
+                           match=f"basis_degree must be an integer >= 0, got {degree}"):
+            solve_regression(prob, ens, sample_backward_path(grid, seed=1), basis_degree=degree)
+
     def test_martingale_y0_near_zero(self):
         grid = build_time_grid(0, 1, 8)
         ens = sample_forward_ensemble(grid, 40_000, 1.0, seed=17)

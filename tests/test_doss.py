@@ -51,6 +51,24 @@ def test_y_lattice_refuses_a_non_finite_range(lo, hi):
         build_y_lattice(lo, hi, 5)
 
 
+@pytest.mark.parametrize("n, pad, match", [
+    (0, 3.0, "n must be an integer >= 2, got 0"), (1, 3.0, "n must be an integer >= 2, got 1"),
+    (2.5, 3.0, "n must be an integer >= 2, got 2.5"),
+    (5, -1.0, "pad must be nonnegative and finite, got -1.0"),
+    (5, np.nan, "pad must be nonnegative and finite, got nan"),
+    (5, np.inf, "pad must be nonnegative and finite, got inf")])
+def test_y_lattice_refuses_too_few_points_or_an_invalid_pad(n, pad, match):
+    with pytest.raises(InvalidArgumentError, match=match):
+        build_y_lattice(0.0, 1.0, n, pad=pad)
+
+
+def test_y_lattice_keeps_its_points_at_valid_sizes():
+    for n in (17, 41):
+        np.testing.assert_array_equal(build_y_lattice(-1.0, 2.0, n),
+                                      np.linspace(-10.0, 11.0, n))
+    np.testing.assert_array_equal(build_y_lattice(0.0, 1.0, 2.0, pad=0.0), [0.0, 1.0])
+
+
 class TestFlowIntegration:
     def test_refuses_a_batch(self):
         # one W path per y node would broadcast against the flow state

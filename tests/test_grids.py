@@ -244,6 +244,11 @@ class TestEnsemble:
         with pytest.raises(InvalidArgumentError, match="n_paths"):
             sample_forward_ensemble(build_time_grid(0, 1, 4), n_paths, 1.0, seed=1)
 
+    @pytest.mark.parametrize("x0", [np.nan, np.inf, -np.inf])
+    def test_refuses_a_non_finite_start(self, x0):
+        with pytest.raises(InvalidArgumentError, match=f"x0 must be one finite start, got {x0}"):
+            sample_forward_ensemble(build_time_grid(0, 1, 4), 10, 1.0, seed=1, x0=x0)
+
     def test_zero_control_rejected(self):
         g = build_time_grid(0, 1, 4)
         with pytest.raises(InvalidArgumentError):

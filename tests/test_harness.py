@@ -20,7 +20,7 @@ from bdsde.harness import (
     write_csv,
 )
 from bdsde.problems import REGISTRY, backward_path_for, grid_from
-from bdsde.second_order import minimality_gap
+from bdsde.second_order import DpOptions, minimality_gap, solve_dp
 
 
 def cfg_for(problem, backend, n_steps=16, **extra):
@@ -78,7 +78,9 @@ class TestConfig:
         ("spatial", "x_steps", "0"), ("spatial", "x_steps", "-5"),
         ("spatial", "span_sigmas", "0"), ("spatial", "span_sigmas", "-1"),
         ("spatial", "span_sigmas", "nan"), ("spatial", "span_sigmas", "inf"),
-        ("outputs", "precision", "0"), ("outputs", "precision", "-3")])
+        ("outputs", "precision", "0"), ("outputs", "precision", "-3"),
+        ("tolerances", "y0_rel", "-1"), ("tolerances", "y0_rel", "nan"),
+        ("tolerances", "y0_rel", "inf")])
     def test_out_of_range_value_rejected(self, tmp_path, sec, key, value):
         p = tmp_path / "bad.ini"
         p.write_text("[problem]\nname = identity\nbackend = tree\n"
@@ -102,6 +104,20 @@ class TestRun:
         rec = run(cfg_for("classical_bdsde_linear", "tree", n_steps=64))
         assert rec.abs_error < 0.01
         assert rec.oracle == pytest.approx(np.exp(0.5))
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_gap_min0_is_the_minimality_gap_of_its_own_solve(self, m):
+        cfg = cfg_for("bsb_doss", "dp", n_steps=8,
+                      **{"spatial.x_steps": 41, "seeds.w_ensemble": m})
+        rec = run(cfg)
+        pdef, grid = REGISTRY["bsb_doss"], grid_from(cfg)
+        prob = pdef.equation(cfg)
+        paths = [backward_path_for(pdef, grid, 7 + k) for k in range(m)]
+        sol = solve_dp(prob, grid, paths, x0=pdef.x0,
+                       opts=DpOptions(x_steps=41, g_scheme=pdef.g_scheme))
+        assert rec.quantities["gap_min0"] == minimality_gap(prob, sol, paths[0])
+        assert rec.quantities["gap_min0"] > 0.0
+        assert rec.quantities["k_terminal"] == 0.0
 
     def test_dp_singleton_reduction_quantities(self):
         rec = run(cfg_for("classical_bdsde_linear", "dp", n_steps=64))
@@ -272,6 +288,16 @@ class TestStudies:
     def test_requires_two_halvings(self):
         with pytest.raises(ConfigError):
             convergence_study(cfg_for("identity", "tree"), halvings=1)
+
+    @pytest.mark.parametrize("halvings", [1, 0])
+    def test_flow_study_requires_two_halvings(self, halvings, tmp_path):
+        with pytest.raises(ConfigError, match=f"halvings must be >= 2, got {halvings}"):
+            flow_order_study(halvings=halvings)
+        p = tmp_path / "flow.ini"
+        p.write_text("[problem]\nname = flow_roundtrip\nbackend = flow\n[grid]\nn_steps = 32\n")
+        argv = ["--quiet", "study", "--config", str(p), "--out", str(tmp_path / "o.csv"),
+                "--halvings", str(halvings)]
+        assert main(argv) == 1 and not (tmp_path / "o.csv").exists()
 
 
 class TestPropertySuites:

@@ -121,6 +121,12 @@ def bsb_hhat(a_low=0.5, a_high=2.0):
 
 
 class TestFdRandomPde:
+    @pytest.mark.parametrize("x_steps", [1, 0, 2.5])
+    def test_refuses_fewer_than_two_cells(self, x_steps):
+        with pytest.raises(InvalidArgumentError,
+                           match=f"x_steps must be an integer >= 2, got {x_steps}"):
+            fd_random_pde(heat_problem(), build_time_grid(0, 1, 4), x_steps)
+
     def test_heat_value_at_origin(self):
         grid = build_time_grid(0, 1, 64)
         xs, v = fd_random_pde(heat_problem(), grid, x_steps=64)

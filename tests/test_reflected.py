@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bdsde.classical import BdsdeProblem, SolverOptions, solve_tree
-from bdsde.errors import InvalidBarrierError
+from bdsde.errors import InvalidArgumentError, InvalidBarrierError
 from bdsde.grids import build_time_grid, build_tree, sample_backward_path
 from bdsde.reflected import (
     Barrier,
@@ -154,6 +154,14 @@ class TestReflected:
 
 
 class TestPenalization:
+    @pytest.mark.parametrize("n_pen", [-1.0, np.nan, np.inf])
+    def test_refuses_a_penalty_that_is_negative_or_not_finite(self, n_pen):
+        _, tree, w = setup()
+        prob = BdsdeProblem(terminal=lambda x: 0.0 * x, f=ZERO, g=ZERO)
+        with pytest.raises(InvalidArgumentError,
+                           match=f"nonnegative and finite, got {n_pen}"):
+            solve_penalized(prob, stop_now_barrier(), n_pen, tree, w)
+
     def test_zero_penalty_is_unconstrained(self):
         grid, tree, w = setup()
         prob = BdsdeProblem(terminal=lambda x: x**2, f=lambda t, x, y, z: 0.3 * y,

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bdsde import _accel, second_order
@@ -68,7 +68,7 @@ class TestSingletonReduction:
         sol1 = solve_tree(prob.classical_problem(1.0), tree, w)
         for i in range(grid.n_steps + 1):
             assert np.max(np.abs(sol2.Y[i] - sol1.y[i])) < 1e-10
-        assert sol2.K.k_terminal < 1e-9
+        assert extract_k(sol2, volatility=1.0).k_terminal == 0.0
 
     def test_backend_follows_finite_volatilities(self):
         grid = build_time_grid(0, 1, 4)
@@ -77,6 +77,29 @@ class TestSingletonReduction:
         singleton = TbdsdeProblem(terminal=lambda x: x**2, F=FZERO, g=ZERO,
                                   volgrid=build_volatility_grid(1.0, 1.0, 1))
         assert solve_dp(singleton, grid, w).backend == "tree"
+
+
+class TestInputs:
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"x_steps": 2.5}, "x_steps must be an integer >= 1, got 2.5"),
+        ({"x_steps": 0}, "x_steps must be an integer >= 1, got 0"),
+        ({"span_sigmas": -1.0}, "span_sigmas must be positive and finite, got -1.0"),
+        ({"span_sigmas": math.nan}, "span_sigmas must be positive and finite, got nan")])
+    def test_dp_options_refuse_an_invalid_value(self, kwargs, match):
+        with pytest.raises(InvalidArgumentError, match=match):
+            DpOptions(**kwargs)
+
+    def test_dp_options_store_an_integral_x_steps_as_an_int(self):
+        opts = DpOptions(x_steps=40.0)
+        assert type(opts.x_steps) is int and opts == DpOptions(x_steps=40)
+
+    @pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("n_a", [1, 3])
+    def test_solve_dp_refuses_a_non_finite_start(self, x0, n_a):
+        grid = build_time_grid(0, 1, 4)
+        with pytest.raises(InvalidArgumentError, match=f"x0 must be one finite start, got {x0}"):
+            solve_dp(bsb_problem(n_a=n_a), grid, sample_backward_path(grid, seed=1), x0=x0,
+                     opts=DpOptions(x_steps=20))
 
 
 class TestBsbOracle:
@@ -170,15 +193,14 @@ class TestCompensator:
         prob = bsb_problem(terminal=terminal, g=HALF_Y)
         sol = solve_dp(prob, self.grid, self.w, x0=1.0,
                        opts=DpOptions(x_steps=200, g_scheme=g_scheme))
-        assert sol.K.k_terminal < 1e-9
-        assert np.all(np.diff(sol.K.expected_cumulative) >= 0)
+        # at every step and node the argmax control's defect is exactly 0
+        assert np.all(sol.meta["defects"].min(axis=1) == 0.0)
         # the gap is measured under the solve's own scheme
-        assert minimality_gap(prob, sol, self.w)[0] == pytest.approx(
+        assert minimality_gap(prob, sol, self.w) == pytest.approx(
             best_constant_gap(prob, sol, self.grid, self.w, g_scheme), abs=1e-12)
 
     def test_suboptimal_control_sees_positive_compensator(self):
         # under the low control the expected compensator equals the value gap
-        assert extract_k(self.sol) is self.sol.K
         k_low = extract_k(self.sol, volatility=0.5)
         assert k_low.k_terminal > 1.0
         assert np.all(k_low.increments >= 0)
@@ -216,9 +238,8 @@ class TestCompensator:
         prob = bsb_problem(terminal=lambda x: x, g=HALF_Y)
         sol = solve_dp(prob, self.grid, self.w, x0=1.0,
                        opts=DpOptions(x_steps=200, g_scheme=g_scheme))
-        assert sol.K.k_terminal < 1e-9
         assert extract_k(sol, volatility=0.5).k_terminal < 1e-9
-        assert minimality_gap(prob, sol, self.w)[0] == pytest.approx(
+        assert minimality_gap(prob, sol, self.w) == pytest.approx(
             best_constant_gap(prob, sol, self.grid, self.w, g_scheme), abs=1e-12)
 
     def test_infinite_generator_entry_excluded(self):
@@ -449,10 +470,37 @@ class TestMinimalityGap:
             w = sample_backward_path(grid, seed=1)
             prob = bsb_problem()
             sol = solve_dp(prob, grid, w, x0=1.0, opts=DpOptions(x_steps=xs))
-            gaps.append(minimality_gap(prob, sol, w)[0])
+            gaps.append(minimality_gap(prob, sol, w))
         assert gaps[0] > 0
         assert gaps[0] / gaps[1] == pytest.approx(2.0, rel=0.3)
         assert gaps[1] / gaps[2] == pytest.approx(2.0, rel=0.3)
+
+
+BAND_PROBLEMS = ["bsb_quadratic", "bsb_concave", "bsb_mixed", "bsb_doss"]
+
+
+@example(name="bsb_doss", a_low=1.0, a_high=1.5, n_points=1, x_steps=21, m=3, n=4, seed=5)
+@given(name=st.sampled_from(BAND_PROBLEMS), a_low=st.floats(0.2, 1.2),
+       a_high=st.floats(1.3, 2.5), n_points=st.integers(1, 6), x_steps=st.integers(20, 61),
+       m=st.sampled_from([1, 3]), n=st.sampled_from([4, 8]), seed=st.integers(0, 2**20))
+def test_minimality_gap_is_the_root_surplus_over_constant_controls(name, a_low, a_high,
+                                                                   n_points, x_steps, m, n,
+                                                                   seed):
+    pdef = REGISTRY[name]
+    prob = pdef.equation(ExperimentConfig.from_defaults(**{
+        "volgrid.a_low": a_low, "volgrid.a_high": a_high, "volgrid.n_points": n_points}))
+    grid = build_time_grid(0, 1, n)
+    paths = [sample_backward_path(grid, seed=seed + k) for k in range(m)]
+    opts = DpOptions(x_steps=x_steps, g_scheme=pdef.g_scheme)
+    sol = solve_dp(prob, grid, paths if m > 1 else paths[0], x0=pdef.x0, opts=opts)
+    gap = minimality_gap(prob, sol, paths[0])
+    best = max(solve_tree(prob.classical_problem(float(a)), build_tree(grid, float(a), x0=pdef.x0),
+                          paths[0], opts).y0 for a in prob.finite_volatilities())
+    assert type(gap) is float and gap == sol.y0 - best
+    assert representation_check(prob, grid, paths[0], x0=pdef.x0, opts=opts).surplus == gap
+    assert (sol.backend == "tree") == (n_points == 1)
+    if sol.backend == "tree":
+        assert gap == 0.0
 
 
 class TestRepresentation:
@@ -472,7 +520,7 @@ class TestRepresentation:
         assert rep.surplus == 0.0 and len(calls) == 1
         calls.clear()
         gap = minimality_gap(prob, solve_dp(prob, grid, w, x0=0.5), w)
-        assert gap[0] == 0.0 and np.max(np.abs(gap)) < 1e-15 and len(calls) == 1
+        assert gap == 0.0 and len(calls) == 1
 
     def test_bsb_surplus_order_dt(self):
         surpluses = []
