@@ -7,25 +7,29 @@ knots (with linear extension beyond both ends) and X ~ N(mu, sigma^2),
 
 in closed form segment by segment.  This is the one-step conditional
 expectation used by the dynamic-programming solver and its diagnostics.
+m1 comes from Stein's identity, E[f(X)(X - mu)] = sigma^2 E[f'(X)] (Stein,
+Ann. Statist. 9(6), 1981): sigma^2 times each slope of f times the Gaussian
+mass of its segment.
 
 `GaussWindow` is the one implementation, split into a setup and an apply.
 The setup, for fixed (knots, mu, sigma) on a uniform lattice at any offset,
 restricts each query to the knots within 10 sigma, or to the whole lattice
 when that band would span it, and keeps what no value row changes: each
-query's band start, the segment integrals i0, i1, i2 over its band and six
-tail vectors.  The apply combines one value row, or a stack of rows (one
-per backward path), against them; each row's moments are bit for bit those
-of a call with that row alone.  Both walk the queries in row blocks of at
-most _BLOCK_ENTRIES band entries, and the knot band and its mu - knot
-offsets are gathered per block rather than stored, so the window holds
-three (queries, band) arrays and no temporary grows with the lattice.  A
+query's band start, the segment integrals i0 (mass) and i1 (pdf drop) over
+its band and four tail vectors.  The apply combines one value row, or a
+stack of rows (one per backward path), against them; each row's moments are
+bit for bit those of a call with that row alone.  Both walk the queries in
+row blocks of at most _BLOCK_ENTRIES band entries, and the knot band and its
+mu - knot offsets are gathered per block rather than stored, so the window
+holds two (queries, band) arrays and no temporary grows with the lattice.  A
 lattice solver builds one window per volatility and step size and applies
 it at every step; `pl_gauss_moments` is setup-then-apply in one call.
 Knots must be increasing and uniform up to `linspace` rounding; anything
 else raises `InvalidArgumentError`.  The setup's normal cdf is `_ndtr`, a
 numpy port of Cephes `ndtr`.  `_moments_numpy`, the same moments over full
-query-by-knot matrices with each segment's own width and the normal cdf of
-`math.erfc`, is kept only as the oracle the tests compare the window against.
+query-by-knot matrices with each segment's own width, m1 by direct
+integration and the normal cdf of `math.erfc`, is kept only as the oracle
+the tests compare the window against.
 """
 
 from __future__ import annotations
@@ -180,9 +184,10 @@ class GaussWindow:
     Each query mu[j] sees only the band of `width` knots from lo[j]: those
     within 10 sigma of it, or all knots when that band would span the
     lattice, in which case lo is 0 and the band's edge tails are the
-    lattice's own.  The window keeps lo, the segment integrals i0, i1, i2
-    over each band and six tail vectors, and `apply` combines value rows
-    against them.  The knots must number at least 2 and be increasing and
+    lattice's own.  The window keeps lo, the segment integrals i0 and i1
+    over each band and four tail vectors, and `apply` combines value rows
+    against them: m0 from both, m1 by Stein's identity from i0 and the tail
+    masses alone.  The knots must number at least 2 and be increasing and
     uniform up to `linspace` rounding, at any offset; slopes use the one
     spacing h of the first segment.
     """
@@ -213,22 +218,19 @@ class GaussWindow:
         near = np.clip(mu, knots[0] - 40.0 * sigma - h, knots[-1] + 40.0 * sigma + h)
         center = np.clip((near - knots[0]) / h, 0, n - 1).astype(int)
         self.lo = np.clip(center - half, 0, n - self.width)
-        self.i0, self.i1, self.i2 = (np.empty((len(mu), self.width - 1)) for _ in range(3))
+        self.i0, self.i1 = np.empty((2, len(mu), self.width - 1))
         # window-edge tails extend the local edge segments to +-infinity; the
         # global lattice tails are recovered exactly when the window hits an end
-        self.tails = np.empty((6, len(mu)))   # cdf_l, pdf_l, i2_l, t0, pdf_r, i2_r
+        self.tails = np.empty((4, len(mu)))   # cdf_l, pdf_l, t0 = 1 - cdf_r, pdf_r
+        self.knot_band = sliding_window_view(knots, self.width - 1)  # a view of the knots
         band = sliding_window_view(knots, self.width)
         for rows in self._blocks(1):
             z = np.clip((band[self.lo[rows]] - near[rows, None]) / sigma, -38.0, 38.0)
             cdf = _ndtr(z)
             pdf = _INV_SQRT2PI * np.exp(-0.5 * z * z)
-            zpdf = z * pdf
-            i0 = np.subtract(cdf[:, 1:], cdf[:, :-1], out=self.i0[rows])
+            np.subtract(cdf[:, 1:], cdf[:, :-1], out=self.i0[rows])
             np.subtract(pdf[:, :-1], pdf[:, 1:], out=self.i1[rows])
-            self.i2[rows] = i0 + zpdf[:, :-1] - zpdf[:, 1:]
-            t0 = 1.0 - cdf[:, -1]
-            self.tails[:, rows] = (cdf[:, 0], pdf[:, 0], cdf[:, 0] - zpdf[:, 0],
-                                   t0, pdf[:, -1], t0 + zpdf[:, -1])
+            self.tails[:, rows] = cdf[:, 0], pdf[:, 0], 1.0 - cdf[:, -1], pdf[:, -1]
 
     def _blocks(self, stack):
         """Row slices of at most _BLOCK_ENTRIES band entries for `stack` value rows."""
@@ -243,39 +245,32 @@ class GaussWindow:
         # a band's slopes and left values are windows of the whole row's
         slope_band = sliding_window_view(np.diff(vals) / self.h, seg, axis=-1)
         val_band = sliding_window_view(vals, seg, axis=-1)
-        knot_band = sliding_window_view(knots, seg)
-        cdf_l, pdf_l, i2_l, t0, pdf_r, i2_r = self.tails
+        cdf_l, pdf_l, t0, pdf_r = self.tails
         m0 = np.empty(vals.shape[:-1] + mu.shape)
         m1 = np.empty_like(m0)
         for rows in self._blocks(1 if vals.ndim == 1 else len(vals)):
             lo, mu_b = self.lo[rows], mu[rows]
-            i0, i1, i2 = self.i0[rows], self.i1[rows], self.i2[rows]
+            i0, i1 = self.i0[rows], self.i1[rows]
             slopes = slope_band[..., lo, :]
-            offset = knot_band[lo]
+            offset = self.knot_band[lo]
             np.subtract(mu_b[:, None], offset, out=offset)     # mu - knot
             a_mat = val_band[..., lo, :]
             a_mat += slopes * offset
-            # the sums of a_mat i0 + sigma slopes i1 and of
-            # sigma a_mat i1 + sigma^2 slopes i2, in two reused buffers
+            # m0: the sum of a_mat i0 + sigma slopes i1
             t = a_mat * i0
             u = np.multiply(slopes, sigma)
             u *= i1
             t += u
             s0 = np.sum(t, axis=-1)
-            np.multiply(a_mat, sigma, out=t)
-            t *= i1
-            np.multiply(slopes, sigma * sigma, out=u)
-            u *= i2
-            t += u
-            s1 = np.sum(t, axis=-1)
+            # m1 = sigma^2 E[f'(X)] by Stein's identity: each slope times its mass
+            s1 = np.einsum("...ij,ij->...i", slopes, i0)
             a_l, s_l, s_r = a_mat[..., 0], slopes[..., 0], slopes[..., -1]
             s0 += a_l * cdf_l[rows] - sigma * s_l * pdf_l[rows]
-            s1 += -sigma * a_l * pdf_l[rows] + sigma * sigma * s_l * i2_l[rows]
             hi = lo + seg
             a_r = vals[..., hi] + s_r * (mu_b - knots[hi])
             s0 += a_r * t0[rows] + sigma * s_r * pdf_r[rows]
-            s1 += sigma * a_r * pdf_r[rows] + sigma * sigma * s_r * i2_r[rows]
-            m0[..., rows], m1[..., rows] = s0, s1
+            s1 += s_l * cdf_l[rows] + s_r * t0[rows]
+            m0[..., rows], m1[..., rows] = s0, sigma * sigma * s1
         return m0, m1
 
 

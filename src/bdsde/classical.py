@@ -230,8 +230,12 @@ def _path_chunks(w: BackwardPath, size: int) -> list:
 def _solve_on_tree(problem: BdsdeProblem, tree: BrownianTree, w: BackwardPath | list,
                    opts: SolverOptions, constraint: Optional[Callable] = None):
     """The sweep on the tree for one path or a list of paths; returns path 0's
-    solution, with every path's y0, and path 0's per-step pushes."""
+    solution, with every path's y0, and path 0's per-step pushes.  A tree whose
+    a and step are a (V, 1) column is V trees swept together on one path."""
     grid = tree.grid
+    column = np.ndim(tree.a) > 0
+    if column and batch_paths(w).values.ndim > 1:
+        raise InvalidArgumentError("a column of trees is swept on one backward path")
     cond = tree_cond(tree)
     leaves = tree.states(grid.n_steps)
     y_T = np.asarray(problem.terminal(leaves), dtype=float)
@@ -239,11 +243,17 @@ def _solve_on_tree(problem: BdsdeProblem, tree: BrownianTree, w: BackwardPath | 
     h = tree.step
     z_T = (0.5 * problem.terminal(leaves + h) * h
            + 0.5 * problem.terminal(leaves - h) * -h) / (tree.a * grid.dt)
-    y, z, residual, iters, pushes, y0_paths = backward_sweep(
-        problem, grid, w, y_T, z_T, lambda i, y, z, w: backward_step(
-            problem, cond, tree.states, i, grid, y, z, w, tree.a, opts, constraint))
-    return BdsdeSolution(y=y, z=z, residual=residual, picard_iters=iters, y0=float(y[0][0]),
-                         y0_paths=y0_paths,
+
+    def step(i, y, z, w):
+        y, z, iters, defect, push = backward_step(problem, cond, tree.states, i, grid, y, z, w,
+                                                  tree.a, opts, constraint)
+        if column:  # the worst volatility's, as in solve_dp's lattice step
+            iters, defect = iters.max(axis=0), defect.max(axis=0)
+        return y, z, iters, defect, push
+
+    y, z, residual, iters, pushes, y0_paths = backward_sweep(problem, grid, w, y_T, z_T, step)
+    return BdsdeSolution(y=y, z=z, residual=residual, picard_iters=iters,
+                         y0=float(y0_paths[0]), y0_paths=y0_paths,
                          meta={"backend": "tree", "a": tree.a}), pushes
 
 
@@ -255,7 +265,9 @@ def solve_tree(problem: BdsdeProblem, tree: BrownianTree, w: BackwardPath | list
     one `backward_sweep` with the paths as a leading batch axis.  The
     solution is path 0's (levels, z, residual and iterations as if solved
     alone) and y0_paths holds every path's y0 in list order, each equal to
-    that path's own solve.
+    that path's own solve.  Over a column of trees (a and step (V, 1)) on one
+    path, levels lead with the volatility, y0_paths holds each tree's own y0,
+    and the residual and iterations are the worst volatility's.
     """
     return _solve_on_tree(problem, tree, w, opts)[0]
 

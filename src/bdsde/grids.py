@@ -183,7 +183,9 @@ class BrownianTree:
 
     Level i holds i + 1 nodes, node j at x0 + (2j - i) * step.  Each node moves
     up or down by step = sqrt(a * dt) with probability 1/2, so one-step
-    conditional moments are (0, a * dt) exactly.
+    conditional moments are (0, a * dt) exactly.  a and step may also be
+    (V, 1) columns, V trees on one grid whose levels carry the volatility as
+    a leading axis (see classical.solve_tree); build_tree builds a single tree.
     """
 
     grid: TimeGrid

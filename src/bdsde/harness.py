@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import io
 import json
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -177,11 +178,19 @@ class StudyResult:
     fitted_order: Optional[float]
 
 
+def _halvings(halvings) -> int:
+    """halvings as an int, or ConfigError naming it unless it is an integral number >= 2."""
+    if not (isinstance(halvings, numbers.Real) and float(halvings).is_integer()):
+        raise ConfigError(f"halvings must be an integer, got {halvings!r}")
+    if halvings < 2:
+        raise ConfigError(f"halvings must be >= 2, got {halvings!r}")
+    return int(halvings)
+
+
 def convergence_study(cfg: ExperimentConfig, halvings: int = 3) -> StudyResult:
     """Repeat the run with dt halved per round; spatial resolution follows dt
     (lattice spacing proportional to the step) and path counts quadruple."""
-    if halvings < 2:
-        raise ConfigError(f"halvings must be >= 2, got {halvings!r}")
+    halvings = _halvings(halvings)
     base_n = cfg.get("grid", "n_steps")
     base_x = cfg.get("spatial", "x_steps")
     base_paths = cfg.get("mc", "n_paths")
@@ -224,8 +233,7 @@ def flow_order_study(halvings: int = 3, base_n: int = 32) -> StudyResult:
     points has the same limit.  On 64 equal steps of the straight path the
     integrator's O(h^2) error is at rounding level (6e-16 from 256 steps).
     """
-    if halvings < 2:
-        raise ConfigError(f"halvings must be >= 2, got {halvings!r}")
+    halvings = _halvings(halvings)
     ref_val = _flow_eta0(64, straight=True)
     records = []
     for k in range(halvings):

@@ -26,6 +26,7 @@ from .classical import BdsdeProblem, SolverOptions, backward_step, backward_swee
 from .errors import ConsistencyError, InvalidArgumentError, VerificationError
 from .grids import (
     BackwardPath,
+    BrownianTree,
     PathEnsemble,
     TimeGrid,
     VolatilityGrid,
@@ -162,7 +163,8 @@ def lattice_cond(xs: np.ndarray, a: float, dt: float) -> Callable:
     """One-step moments R -> (E[R], E[R dX] / (a dt)) on the lattice under volatility a.
 
     The step's Gaussian window is built here, once, and every call applies
-    it to R: one row, or a stack of rows with paths as the leading axis."""
+    it to R: one row, or a stack of rows with paths as the leading axis.
+    By Stein's identity z is R's expected slope, up to rounding."""
     window = GaussWindow(xs, xs, math.sqrt(a * dt))
 
     def cond(r):
@@ -281,14 +283,16 @@ def _constant_control_values(problem: TbdsdeProblem, sol: TbdsdeSolution,
                              w: BackwardPath) -> dict:
     """{a: y0} per finite volatility a of the solve: the root value of the
     constant-control classical solve on a's exact tree, under the solve's
-    grid, x0 and options.  A tree solution is that solve for its sole
-    volatility, so its own y0 is reused."""
+    grid, x0 and options, all of them in one sweep over a column of trees.
+    A tree solution is that solve for its sole volatility, so its own y0 is
+    reused."""
+    a_vals = sol.meta["a_values"]
     if sol.backend == "tree":
-        return {float(sol.meta["a_values"][0]): sol.y0}
-    grid, x0, opts = sol.meta["grid"], sol.meta["x0"], sol.meta["opts"]
-    return {float(a): solve_tree(problem.classical_problem(float(a)),
-                                 build_tree(grid, float(a), x0=x0), w, opts).y0
-            for a in sol.meta["a_values"]}
+        return {float(a_vals[0]): sol.y0}
+    grid, a = sol.meta["grid"], a_vals[:, None]
+    trees = BrownianTree(grid=grid, a=a, x0=sol.meta["x0"], step=np.sqrt(a * grid.dt))
+    y0 = solve_tree(problem.classical_problem(a), trees, w, sol.meta["opts"]).y0_paths
+    return dict(zip(a_vals.tolist(), y0.tolist()))
 
 
 def minimality_gap(problem: TbdsdeProblem, sol: TbdsdeSolution, w: BackwardPath) -> float:

@@ -7,6 +7,7 @@ from bdsde import rng
 from bdsde.classical import (
     MAX_ITERS,
     BdsdeProblem,
+    SolverOptions,
     _fixed_point,
     _regress_on_state,
     check_comparison,
@@ -16,6 +17,7 @@ from bdsde.classical import (
 )
 from bdsde.errors import ConvergenceError, InvalidArgumentError, RegressionError, StepSizeError
 from bdsde.grids import (
+    BrownianTree,
     build_time_grid,
     build_tree,
     sample_backward_path,
@@ -138,6 +140,31 @@ class TestTreeSolver:
             sub_w = sample_backward_path(sub_grid, seed=0)
             sub = solve_tree(prob, sub_tree, sub_w)
             assert sub.y0 == pytest.approx(sol.y[i][j], abs=1e-12)
+
+    @pytest.mark.parametrize("g_scheme", ["ito", "stratonovich"])
+    def test_a_column_of_trees_is_each_trees_own_solve(self, g_scheme):
+        # V trees swept together on one path: every level, y0, z and the
+        # worst residual and iteration count are those of the solo solves
+        grid = build_time_grid(0.0, 1.0, 12)
+        w = sample_backward_path(grid, seed=3)
+        prob = BdsdeProblem(terminal=lambda x: np.abs(x - 0.2),
+                            f=lambda t, x, y, z: 0.3 * np.sin(y) - 0.2 * z,
+                            g=lambda t, x, y, z: 0.5 * np.cos(y))
+        opts = SolverOptions(g_scheme=g_scheme)
+        a = np.array([0.5, 0.8, 1.4, 2.0])[:, None]
+        trees = BrownianTree(grid=grid, a=a, x0=0.3, step=np.sqrt(a * grid.dt))
+        both = solve_tree(prob, trees, w, opts)
+        solo = [solve_tree(prob, build_tree(grid, v, x0=0.3), w, opts) for v in a[:, 0]]
+        assert both.y0_paths.tolist() == [s.y0 for s in solo] and both.y0 == solo[0].y0
+        for i in range(grid.n_steps + 1):
+            np.testing.assert_array_equal(both.y[i], [s.y[i] for s in solo])
+            np.testing.assert_array_equal(both.z[i], [s.z[i] for s in solo])
+        np.testing.assert_array_equal(both.residual, np.max([s.residual for s in solo], axis=0))
+        np.testing.assert_array_equal(both.picard_iters,
+                                      np.max([s.picard_iters for s in solo], axis=0))
+        assert len({tuple(s.picard_iters) for s in solo}) > 1
+        with pytest.raises(InvalidArgumentError, match="one backward path"):
+            solve_tree(prob, trees, [w, sample_backward_path(grid, seed=4)], opts)
 
 
 def affine_update(c, b, calls):

@@ -289,6 +289,13 @@ class TestStudies:
         with pytest.raises(ConfigError):
             convergence_study(cfg_for("identity", "tree"), halvings=1)
 
+    @pytest.mark.parametrize("halvings", [2.5, np.nan, "3"])
+    def test_studies_refuse_a_halvings_that_is_not_an_integer(self, halvings):
+        for study in (lambda: convergence_study(cfg_for("identity", "tree"), halvings=halvings),
+                      lambda: flow_order_study(halvings=halvings)):
+            with pytest.raises(ConfigError, match=f"halvings must be an integer, got {halvings!r}"):
+                study()
+
     @pytest.mark.parametrize("halvings", [1, 0])
     def test_flow_study_requires_two_halvings(self, halvings, tmp_path):
         with pytest.raises(ConfigError, match=f"halvings must be >= 2, got {halvings}"):

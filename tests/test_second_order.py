@@ -521,6 +521,15 @@ class TestRepresentation:
         calls.clear()
         gap = minimality_gap(prob, solve_dp(prob, grid, w, x0=0.5), w)
         assert gap == 0.0 and len(calls) == 1
+        # several volatilities: their trees are one column, swept once
+        prob = bsb_problem(terminal=lambda x: np.abs(x), n_a=4)
+        sol = solve_dp(prob, grid, w, x0=0.5, opts=DpOptions(x_steps=40))
+        calls.clear()
+        rep = representation_check(prob, grid, w, x0=0.5, opts=DpOptions(x_steps=40))
+        assert len(calls) == 1 and np.shape(calls[0][1].a) == (4, 1)
+        assert rep.per_a == {a: solve_tree(prob.classical_problem(a), build_tree(grid, a, x0=0.5),
+                                           w).y0 for a in prob.finite_volatilities().tolist()}
+        assert minimality_gap(prob, sol, w) == rep.surplus
 
     def test_bsb_surplus_order_dt(self):
         surpluses = []
