@@ -21,9 +21,14 @@ stack of rows (one per backward path), against them; each row's moments are
 bit for bit those of a call with that row alone.  Both walk the queries in
 row blocks of at most _BLOCK_ENTRIES band entries, and the knot band and its
 mu - knot offsets are gathered per block rather than stored, so the window
-holds two (queries, band) arrays and no temporary grows with the lattice.  A
-lattice solver builds one window per volatility and step size and applies
-it at every step; `pl_gauss_moments` is setup-then-apply in one call.
+holds two (queries, band) arrays and no temporary grows with the lattice.
+Per block, the apply does band arithmetic alone: it gathers the band's
+slopes, knots and values, sums a i0 + sigma slope i1 into m0 and dots the
+slopes with i0 into m1.  Once per apply, over every query, it takes the
+row's slopes and the two edge tails, which extend each band's end segments
+to +-infinity and are added after the band sums.  A lattice solver builds
+one window per volatility and step size and applies it at every step;
+`pl_gauss_moments` is setup-then-apply in one call.
 Knots must be increasing and uniform up to `linspace` rounding; anything
 else raises `InvalidArgumentError`.  The setup's normal cdf is `_ndtr`, a
 numpy port of Cephes `ndtr`.  `_moments_numpy`, the same moments over full
@@ -37,7 +42,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import InvalidArgumentError
 
@@ -178,6 +183,13 @@ def _moments_numpy(knots, vals, mu, sigma):
     return m0, m1
 
 
+def _windows(rows, width):
+    """Read-only windows of `width` entries along the last axis of a contiguous
+    array: entry k of window j is rows[..., j + k], a view."""
+    shape = rows.shape[:-1] + (rows.shape[-1] - width + 1, width)
+    return as_strided(rows, shape, rows.strides + rows.strides[-1:], writeable=False)
+
+
 class GaussWindow:
     """The Gaussian terms of the moments for fixed (knots, mu, sigma).
 
@@ -222,8 +234,8 @@ class GaussWindow:
         # window-edge tails extend the local edge segments to +-infinity; the
         # global lattice tails are recovered exactly when the window hits an end
         self.tails = np.empty((4, len(mu)))   # cdf_l, pdf_l, t0 = 1 - cdf_r, pdf_r
-        self.knot_band = sliding_window_view(knots, self.width - 1)  # a view of the knots
-        band = sliding_window_view(knots, self.width)
+        self.knot_band = _windows(knots, self.width - 1)  # a view of the knots
+        band = _windows(knots, self.width)
         for rows in self._blocks(1):
             z = np.clip((band[self.lo[rows]] - near[rows, None]) / sigma, -38.0, 38.0)
             cdf = _ndtr(z)
@@ -240,37 +252,38 @@ class GaussWindow:
     def apply(self, vals):
         """(m0, m1) of one row of knot values, or row by row of a 2-D stack."""
         vals = np.ascontiguousarray(vals, dtype=float)
-        knots, mu, sigma = self.knots, self.mu, self.sigma
+        knots, mu, sigma, lo = self.knots, self.mu, self.sigma, self.lo
         seg = self.width - 1
+        slope = np.diff(vals) / self.h
         # a band's slopes and left values are windows of the whole row's
-        slope_band = sliding_window_view(np.diff(vals) / self.h, seg, axis=-1)
-        val_band = sliding_window_view(vals, seg, axis=-1)
-        cdf_l, pdf_l, t0, pdf_r = self.tails
+        slope_band, val_band = _windows(slope, seg), _windows(vals, seg)
         m0 = np.empty(vals.shape[:-1] + mu.shape)
         m1 = np.empty_like(m0)
         for rows in self._blocks(1 if vals.ndim == 1 else len(vals)):
-            lo, mu_b = self.lo[rows], mu[rows]
-            i0, i1 = self.i0[rows], self.i1[rows]
-            slopes = slope_band[..., lo, :]
-            offset = self.knot_band[lo]
-            np.subtract(mu_b[:, None], offset, out=offset)     # mu - knot
-            a_mat = val_band[..., lo, :]
-            a_mat += slopes * offset
-            # m0: the sum of a_mat i0 + sigma slopes i1
-            t = a_mat * i0
-            u = np.multiply(slopes, sigma)
-            u *= i1
-            t += u
-            s0 = np.sum(t, axis=-1)
+            lo_b, i0 = lo[rows], self.i0[rows]
+            s = slope_band[..., lo_b, :]
             # m1 = sigma^2 E[f'(X)] by Stein's identity: each slope times its mass
-            s1 = np.einsum("...ij,ij->...i", slopes, i0)
-            a_l, s_l, s_r = a_mat[..., 0], slopes[..., 0], slopes[..., -1]
-            s0 += a_l * cdf_l[rows] - sigma * s_l * pdf_l[rows]
-            hi = lo + seg
-            a_r = vals[..., hi] + s_r * (mu_b - knots[hi])
-            s0 += a_r * t0[rows] + sigma * s_r * pdf_r[rows]
-            s1 += s_l * cdf_l[rows] + s_r * t0[rows]
-            m0[..., rows], m1[..., rows] = s0, sigma * sigma * s1
+            np.vecdot(s, i0, out=m1[..., rows])
+            a = self.knot_band[lo_b]
+            np.subtract(mu[rows, None], a, out=a)     # mu - knot
+            a = s * a
+            a += val_band[..., lo_b, :]               # a = v + s (mu - knot)
+            # m0: the sum of a i0 + sigma s i1
+            a *= i0
+            s *= sigma
+            s *= self.i1[rows]
+            a += s
+            np.add.reduce(a, axis=-1, out=m0[..., rows])
+        # the band's edge segments extended to +-infinity, for every query at once
+        cdf_l, pdf_l, t0, pdf_r = self.tails
+        hi = lo + seg
+        s_l, s_r = slope[..., lo], slope[..., hi - 1]
+        a_l = vals[..., lo] + s_l * (mu - knots[lo])
+        a_r = vals[..., hi] + s_r * (mu - knots[hi])
+        m0 += a_l * cdf_l - sigma * s_l * pdf_l
+        m0 += a_r * t0 + sigma * s_r * pdf_r
+        m1 += s_l * cdf_l + s_r * t0
+        m1 *= sigma * sigma
         return m0, m1
 
 

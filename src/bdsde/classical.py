@@ -88,8 +88,20 @@ def _fixed_point(update, y, i, a):
     path against a column a), and update must act on each row on its own.
     A row freezes at the iterate of its first change <= FP_TOL, n_iters that
     pass, while others go on; once none is live, one more update gives each
-    row's defect there.  So a row's results are those of its own solve.
+    row's defect there.  So a row's results are those of its own solve.  A
+    lone row, 1-D y, keeps its count and change as scalars, not 0-d masks.
     """
+    if np.ndim(y) == 1:
+        for k in range(MAX_ITERS + 1):
+            y_new = update(y)
+            change = np.abs(y_new - y).max(initial=0.0)
+            if k == MAX_ITERS:
+                raise _unconverged(i, a, (np.argmax(np.abs(y_new - y)),))
+            if not math.isfinite(change):
+                _check_finite(i, a, iterate=y_new)
+            y = y_new
+            if change <= FP_TOL:
+                return y, np.asarray(k + 1), np.asarray(np.abs(update(y) - y).max(initial=0.0))
     live = np.ones(np.shape(y)[:-1], dtype=bool)
     iters = np.zeros(live.shape, dtype=int)
     for k in range(MAX_ITERS + 1):
@@ -97,12 +109,10 @@ def _fixed_point(update, y, i, a):
         change = np.abs(y_new - y).max(axis=-1, initial=0.0)
         n_live = np.count_nonzero(live)
         if not n_live:
-            return y, iters, np.asarray(change)
+            return y, iters, change
         if k == MAX_ITERS:  # name the first live row's largest change
             row = tuple(np.argwhere(live)[0])
-            vol, _, _, where = _locate(a, row + (np.argmax(np.abs(y_new - y)[row]),))
-            raise ConvergenceError(f"inner fixed point at {where} did not reach {FP_TOL:g} in "
-                                   f"{MAX_ITERS} iterations at step {i}, volatility {vol:g}")
+            raise _unconverged(i, a, row + (np.argmax(np.abs(y_new - y)[row]),))
         if n_live < live.size:  # frozen rows keep their value
             y_new[~live] = y[~live]
         if not math.isfinite(change.sum()):  # name the first bad entry of a live row
@@ -110,6 +120,13 @@ def _fixed_point(update, y, i, a):
         iters += live
         live &= ~(change <= FP_TOL)
         y = y_new
+
+
+def _unconverged(i, a, index):
+    """The ConvergenceError of a fixed point whose largest live change is at index."""
+    vol, _, _, where = _locate(a, index)
+    return ConvergenceError(f"inner fixed point at {where} did not reach {FP_TOL:g} in "
+                            f"{MAX_ITERS} iterations at step {i}, volatility {vol:g}")
 
 
 def tree_cond(tree: BrownianTree) -> Callable:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -197,8 +198,19 @@ class BrownianTree:
         return level + 1
 
     def states(self, level: int) -> np.ndarray:
-        j = np.arange(self.n_nodes(level))
-        return self.x0 + (2 * j - level) * self.step
+        """The level's node states, a read-only view of every 2nd entry of `_line`."""
+        n = self.grid.n_steps
+        if not 0 <= level <= n:
+            raise InvalidArgumentError(f"the tree has levels 0 to {n}, got {level}")
+        return self._line[..., n - level:n + level + 1:2]
+
+    @cached_property
+    def _line(self) -> np.ndarray:
+        """x0 + m * step for m = -n_steps, ..., n_steps: every state of every level."""
+        n = self.grid.n_steps
+        line = self.x0 + np.arange(-n, n + 1) * self.step
+        line.flags.writeable = False
+        return line
 
     def child_expectation(self, values_next: np.ndarray) -> np.ndarray:
         """E_i[v(child)] for each node at the coarser level.

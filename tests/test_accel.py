@@ -1,9 +1,12 @@
 import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from bdsde import _accel
 from bdsde.errors import InvalidArgumentError
@@ -247,6 +250,35 @@ def test_window_m0_keeps_its_pinned_bits():
     for (r, k), v in M0_PINNED_LIBM_EXP.items():
         libm[r][k] = v
     assert got in (M0_PINNED, libm)
+
+
+@given(n=st.integers(2, 400), start=st.floats(-50.0, 50.0), h=st.floats(1e-3, 1.0),
+       bands=st.floats(0.02, 1.0), frac=st.floats(0.0, 1.0, exclude_max=True),
+       off=st.floats(0.0, 30.0), seed=st.integers(0, 2**20))
+# bands of 19 and 243 of 400 knots; one band spanning the lattice
+@example(n=400, start=-2.0, h=0.01, bands=0.02, frac=0.37, off=1.3, seed=1)
+@example(n=400, start=7.5, h=0.01, bands=0.3, frac=0.5, off=0.02, seed=2)
+@example(n=33, start=-2.0, h=0.125, bands=1.0, frac=0.0, off=4.0, seed=3)
+def test_window_apply_does_not_depend_on_the_row_blocks(n, start, h, bands, frac, off, seed):
+    # sigma from a band of a few knots (bands -> 0) to past the whole lattice
+    # (bands = 1); the queries sit on the knots, at frac of each segment and
+    # off both ends
+    knots = np.linspace(start, start + (n - 1) * h, n)
+    sigma = bands * n * h / 10.0
+    mus = np.concatenate([knots, knots[:-1] + frac * h,
+                          knots[[0, 0, -1, -1]] + [-off, -0.5 * h, 0.5 * h, off]])
+    window = _accel.GaussWindow(knots, mus, sigma)
+    rows = np.cumsum(np.random.default_rng(seed).standard_normal((3, n)), axis=1) * 0.1
+    for vals in (rows[0], rows):
+        stack = 1 if vals.ndim == 1 else len(vals)
+        results = []
+        # one row per block, the default, and the whole window in one block
+        for entries in (1, _accel._BLOCK_ENTRIES, stack * len(mus) * window.width):
+            with mock.patch.object(_accel, "_BLOCK_ENTRIES", entries):
+                results.append(window.apply(vals))
+        for m0, m1 in results[1:]:
+            assert m0.tobytes() == results[0][0].tobytes()
+            assert m1.tobytes() == results[0][1].tobytes()
 
 
 @pytest.mark.parametrize("sigma", [0.03, 0.2, 0.7])

@@ -15,7 +15,8 @@ from bdsde.classical import (
     solve_tree,
     solve_with_forcing,
 )
-from bdsde.errors import ConvergenceError, InvalidArgumentError, RegressionError, StepSizeError
+from bdsde.errors import (ConvergenceError, InvalidArgumentError, NonFiniteError, RegressionError,
+                          StepSizeError)
 from bdsde.grids import (
     BrownianTree,
     build_time_grid,
@@ -197,7 +198,8 @@ class TestFixedPoint:
         ((4,), 1.0, (2,), "path 2, node 3 did not reach 1e-12 in {} iterations at step 5, "
                           "volatility 1$"),
         ((2, 3), np.array([[[0.5]], [[2.0]]]), (1, 1),
-         "path 1, node 3 did not reach 1e-12 in {} iterations at step 5, volatility 2$")])
+         "path 1, node 3 did not reach 1e-12 in {} iterations at step 5, volatility 2$"),
+        ((), 1.0, (), "at node 3 did not reach 1e-12 in {} iterations at step 5, volatility 1$")])
     def test_convergence_error_names_the_first_live_row(self, shape, a, stuck, where):
         # rows from stuck on contract at 0.99: they need ~2750 passes
         c = np.full(shape, 0.5)
@@ -207,6 +209,21 @@ class TestFixedPoint:
         b[..., 1] = 0.5
         with pytest.raises(ConvergenceError, match=where.format(MAX_ITERS)):
             _fixed_point(affine_update(c, b, []), np.zeros_like(b), 5, a)
+
+    @pytest.mark.parametrize("shape, where", [((), "node 2$"), ((4,), "path 0, node 2$")])
+    def test_a_non_finite_iterate_names_its_node(self, shape, where):
+        # y <- 0.5 y + b, with b's node 2 turning to NaN on the third pass
+        b, calls = np.ones(shape + (5,)), []
+
+        def update(y):
+            calls.append(None)
+            if len(calls) == 3:
+                b[..., 2] = np.nan
+            return 0.5 * y + b
+        with pytest.raises(NonFiniteError, match="non-finite iterate at step 5, volatility 1, "
+                                                 + where):
+            _fixed_point(update, np.zeros(shape + (5,)), 5, 1.0)
+        assert len(calls) == 3
 
 
 class TestForcing:

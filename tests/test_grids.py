@@ -10,6 +10,7 @@ from bdsde import rng
 from bdsde.errors import InvalidArgumentError
 from bdsde.grids import (
     BackwardPath,
+    BrownianTree,
     batch_paths,
     build_time_grid,
     build_tree,
@@ -229,6 +230,23 @@ class TestTree:
     def test_refuses_a_non_finite_start(self, x0):
         with pytest.raises(InvalidArgumentError, match="x0"):
             build_tree(build_time_grid(0, 1, 4), 1.0, x0=x0)
+
+    @pytest.mark.parametrize("a", [1.7, np.array([[0.5], [1.0], [2.0]])])
+    def test_states_are_each_levels_nodes_read_only(self, a):
+        # node j of level i is x0 + (2j - i) step, bit for bit, on a scalar tree
+        # and on a (3, 1) column of trees; a level is a view nobody may write
+        g = build_time_grid(0, 1, 7)
+        t = BrownianTree(grid=g, a=a, x0=0.3, step=np.sqrt(a * g.dt))
+        for i in range(g.n_steps + 1):
+            got = t.states(i)
+            want = 0.3 + (2 * np.arange(i + 1) - i) * t.step
+            assert got.shape == want.shape == np.shape(a)[:-1] + (i + 1,)
+            assert got.tobytes() == want.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                got[..., 0] = 1.0
+        for level in (-1, g.n_steps + 1):
+            with pytest.raises(InvalidArgumentError, match=f"levels 0 to 7, got {level}$"):
+                t.states(level)
 
 
 class TestEnsemble:
