@@ -14,7 +14,6 @@ from .classical import (
     check_comparison,
     solve_regression,
     solve_tree,
-    solve_with_forcing,
 )
 from .doss import (
     FlowCoefficient,
@@ -63,7 +62,6 @@ from .oracles import (
 from .reflected import (
     Barrier,
     ReflectedSolution,
-    penalization_sweep,
     skorokhod_diagnostic,
     snell_envelope,
     solve_penalized,
@@ -77,6 +75,5 @@ from .second_order import (
     feynman_kac_residual,
     hamiltonian,
     minimality_gap,
-    representation_check,
     solve_dp,
 )

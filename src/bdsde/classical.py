@@ -9,9 +9,10 @@ by one backward induction, `backward_sweep`.  The backward integral anchors
 g at the RIGHT endpoint against dW_i = W_{t_{i+1}} - W_{t_i} ("ito"); the
 midpoint ("stratonovich") scheme averages the two endpoints instead.  The
 y-update is implicit with an inner fixed point (contraction for
-dt * Lip(f) < 1); z comes from an explicit conditional projection against
-the forward increment.  The conditional expectation backend is either exact
-(the binomial tree, d = 1) or least-squares Monte Carlo.  Both sweep several
+dt * Lip(f) < 1), and a forcing V enters it as the increment V_{i+1} - V_i;
+z comes from an explicit conditional projection against the forward
+increment.  The conditional expectation backend is either exact (the
+binomial tree, d = 1) or least-squares Monte Carlo.  Both sweep several
 frozen backward paths at once, as a leading axis of their values.
 """
 
@@ -204,17 +205,22 @@ def backward_sweep(problem, grid, w: BackwardPath | list, y_T, z_T, step: Callab
     a chunk of one is that path alone.  Every path's values are those of
     its own solve either way.  step(i, y_next, z_next, w) -> (y, z, iters,
     defect, extra) moves level i + 1 to level i, extra None or an array with
-    the leading axes of y.  Checks that w lives on grid and that the
-    implicit step contracts (dt * Lip(f) < 1).  Returns (y, z, residual,
-    iters, extras, y0_paths): path 0's levels (y[n], z[n] the terminal data;
-    with all_levels False, y and z hold level 0 alone) and per-step defects,
-    iterations and extras, as if it were solved alone, and y0_of(level-0 y)
-    of every path in order (by default node 0's value: a tree's root, or
-    any LSMC path, all of which start at x0).
+    the leading axes of y.  Checks that w lives on grid, that a forcing
+    holds one value per grid node and that the implicit step contracts
+    (dt * Lip(f) < 1).  Returns (y, z, residual, iters, extras, y0_paths):
+    path 0's levels (y[n], z[n] the terminal data; with all_levels False, y
+    and z hold level 0 alone) and per-step defects, iterations and extras,
+    as if it were solved alone, and y0_of(level-0 y) of every path in order
+    (by default node 0's value: a tree's root, or any LSMC path, all of
+    which start at x0).
     """
     w = batch_paths(w)
     w.require_grid(grid)
     _check_contraction(problem, grid.dt)
+    forcing = getattr(problem, "forcing", None)  # a TbdsdeProblem carries none
+    if forcing is not None and np.shape(forcing) != (grid.n_steps + 1,):
+        raise InvalidArgumentError(f"forcing must carry one value per grid node, shape "
+                                   f"{(grid.n_steps + 1,)}, got {np.shape(forcing)}")
     n = grid.n_steps
     chunks = _path_chunks(w, max(1, SWEEP_VALUES // np.shape(y_T)[-1]))
     # path 0's entry of a step's results: row 0 of a batch, copied so that
@@ -287,36 +293,6 @@ def solve_tree(problem: BdsdeProblem, tree: BrownianTree, w: BackwardPath | list
     and the residual and iterations are the worst volatility's.
     """
     return _solve_on_tree(problem, tree, w, opts)[0]
-
-
-def solve_with_forcing(problem: BdsdeProblem, tree: BrownianTree, w: BackwardPath,
-                       opts: SolverOptions = SolverOptions()) -> BdsdeSolution:
-    """Forced equation solved via the additive substitution ybar = y + V."""
-    V = problem.forcing
-    if V is None:
-        V = np.zeros(tree.grid.n_steps + 1)
-    V = np.asarray(V, dtype=float)
-    if V.shape != (tree.grid.n_steps + 1,):
-        raise InvalidArgumentError("forcing must carry one value per grid node")
-
-    v_of_t = {round(tree.grid.time(i), 12): V[i] for i in range(len(V))}
-
-    def vt(t):
-        return v_of_t[round(t, 12)]
-
-    shifted = replace(
-        problem,
-        terminal=lambda x: problem.terminal(x) + V[-1],
-        f=lambda t, x, y, z: problem.f(t, x, y - vt(t), z),
-        g=lambda t, x, y, z: problem.g(t, x, y - vt(t), z),
-        forcing=None,
-    )
-    bar = solve_tree(shifted, tree, w, opts)
-    y_levels = [bar.y[i] - V[i] for i in range(len(bar.y))]
-    return BdsdeSolution(y=y_levels, z=bar.z, residual=bar.residual,
-                         picard_iters=bar.picard_iters, y0=float(y_levels[0][0]),
-                         y0_paths=bar.y0_paths - V[0],
-                         meta={"backend": "tree+forcing", "a": tree.a})
 
 
 @dataclass

@@ -48,10 +48,6 @@ class SingularFlowError(BdsdeError):
     """The flow's y-derivative dropped below the invertibility threshold."""
 
 
-class ConsistencyError(BdsdeError):
-    """An internal consistency check failed (scheme bug signal)."""
-
-
 class VerificationError(BdsdeError):
     """A supplied candidate solution failed verification."""
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     InvalidArgumentError,
+    NonFiniteError,
     StabilityError,
     UnsupportedOracleError,
 )
@@ -132,12 +133,15 @@ class RandomPdeProblem:
         return worst
 
 
+@np.errstate(all="ignore")  # a blow-up is one NonFiniteError after the loop, not warnings
 def fd_random_pde(problem: RandomPdeProblem, grid: TimeGrid, x_steps: int):
     """Explicit backward finite differences, upwinded first derivative.
 
     Returns (xs, v) with v of shape (n_steps + 1, x_steps + 1).  The
     curvature sensitivity is probed on the terminal data to enforce the
-    parabolic stability bound before stepping.
+    parabolic stability bound before stepping.  A value that is not finite
+    raises NonFiniteError naming the step and node of the first one in
+    backward order (the largest step that holds one).
     """
     lo, hi = problem.x_domain
     xs = np.linspace(lo, hi, _count(x_steps, "x_steps", least=2) + 1)
@@ -180,6 +184,12 @@ def fd_random_pde(problem: RandomPdeProblem, grid: TimeGrid, x_steps: int):
         else:
             v[i, 0] = 2 * v[i, 1] - v[i, 2]
             v[i, -1] = 2 * v[i, -2] - v[i, -3]
+    bad = ~np.isfinite(v)
+    if bad.any():  # the first bad entry in backward order: the largest such step
+        step = int(np.flatnonzero(bad.any(axis=1))[-1])
+        node = int(np.argmax(bad[step]))
+        raise NonFiniteError(f"non-finite fd value at step {step}, node {node}",
+                             step=step, node=node)
     return xs, v
 
 

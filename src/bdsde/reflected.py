@@ -158,14 +158,6 @@ def solve_penalized(problem: BdsdeProblem, barrier: Barrier, n_penalty: float,
                                np.zeros(tree.grid.n_steps, dtype=bool))
 
 
-def penalization_sweep(problem: BdsdeProblem, barrier: Barrier, levels,
-                       tree: BrownianTree, w: BackwardPath,
-                       opts: SolverOptions = SolverOptions()) -> dict:
-    """Root values of the penalized solutions over a ladder of penalty levels."""
-    return {float(nl): solve_penalized(problem, barrier, float(nl), tree, w, opts).y0
-            for nl in levels}
-
-
 def skorokhod_diagnostic(solution: ReflectedSolution, barrier: Barrier,
                          tree: BrownianTree, k_increments=None) -> float:
     """Flat-off diagnostic: sum of (Y - S) dK weighted by node probability.

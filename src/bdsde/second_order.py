@@ -7,6 +7,8 @@ the exact Gaussian integral of the piecewise-linear continuation (see
 _accel), the control gets the per-node argmax with ties resolved toward the
 smallest volatility, and the nondecreasing compensator K is diagnosed as
 the defect of the value against each fixed-volatility one-step operator.
+The root value's surplus over every constant control, each solved on its
+own exact tree, is `minimality_gap`.
 
 With one, the equation is the classical one and K vanishes: it is solved on
 that volatility's exact tree, nodewise equal to the classical solver.
@@ -23,7 +25,7 @@ import numpy as np
 
 from ._accel import GaussWindow, linear_interp, pl_gauss_moments
 from .classical import BdsdeProblem, SolverOptions, backward_step, backward_sweep, solve_tree
-from .errors import ConsistencyError, InvalidArgumentError, VerificationError
+from .errors import InvalidArgumentError, VerificationError
 from .grids import (
     BackwardPath,
     BrownianTree,
@@ -279,65 +281,25 @@ def extract_k(sol: TbdsdeSolution, volatility: float) -> KTrace:
     return KTrace(increments=incs, expected_cumulative=cum, volatility=a)
 
 
-def _constant_control_values(problem: TbdsdeProblem, sol: TbdsdeSolution,
-                             w: BackwardPath) -> dict:
-    """{a: y0} per finite volatility a of the solve: the root value of the
-    constant-control classical solve on a's exact tree, under the solve's
-    grid, x0 and options, all of them in one sweep over a column of trees.
-    A tree solution is that solve for its sole volatility, so its own y0 is
-    reused."""
-    a_vals = sol.meta["a_values"]
-    if sol.backend == "tree":
-        return {float(a_vals[0]): sol.y0}
-    grid, a = sol.meta["grid"], a_vals[:, None]
-    trees = BrownianTree(grid=grid, a=a, x0=sol.meta["x0"], step=np.sqrt(a * grid.dt))
-    y0 = solve_tree(problem.classical_problem(a), trees, w, sol.meta["opts"]).y0_paths
-    return dict(zip(a_vals.tolist(), y0.tolist()))
-
-
 def minimality_gap(problem: TbdsdeProblem, sol: TbdsdeSolution, w: BackwardPath) -> float:
-    """sol.y0 minus the best constant-control value at the root.
+    """The representation surplus: sol.y0 minus the best constant-control value at the root.
 
     Under a constant control the expected compensator K_T - K_0 is, through
     the equation itself, the gap between the value and that control's
     solution, so the gap is the least expected compensator over the constant
     controls; it vanishes at O(dt) for problems whose optimal control is a
-    constant element of the grid, and is exactly 0.0 on a tree solution.
-    The constant-control solves run under the solve's own options, on w,
-    the path sol was solved on (path 0 of a batch).
+    constant element of the grid.  Each constant control is solved on its
+    exact tree under the solve's grid, x0 and options, on w, the path sol
+    was solved on (path 0 of a batch), all of them in one sweep over a
+    (V, 1) column of trees.  A tree solution is its sole volatility's own
+    solve, so its gap is exactly 0.0 and nothing is solved again.
     """
-    return sol.y0 - max(_constant_control_values(problem, sol, w).values())
-
-
-@dataclass
-class RepresentationReport:
-    y0_dp: float
-    best_constant: float
-    best_a: float
-    surplus: float
-    per_a: dict
-
-
-def representation_check(problem: TbdsdeProblem, grid: TimeGrid, w: BackwardPath,
-                         x0: float = 0.0, opts: DpOptions = DpOptions(),
-                         eps: Optional[float] = None) -> RepresentationReport:
-    """Value at the root dominates every constant-control value.
-
-    The value comes from solve_dp, so its backend follows from the finite
-    volatilities; each constant-control value from that volatility's tree.
-    The surplus is `minimality_gap` of that solve.
-    """
-    sol = solve_dp(problem, grid, w, x0=x0, opts=opts)
-    per_a = _constant_control_values(problem, sol, w)
-    best_a = max(per_a, key=per_a.get)
-    surplus = sol.y0 - per_a[best_a]
-    if eps is None:
-        eps = 10.0 * grid.dt * (1.0 + abs(sol.y0))
-    if surplus < -10 * eps:
-        raise ConsistencyError(
-            f"value {sol.y0} fell {-surplus:.3e} below the best constant control")
-    return RepresentationReport(y0_dp=sol.y0, best_constant=per_a[best_a], best_a=best_a,
-                                surplus=surplus, per_a=per_a)
+    if sol.backend == "tree":
+        return 0.0
+    grid, a = sol.meta["grid"], sol.meta["a_values"][:, None]
+    trees = BrownianTree(grid=grid, a=a, x0=sol.meta["x0"], step=np.sqrt(a * grid.dt))
+    return sol.y0 - max(solve_tree(problem.classical_problem(a), trees, w,
+                                   sol.meta["opts"]).y0_paths.tolist())
 
 
 @dataclass

@@ -39,7 +39,7 @@ from bdsde.oracles import (
     ito_product_check,
     linear_spde_closed_form,
 )
-from bdsde.reflected import Barrier, penalization_sweep, solve_penalized
+from bdsde.reflected import Barrier, solve_penalized
 from bdsde.second_order import (DpOptions, TbdsdeProblem, extract_k, hamiltonian, minimality_gap,
                                  solve_dp)
 
@@ -273,8 +273,7 @@ def test_criterion_08_reflected_equation():
     w = sample_backward_path(grid, seed=3)
     prob = BdsdeProblem(terminal=lambda x: 0.0 * x, f=ZERO, g=ZERO)
     bar = Barrier(fn=lambda t, x: np.where(t < 1.0 - 1e-12, 1.0, 0.0) + 0.0 * x)
-    roots = penalization_sweep(prob, bar, [1, 10, 100, 1000], tree, w)
-    vals = [roots[float(n)] for n in (1, 10, 100, 1000)]
+    vals = [solve_penalized(prob, bar, n, tree, w).y0 for n in (1.0, 10.0, 100.0, 1000.0)]
     monotone = all(vals[i] <= vals[i + 1] + 1e-14 for i in range(3))
     snell_gap = abs(vals[-1] - 1.0)
 

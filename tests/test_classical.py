@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,6 @@ from bdsde.classical import (
     check_comparison,
     solve_regression,
     solve_tree,
-    solve_with_forcing,
 )
 from bdsde.errors import (ConvergenceError, InvalidArgumentError, NonFiniteError, RegressionError,
                           StepSizeError)
@@ -235,7 +235,7 @@ class TestForcing:
         forced = BdsdeProblem(terminal=base.terminal, f=base.f, g=base.g,
                               forcing=np.zeros(grid.n_steps + 1), lipschitz_f=1.3)
         s0 = solve_tree(base, tree, w)
-        s1 = solve_with_forcing(forced, tree, w)
+        s1 = solve_tree(forced, tree, w)
         for i in range(grid.n_steps + 1):
             assert np.array_equal(s0.y[i], s1.y[i])
             assert np.array_equal(s0.z[i], s1.z[i])
@@ -246,21 +246,45 @@ class TestForcing:
         V = grid.nodes.copy()
         prob = BdsdeProblem(terminal=lambda x: np.zeros_like(x), f=ZERO, g=ZERO,
                             forcing=V)
-        for solver in (solve_tree, solve_with_forcing):
-            sol = solver(prob, tree, w)
-            for i in range(grid.n_steps + 1):
-                np.testing.assert_allclose(sol.y[i], 1.0 - grid.time(i), atol=1e-13)
-
-    def test_direct_and_substituted_routes_agree(self):
-        grid, tree, w = make_setup(n=7, seed=6)
-        V = np.cumsum(np.abs(np.sin(np.arange(8))))
-        prob = BdsdeProblem(terminal=lambda x: np.abs(x),
-                            f=lambda t, x, y, z: 0.4 * y, g=lambda t, x, y, z: 0.1 * y,
-                            forcing=V, lipschitz_f=0.4)
-        s_direct = solve_tree(prob, tree, w)
-        s_subst = solve_with_forcing(prob, tree, w)
+        sol = solve_tree(prob, tree, w)
         for i in range(grid.n_steps + 1):
-            np.testing.assert_allclose(s_direct.y[i], s_subst.y[i], atol=1e-10)
+            np.testing.assert_allclose(sol.y[i], 1.0 - grid.time(i), atol=1e-13)
+
+    @pytest.mark.parametrize("m", [1, 3], ids=["path", "batch"])
+    def test_superposition_of_terminal_and_forcing(self, m):
+        # f = c y and g = beta y make the scheme linear in (xi, V):
+        # y[xi, V] - y[xi, 0] = y[0, V] at every node
+        grid, tree, _ = make_setup(n=7)
+        w = [sample_backward_path(grid, seed=6 + k) for k in range(m)]
+        V = np.cumsum(np.abs(np.sin(np.arange(8))))
+        common = dict(f=lambda t, x, y, z: 0.4 * y, g=lambda t, x, y, z: 0.1 * y,
+                      lipschitz_f=0.4)
+        xi = lambda x: np.abs(x)
+        both = solve_tree(BdsdeProblem(terminal=xi, forcing=V, **common), tree, w)
+        xi_only = solve_tree(BdsdeProblem(terminal=xi, **common), tree, w)
+        v_only = solve_tree(BdsdeProblem(terminal=np.zeros_like, forcing=V, **common), tree, w)
+        for i in range(grid.n_steps + 1):
+            np.testing.assert_allclose(both.y[i] - xi_only.y[i], v_only.y[i], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(both.y0_paths - xi_only.y0_paths, v_only.y0_paths,
+                                   rtol=0, atol=1e-10)
+        assert np.abs(v_only.y0_paths).min() > 1.0  # the forcing is felt on every path
+
+    @pytest.mark.parametrize("backend", ["tree", "mc"])
+    def test_forcing_needs_one_value_per_node(self, backend):
+        grid, tree, w = make_setup(n=4, seed=3)
+        if backend == "tree":
+            solve = lambda prob: solve_tree(prob, tree, w)
+        else:
+            ens = sample_forward_ensemble(grid, 200, 1.0, seed=4)
+            solve = lambda prob: solve_regression(prob, ens, w, basis_degree=2)
+        forced = lambda V: BdsdeProblem(terminal=lambda x: x**2, f=ZERO, g=ZERO, forcing=V)
+        for V in (np.arange(4.0), np.arange(6.0), np.ones((5, 2))):
+            with pytest.raises(InvalidArgumentError,
+                               match=rf"shape \(5,\), got {re.escape(str(V.shape))}"):
+                solve(forced(V))
+        # V_t = t adds T - t = 1 at the root, up to the regression's ridge bias
+        sol, unforced = solve(forced(grid.nodes.copy())), solve(forced(None))
+        assert sol.y0 == pytest.approx(unforced.y0 + 1.0, abs=1e-9)
 
     def test_nondecreasing_forcing_dominates(self):
         # comparison with V^1 - V^2 nondecreasing (Snell-style forcing)

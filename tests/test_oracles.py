@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bdsde.errors import InvalidArgumentError, StabilityError, UnsupportedOracleError
+from bdsde.errors import (InvalidArgumentError, NonFiniteError, StabilityError,
+                          UnsupportedOracleError)
 from bdsde.grids import (
     batch_paths,
     build_time_grid,
@@ -156,6 +157,23 @@ class TestFdRandomPde:
             fd_random_pde(heat_problem(), grid, x_steps=200)
         assert ei.value.suggested_dt is not None
         assert ei.value.suggested_dt < grid.dt
+
+    def test_blow_up_names_its_largest_step(self):
+        # y^2 in the generator blows 3 + x^2 up in finite time: the first
+        # non-finite entry in backward order is at step 157, node 0
+        prob = RandomPdeProblem(hhat_tilde=lambda t, x, y, z, gam: 0.5 * gam + y**2,
+                                terminal=lambda x: 3.0 + x**2, x_domain=(-2.0, 2.0))
+        with pytest.raises(NonFiniteError, match="at step 157, node 0$") as ei:
+            fd_random_pde(prob, build_time_grid(0, 1, 200), x_steps=40)
+        assert (ei.value.step, ei.value.node) == (157, 0)
+
+    def test_non_finite_terminal_is_step_n(self):
+        prob = RandomPdeProblem(hhat_tilde=lambda t, x, y, z, gam: 0.5 * gam,
+                                terminal=lambda x: np.where(x > 1.0, np.nan, x**2),
+                                x_domain=(-6.0, 6.0))
+        with pytest.raises(NonFiniteError) as ei:
+            fd_random_pde(prob, build_time_grid(0, 1, 16), x_steps=40)
+        assert (ei.value.step, ei.value.node) == (16, 24)  # x = 1.2, the first above 1
 
     def test_matches_uncertain_volatility_closed_form(self):
         grid = build_time_grid(0, 1, 256)

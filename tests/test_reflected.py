@@ -6,7 +6,6 @@ from bdsde.errors import InvalidArgumentError, InvalidBarrierError
 from bdsde.grids import build_time_grid, build_tree, sample_backward_path
 from bdsde.reflected import (
     Barrier,
-    penalization_sweep,
     skorokhod_diagnostic,
     snell_envelope,
     solve_penalized,
@@ -184,9 +183,8 @@ class TestPenalization:
     def test_monotone_in_penalty_toward_snell_value(self):
         grid, tree, w = setup(n=64)
         prob = BdsdeProblem(terminal=lambda x: 0.0 * x, f=ZERO, g=ZERO)
-        roots = penalization_sweep(prob, stop_now_barrier(), [1, 10, 100, 1000],
-                                   tree, w)
-        vals = [roots[float(n)] for n in (1, 10, 100, 1000)]
+        vals = [solve_penalized(prob, stop_now_barrier(), n, tree, w).y0
+                for n in (1.0, 10.0, 100.0, 1000.0)]
         assert all(vals[i] <= vals[i + 1] + 1e-14 for i in range(3))
         assert all(v <= 1.0 + 1e-12 for v in vals)
         assert abs(vals[-1] - 1.0) < 1e-3  # oracle: stop immediately

@@ -33,7 +33,6 @@ from bdsde.second_order import (
     lattice_bounds,
     lattice_cond,
     minimality_gap,
-    representation_check,
     solve_dp,
 )
 
@@ -497,49 +496,58 @@ def test_minimality_gap_is_the_root_surplus_over_constant_controls(name, a_low, 
     best = max(solve_tree(prob.classical_problem(float(a)), build_tree(grid, float(a), x0=pdef.x0),
                           paths[0], opts).y0 for a in prob.finite_volatilities())
     assert type(gap) is float and gap == sol.y0 - best
-    assert representation_check(prob, grid, paths[0], x0=pdef.x0, opts=opts).surplus == gap
     assert (sol.backend == "tree") == (n_points == 1)
     if sol.backend == "tree":
         assert gap == 0.0
 
 
 class TestRepresentation:
-    def test_singleton_surplus_zero(self, monkeypatch):
-        # the tree solution is its sole constant control's solve: reused, not solved again
+    """minimality_gap as the root's surplus over the constant controls."""
+
+    @staticmethod
+    def counted_solve_tree(monkeypatch):
+        """Record each second_order.solve_tree call's arguments and solution."""
         calls = []
 
         def counted(*args):
-            calls.append(args)
-            return solve_tree(*args)
+            calls.append((args, solve_tree(*args)))
+            return calls[-1][1]
         monkeypatch.setattr(second_order, "solve_tree", counted)
+        return calls
+
+    def test_singleton_surplus_zero(self, monkeypatch):
+        # the tree solution is its sole constant control's solve: nothing is solved again
+        calls = self.counted_solve_tree(monkeypatch)
         grid = build_time_grid(0, 1, 16)
         w = sample_backward_path(grid, seed=4)
         vg = build_volatility_grid(1.3, 1.3, 1)
         prob = TbdsdeProblem(terminal=lambda x: np.abs(x), F=FZERO, g=ZERO, volgrid=vg)
-        rep = representation_check(prob, grid, w, x0=0.5)
-        assert rep.surplus == 0.0 and len(calls) == 1
-        calls.clear()
         gap = minimality_gap(prob, solve_dp(prob, grid, w, x0=0.5), w)
         assert gap == 0.0 and len(calls) == 1
-        # several volatilities: their trees are one column, swept once
+        # several volatilities: their trees are one column, swept once, each its own solve
         prob = bsb_problem(terminal=lambda x: np.abs(x), n_a=4)
         sol = solve_dp(prob, grid, w, x0=0.5, opts=DpOptions(x_steps=40))
         calls.clear()
-        rep = representation_check(prob, grid, w, x0=0.5, opts=DpOptions(x_steps=40))
-        assert len(calls) == 1 and np.shape(calls[0][1].a) == (4, 1)
-        assert rep.per_a == {a: solve_tree(prob.classical_problem(a), build_tree(grid, a, x0=0.5),
-                                           w).y0 for a in prob.finite_volatilities().tolist()}
-        assert minimality_gap(prob, sol, w) == rep.surplus
+        gap = minimality_gap(prob, sol, w)
+        (args, column), = calls
+        assert np.shape(args[1].a) == (4, 1)
+        assert column.y0_paths.tolist() == [
+            solve_tree(prob.classical_problem(a), build_tree(grid, a, x0=0.5), w).y0
+            for a in prob.finite_volatilities().tolist()]
+        assert gap == sol.y0 - column.y0_paths.max()
 
-    def test_bsb_surplus_order_dt(self):
+    def test_bsb_surplus_order_dt(self, monkeypatch):
+        calls = self.counted_solve_tree(monkeypatch)
         surpluses = []
         for n, xs in [(32, 200), (64, 400)]:
             grid = build_time_grid(0, 1, n)
             w = sample_backward_path(grid, seed=4)
-            rep = representation_check(bsb_problem(), grid, w, x0=1.0,
-                                       opts=DpOptions(x_steps=xs))
-            assert rep.best_a == 2.0
-            surpluses.append(rep.surplus)
+            prob = bsb_problem()
+            sol = solve_dp(prob, grid, w, x0=1.0, opts=DpOptions(x_steps=xs))
+            surpluses.append(minimality_gap(prob, sol, w))
+            # convex data: the highest volatility is the best constant control
+            best = np.argmax(calls[-1][1].y0_paths)
+            assert sol.meta["a_values"][best] == 2.0
         assert surpluses[1] < surpluses[0]
         assert surpluses[0] == pytest.approx(2 * surpluses[1], rel=0.3)
 
@@ -547,8 +555,8 @@ class TestRepresentation:
         grid = build_time_grid(0, 1, 64)
         w = sample_backward_path(grid, seed=4)
         prob = bsb_problem(terminal=lambda x: np.where(x > 0, x**2, -x**2))
-        rep = representation_check(prob, grid, w, x0=0.0, opts=DpOptions(x_steps=400))
-        assert rep.surplus > 0.1  # time-varying optimal control beats any constant
+        sol = solve_dp(prob, grid, w, x0=0.0, opts=DpOptions(x_steps=400))
+        assert minimality_gap(prob, sol, w) > 0.1  # time-varying optimal control beats any constant
 
 
 class TestComparisonPrinciple:
