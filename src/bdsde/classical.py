@@ -40,6 +40,8 @@ MAX_ITERS = 200     # ... or raises ConvergenceError after MAX_ITERS iterations:
                     # contraction q from a first change d needs ln(d / FP_TOL) / ln(1 / q),
                     # 184 at q = 0.85, d = 10
 SWEEP_VALUES = 1 << 16  # values per level (paths x nodes) one batched sweep carries
+RIDGE = 1e-10       # the regression's Gram matrix gains RIDGE * I, intercept included,
+COND_MAX = 1e12     # and a condition number above COND_MAX raises RegressionError
 
 
 @dataclass(frozen=True)
@@ -277,7 +279,7 @@ def _solve_on_tree(problem: BdsdeProblem, tree: BrownianTree, w: BackwardPath | 
     y, z, residual, iters, pushes, y0_paths = backward_sweep(problem, grid, w, y_T, z_T, step)
     return BdsdeSolution(y=y, z=z, residual=residual, picard_iters=iters,
                          y0=float(y0_paths[0]), y0_paths=y0_paths,
-                         meta={"backend": "tree", "a": tree.a}), pushes
+                         meta={"backend": "tree", "problem": problem, "tree": tree}), pushes
 
 
 def solve_tree(problem: BdsdeProblem, tree: BrownianTree, w: BackwardPath | list,
@@ -304,9 +306,21 @@ class ComparisonReport:
 
 
 def check_comparison(sol1: BdsdeSolution, sol2: BdsdeSolution,
-                     problem1: BdsdeProblem, problem2: BdsdeProblem,
-                     tree: BrownianTree, eps: float = 1e-11) -> ComparisonReport:
-    """Monotone data => monotone solution, nodewise on a shared tree."""
+                     eps: float = 1e-11) -> ComparisonReport:
+    """Monotone data => monotone solution, nodewise on the tree both were solved on.
+
+    The problems and the tree are the ones each `solve_tree` solution keeps in
+    its meta; two solves on different trees, or a solution of another
+    backend, raise InvalidArgumentError."""
+    for sol in (sol1, sol2):
+        if not (isinstance(sol, BdsdeSolution) and "tree" in sol.meta):
+            raise InvalidArgumentError("check_comparison compares solve_tree solutions, got a "
+                                       f"{type(sol).__name__} of backend {sol.meta.get('backend')!r}")
+    tree = sol1.meta["tree"]
+    if sol2.meta["tree"] != tree:
+        raise InvalidArgumentError(f"check_comparison needs two solves on one tree, "
+                                   f"got {tree} and {sol2.meta['tree']}")
+    problem1, problem2 = sol1.meta["problem"], sol2.meta["problem"]
     n = tree.grid.n_steps
     xi1 = np.asarray(problem1.terminal(tree.states(n)), dtype=float)
     xi2 = np.asarray(problem2.terminal(tree.states(n)), dtype=float)
@@ -338,8 +352,7 @@ def check_comparison(sol1: BdsdeSolution, sol2: BdsdeSolution,
 
 
 def solve_regression(problem: BdsdeProblem, ensemble: PathEnsemble, w: BackwardPath | list,
-                     basis_degree: int = 3, opts: SolverOptions = SolverOptions(),
-                     ridge: float = 1e-10, cond_max: float = 1e12) -> BdsdeSolution:
+                     basis_degree: int = 3, opts: SolverOptions = SolverOptions()) -> BdsdeSolution:
     """Least-squares Monte Carlo backward induction (d = 1).
 
     Step i regresses on the ensemble's states X[:, i] and its increments
@@ -362,8 +375,7 @@ def solve_regression(problem: BdsdeProblem, ensemble: PathEnsemble, w: BackwardP
     dx_ph = math.sqrt(a_steps[-1] * dt) * zp
     x_ph = X[:, n] + dx_ph
     xi_ph = problem.terminal(x_ph)
-    z_T = _regress_on_state(X[:, n], [xi_ph * dx_ph / (a_steps[-1] * dt)],
-                            basis_degree, ridge, cond_max)[0][0]
+    z_T = _regress_on_state(X[:, n], [xi_ph * dx_ph / (a_steps[-1] * dt)], basis_degree)[0][0]
 
     def step(i, y_next, z_next, w):
         rms = []  # each path's regression residual, the step's extra
@@ -371,7 +383,7 @@ def solve_regression(problem: BdsdeProblem, ensemble: PathEnsemble, w: BackwardP
         def cond(r):
             dx = X[:, i + 1] - X[:, i]
             fits, rms[:] = _regress_on_state(X[:, i], [r, r * dx / (a_steps[i] * dt)],
-                                             basis_degree, ridge, cond_max)
+                                             basis_degree)
             return fits
         y, z, it, res, _ = backward_step(problem, cond, lambda j: X[:, j], i, grid,
                                          y_next, z_next, w, a_steps[i], opts)
@@ -384,11 +396,11 @@ def solve_regression(problem: BdsdeProblem, ensemble: PathEnsemble, w: BackwardP
                          meta={"backend": "mc", "n_paths": N, "basis_degree": basis_degree})
 
 
-def _regress_on_state(x, targets, degree, ridge, cond_max):
+def _regress_on_state(x, targets, degree):
     """Conditional-expectation estimates E[t | x] of each target t on one basis.
 
-    The rows 1, u, ..., u^degree of the normalized state u, their ridge-
-    regularized Gram matrix and the condition-number guard are computed once;
+    The rows 1, u, ..., u^degree of the normalized state u, their Gram matrix
+    plus RIDGE * I and the COND_MAX guard on its condition number are computed once;
     each target, and each row of a 2-D target (one row per backward path), is
     fitted on its own.  Returns (fitted targets, rms residual of each row of the first).
     """
@@ -402,11 +414,11 @@ def _regress_on_state(x, targets, degree, ridge, cond_max):
         basis = np.ones((degree + 1, n))
         for k in range(1, degree + 1):
             np.multiply(basis[k - 1], u, out=basis[k])
-        gram = basis @ basis.T / n + ridge * np.eye(degree + 1)
+        gram = basis @ basis.T / n + RIDGE * np.eye(degree + 1)
         cond = np.linalg.cond(gram)
-        if cond > cond_max:
+        if cond > COND_MAX:
             raise RegressionError(
-                f"normal equations condition number {cond:.3g} exceeds {cond_max:.3g}",
+                f"normal equations condition number {cond:.3g} exceeds {COND_MAX:.3g}",
                 condition_number=cond)
         fit = lambda t: np.linalg.solve(gram, basis @ t / n) @ basis
     fits = [np.array([fit(row) for row in np.reshape(t, (-1, n))]).reshape(np.shape(t))

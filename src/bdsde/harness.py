@@ -107,7 +107,7 @@ def _solve_paths(pdef: ProblemDef, cfg: ExperimentConfig, backend: str,
             frac = float(np.mean([np.mean(np.asarray(lv) == a_high)
                                   for lv in sol.argmax_a[:-1]]))
             out["argmax_high_frac"] = frac
-            out["gap_min0"] = minimality_gap(prob, sol, paths[0])
+            out["gap_min0"] = minimality_gap(sol)
     elif backend == "mc":
         ens = sample_forward_ensemble(grid, cfg.get("mc", "n_paths"), a,
                                       seed=cfg.get("seeds", "b_seed"), x0=pdef.x0,
@@ -118,8 +118,7 @@ def _solve_paths(pdef: ProblemDef, cfg: ExperimentConfig, backend: str,
     elif backend == "reflected":
         sol = solve_reflected(classical, pdef.barrier(cfg), build_tree(grid, a, x0=pdef.x0),
                               paths, opts)
-        out = {"y0": sol.y0, "k_terminal": float(sol.k_continuous[-1] + sol.k_jump[-1]),
-               "skorokhod_sum": sol.skorokhod_sum}
+        out = {"y0": sol.y0, "k_terminal": sol.k.k_terminal, "skorokhod_sum": sol.skorokhod_sum}
     elif backend == "fd":
         domain = lattice_bounds(grid, prob.volgrid, pdef.x0, cfg.get("spatial", "span_sigmas"))
         pde = RandomPdeProblem(hhat_tilde=hamiltonian(prob), terminal=prob.terminal,
@@ -287,7 +286,7 @@ def _suite_comparison(seed: int) -> PropertyResult:
         p2 = BdsdeProblem(terminal=lambda x: np.abs(x), f=f2, g=g,
                           lipschitz_f=params["c"])
         s1, s2 = solve_tree(p1, tree, w), solve_tree(p2, tree, w)
-        rep = check_comparison(s1, s2, p1, p2, tree, eps=1e-11)
+        rep = check_comparison(s1, s2, eps=1e-11)
         if not rep.ordered:
             violations.append({"instance": params, "margin": rep.worst_margin})
     return PropertyResult("comparison", not violations, n_inst, violations)
@@ -303,8 +302,7 @@ def _suite_minimality(seed: int) -> PropertyResult:
                           volgrid=build_volatility_grid(1.0, 1.0, 1))
     grid = build_time_grid(0, 1, 16)
     w = sample_backward_path(grid, seed=seed)
-    sol = solve_dp(prob1, grid, w, x0=1.0)
-    gap = minimality_gap(prob1, sol, w)
+    gap = minimality_gap(solve_dp(prob1, grid, w, x0=1.0))
     if gap != 0.0:
         violations.append({"case": "singleton", "gap": gap})
 
@@ -314,8 +312,8 @@ def _suite_minimality(seed: int) -> PropertyResult:
     for n, x_steps in ((16, 100), (32, 200)):
         grid = build_time_grid(0, 1, n)
         w = sample_backward_path(grid, seed=seed)
-        sol = solve_dp(prob2, grid, w, x0=1.0, opts=DpOptions(x_steps=x_steps))
-        gaps.append(minimality_gap(prob2, sol, w))
+        gaps.append(minimality_gap(solve_dp(prob2, grid, w, x0=1.0,
+                                            opts=DpOptions(x_steps=x_steps))))
     if not (gaps[0] > 0 and 1.5 <= gaps[0] / gaps[1] <= 2.5):
         violations.append({"case": "halving", "gaps": gaps})
     return PropertyResult("minimality", not violations, 2, violations)
@@ -358,12 +356,12 @@ def _suite_skorokhod(seed: int) -> PropertyResult:
     bar = Barrier(fn=lambda t, x: np.maximum(1.0 - x, 0.0))
     sol = solve_reflected(prob, bar, tree, w)
     violations = []
-    flat = abs(skorokhod_diagnostic(sol, bar, tree))
+    flat = abs(skorokhod_diagnostic(sol))
     if flat > 1e-10:
         violations.append({"case": "flat-off", "sum": flat})
-    fake = [inc.copy() for inc in sol.k_increments]
+    fake = [inc.copy() for inc in sol.k.increments]
     fake[2] = fake[2] + 1.0
-    if skorokhod_diagnostic(sol, bar, tree, k_increments=fake) <= 0.0:
+    if skorokhod_diagnostic(sol, k_increments=fake) <= 0.0:
         violations.append({"case": "violation-not-detected"})
     return PropertyResult("skorokhod", not violations, 2, violations)
 

@@ -22,6 +22,7 @@ import numpy as np
 from .classical import BdsdeProblem, SolverOptions, _solve_on_tree
 from .errors import InvalidArgumentError, InvalidBarrierError
 from .grids import BackwardPath, BrownianTree
+from .second_order import KTrace
 
 
 @dataclass(frozen=True)
@@ -46,13 +47,12 @@ class Barrier:
 class ReflectedSolution:
     y: list
     z: list
-    k_increments: list              # per step, per node (projection defect)
-    k_continuous: np.ndarray        # expected cumulative, smooth-barrier part
-    k_jump: np.ndarray              # expected cumulative, barrier-jump part
+    k: KTrace                       # path 0's compensator: per-level pushes, forward-law sum
     skorokhod_sum: float
     residual: np.ndarray
     y0: float
     y0_paths: np.ndarray            # every backward path's y0, in order
+    meta: dict                      # the solve's problem, tree and barrier levels
 
 
 def snell_envelope(tree: BrownianTree, payoff, terminal) -> list:
@@ -76,31 +76,13 @@ def snell_envelope(tree: BrownianTree, payoff, terminal) -> list:
     return values
 
 
-def _barrier_jump_flags(barrier, tree):
-    """Per-step jump classification of the barrier's time motion.
-
-    A step is a jump when the barrier moves by more than 10 dt times its
-    typical smooth rate (estimated as the median per-step motion); purely
-    diagnostic, used only to split the compensator trace.
-    """
-    n = tree.grid.n_steps
-    moves = np.empty(n)
-    for i in range(n):
-        x = tree.states(i)
-        s_now = np.asarray(barrier.fn(tree.grid.time(i), x), dtype=float)
-        s_next = np.asarray(barrier.fn(tree.grid.time(i + 1), x), dtype=float)
-        moves[i] = float(np.max(np.abs(s_next - s_now)))
-    smooth_rate = float(np.median(moves)) / tree.grid.dt
-    thresh = 10.0 * tree.grid.dt * (1.0 + smooth_rate)
-    return moves > thresh
-
-
-def _solve_with_barrier(problem, barrier, tree, w, opts, constraint, jump_flags):
+def _solve_with_barrier(problem, barrier, tree, w, opts, constraint):
     """Backward induction under a per-level barrier constraint; shared K bookkeeping.
 
     constraint(u, s) maps the unconstrained implicit value u onto the
-    admissible set of barrier level s; the compensator increment is path 0's
-    push y - u, split into its smooth and barrier-jump parts by jump_flags.
+    admissible set of barrier level s.  K's increments are path 0's pushes
+    y - u clamped at 0, one array per level, and its expected running sum
+    is taken under the tree's forward node probabilities.
     """
     n = tree.grid.n_steps
     barrier.check_terminal(np.asarray(problem.terminal(tree.states(n)), dtype=float), tree)
@@ -108,19 +90,14 @@ def _solve_with_barrier(problem, barrier, tree, w, opts, constraint, jump_flags)
     sol, pushes = _solve_on_tree(problem, tree, w, opts,
                                  lambda i, u: constraint(u, levels[i]))
     k_incs = [np.maximum(p, 0.0) for p in pushes]
-
     probs = tree.level_probabilities()
-    k_cont = np.zeros(n + 1)
-    k_jump = np.zeros(n + 1)
-    for i in range(n):
-        e_inc = float(np.dot(probs[i], k_incs[i]))
-        k_cont[i + 1] = k_cont[i] + (0.0 if jump_flags[i] else e_inc)
-        k_jump[i + 1] = k_jump[i] + (e_inc if jump_flags[i] else 0.0)
-    return ReflectedSolution(y=sol.y, z=sol.z, k_increments=k_incs,
-                             k_continuous=k_cont, k_jump=k_jump,
+    cum = np.cumsum([0.0] + [np.dot(p, k) for p, k in zip(probs, k_incs)])
+    return ReflectedSolution(y=sol.y, z=sol.z,
+                             k=KTrace(increments=k_incs, expected_cumulative=cum,
+                                      volatility=float(tree.a)),
                              skorokhod_sum=_flat_off_sum(probs, sol.y, levels, k_incs),
-                             residual=sol.residual, y0=sol.y0,
-                             y0_paths=sol.y0_paths)
+                             residual=sol.residual, y0=sol.y0, y0_paths=sol.y0_paths,
+                             meta={"problem": problem, "tree": tree, "levels": levels})
 
 
 def solve_reflected(problem: BdsdeProblem, barrier: Barrier, tree: BrownianTree,
@@ -131,9 +108,7 @@ def solve_reflected(problem: BdsdeProblem, barrier: Barrier, tree: BrownianTree,
     w is one BackwardPath or a list of paths swept together as in `solve_tree`;
     y, z, K and the Skorokhod sum are path 0's, y0_paths every path's y0.
     """
-    return _solve_with_barrier(problem, barrier, tree, w, opts,
-                               lambda u, s: np.maximum(s, u),
-                               _barrier_jump_flags(barrier, tree))
+    return _solve_with_barrier(problem, barrier, tree, w, opts, lambda u, s: np.maximum(s, u))
 
 
 def solve_penalized(problem: BdsdeProblem, barrier: Barrier, n_penalty: float,
@@ -154,21 +129,22 @@ def solve_penalized(problem: BdsdeProblem, barrier: Barrier, n_penalty: float,
         # exact solve of y = u + n (s - y)^+ dt with the generator frozen
         return np.where(u >= s, u, (u + n_penalty * s * dt) / (1.0 + n_penalty * dt))
 
-    return _solve_with_barrier(problem, barrier, tree, w, opts, penalty,
-                               np.zeros(tree.grid.n_steps, dtype=bool))
+    return _solve_with_barrier(problem, barrier, tree, w, opts, penalty)
 
 
-def skorokhod_diagnostic(solution: ReflectedSolution, barrier: Barrier,
-                         tree: BrownianTree, k_increments=None) -> float:
+def skorokhod_diagnostic(solution: ReflectedSolution, k_increments=None) -> float:
     """Flat-off diagnostic: sum of (Y - S) dK weighted by node probability.
 
-    Vanishes for the projection backend by construction (the compensator
-    only acts on the contact set); the penalized backend leaves a signed
-    O(dt) trace.  Passing modified increments turns this into a guard.
+    Reads the solve's own tree and barrier levels (solution.meta) and, by
+    default, its own increments solution.k.increments, so it equals
+    solution.skorokhod_sum.  Vanishes for the projection backend by
+    construction (the compensator only acts on the contact set); the
+    penalized backend leaves a signed O(dt) trace.  Passing modified
+    increments, one array per level, turns this into a guard.
     """
-    incs = solution.k_increments if k_increments is None else k_increments
-    levels = [barrier.values(tree, i) for i in range(tree.grid.n_steps)]
-    return _flat_off_sum(tree.level_probabilities(), solution.y, levels, incs)
+    incs = solution.k.increments if k_increments is None else k_increments
+    return _flat_off_sum(solution.meta["tree"].level_probabilities(), solution.y,
+                         solution.meta["levels"], incs)
 
 
 def _flat_off_sum(probs, y, levels, k_incs):

@@ -34,6 +34,7 @@ from .grids import (
     VolatilityGrid,
     _count,
     _start,
+    batch_paths,
     build_tree,
 )
 
@@ -104,9 +105,14 @@ class DpOptions(SolverOptions):
 
 @dataclass
 class KTrace:
-    increments: np.ndarray          # (n_steps, n_nodes) nonnegative defects
-    expected_cumulative: np.ndarray  # (n_steps + 1,) forward-law expectation
-    volatility: float               # the constant control
+    """A compensator K under the constant control volatility: its nonnegative
+    increments at each step's nodes, a lattice (n_steps, nodes) array or a
+    list with one array per tree level, and their running sum in expectation
+    under the control's forward law from x0, shape (n_steps + 1,)."""
+
+    increments: np.ndarray | list
+    expected_cumulative: np.ndarray
+    volatility: float
 
     @property
     def k_terminal(self) -> float:
@@ -185,15 +191,19 @@ def solve_dp(problem: TbdsdeProblem, grid: TimeGrid, w: BackwardPath | list,
     axis, keeping the per-node argmax and each path's worst iterations and defect.
     w is one BackwardPath or a list of paths on grid, swept together; the
     solution is path 0's (Y, Z, argmax and residual as if solved alone)
-    and y0_paths holds every path's y0, each equal to its own solve.  On the lattice,
+    and y0_paths holds every path's y0, each equal to its own solve.  meta keeps
+    what the solve fixed, which its diagnostics read: the problem, path 0 of w
+    ("w"), grid, x0, opts and the finite volatilities ("a_values").  On the lattice,
     meta["defects"] holds path 0's defects Y[i] - cands[k] of the value against
     each volatility k's own step candidate (phantom z_T at step n - 1), an
     (n_steps, V, x_steps + 1) array (1.0 MB at 5 x 64 x 401): max - own,
     so >= 0, and exactly 0 at the argmax.
     """
     x0, a_vals = _start(x0), problem.finite_volatilities()
+    meta = {"problem": problem, "w": w if isinstance(w, BackwardPath) else batch_paths(w[:1]),
+            "x0": x0, "grid": grid, "a_values": a_vals, "opts": opts}
     if len(a_vals) == 1:
-        return _solve_dp_tree(problem, grid, w, x0, opts, a_vals)
+        return _solve_dp_tree(problem, grid, w, opts, meta)
     n, dt = grid.n_steps, grid.dt
     xs = np.linspace(*lattice_bounds(grid, problem.volgrid, x0, opts.span_sigmas),
                      opts.x_steps + 1)
@@ -230,21 +240,19 @@ def solve_dp(problem: TbdsdeProblem, grid: TimeGrid, w: BackwardPath | list,
     Z[n] = np.take_along_axis(phantom, best[-1][None], axis=0)[0]
     return TbdsdeSolution(Y=Y, Z=Z, argmax_a=argmax, residual=residual,
                           y0=float(y0_paths[0]), y0_paths=y0_paths,
-                          meta={"backend": "lattice", "lattice": xs, "x0": x0, "grid": grid,
-                                "a_values": a_vals, "opts": opts, "defects": defects})
+                          meta={"backend": "lattice", "lattice": xs, "defects": defects, **meta})
 
 
-def _solve_dp_tree(problem, grid, w, x0, opts, a_vals):
+def _solve_dp_tree(problem, grid, w, opts, meta):
     """Singleton-volatility exact backend; coincides with the classical solver."""
-    a = float(a_vals[0])
-    tree = build_tree(grid, a, x0=x0)
+    a = float(meta["a_values"][0])
+    tree = build_tree(grid, a, x0=meta["x0"])
     base = solve_tree(problem.classical_problem(a), tree, w, opts)
     n = grid.n_steps
     argmax = [np.full(tree.n_nodes(i), a) for i in range(n + 1)]
     return TbdsdeSolution(Y=base.y, Z=base.z, argmax_a=argmax,
                           residual=base.residual, y0=base.y0, y0_paths=base.y0_paths,
-                          meta={"backend": "tree", "tree": tree, "x0": x0,
-                                "grid": grid, "a_values": a_vals, "opts": opts})
+                          meta={"backend": "tree", "tree": tree, **meta})
 
 
 def extract_k(sol: TbdsdeSolution, volatility: float) -> KTrace:
@@ -253,7 +261,8 @@ def extract_k(sol: TbdsdeSolution, volatility: float) -> KTrace:
 
     A volatility outside the solve's finite ones (meta["a_values"]) raises
     InvalidArgumentError.  A tree solution holds one volatility, whose value
-    is that control's own step, so its trace is zero.  On the lattice it is
+    is that control's own step, so its trace is zero: one zero array per
+    tree level, the form of a reflected solution's K.  On the lattice it is
     the volatility's row of the solve's own defects (meta["defects"], see
     `solve_dp`), with the cumulative trace integrated against its forward
     law from x0 (each step's expectation clamped at 0, as the increments are
@@ -265,7 +274,7 @@ def extract_k(sol: TbdsdeSolution, volatility: float) -> KTrace:
     grid = sol.meta["grid"]
     n = grid.n_steps
     if sol.backend == "tree":
-        return KTrace(increments=np.zeros((n, sol.meta["tree"].n_nodes(n - 1))),
+        return KTrace(increments=[np.zeros(sol.meta["tree"].n_nodes(i)) for i in range(n)],
                       expected_cumulative=np.zeros(n + 1), volatility=a)
     x0, xs = sol.meta["x0"], sol.meta["lattice"]
     incs = sol.meta["defects"][:, a_vals.index(a)]  # max - own >= 0 in IEEE arithmetic
@@ -281,7 +290,7 @@ def extract_k(sol: TbdsdeSolution, volatility: float) -> KTrace:
     return KTrace(increments=incs, expected_cumulative=cum, volatility=a)
 
 
-def minimality_gap(problem: TbdsdeProblem, sol: TbdsdeSolution, w: BackwardPath) -> float:
+def minimality_gap(sol: TbdsdeSolution) -> float:
     """The representation surplus: sol.y0 minus the best constant-control value at the root.
 
     Under a constant control the expected compensator K_T - K_0 is, through
@@ -289,17 +298,18 @@ def minimality_gap(problem: TbdsdeProblem, sol: TbdsdeSolution, w: BackwardPath)
     solution, so the gap is the least expected compensator over the constant
     controls; it vanishes at O(dt) for problems whose optimal control is a
     constant element of the grid.  Each constant control is solved on its
-    exact tree under the solve's grid, x0 and options, on w, the path sol
-    was solved on (path 0 of a batch), all of them in one sweep over a
-    (V, 1) column of trees.  A tree solution is its sole volatility's own
-    solve, so its gap is exactly 0.0 and nothing is solved again.
+    exact tree under what the solve fixed (sol.meta: its problem, grid, x0,
+    options and path 0, the path sol's levels are from), all of them in one
+    sweep over a (V, 1) column of trees.  A tree solution is its sole
+    volatility's own solve, so its gap is exactly 0.0 and nothing is solved again.
     """
     if sol.backend == "tree":
         return 0.0
-    grid, a = sol.meta["grid"], sol.meta["a_values"][:, None]
-    trees = BrownianTree(grid=grid, a=a, x0=sol.meta["x0"], step=np.sqrt(a * grid.dt))
-    return sol.y0 - max(solve_tree(problem.classical_problem(a), trees, w,
-                                   sol.meta["opts"]).y0_paths.tolist())
+    meta = sol.meta
+    grid, a = meta["grid"], meta["a_values"][:, None]
+    trees = BrownianTree(grid=grid, a=a, x0=meta["x0"], step=np.sqrt(a * grid.dt))
+    return sol.y0 - max(solve_tree(meta["problem"].classical_problem(a), trees, meta["w"],
+                                   meta["opts"]).y0_paths.tolist())
 
 
 @dataclass

@@ -260,7 +260,7 @@ def test_criterion_07_minimality_gap_decay():
         grid = build_time_grid(0, 1, n)
         w = sample_backward_path(grid, seed=1)
         sol = solve_dp(prob, grid, w, x0=1.0, opts=DpOptions(x_steps=xs))
-        gaps.append(minimality_gap(prob, sol, w))
+        gaps.append(minimality_gap(sol))
     r1, r2 = gaps[0] / gaps[1], gaps[1] / gaps[2]
     ok = gaps[0] > 0 and 1.5 <= r1 <= 2.5 and 1.5 <= r2 <= 2.5
     check(7, "expected remaining compensator decays with dt", ok,

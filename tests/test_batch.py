@@ -169,10 +169,11 @@ def test_reflected_batch_equals_per_path_solves(penalty, scheme, beta, c, shift,
     first = singles[0]
     assert batch.y0 == first.y0
     assert batch.skorokhod_sum == first.skorokhod_sum
-    for levels in ("y", "z", "k_increments"):
+    for levels in ("y", "z"):
         assert_levels_equal(getattr(batch, levels), getattr(first, levels))
-    for field in ("k_continuous", "k_jump", "residual"):
-        np.testing.assert_array_equal(getattr(batch, field), getattr(first, field))
+    assert_levels_equal(batch.k.increments, first.k.increments)
+    np.testing.assert_array_equal(batch.k.expected_cumulative, first.k.expected_cumulative)
+    np.testing.assert_array_equal(batch.residual, first.residual)
     np.testing.assert_array_equal(first.y0_paths, [first.y0])
 
     order = np.random.default_rng(seed).permutation(m)

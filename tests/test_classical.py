@@ -7,6 +7,7 @@ import pytest
 from bdsde import rng
 from bdsde.classical import (
     MAX_ITERS,
+    RIDGE,
     BdsdeProblem,
     SolverOptions,
     _fixed_point,
@@ -21,9 +22,11 @@ from bdsde.grids import (
     BrownianTree,
     build_time_grid,
     build_tree,
+    build_volatility_grid,
     sample_backward_path,
     sample_forward_ensemble,
 )
+from bdsde.second_order import TbdsdeProblem, solve_dp
 
 ZERO = lambda t, x, y, z: np.zeros_like(np.asarray(x, dtype=float))
 
@@ -296,7 +299,7 @@ class TestForcing:
         p2 = BdsdeProblem(forcing=None, **common)
         s1 = solve_tree(p1, tree, w)
         s2 = solve_tree(p2, tree, w)
-        rep = check_comparison(s1, s2, p1, p2, tree)
+        rep = check_comparison(s1, s2)
         assert rep.preconditions_hold and rep.ordered
 
 
@@ -305,8 +308,27 @@ class TestComparison:
         grid, tree, w = make_setup(n=5)
         p = BdsdeProblem(terminal=lambda x: x, f=ZERO, g=ZERO)
         s = solve_tree(p, tree, w)
-        rep = check_comparison(s, s, p, p, tree)
+        rep = check_comparison(s, s)
         assert rep.ordered and rep.worst_margin == 0.0
+
+    def test_refuses_solves_on_different_trees(self):
+        grid, tree, w = make_setup(n=5)
+        p = BdsdeProblem(terminal=lambda x: x, f=ZERO, g=ZERO)
+        s = solve_tree(p, tree, w)
+        # an equal tree built again is the same tree
+        assert check_comparison(s, solve_tree(p, build_tree(grid, 1.0), w)).ordered
+        for other in (build_tree(grid, 1.5), build_tree(grid, 1.0, x0=0.5),
+                      build_tree(build_time_grid(0, 1, 6), 1.0)):
+            with pytest.raises(InvalidArgumentError, match="on one tree"):
+                check_comparison(s, solve_tree(p, other, sample_backward_path(other.grid, 11)))
+        ens = sample_forward_ensemble(grid, 100, 1.0, seed=1)
+        with pytest.raises(InvalidArgumentError, match="a BdsdeSolution of backend 'mc'"):
+            check_comparison(s, solve_regression(p, ens, w, basis_degree=1))
+        # a singleton dp solve runs on its tree but solves a TbdsdeProblem
+        dp = solve_dp(TbdsdeProblem(terminal=lambda x: x, F=lambda t, x, y, z, a: 0.0 * x,
+                                    g=ZERO, volgrid=build_volatility_grid(1.0, 1.0, 1)), grid, w)
+        with pytest.raises(InvalidArgumentError, match="a TbdsdeSolution of backend 'tree'"):
+            check_comparison(dp, s)
 
     def test_shifted_terminal_linear_generator(self):
         # xi2 = xi1 - 1 with f = c y: y1 - y2 = exp(c (T - t)) +- O(dt) > 0
@@ -316,7 +338,7 @@ class TestComparison:
         p1 = BdsdeProblem(terminal=lambda x: x**2, f=f, g=ZERO, lipschitz_f=c)
         p2 = BdsdeProblem(terminal=lambda x: x**2 - 1.0, f=f, g=ZERO, lipschitz_f=c)
         s1, s2 = solve_tree(p1, tree, w), solve_tree(p2, tree, w)
-        rep = check_comparison(s1, s2, p1, p2, tree)
+        rep = check_comparison(s1, s2)
         assert rep.preconditions_hold and rep.ordered
         for i in [0, 10, 31]:
             gap = s1.y[i] - s2.y[i]
@@ -345,7 +367,7 @@ class TestComparison:
             p1 = BdsdeProblem(terminal=xi1, f=f1, g=g, lipschitz_f=c1 + c2)
             p2 = BdsdeProblem(terminal=xi2, f=f2, g=g, lipschitz_f=c1 + c2)
             s1, s2 = solve_tree(p1, tree, w), solve_tree(p2, tree, w)
-            rep = check_comparison(s1, s2, p1, p2, tree, eps=eps)
+            rep = check_comparison(s1, s2, eps=eps)
             assert rep.ordered, f"violation {rep.worst_margin}"
 
 
@@ -440,8 +462,9 @@ class TestRegressionSolver:
         ens = sample_forward_ensemble(grid, 200, 1.0, seed=4)
         w = sample_backward_path(grid, seed=4)
         prob = BdsdeProblem(terminal=lambda x: x, f=ZERO, g=ZERO)
-        with pytest.raises(RegressionError):
-            solve_regression(prob, ens, w, basis_degree=9, ridge=0.0, cond_max=1e6)
+        # degree 14 on 200 states: the ridged Gram matrix's condition number is 8e14
+        with pytest.raises(RegressionError, match=r"exceeds 1e\+12"):
+            solve_regression(prob, ens, w, basis_degree=14)
 
 
 class TestRegressOnState:
@@ -461,8 +484,8 @@ class TestRegressOnState:
         x = 1.0 + 0.4 * rng.normal(size=3000)
         targets = [np.sin(3 * x) + 0.2 * rng.normal(size=3000),
                    x**2 + rng.normal(size=(3, 3000))]
-        fits, rms = _regress_on_state(x, targets, degree, 1e-10, 1e12)
-        wants = [self.column_fit(x, t, degree, 1e-10) for t in targets]
+        fits, rms = _regress_on_state(x, targets, degree)
+        wants = [self.column_fit(x, t, degree, RIDGE) for t in targets]
         for t, fit, want in zip(targets, fits, wants):
             assert fit.shape == t.shape
             np.testing.assert_allclose(fit, want, rtol=0,
@@ -476,7 +499,7 @@ class TestRegressOnState:
         # a view into one block of all fits would keep every row of a step alive
         rng = np.random.default_rng(1)
         targets = [rng.normal(size=500), rng.normal(size=(2, 500)), rng.normal(size=500)]
-        fits, _ = _regress_on_state(x, targets, 2, 1e-10, 1e12)
+        fits, _ = _regress_on_state(x, targets, 2)
         for k, fit in enumerate(fits):
             assert fit.base is None or fit.base.nbytes == fit.nbytes
             assert not any(np.shares_memory(fit, other) for other in fits[k + 1:] + targets)

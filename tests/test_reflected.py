@@ -94,7 +94,7 @@ class TestReflected:
         for i in range(grid.n_steps + 1):
             np.testing.assert_allclose(ref.y[i], unc.y[i], atol=1e-12)
             np.testing.assert_allclose(pen.y[i], unc.y[i], atol=1e-12)
-        assert ref.k_continuous[-1] + ref.k_jump[-1] == pytest.approx(0.0, abs=1e-12)
+        assert ref.k.k_terminal == pytest.approx(0.0, abs=1e-12)
         assert ref.skorokhod_sum == pytest.approx(0.0, abs=1e-12)
 
     def test_stop_now_oracle(self):
@@ -103,9 +103,13 @@ class TestReflected:
         sol = solve_reflected(prob, stop_now_barrier(), tree, w)
         for i in range(grid.n_steps):
             np.testing.assert_allclose(sol.y[i], 1.0, atol=1e-12)
-        # all compensator mass sits at the barrier's maturity jump
-        assert sol.k_jump[-1] == pytest.approx(1.0, abs=1e-12)
-        assert sol.k_continuous[-1] == pytest.approx(0.0, abs=1e-12)
+        # all compensator mass sits at the barrier's maturity jump: every push
+        # before step n - 1 is exactly 0, and step n - 1 carries all of K_T
+        n = grid.n_steps
+        assert all(np.all(inc == 0.0) for inc in sol.k.increments[:n - 1])
+        np.testing.assert_array_equal(sol.k.expected_cumulative[:n], 0.0)
+        assert sol.k.k_terminal == pytest.approx(1.0, abs=1e-12)
+        assert sol.k.expected_cumulative[n] - sol.k.expected_cumulative[n - 1] == sol.k.k_terminal
 
     def test_solution_dominates_barrier_and_unconstrained(self):
         grid, tree, w = setup(n=12, x0=1.0)
@@ -124,7 +128,7 @@ class TestReflected:
         sol = solve_reflected(prob, bar, tree, w)
         for i in range(grid.n_steps):
             gap = sol.y[i] - bar.values(tree, i)
-            active = sol.k_increments[i] > 1e-14
+            active = sol.k.increments[i] > 1e-14
             assert np.all(gap[active] < 1e-10)
 
     def test_snell_shift_equivalence_exact(self):
@@ -196,7 +200,7 @@ class TestPenalization:
                             f=lambda t, x, y, z: -0.4 * y, g=ZERO, lipschitz_f=0.4)
         bar = Barrier(fn=lambda t, x: np.maximum(1.0 - x, 0.0))
         ref = solve_reflected(prob, bar, tree, w)
-        assert ref.k_continuous[-1] > 0.01  # the constraint is genuinely active
+        assert ref.k.k_terminal > 0.01  # the constraint is genuinely active
         gaps = []
         for n_pen in (10.0, 100.0, 1000.0):
             sol = solve_penalized(prob, bar, n_pen, tree, w)
@@ -213,8 +217,8 @@ class TestSkorokhod:
                             f=lambda t, x, y, z: -0.4 * y, g=ZERO, lipschitz_f=0.4)
         bar = Barrier(fn=lambda t, x: np.maximum(1.0 - x, 0.0))
         sol = solve_reflected(prob, bar, tree, w)
-        assert sol.k_continuous[-1] > 0.01
-        assert abs(skorokhod_diagnostic(sol, bar, tree)) < 1e-12
+        assert sol.k.k_terminal > 0.01
+        assert abs(skorokhod_diagnostic(sol)) < 1e-12
 
     def test_penalized_trace_halves_with_dt(self):
         # with the penalty tied to 1/dt the flat-off defect is O(dt)
@@ -236,7 +240,43 @@ class TestSkorokhod:
                             f=lambda t, x, y, z: -0.4 * y, g=ZERO, lipschitz_f=0.4)
         bar = Barrier(fn=lambda t, x: np.maximum(1.0 - x, 0.0))
         sol = solve_reflected(prob, bar, tree, w)
-        fake = [inc.copy() for inc in sol.k_increments]
+        fake = [inc.copy() for inc in sol.k.increments]
         off_contact = sol.y[2] - bar.values(tree, 2) > 0.1
         fake[2][off_contact] += 1.0  # push where Y > S
-        assert skorokhod_diagnostic(sol, bar, tree, k_increments=fake) > 0.01
+        assert skorokhod_diagnostic(sol, k_increments=fake) > 0.01
+
+    @pytest.mark.parametrize("penalty", [None, 40.0])
+    def test_diagnostic_reads_its_own_solve(self, penalty):
+        # the solve's own tree, barrier levels and increments: the solve's own sum
+        grid, tree, w = setup(n=16, x0=1.0)
+        prob = BdsdeProblem(terminal=lambda x: np.maximum(1.0 - x, 0.0),
+                            f=lambda t, x, y, z: -0.4 * y, g=lambda t, x, y, z: 0.2 * y,
+                            lipschitz_f=0.4)
+        bar = Barrier(fn=lambda t, x: np.maximum(1.0 - x, 0.0))
+        sol = (solve_reflected(prob, bar, tree, w) if penalty is None
+               else solve_penalized(prob, bar, penalty, tree, w))
+        assert skorokhod_diagnostic(sol) == sol.skorokhod_sum
+
+
+class TestCompensatorTrace:
+    @pytest.mark.parametrize("penalty", [None, 40.0])
+    @pytest.mark.parametrize("shift", [0.0, 0.3])
+    def test_expected_cumulative_never_decreases(self, penalty, shift):
+        grid, tree, w = setup(n=24, x0=1.0)
+        prob = BdsdeProblem(terminal=lambda x: np.maximum(1.0 - x, 0.0),
+                            f=lambda t, x, y, z: -0.4 * y - 0.2 * z,
+                            g=lambda t, x, y, z: 0.3 * y, lipschitz_f=0.4)
+        bar = Barrier(fn=lambda t, x: np.maximum(1.0 - x, 0.0) - shift * (1.0 - t))
+        sol = (solve_reflected(prob, bar, tree, w) if penalty is None
+               else solve_penalized(prob, bar, penalty, tree, w))
+        k = sol.k
+        assert k.k_terminal > 0.0 and k.volatility == 1.0
+        assert np.all(np.diff(k.expected_cumulative) >= 0.0)
+        # one nonnegative array per level, summed under the tree's forward law
+        probs = tree.level_probabilities()
+        assert [inc.shape for inc in k.increments] == [(i + 1,) for i in range(grid.n_steps)]
+        assert all(np.all(inc >= 0.0) for inc in k.increments)
+        assert k.expected_cumulative[0] == 0.0
+        np.testing.assert_allclose(k.expected_cumulative[1:],
+                                   np.cumsum([p @ inc for p, inc in zip(probs, k.increments)]),
+                                   rtol=1e-14, atol=0.0)

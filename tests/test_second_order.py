@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bdsde import _accel, second_order
 from bdsde.classical import BdsdeProblem, SolverOptions, backward_step, solve_tree
 from bdsde.config import ExperimentConfig
+from bdsde.doss import FlowCoefficient, build_y_lattice, solve_flow, transform_solution
 from bdsde.errors import (
     ConvergenceError,
     InvalidArgumentError,
@@ -195,7 +196,7 @@ class TestCompensator:
         # at every step and node the argmax control's defect is exactly 0
         assert np.all(sol.meta["defects"].min(axis=1) == 0.0)
         # the gap is measured under the solve's own scheme
-        assert minimality_gap(prob, sol, self.w) == pytest.approx(
+        assert minimality_gap(sol) == pytest.approx(
             best_constant_gap(prob, sol, self.grid, self.w, g_scheme), abs=1e-12)
 
     def test_suboptimal_control_sees_positive_compensator(self):
@@ -238,7 +239,7 @@ class TestCompensator:
         sol = solve_dp(prob, self.grid, self.w, x0=1.0,
                        opts=DpOptions(x_steps=200, g_scheme=g_scheme))
         assert extract_k(sol, volatility=0.5).k_terminal < 1e-9
-        assert minimality_gap(prob, sol, self.w) == pytest.approx(
+        assert minimality_gap(sol) == pytest.approx(
             best_constant_gap(prob, sol, self.grid, self.w, g_scheme), abs=1e-12)
 
     def test_infinite_generator_entry_excluded(self):
@@ -347,6 +348,27 @@ def test_every_constant_control_sees_a_nonnegative_compensator(c, b, s, a_low, a
         own = np.searchsorted(a_vals, sol.argmax_a[i])
         assert np.all(defects[i][own, np.arange(defects.shape[-1])] == 0.0)
         assert np.all((defects[i] > 0.0) | (rows >= own))
+
+
+def test_tree_trace_rides_through_the_flow_transform():
+    # a singleton's K is one zero array per tree level, so it transforms with Y and Z
+    grid = build_time_grid(0, 1, 8)
+    w = sample_backward_path(grid, seed=3)
+    g = lambda t, x, y: 0.5 * y
+    prob = TbdsdeProblem(terminal=lambda x: x**2, F=FZERO, g=lambda t, x, y, z: g(t, x, y),
+                         volgrid=build_volatility_grid(1.0, 1.0, 1))
+    sol = solve_dp(prob, grid, w, x0=0.0)
+    k = extract_k(sol, volatility=1.0)
+    assert [inc.shape for inc in k.increments] == [(i + 1,) for i in range(grid.n_steps)]
+    states = [sol.meta["tree"].states(i) for i in range(grid.n_steps + 1)]
+    y_lo = min(float(v.min()) for v in sol.Y) - 1.0
+    y_hi = max(float(v.max()) for v in sol.Y) + 1.0
+    flow = solve_flow(FlowCoefficient(g=g), w, np.linspace(-3.0, 3.0, 25),
+                      build_y_lattice(y_lo, y_hi, 81, pad=1.0), y_core=(y_lo, y_hi))
+    U, V, Kt = transform_solution(sol.Y, sol.Z, k.increments, flow, states)
+    assert [kt.shape for kt in Kt] == [inc.shape for inc in k.increments]
+    assert all(np.all(kt == 0.0) for kt in Kt)
+    assert [u.shape for u in U] == [y.shape for y in sol.Y]
 
 
 def test_expected_compensator_is_nondecreasing_through_rounding():
@@ -459,8 +481,21 @@ class TestMinimalityGap:
         vg = build_volatility_grid(1.0, 1.0, 1)
         prob = TbdsdeProblem(terminal=lambda x: x**2, F=FZERO, g=ZERO, volgrid=vg)
         sol = solve_dp(prob, grid, w, x0=1.0)
-        gap = minimality_gap(prob, sol, w)
+        gap = minimality_gap(sol)
         assert np.max(np.abs(gap)) < 1e-9
+
+    @pytest.mark.parametrize("n_a", [5, 1])
+    def test_batch_gap_is_path_0s(self, n_a):
+        # the gap reads the solve's own problem and path 0: a batch's is path 0's solve's
+        grid = build_time_grid(0, 1, 16)
+        paths = [sample_backward_path(grid, seed=s) for s in (7, 8)]
+        prob = bsb_problem(g=lambda t, x, y, z: 0.3 * y, n_a=n_a)
+        opts = DpOptions(x_steps=100)
+        batch = solve_dp(prob, grid, paths, x0=1.0, opts=opts)
+        alone = solve_dp(prob, grid, paths[0], x0=1.0, opts=opts)
+        assert batch.meta["w"] is paths[0] and batch.meta["problem"] is prob
+        assert minimality_gap(batch) == minimality_gap(alone)
+        assert (minimality_gap(batch) > 0.0) == (n_a > 1)
 
     def test_bsb_gap_shrinks_linearly(self):
         gaps = []
@@ -469,7 +504,7 @@ class TestMinimalityGap:
             w = sample_backward_path(grid, seed=1)
             prob = bsb_problem()
             sol = solve_dp(prob, grid, w, x0=1.0, opts=DpOptions(x_steps=xs))
-            gaps.append(minimality_gap(prob, sol, w))
+            gaps.append(minimality_gap(sol))
         assert gaps[0] > 0
         assert gaps[0] / gaps[1] == pytest.approx(2.0, rel=0.3)
         assert gaps[1] / gaps[2] == pytest.approx(2.0, rel=0.3)
@@ -492,7 +527,7 @@ def test_minimality_gap_is_the_root_surplus_over_constant_controls(name, a_low, 
     paths = [sample_backward_path(grid, seed=seed + k) for k in range(m)]
     opts = DpOptions(x_steps=x_steps, g_scheme=pdef.g_scheme)
     sol = solve_dp(prob, grid, paths if m > 1 else paths[0], x0=pdef.x0, opts=opts)
-    gap = minimality_gap(prob, sol, paths[0])
+    gap = minimality_gap(sol)
     best = max(solve_tree(prob.classical_problem(float(a)), build_tree(grid, float(a), x0=pdef.x0),
                           paths[0], opts).y0 for a in prob.finite_volatilities())
     assert type(gap) is float and gap == sol.y0 - best
@@ -522,13 +557,13 @@ class TestRepresentation:
         w = sample_backward_path(grid, seed=4)
         vg = build_volatility_grid(1.3, 1.3, 1)
         prob = TbdsdeProblem(terminal=lambda x: np.abs(x), F=FZERO, g=ZERO, volgrid=vg)
-        gap = minimality_gap(prob, solve_dp(prob, grid, w, x0=0.5), w)
+        gap = minimality_gap(solve_dp(prob, grid, w, x0=0.5))
         assert gap == 0.0 and len(calls) == 1
         # several volatilities: their trees are one column, swept once, each its own solve
         prob = bsb_problem(terminal=lambda x: np.abs(x), n_a=4)
         sol = solve_dp(prob, grid, w, x0=0.5, opts=DpOptions(x_steps=40))
         calls.clear()
-        gap = minimality_gap(prob, sol, w)
+        gap = minimality_gap(sol)
         (args, column), = calls
         assert np.shape(args[1].a) == (4, 1)
         assert column.y0_paths.tolist() == [
@@ -544,7 +579,7 @@ class TestRepresentation:
             w = sample_backward_path(grid, seed=4)
             prob = bsb_problem()
             sol = solve_dp(prob, grid, w, x0=1.0, opts=DpOptions(x_steps=xs))
-            surpluses.append(minimality_gap(prob, sol, w))
+            surpluses.append(minimality_gap(sol))
             # convex data: the highest volatility is the best constant control
             best = np.argmax(calls[-1][1].y0_paths)
             assert sol.meta["a_values"][best] == 2.0
@@ -556,7 +591,7 @@ class TestRepresentation:
         w = sample_backward_path(grid, seed=4)
         prob = bsb_problem(terminal=lambda x: np.where(x > 0, x**2, -x**2))
         sol = solve_dp(prob, grid, w, x0=0.0, opts=DpOptions(x_steps=400))
-        assert minimality_gap(prob, sol, w) > 0.1  # time-varying optimal control beats any constant
+        assert minimality_gap(sol) > 0.1  # time-varying optimal control beats any constant
 
 
 class TestComparisonPrinciple:
