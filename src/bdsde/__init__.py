@@ -49,7 +49,7 @@ from .grids import (
     sample_forward_ensemble,
     subsample_path,
 )
-from .norms import NormReport, TreeTraces, compute_norms
+from .norms import NormReport, compute_norms
 from .oracles import (
     ItoProcess,
     RandomPdeProblem,

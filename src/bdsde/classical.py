@@ -12,14 +12,15 @@ y-update is implicit with an inner fixed point (contraction for
 dt * Lip(f) < 1), and a forcing V enters it as the increment V_{i+1} - V_i;
 z comes from an explicit conditional projection against the forward
 increment.  The conditional expectation backend is either exact (the
-binomial tree, d = 1) or least-squares Monte Carlo.  Both sweep several
-frozen backward paths at once, as a leading axis of their values.
+binomial tree, d = 1) or least-squares Monte Carlo.  Both take one frozen
+backward path or a list of them; `backward_sweep` alone stacks a list and
+sweeps its paths at once, as a leading axis of the values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,7 +33,7 @@ from .errors import (
     RegressionError,
     StepSizeError,
 )
-from .grids import BackwardPath, BrownianTree, PathEnsemble, _count, batch_paths
+from .grids import BackwardPath, BrownianTree, PathEnsemble, _count
 
 PHANTOM_STREAM_BASE = 1_000_001
 FP_TOL = 1e-12      # the implicit step's fixed point stops at a change <= FP_TOL
@@ -160,33 +161,32 @@ def _check_finite(i, a, **arrays):
 
 
 def backward_step(problem: BdsdeProblem, cond: Callable, states: Callable, i: int, grid,
-                  y_next, z_next, w: BackwardPath, a, opts: SolverOptions,
+                  y_next, z_next, dw, a, opts: SolverOptions,
                   constraint: Optional[Callable] = None):
     """One Euler step of the backward pair from level i + 1 to level i (states: level -> x).
 
-    cond maps R = y' + h g' dW_i to (E[R], E[R dX] / (a dt)); the implicit update
-    carries the other (1 - h) of the noise term, h = 1 ("ito") or 1/2 ("stratonovich"),
-    and constraint(i, u) maps its value u onto the admissible set.  Returns
-    (y, z, iters, defect, push), push = y - u(y) under a constraint, else None.
-    For a batch w (grids.batch_paths) the values gain a leading path axis and
-    iters and defect are arrays with one entry per path.  A column a, (V, 1)
+    dw is the step's increment dW_i = W_{t_{i+1}} - W_{t_i} as (1,), or as
+    (m, 1) for m paths, whose values then carry a leading path axis and whose
+    iters and defect hold one entry per path.  cond maps R = y' + h g' dW_i to
+    (E[R], E[R dX] / (a dt)); the implicit update carries the other (1 - h) of
+    the noise term, h = 1 ("ito") or 1/2 ("stratonovich"), and constraint(i, u)
+    maps its value u onto the admissible set.  Returns (y, z, iters, defect,
+    push), push = y - u(y) under a constraint, else None.  A column a, (V, 1)
     or (V, 1, 1), stacks V volatilities as a further leading axis.
     """
     t_i, t_next, dt = grid.time(i), grid.time(i + 1), grid.dt
-    # dW_i as (1,), or (m, 1) against (m, nodes) values
-    wi = (w.values[i + 1] - w.values[i])[..., None]
     x_i, x_next = states(i), states(i + 1)
     dV = 0.0 if problem.forcing is None else problem.forcing[i + 1] - problem.forcing[i]
     half = 0.5 if opts.g_scheme == "stratonovich" else 1.0
 
-    r = y_next + half * (problem.g(t_next, x_next, y_next, z_next) * wi)
+    r = y_next + half * (problem.g(t_next, x_next, y_next, z_next) * dw)
     e_mean, z = cond(r)
     if not (np.isfinite(e_mean).all() and np.isfinite(z).all()):
         _check_finite(i, a, R=r, mean=e_mean, z=z)  # a bad R poisons its moments
     base = e_mean + dV
 
     def unconstrained(y):
-        u = base if half == 1.0 else base + (1.0 - half) * (problem.g(t_i, x_i, y, z) * wi)
+        u = base if half == 1.0 else base + (1.0 - half) * (problem.g(t_i, x_i, y, z) * dw)
         return u + problem.f(t_i, x_i, y, z) * dt
 
     project = (lambda u: u) if constraint is None else (lambda u: constraint(i, u))
@@ -199,16 +199,18 @@ def backward_sweep(problem, grid, w: BackwardPath | list, y_T, z_T, step: Callab
                    all_levels: bool = True) -> tuple:
     """Backward induction from the terminal data (y_T, z_T) at level n to level 0.
 
-    w is one BackwardPath or a list of paths on grid, swept as batches
-    (grids.batch_paths): the values carry paths as a leading axis.  A batch
+    w is one BackwardPath or a non-empty list of paths on grid.  Only here is
+    a list stacked, as an (n_steps + 1, m) array W with path k at W[:, k], and
+    swept in batches whose values carry paths as a leading axis.  A batch
     holds at most SWEEP_VALUES values per level, so a wider list is swept in
     chunks of paths one after another, path 0's chunk last so that the
     levels it keeps never share memory with another chunk's working arrays;
     a chunk of one is that path alone.  Every path's values are those of
-    its own solve either way.  step(i, y_next, z_next, w) -> (y, z, iters,
-    defect, extra) moves level i + 1 to level i, extra None or an array with
-    the leading axes of y.  Checks that w lives on grid, that a forcing
-    holds one value per grid node and that the implicit step contracts
+    its own solve either way.  step(i, y_next, z_next, dw) -> (y, z, iters,
+    defect, extra) moves level i + 1 to level i, dw = (W[i + 1] - W[i])[..., None]
+    the chunk's increments (see `backward_step`), extra None or an array with
+    the leading axes of y.  Checks that w is a path or paths on grid, that a
+    forcing holds one value per grid node and that the implicit step contracts
     (dt * Lip(f) < 1).  Returns (y, z, residual, iters, extras, y0_paths):
     path 0's levels (y[n], z[n] the terminal data; with all_levels False, y
     and z hold level 0 alone) and per-step defects, iterations and extras,
@@ -216,18 +218,18 @@ def backward_sweep(problem, grid, w: BackwardPath | list, y_T, z_T, step: Callab
     (by default node 0's value: a tree's root, or any LSMC path, all of
     which start at x0).
     """
-    w = batch_paths(w)
-    w.require_grid(grid)
+    paths = _paths(w, grid)
     _check_contraction(problem, grid.dt)
     forcing = getattr(problem, "forcing", None)  # a TbdsdeProblem carries none
     if forcing is not None and np.shape(forcing) != (grid.n_steps + 1,):
         raise InvalidArgumentError(f"forcing must carry one value per grid node, shape "
                                    f"{(grid.n_steps + 1,)}, got {np.shape(forcing)}")
     n = grid.n_steps
-    chunks = _path_chunks(w, max(1, SWEEP_VALUES // np.shape(y_T)[-1]))
+    chunks = _path_chunks(np.stack([p.values for p in paths], axis=1),
+                          max(1, SWEEP_VALUES // np.shape(y_T)[-1]))
     # path 0's entry of a step's results: row 0 of a batch, copied so that
     # the other rows are freed, or a single path's values as they are
-    keep = (lambda v: v[0].copy()) if chunks[0].values.ndim == 2 else (lambda v: v)
+    keep = (lambda v: v[0].copy()) if chunks[0].ndim == 2 else (lambda v: v)
     last = n if all_levels else 0  # y and z hold levels 0..last, level i at min(i, last)
     y, z, extras = [None] * last + [y_T], [None] * last + [z_T], [None] * n
     residual, iters = np.zeros(n), np.zeros(n, dtype=int)
@@ -235,7 +237,8 @@ def backward_sweep(problem, grid, w: BackwardPath | list, y_T, z_T, step: Callab
     for c in range(len(chunks) - 1, -1, -1):
         y_next, z_next = y_T, z_T
         for i in range(n - 1, -1, -1):
-            y_next, z_next, it, res, extra = step(i, y_next, z_next, chunks[c])
+            dw = (chunks[c][i + 1] - chunks[c][i])[..., None]
+            y_next, z_next, it, res, extra = step(i, y_next, z_next, dw)
             if c == 0:
                 k = min(i, last)
                 y[k], z[k], iters[i], residual[i] = keep(y_next), keep(z_next), keep(it), keep(res)
@@ -244,12 +247,20 @@ def backward_sweep(problem, grid, w: BackwardPath | list, y_T, z_T, step: Callab
     return y, z, residual, iters, extras, np.concatenate(y0_paths)
 
 
-def _path_chunks(w: BackwardPath, size: int) -> list:
-    """A batch's paths in batches of at most size, a batch of one as that path."""
-    if w.values.ndim == 1:
-        return [w]
-    chunks = (w.values[:, k:k + size] for k in range(0, w.values.shape[1], size))
-    return [replace(w, values=v.squeeze(axis=1) if v.shape[1] == 1 else v) for v in chunks]
+def _paths(w, grid) -> list:
+    """w as a list of paths: one BackwardPath, or a non-empty list of paths on grid."""
+    paths = [w] if isinstance(w, BackwardPath) else list(w)
+    if not paths or any(not isinstance(p, BackwardPath) or p.grid != grid for p in paths):
+        raise InvalidArgumentError(f"the solver takes one backward path or a non-empty list "
+                                   f"of paths that share the grid {grid}")
+    return paths
+
+
+def _path_chunks(W: np.ndarray, size: int) -> list:
+    """The columns (paths) of a stacked (n_steps + 1, m) W in batches of at
+    most size, a batch of one as that path's (n_steps + 1,) column."""
+    chunks = (W[:, k:k + size] for k in range(0, W.shape[1], size))
+    return [v.squeeze(axis=1) if v.shape[1] == 1 else v for v in chunks]
 
 
 def _solve_on_tree(problem: BdsdeProblem, tree: BrownianTree, w: BackwardPath | list,
@@ -259,7 +270,7 @@ def _solve_on_tree(problem: BdsdeProblem, tree: BrownianTree, w: BackwardPath | 
     a and step are a (V, 1) column is V trees swept together on one path."""
     grid = tree.grid
     column = np.ndim(tree.a) > 0
-    if column and batch_paths(w).values.ndim > 1:
+    if column and not isinstance(w, BackwardPath):
         raise InvalidArgumentError("a column of trees is swept on one backward path")
     cond = tree_cond(tree)
     leaves = tree.states(grid.n_steps)
@@ -269,8 +280,8 @@ def _solve_on_tree(problem: BdsdeProblem, tree: BrownianTree, w: BackwardPath | 
     z_T = (0.5 * problem.terminal(leaves + h) * h
            + 0.5 * problem.terminal(leaves - h) * -h) / (tree.a * grid.dt)
 
-    def step(i, y, z, w):
-        y, z, iters, defect, push = backward_step(problem, cond, tree.states, i, grid, y, z, w,
+    def step(i, y, z, dw):
+        y, z, iters, defect, push = backward_step(problem, cond, tree.states, i, grid, y, z, dw,
                                                   tree.a, opts, constraint)
         if column:  # the worst volatility's, as in solve_dp's lattice step
             iters, defect = iters.max(axis=0), defect.max(axis=0)
@@ -377,7 +388,7 @@ def solve_regression(problem: BdsdeProblem, ensemble: PathEnsemble, w: BackwardP
     xi_ph = problem.terminal(x_ph)
     z_T = _regress_on_state(X[:, n], [xi_ph * dx_ph / (a_steps[-1] * dt)], basis_degree)[0][0]
 
-    def step(i, y_next, z_next, w):
+    def step(i, y_next, z_next, dw):
         rms = []  # each path's regression residual, the step's extra
 
         def cond(r):
@@ -386,7 +397,7 @@ def solve_regression(problem: BdsdeProblem, ensemble: PathEnsemble, w: BackwardP
                                              basis_degree)
             return fits
         y, z, it, res, _ = backward_step(problem, cond, lambda j: X[:, j], i, grid,
-                                         y_next, z_next, w, a_steps[i], opts)
+                                         y_next, z_next, dw, a_steps[i], opts)
         return y, z, it, res, np.reshape(rms, np.shape(y)[:-1])
 
     y, z, residual, iters, proj_rms, y0_paths = backward_sweep(problem, grid, w, y_T, z_T, step,

@@ -199,11 +199,9 @@ def solve_flow(coef: FlowCoefficient, w: BackwardPath, x_lattice, y_lattice,
                y_core: Optional[tuple] = None) -> FlowField:
     """Integrate the flow and its variational derivatives backward along one path W.
 
-    Raises InvalidArgumentError for a batch of paths, NonFiniteError naming
-    the step and lattice node of the first non-finite entry, and
-    SingularFlowError when d_y eta falls to MIN_DY.
+    Raises NonFiniteError naming the step and lattice node of the first
+    non-finite entry, and SingularFlowError when d_y eta falls to MIN_DY.
     """
-    w.require_single("solve_flow")
     xs = np.asarray(x_lattice, dtype=float)
     ys = np.asarray(y_lattice, dtype=float)
     grid = w.grid

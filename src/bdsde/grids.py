@@ -4,8 +4,9 @@ The forward noise B is one-dimensional, represented either exactly (the
 binomial tree) or by a seeded Monte Carlo ensemble under a piecewise
 constant volatility control: a positive scalar or one volatility per step.
 The backward Brownian path W is frozen per run: a single sampled trajectory
-stands in for conditioning on the external noise, and statistics over W come
-from a batch of such paths solved together (see `batch_paths`).
+stands in for conditioning on the external noise.  A `BackwardPath` is one
+such path; statistics over W come from a list of paths, which only
+`classical.backward_sweep` stacks to solve them together.
 """
 
 from __future__ import annotations
@@ -64,67 +65,36 @@ def build_time_grid(t0: float, horizon: float, n: int) -> TimeGrid:
 class BackwardPath:
     """Frozen trajectory of the scalar backward driver W on a time grid.
 
-    values has shape (n_steps + 1,) with values[0] = 0, or (n_steps + 1, m)
-    for a batch of m paths, path k at values[:, k] (see `batch_paths`).
+    values, stored as a float array, has shape (n_steps + 1,), values[0] = 0
+    for a sampled path; any other shape raises InvalidArgumentError.
     """
 
     grid: TimeGrid
     values: np.ndarray
-    seed: int
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=float)
+        if values.shape != (self.grid.n_steps + 1,):
+            raise InvalidArgumentError(
+                f"a backward path holds {self.grid.n_steps + 1} values in a 1-D array, "
+                f"got shape {values.shape}")
+        object.__setattr__(self, "values", values)
 
     @property
     def increments(self) -> np.ndarray:
-        """dW_i = W_{t_{i+1}} - W_{t_i}, shape (n_steps,) or (n_steps, m)."""
-        return np.diff(self.values, axis=0)
+        """dW_i = W_{t_{i+1}} - W_{t_i}, shape (n_steps,)."""
+        return np.diff(self.values)
 
     def tail_increment(self, i: int):
         """W_T - W_{t_i}."""
         return self.values[-1] - self.values[i]
-
-    def require_grid(self, grid: TimeGrid):
-        """InvalidArgumentError unless the path lives on grid (start, horizon and steps)."""
-        if self.grid != grid:
-            raise InvalidArgumentError(
-                f"backward path and solver must share the grid, got {self.grid} and {grid}")
-
-    def require_single(self, what: str):
-        """InvalidArgumentError unless this is one path, not a batch."""
-        if self.values.ndim != 1:
-            raise InvalidArgumentError(
-                f"{what} takes one backward path of shape ({self.grid.n_steps + 1},), "
-                f"got values of shape {self.values.shape}")
-
-    @classmethod
-    def from_values(cls, grid: TimeGrid, values, seed: int = -1) -> "BackwardPath":
-        """One path from its n_steps + 1 values, a 1-D array."""
-        values = np.asarray(values, dtype=float)
-        if values.shape != (grid.n_steps + 1,):
-            raise InvalidArgumentError(
-                f"need {grid.n_steps + 1} path values in a 1-D array, got shape {values.shape}")
-        return cls(grid=grid, values=values, seed=seed)
-
-
-def batch_paths(w: BackwardPath | list) -> BackwardPath:
-    """A path as it is (so is a list of one), or a list of paths on one grid as
-    one batch: values of shape (n_steps + 1, m), path k at values[:, k]."""
-    paths = [w] if isinstance(w, BackwardPath) else list(w)
-    if not paths:
-        raise InvalidArgumentError("need at least one backward path")
-    first = paths[0]
-    if any(p.grid != first.grid or p.values.ndim != 1 for p in paths):
-        raise InvalidArgumentError("batched backward paths must be single paths that "
-                                   "share the grid")
-    if len(paths) == 1:
-        return first
-    return BackwardPath(grid=first.grid, values=np.stack([p.values for p in paths], axis=1),
-                        seed=first.seed)
 
 
 def sample_backward_path(grid: TimeGrid, seed: int) -> BackwardPath:
     """Sample one W trajectory: 0, then the running sum of sqrt(dt) times the
     n_steps standard normals of seed's stream."""
     dW = np.sqrt(grid.dt) * rng.stream(seed).standard_normal(grid.n_steps)
-    return BackwardPath(grid=grid, values=np.concatenate([[0.0], np.cumsum(dW)]), seed=seed)
+    return BackwardPath(grid=grid, values=np.concatenate([[0.0], np.cumsum(dW)]))
 
 
 def subsample_path(w: BackwardPath, factor: int) -> BackwardPath:
@@ -137,7 +107,7 @@ def subsample_path(w: BackwardPath, factor: int) -> BackwardPath:
     if w.grid.n_steps % factor != 0:
         raise InvalidArgumentError("factor must divide the step count")
     coarse = build_time_grid(w.grid.t0, w.grid.horizon, w.grid.n_steps // factor)
-    return BackwardPath(grid=coarse, values=w.values[::factor].copy(), seed=w.seed)
+    return BackwardPath(grid=coarse, values=w.values[::factor].copy())
 
 
 def sample_backward_bridge(grid: TimeGrid, seed: int, total: float) -> BackwardPath:
@@ -151,7 +121,7 @@ def sample_backward_bridge(grid: TimeGrid, seed: int, total: float) -> BackwardP
     base = sample_backward_path(grid, seed)
     frac = (grid.nodes - grid.t0) / (grid.horizon - grid.t0)
     values = base.values + frac * (float(total) - base.values[-1])
-    return BackwardPath(grid=grid, values=values, seed=seed)
+    return BackwardPath(grid=grid, values=values)
 
 
 @dataclass(frozen=True)

@@ -218,7 +218,7 @@ def _flow_eta0(n: int, straight: bool = False) -> float:
     w = 0.3 * np.sin(2.3 * t + 0.7) + 0.15 * t * t
     w = np.linspace(0.0, w[-1] - w[0], n + 1) if straight else w - w[0]
     coef = FlowCoefficient(g=lambda t, x, y: 0.4 * np.sin(y) + 0.1 * np.cos(x))
-    flow = solve_flow(coef, BackwardPath.from_values(grid, w),
+    flow = solve_flow(coef, BackwardPath(grid, w),
                       np.linspace(-1.0, 1.0, 5), build_y_lattice(-1.0, 1.0, 17))
     return flow.eval("eta", 0, np.array([0.0]), np.array([0.5]))[0]
 

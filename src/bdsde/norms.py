@@ -1,9 +1,9 @@
-"""Solution-space seminorms on discrete traces.
+"""Solution-space seminorms of solves on binomial trees.
 
-The measure-family supremum is a max over the volatility grid; the time
-supremum inside the D-norm is a pathwise max, computed by exact
+The measure-family supremum is a max over the solves' volatilities; the
+time supremum inside the D-norm is a pathwise max, computed by exact
 enumeration of tree paths (feasible at desk scale, and the point of using
-the exact backend).  Monte Carlo traces take the pathwise max directly.
+the exact backend).
 """
 
 from __future__ import annotations
@@ -13,19 +13,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .classical import BdsdeSolution
 from .errors import InvalidArgumentError
 from .grids import BrownianTree
+from .reflected import ReflectedSolution
 
 MAX_ENUM_STEPS = 16
-
-
-@dataclass(frozen=True)
-class TreeTraces:
-    """Per-level solution traces on one tree (one volatility)."""
-
-    y: list
-    z: list
-    k_increments: Optional[list] = None
 
 
 @dataclass
@@ -71,34 +64,40 @@ def pathwise_terminal_k_sq(tree: BrownianTree, k_increments: list) -> float:
     return float(np.mean(k_T**2))
 
 
-def compute_norms(traces: dict, trees: dict, F0: Optional[Callable] = None,
+def compute_norms(solutions: list, F0: Optional[Callable] = None,
                   g0: Optional[Callable] = None, eps: float = 0.5) -> NormReport:
-    """Norms of traces given per volatility; dict keys must coincide.
+    """Norms of solves on trees, each a sup over the solves' volatilities.
 
-    F0 and g0 are the zero-state generator slices (t, x, a) -> array used
-    for the integrability statistics; omitted entries count as zero.
+    Each solution is a `classical.solve_tree` or reflected solve on one tree,
+    read from its own meta["tree"] (volatility tree.a), y and z, and a
+    reflected one's K from sol.k.increments; a solution with no such tree
+    (mc, lattice dp) raises InvalidArgumentError.  F0 and g0 are the
+    zero-state generator slices (t, x, a) -> array used for the
+    integrability statistics; omitted entries count as zero.
     """
-    if set(traces) != set(trees):
-        raise InvalidArgumentError("traces and trees must cover the same volatilities")
-    if not traces:
-        raise InvalidArgumentError("at least one volatility is required")
+    if not solutions:
+        raise InvalidArgumentError("at least one solution is required")
 
     d2 = h2 = i2 = phi = psi = 0.0
-    for a, tr in traces.items():
-        tree = trees[a]
-        grid = tree.grid
+    for sol in solutions:
+        tree = sol.meta.get("tree") if isinstance(sol, (BdsdeSolution, ReflectedSolution)) else None
+        if tree is None or np.ndim(tree.a):
+            raise InvalidArgumentError("compute_norms reads solves on one tree, got a "
+                                       f"{type(sol).__name__} of backend "
+                                       f"{getattr(sol, 'meta', {}).get('backend')!r}")
+        a, grid = tree.a, tree.grid
         probs = tree.level_probabilities()
 
         def integrability(h):  # E[ int |h(t, X_t, a)|^{2+eps} dt ] on the tree
             return sum(float(np.dot(probs[i], np.abs(
                 np.asarray(h(grid.time(i), tree.states(i), a), dtype=float))**(2 + eps)))
                 * grid.dt for i in range(grid.n_steps))
-        d2 = max(d2, pathwise_sup_sq_expectation(tree, tr.y))
-        h2_a = sum(float(np.dot(probs[i], a * np.asarray(tr.z[i])**2)) * grid.dt
+        d2 = max(d2, pathwise_sup_sq_expectation(tree, sol.y))
+        h2_a = sum(float(np.dot(probs[i], a * np.asarray(sol.z[i])**2)) * grid.dt
                    for i in range(grid.n_steps))
         h2 = max(h2, h2_a)
-        if tr.k_increments is not None:
-            i2 = max(i2, pathwise_terminal_k_sq(tree, tr.k_increments))
+        if isinstance(sol, ReflectedSolution):
+            i2 = max(i2, pathwise_terminal_k_sq(tree, sol.k.increments))
         if F0 is not None:
             phi = max(phi, integrability(F0))
         if g0 is not None:

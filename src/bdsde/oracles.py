@@ -100,11 +100,11 @@ def linear_spde_closed_form(beta: float, phi, w: BackwardPath, t: float, x):
     The noise-removing flow is the exponential scale exp(beta (W_T - W_t));
     what remains is the unit-volatility heat semigroup.
     """
-    w.require_single("linear_spde_closed_form")
     grid = w.grid
     i = int(round((t - grid.t0) / grid.dt))
-    if abs(grid.time(i) - t) > 1e-9 * (1 + abs(t)):
-        raise InvalidArgumentError("t must be a grid node of the frozen path")
+    if not (0 <= i <= grid.n_steps and abs(grid.time(i) - t) <= 1e-9 * (1 + abs(t))):
+        raise InvalidArgumentError(f"t must be a node of the frozen path's grid on "
+                                   f"[{grid.t0}, {grid.horizon}], got {t}")
     scale = math.exp(beta * float(w.tail_increment(i)))
     return scale * heat_semigroup(phi, 1.0, grid.horizon - t)(x)
 
@@ -230,7 +230,6 @@ def ito_product_check(p1: ItoProcess, p2: ItoProcess, ensemble: PathEnsemble,
     from the backward one; flipping that sign (the control experiment) must
     break convergence.
     """
-    w.require_single("ito_product_check")
     grid = ensemble.grid
     n, dt = grid.n_steps, grid.dt
     N = ensemble.n_paths

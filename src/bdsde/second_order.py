@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._accel import GaussWindow, linear_interp, pl_gauss_moments
-from .classical import BdsdeProblem, SolverOptions, backward_step, backward_sweep, solve_tree
+from .classical import BdsdeProblem, SolverOptions, _paths, backward_step, backward_sweep, solve_tree
 from .errors import InvalidArgumentError, VerificationError
 from .grids import (
     BackwardPath,
@@ -34,7 +34,6 @@ from .grids import (
     VolatilityGrid,
     _count,
     _start,
-    batch_paths,
     build_tree,
 )
 
@@ -200,7 +199,7 @@ def solve_dp(problem: TbdsdeProblem, grid: TimeGrid, w: BackwardPath | list,
     so >= 0, and exactly 0 at the argmax.
     """
     x0, a_vals = _start(x0), problem.finite_volatilities()
-    meta = {"problem": problem, "w": w if isinstance(w, BackwardPath) else batch_paths(w[:1]),
+    meta = {"problem": problem, "w": _paths(w, grid)[0],
             "x0": x0, "grid": grid, "a_values": a_vals, "opts": opts}
     if len(a_vals) == 1:
         return _solve_dp_tree(problem, grid, w, opts, meta)
@@ -211,9 +210,9 @@ def solve_dp(problem: TbdsdeProblem, grid: TimeGrid, w: BackwardPath | list,
     y_T = np.asarray(problem.terminal(xs), dtype=float)
     phantom = np.array([cond(y_T)[1] for cond in conds])   # z_T under each volatility
 
-    def step(i, y_next, z_next, w):
+    def step(i, y_next, z_next, dw):
         # every volatility at once: values are (volatility, [path,] node) against a
-        a = a_vals.reshape((-1,) + (1,) * w.values.ndim)
+        a = a_vals.reshape((-1,) + (1,) * dw.ndim)
         if i == n - 1:
             z_next = z_next.reshape(a.shape[:-1] + z_next.shape[-1:])
 
@@ -222,7 +221,7 @@ def solve_dp(problem: TbdsdeProblem, grid: TimeGrid, w: BackwardPath | list,
                            zip(conds, np.broadcast_to(r, np.broadcast_shapes(a.shape, r.shape)))))
             return np.array(m0), np.array(m1)
         cands, z, iters, defect, _ = backward_step(
-            problem.classical_problem(a), cond, lambda _: xs, i, grid, y_next, z_next, w, a, opts)
+            problem.classical_problem(a), cond, lambda _: xs, i, grid, y_next, z_next, dw, a, opts)
         best = np.argmax(cands, axis=0)[None]  # first max = smallest volatility on ties
         y = np.take_along_axis(cands, best, axis=0)[0]
         # each volatility's defect, path axis first for the sweep to keep path 0's
@@ -342,7 +341,6 @@ def feynman_kac_residual(u: Callable, du: Callable, d2u: Callable,
     A candidate u that fails to solve the equation shows up as a residual
     that does not vanish under step refinement.
     """
-    w.require_single("feynman_kac_residual")
     grid = ensemble.grid
     n, dt = grid.n_steps, grid.dt
     a = float(ensemble.control[0])

@@ -10,7 +10,6 @@ from bdsde._accel import pl_gauss_moments
 from bdsde.classical import BdsdeProblem, SolverOptions, solve_regression, solve_tree
 from bdsde.errors import BdsdeError, InvalidArgumentError, StepSizeError
 from bdsde.grids import (
-    batch_paths,
     build_time_grid,
     build_tree,
     build_volatility_grid,
@@ -240,18 +239,25 @@ def test_kernel_rows_equal_one_row_calls(knots, sigma, rows, seed):
 
 
 def test_batch_paths_rejects_mixed_grids():
+    # a batch is a non-empty list of paths on one grid: the sweep refuses a
+    # list whose later paths live on another grid, and the empty list
     coarse, fine = build_time_grid(0, 1, 4), build_time_grid(0, 1, 8)
+    prob = BdsdeProblem(terminal=lambda x: x**2, f=lambda t, x, y, z: 0.5 * y,
+                        g=lambda t, x, y, z: 0.0 * y, lipschitz_f=0.5)
+    tree = build_tree(coarse, 1.0)
     with pytest.raises(InvalidArgumentError, match="share the grid"):
-        batch_paths([sample_backward_path(coarse, 1), sample_backward_path(fine, 2)])
-    with pytest.raises(InvalidArgumentError, match="at least one"):
-        batch_paths([])
+        solve_tree(prob, tree, [sample_backward_path(coarse, 1), sample_backward_path(fine, 2)])
+    with pytest.raises(InvalidArgumentError, match="non-empty list"):
+        solve_tree(prob, tree, [])
 
 
-@pytest.mark.parametrize("solver", ["tree", "regression", "dp"])
+@pytest.mark.parametrize("solver", ["tree", "regression", "dp", "reflected", "penalized"])
 def test_solvers_check_the_path_grid_and_the_step(solver):
-    # every backend sweeps through the same checks: W lives on the solver's
-    # whole grid (steps and horizon), and dt * Lip(F) < 1
+    # every backend sweeps through the same checks: W is one path or a
+    # non-empty list of paths on the solver's whole grid (steps and horizon),
+    # and dt * Lip(F) < 1
     grid = build_time_grid(0, 1, 8)
+    barrier = Barrier(fn=lambda t, x: x**2 - 1.0)
 
     def solve(w, lipschitz_f=0.5):
         prob = TbdsdeProblem(terminal=lambda x: x**2, F=lambda t, x, y, z, a: 0.5 * y,
@@ -262,12 +268,21 @@ def test_solvers_check_the_path_grid_and_the_step(solver):
         if solver == "regression":
             ens = sample_forward_ensemble(grid, 500, 1.0, seed=3)
             return solve_regression(prob.classical_problem(1.0), ens, w, basis_degree=2)
+        if solver == "reflected":
+            return solve_reflected(prob.classical_problem(1.0), barrier, build_tree(grid, 1.0), w)
+        if solver == "penalized":
+            return solve_penalized(prob.classical_problem(1.0), barrier, 20.0,
+                                   build_tree(grid, 1.0), w)
         return solve_dp(prob, grid, w, opts=DpOptions(x_steps=40))
 
+    refused = [[], paths_for(grid, 1, 1) + paths_for(build_time_grid(0, 1, 16), 2, 1)]
     for other in (build_time_grid(0, 1, 16), build_time_grid(0, 2, 8)):
-        for w in (sample_backward_path(other, seed=1), paths_for(other, 1, 2)):
-            with pytest.raises(InvalidArgumentError, match="share the grid"):
-                solve(w)
+        refused += [sample_backward_path(other, seed=1), paths_for(other, 1, 2)]
+    for w in refused:
+        with pytest.raises(InvalidArgumentError,
+                           match="one backward path or a non-empty list of paths that share "
+                                 "the grid"):
+            solve(w)
     w = sample_backward_path(grid, seed=1)
     with pytest.raises(StepSizeError):
         solve(w, lipschitz_f=8.0)

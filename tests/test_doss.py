@@ -15,12 +15,12 @@ from bdsde.doss import (
 )
 from bdsde.errors import InvalidArgumentError, NonFiniteError, RangeError, SingularFlowError
 from bdsde.generators import FD_STEP
-from bdsde.grids import BackwardPath, batch_paths, build_time_grid, sample_backward_path
+from bdsde.grids import BackwardPath, build_time_grid, sample_backward_path
 
 
 def smooth_path(grid, amp=0.3):
     vals = amp * np.sin(2 * np.pi * grid.nodes / grid.horizon)
-    return BackwardPath.from_values(grid, vals)
+    return BackwardPath(grid, vals)
 
 
 def skew_path(grid):
@@ -28,7 +28,7 @@ def skew_path(grid):
     # path produces in the order study
     t = grid.nodes
     vals = 0.3 * np.sin(2.3 * t + 0.7) + 0.15 * t * t
-    return BackwardPath.from_values(grid, vals - vals[0])
+    return BackwardPath(grid, vals - vals[0])
 
 
 def linear_flow(beta=0.5, n=64, seed=3, nx=9, ny=41):
@@ -70,15 +70,6 @@ def test_y_lattice_keeps_its_points_at_valid_sizes():
 
 
 class TestFlowIntegration:
-    def test_refuses_a_batch(self):
-        # one W path per y node would broadcast against the flow state
-        grid = build_time_grid(0, 1, 8)
-        ys = build_y_lattice(-1.0, 1.0, 5)
-        batch = batch_paths([sample_backward_path(grid, seed=s) for s in range(len(ys))])
-        with pytest.raises(InvalidArgumentError, match=r"shape \(9, 5\)"):
-            solve_flow(FlowCoefficient(g=lambda t, x, y: 0.5 * y), batch,
-                       np.linspace(-1.0, 1.0, 3), ys)
-
     def test_parts_evaluate_each_stencil_point_once(self):
         calls = []
 

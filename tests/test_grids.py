@@ -11,7 +11,6 @@ from bdsde.errors import InvalidArgumentError
 from bdsde.grids import (
     BackwardPath,
     BrownianTree,
-    batch_paths,
     build_time_grid,
     build_tree,
     build_volatility_grid,
@@ -84,14 +83,6 @@ class TestBackwardPath:
         np.testing.assert_array_equal(sample_backward_path(g, seed=7).values,
                                       np.concatenate([[0.0], np.cumsum(draws)]))
 
-    def test_batch_is_time_by_path(self):
-        g = build_time_grid(0, 1, 4)
-        paths = [sample_backward_path(g, seed=s) for s in range(3)]
-        batch = batch_paths(paths)
-        assert batch.values.shape == (5, 3)
-        for k, p in enumerate(paths):
-            np.testing.assert_array_equal(batch.values[:, k], p.values)
-
     def test_terminal_variance_matches_horizon(self):
         # sample variance of W_T over many seeds ~ T within 3 standard errors
         g = build_time_grid(0, 1, 1)
@@ -131,16 +122,17 @@ class TestBackwardPath:
         assert coarse.grid == subsample_path(w, 2).grid and coarse.grid.n_steps == 4
         np.testing.assert_array_equal(coarse.values, w.values[::2])
 
-    def test_from_values_validates_length(self):
+    @pytest.mark.parametrize("shape", [(5, 1), (1, 5), (5, 2), (3,), (7,)])
+    def test_holds_one_value_per_grid_node(self, shape):
+        # one path only: a 2-D array (a stacked batch) or a length off the grid
         g = build_time_grid(0, 1, 4)
-        with pytest.raises(InvalidArgumentError):
-            BackwardPath.from_values(g, np.zeros(3))
+        with pytest.raises(InvalidArgumentError, match=r"5 values in a 1-D array, got shape"):
+            BackwardPath(g, np.zeros(shape))
 
-    @pytest.mark.parametrize("shape", [(5, 1), (1, 5), (5, 2)])
-    def test_from_values_refuses_2d(self, shape):
-        g = build_time_grid(0, 1, 4)
-        with pytest.raises(InvalidArgumentError, match="1-D"):
-            BackwardPath.from_values(g, np.zeros(shape))
+    def test_stores_its_values_as_floats(self):
+        w = BackwardPath(build_time_grid(0, 1, 4), [0, 1, 2, 3, 4])
+        assert w.values.dtype == np.float64
+        np.testing.assert_array_equal(w.values, [0.0, 1.0, 2.0, 3.0, 4.0])
 
 
 class TestVolatilityGrid:

@@ -3,15 +3,23 @@ import itertools
 import numpy as np
 import pytest
 
-from bdsde.classical import BdsdeProblem, solve_tree
+from bdsde.classical import BdsdeProblem, solve_regression, solve_tree
 from bdsde.errors import InvalidArgumentError
-from bdsde.grids import build_time_grid, build_tree, sample_backward_path
+from bdsde.grids import (
+    build_time_grid,
+    build_tree,
+    build_volatility_grid,
+    sample_backward_path,
+    sample_forward_ensemble,
+)
 from bdsde.norms import (
-    TreeTraces,
     compute_norms,
     pathwise_sup_sq_expectation,
+    pathwise_terminal_k_sq,
     terminal_l2,
 )
+from bdsde.reflected import Barrier, solve_reflected
+from bdsde.second_order import DpOptions, TbdsdeProblem, solve_dp
 
 ZERO = lambda t, x, y, z: np.zeros_like(np.asarray(x, dtype=float))
 
@@ -24,9 +32,9 @@ def tree_for(a=1.0, n=8):
 class TestPathwiseSup:
     def test_zero_traces(self):
         tree = tree_for()
-        levels = [np.zeros(tree.n_nodes(i)) for i in range(9)]
-        rep = compute_norms({1.0: TreeTraces(y=levels, z=levels[:])},
-                            {1.0: tree})
+        zero = BdsdeProblem(terminal=lambda x: 0.0 * x, f=ZERO, g=ZERO)
+        sol = solve_tree(zero, tree, sample_backward_path(tree.grid, seed=1))
+        rep = compute_norms([sol])
         assert rep.d2_norm == 0.0 and rep.h2_norm == 0.0 and rep.i2_norm == 0.0
 
     def test_matches_explicit_enumeration(self):
@@ -63,32 +71,48 @@ class TestPathwiseSup:
 
 class TestComputeNorms:
     def solve_family(self, prob, a_values, n=8, seed=5):
-        traces, trees = {}, {}
-        for a in a_values:
-            grid = build_time_grid(0, 1, n)
-            tree = build_tree(grid, a)
-            w = sample_backward_path(grid, seed=seed)
-            sol = solve_tree(prob, tree, w)
-            traces[a] = TreeTraces(y=sol.y, z=sol.z)
-            trees[a] = tree
-        return traces, trees
+        grid = build_time_grid(0, 1, n)
+        w = sample_backward_path(grid, seed=seed)
+        return [solve_tree(prob, build_tree(grid, a), w) for a in a_values]
 
     def test_supremum_over_family(self):
         prob = BdsdeProblem(terminal=lambda x: x**2, f=ZERO, g=ZERO)
-        traces, trees = self.solve_family(prob, [0.5, 2.0])
-        rep = compute_norms(traces, trees)
-        rep_low = compute_norms({0.5: traces[0.5]}, {0.5: trees[0.5]})
+        sols = self.solve_family(prob, [0.5, 2.0])
+        rep = compute_norms(sols)
+        rep_low = compute_norms(sols[:1])
         assert rep.d2_norm >= rep_low.d2_norm
         assert rep.h2_norm >= rep_low.h2_norm
 
     def test_integrability_statistics(self):
         prob = BdsdeProblem(terminal=lambda x: x, f=ZERO, g=ZERO)
-        traces, trees = self.solve_family(prob, [1.0])
-        rep = compute_norms(traces, trees,
+        rep = compute_norms(self.solve_family(prob, [1.0]),
                             F0=lambda t, x, a: 2.0 + 0.0 * x,
                             g0=lambda t, x, a: 0.5 + 0.0 * x, eps=0.5)
         assert rep.phi_eps == pytest.approx(2.0**2.5, rel=1e-12)
         assert rep.psi_eps == pytest.approx(0.5**2.5, rel=1e-12)
+
+    def test_reflected_solve_carries_its_compensator(self):
+        tree = tree_for(n=6)
+        prob = BdsdeProblem(terminal=lambda x: np.maximum(1.0 - x, 0.0), f=ZERO, g=ZERO)
+        sol = solve_reflected(prob, Barrier(fn=lambda t, x: np.maximum(1.0 - x, 0.0)), tree,
+                              sample_backward_path(tree.grid, seed=2))
+        rep = compute_norms([sol])
+        assert rep.i2_norm == pathwise_terminal_k_sq(tree, sol.k.increments) > 0.0
+        assert rep.d2_norm == pathwise_sup_sq_expectation(tree, sol.y)
+
+    def test_refuses_a_solve_without_a_tree(self):
+        grid = build_time_grid(0, 1, 4)
+        w = sample_backward_path(grid, seed=1)
+        prob = TbdsdeProblem(terminal=lambda x: x**2, F=lambda t, x, y, z, a: 0.0 * y,
+                             g=ZERO, volgrid=build_volatility_grid(0.5, 2.0, 3))
+        mc = solve_regression(prob.classical_problem(1.0),
+                              sample_forward_ensemble(grid, 200, 1.0, seed=3), w)
+        lattice = solve_dp(prob, grid, w, opts=DpOptions(x_steps=20))
+        for sol, backend in ((mc, "mc"), (lattice, "lattice")):
+            with pytest.raises(InvalidArgumentError, match=f"backend '{backend}'"):
+                compute_norms([sol])
+        with pytest.raises(InvalidArgumentError, match="at least one"):
+            compute_norms([])
 
     def test_triangle_inequality_d_norm(self):
         rng = np.random.default_rng(2)

@@ -4,7 +4,6 @@ import pytest
 from bdsde.errors import (InvalidArgumentError, NonFiniteError, StabilityError,
                           UnsupportedOracleError)
 from bdsde.grids import (
-    batch_paths,
     build_time_grid,
     sample_backward_bridge,
     sample_backward_path,
@@ -94,18 +93,22 @@ class TestLinearSpdeClosedForm:
     def test_path_negation_scales_value(self):
         grid = build_time_grid(0, 1, 32)
         w = sample_backward_path(grid, seed=9)
-        w_neg = BackwardPath.from_values(grid, -w.values)
+        w_neg = BackwardPath(grid, -w.values)
         beta = 0.4
         v = linear_spde_closed_form(beta, [0.0, 0.0, 1.0], w, 0.0, 0.0)
         v_neg = linear_spde_closed_form(beta, [0.0, 0.0, 1.0], w_neg, 0.0, 0.0)
         ratio = np.exp(-2 * beta * w.tail_increment(0))
         assert v_neg / v == pytest.approx(ratio, rel=1e-12)
 
-    def test_refuses_a_batch(self):
-        grid = build_time_grid(0, 1, 8)
-        batch = batch_paths([sample_backward_path(grid, seed=s) for s in (2, 3)])
-        with pytest.raises(InvalidArgumentError, match=r"shape \(9, 2\)"):
-            linear_spde_closed_form(0.4, [0.0, 0.0, 1.0], batch, 0.0, 0.0)
+    @pytest.mark.parametrize("t", [-0.5, 2.0, 0.3])
+    def test_refuses_a_time_off_the_grid(self, t):
+        # -0.5 and 2.0 round to node indices -2 and 8, outside 0..4; 0.3 lies between nodes
+        w = sample_backward_path(build_time_grid(0, 1, 4), seed=1)
+        with pytest.raises(InvalidArgumentError, match=r"node of the frozen path's grid on "
+                                                       r"\[0.0, 1.0\], got"):
+            linear_spde_closed_form(0.4, [0.0, 0.0, 1.0], w, t, 0.0)
+        # the horizon itself is node 4: no noise left, and phi itself
+        assert linear_spde_closed_form(0.4, [0.0, 0.0, 1.0], w, 1.0, 0.5) == 0.25
 
 
 def heat_problem(boundary=None):
@@ -211,15 +214,6 @@ class TestItoProduct:
         ens = sample_forward_ensemble(grid, n_paths, a, seed=3)
         w = sample_backward_path(grid, seed=seed)
         return grid, ens, w
-
-    def test_refuses_a_batch(self):
-        # as many W paths as forward paths would broadcast without an error
-        grid = build_time_grid(0, 1, 8)
-        ens = sample_forward_ensemble(grid, 2, 1.0, seed=3)
-        batch = batch_paths([sample_backward_path(grid, seed=s) for s in (11, 12)])
-        p = ItoProcess(gamma=lambda t, b, wv: 1.0)
-        with pytest.raises(InvalidArgumentError, match=r"shape \(9, 2\)"):
-            ito_product_check(p, p, ens, batch)
 
     def test_deterministic_drift_case(self):
         # X1 = X2 = t: only the Riemann-sum bias of order dt remains

@@ -16,7 +16,6 @@ from bdsde.errors import (
     VerificationError,
 )
 from bdsde.grids import (
-    batch_paths,
     build_time_grid,
     build_tree,
     build_volatility_grid,
@@ -266,8 +265,9 @@ def recomputed_compensator(prob, sol, w, a, z_T=None):
     incs, clamped = [None] * n, 0
     for i in range(n - 1, -1, -1):
         z_next = z_T if i == n - 1 and z_T is not None else sol.Z[i + 1]
+        dw = (w.values[i + 1] - w.values[i])[..., None]
         cand = backward_step(prob.classical_problem(a), cond, lambda _: xs, i, grid,
-                             sol.Y[i + 1], z_next, w, a, opts)[0]
+                             sol.Y[i + 1], z_next, dw, a, opts)[0]
         delta = sol.Y[i] - cand
         clamped += int(np.sum(delta < 0))
         incs[i] = np.maximum(delta, 0.0)
@@ -681,14 +681,6 @@ class TestFeynmanKac:
         ens = sample_forward_ensemble(grid, 200, np.linspace(0.5, 2.0, 16), seed=8, x0=1.0)
         with pytest.raises(InvalidArgumentError, match="constant control"):
             feynman_kac_residual(*self.u_bsb(), bsb_problem(), ens, w)
-
-    def test_refuses_a_batch(self):
-        # as many W paths as forward paths would broadcast without an error
-        grid = build_time_grid(0, 1, 8)
-        batch = batch_paths([sample_backward_path(grid, seed=s) for s in (6, 7)])
-        ens = sample_forward_ensemble(grid, 2, 2.0, seed=8, x0=1.0)
-        with pytest.raises(InvalidArgumentError, match=r"shape \(9, 2\)"):
-            feynman_kac_residual(*self.u_bsb(), bsb_problem(), ens, batch)
 
     def test_generator_enters_with_the_solver_sign(self):
         # F = 0.3 on the band: solve_dp's value is x^2 + 2.3 (1 - t), since
