@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NonFiniteError, RangeError, SingularFlowError
 from .generators import FD_STEP
-from .grids import BackwardPath, TimeGrid, _count
+from .grids import BackwardPath, TimeGrid, _count, _one_path
 
 DERIV_NAMES = ("eta", "d_y", "d_x", "d_yy", "d_xy", "d_xx")
 INVERSE_NAMES = ("eps",) + DERIV_NAMES[1:]
@@ -94,9 +94,23 @@ class FlowField:
     tables: dict = field(repr=False)     # name -> (n_t + 1, nx, ny)
     y_core: tuple = None                 # pre-pad target range for inversion
 
-    def eval(self, name: str, i: int, x, y):
-        """Bilinear evaluation of a table at time index i."""
-        return _bilinear(self.tables[name][i], self.x_lattice, self.y_lattice, x, y)
+    def eval(self, names, i: int, x, y) -> list:
+        """Bilinear values at time index i and points (x, y) of the tables in the
+        sequence names, in its order, from one range check (RangeError off the
+        lattice, NaN included) and one set of cell weights."""
+        if isinstance(names, str):
+            raise InvalidArgumentError(f"names is a sequence of table names, got {names!r}")
+        xs, ys = self.x_lattice, self.y_lattice
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        _check_range(x, xs, "x")
+        _check_range(y, ys, "y")
+        ix = np.clip(np.searchsorted(xs, x) - 1, 0, len(xs) - 2)
+        iy = np.clip(np.searchsorted(ys, y) - 1, 0, len(ys) - 2)
+        tx = (x - xs[ix]) / (xs[ix + 1] - xs[ix])
+        ty = (y - ys[iy]) / (ys[iy + 1] - ys[iy])
+        w00, w10, w01, w11 = (1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty
+        return [w00 * v[ix, iy] + w10 * v[ix + 1, iy] + w01 * v[ix, iy + 1]
+                + w11 * v[ix + 1, iy + 1] for v in (self.tables[name][i] for name in names)]
 
     def inverse_at(self, i: int, x, y_target):
         """Solve eta(t_i, x, .) = y_target by monotone piecewise-linear inversion
@@ -121,24 +135,6 @@ def _require_invertible(dy_eta, where):
     if not np.all(dy_eta > MIN_DY):
         raise SingularFlowError(f"flow y-derivative fell to {np.min(dy_eta):.3e} {where}, "
                                 f"below the invertibility threshold {MIN_DY:g}")
-
-
-def _bilinear(table, xs, ys, x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    x, y = np.broadcast_arrays(x, y)
-    _check_range(x, xs, "x")
-    _check_range(y, ys, "y")
-    ix = np.clip(np.searchsorted(xs, x) - 1, 0, len(xs) - 2)
-    iy = np.clip(np.searchsorted(ys, y) - 1, 0, len(ys) - 2)
-    tx = (x - xs[ix]) / (xs[ix + 1] - xs[ix])
-    ty = (y - ys[iy]) / (ys[iy + 1] - ys[iy])
-    v00 = table[ix, iy]
-    v10 = table[ix + 1, iy]
-    v01 = table[ix, iy + 1]
-    v11 = table[ix + 1, iy + 1]
-    return ((1 - tx) * (1 - ty) * v00 + tx * (1 - ty) * v10
-            + (1 - tx) * ty * v01 + tx * ty * v11)
 
 
 def _interp_rows_x(table, xs, x):
@@ -169,13 +165,13 @@ def _inverse_partials(flow: FlowField, i: int, x, e, second: bool = True) -> dic
     Differentiating eta(t, x, eps(t, x, y)) = y once and twice gives them from
     the flow's partials at (x, e); second=False stops after d_y and d_x.
     """
-    dy_eta = flow.eval("d_y", i, x, e)
+    names = DERIV_NAMES[1:] if second else DERIV_NAMES[1:3]
+    dy_eta, dx_eta, *second_partials = flow.eval(names, i, x, e)
     _require_invertible(dy_eta, f"at step {i}")
-    dx_eta = flow.eval("d_x", i, x, e)
     d_y = 1.0 / dy_eta
     out = {"d_y": d_y, "d_x": -dx_eta * d_y}
     if second:
-        dyy_eta, dxy_eta, dxx_eta = (flow.eval(k, i, x, e) for k in DERIV_NAMES[3:])
+        dyy_eta, dxy_eta, dxx_eta = second_partials
         d_yy = -dyy_eta / dy_eta**3
         d_xy = -(d_yy * dx_eta * dy_eta + d_y * dxy_eta) / dy_eta
         out.update(d_yy=d_yy, d_xy=d_xy,
@@ -204,7 +200,7 @@ def solve_flow(coef: FlowCoefficient, w: BackwardPath, x_lattice, y_lattice,
     """
     xs = np.asarray(x_lattice, dtype=float)
     ys = np.asarray(y_lattice, dtype=float)
-    grid = w.grid
+    grid = _one_path(w).grid
     n = grid.n_steps
     nx, ny = len(xs), len(ys)
     xm = np.broadcast_to(xs[:, None], (nx, ny))
@@ -301,15 +297,14 @@ def derivative_identity_report(flow: FlowField, inv: FlowField,
     for i in np.unique(i_smp):
         m = i_smp == i
         x, y = x_smp[m], y_smp[m]
-        e = inv.eval("eps", i, x, y)
-        de_y, de_x, de_yy, de_xy, de_xx = (inv.eval(k, i, x, y) for k in INVERSE_NAMES[1:])
-        dn_y, dn_x, dn_yy, dn_xy, dn_xx = (flow.eval(k, i, x, e) for k in DERIV_NAMES[1:])
+        e, de_y, de_x, de_yy, de_xy, de_xx = inv.eval(INVERSE_NAMES, i, x, y)
+        eta, dn_y, dn_x, dn_yy, dn_xy, dn_xx = flow.eval(DERIV_NAMES, i, x, e)
         record("inverse_pair", de_y * dn_y - 1.0)
         record("d_x_pair", de_x + de_y * dn_x)
         record("d_yy_pair", de_yy * dn_y**2 + de_y * dn_yy)
         record("d_xy_pair", de_xy * dn_y + de_yy * dn_x * dn_y + de_y * dn_xy)
         record("d_xx_pair", de_xx + 2 * de_xy * dn_x + de_yy * dn_x**2 + de_y * dn_xx)
-        record("roundtrip", flow.eval("eta", i, x, e) - y)
+        record("roundtrip", eta - y)
 
     # chain rule on a composite field psi(t, x) = eta(t, x, phi(t, x)) with a
     # smooth test phi; reference derivative by central differences across x
@@ -319,10 +314,10 @@ def derivative_identity_report(flow: FlowField, inv: FlowField,
     h = xs[1] - xs[0]
     for i in (0, n // 2, n):
         t = flow.grid.time(i)
-        psi = lambda xv: flow.eval("eta", i, xv, phi(t, xv))
+        psi = lambda xv: flow.eval(("eta",), i, xv, phi(t, xv))[0]
         lhs = (psi(xs_in + h) - psi(xs_in - h)) / (2 * h)
-        rhs = (flow.eval("d_x", i, xs_in, phi(t, xs_in))
-               + flow.eval("d_y", i, xs_in, phi(t, xs_in)) * dphi(t, xs_in))
+        d_x, d_y = flow.eval(("d_x", "d_y"), i, xs_in, phi(t, xs_in))
+        rhs = d_x + d_y * dphi(t, xs_in)
         record("chain_dx", lhs - rhs)
 
     return IdentityReport(max_violation=max(viol.values()), per_identity=viol)
@@ -331,28 +326,29 @@ def derivative_identity_report(flow: FlowField, inv: FlowField,
 def transformed_generator(f: Callable, flow: FlowField) -> Callable:
     """Generator of the transformed (noise-free) equation.
 
-    Returns ftilde(i, x, y, z, a) with i a time index: evaluates
+    Returns F(t, x, y, z, a), in the solver's time: t must be a node of the
+    flow's grid (`TimeGrid.index`, InvalidArgumentError otherwise), so F
+    plugs straight into a `TbdsdeProblem` or a `RandomPdeProblem`.  At the
+    node t_i it evaluates
 
-        (1 / d_y eta) [ f(t, x, eta, d_y eta z + d_x eta, a)
+        (1 / d_y eta) [ f(t_i, x, eta, d_y eta z + d_x eta, a)
                         - a d_xx eta / 2 - z a d_xy eta - d_yy eta a z^2 / 2 ]
 
     with all flow derivatives read at (t_i, x, y).
     """
 
-    def ftilde(i, x, y, z, a):
+    def F(t, x, y, z, a):
+        i = flow.grid.index(t)
         x = np.asarray(x, dtype=float)
         if not np.all(np.isfinite(y)):  # no flow derivative to invert at a NaN query
             raise SingularFlowError(f"non-finite y query at step {i}: flow not invertible there")
-        eta = flow.eval("eta", i, x, y)
-        dy = flow.eval("d_y", i, x, y)
+        eta, dy, dx, dyy, dxy, dxx = flow.eval(DERIV_NAMES, i, x, y)
         _require_invertible(dy, f"at a query at step {i}")
-        dx, dyy, dxy, dxx = (flow.eval(k, i, x, y) for k in DERIV_NAMES[2:])
-        t = flow.grid.time(i)
-        inner = (np.asarray(f(t, x, eta, dy * z + dx, a), dtype=float)
+        inner = (np.asarray(f(flow.grid.time(i), x, eta, dy * z + dx, a), dtype=float)
                  - 0.5 * a * dxx - z * a * dxy - 0.5 * dyy * a * z * z)
         return inner / dy
 
-    return ftilde
+    return F
 
 
 def transform_solution(Y_levels, Z_levels, K_increments, flow: FlowField,
@@ -387,9 +383,8 @@ def untransform_solution(U_levels, V_levels, Kt_increments, flow: FlowField,
     for i in range(n + 1):
         x = np.asarray(states_per_level[i], dtype=float)
         u = np.asarray(U_levels[i], dtype=float)
-        dy_eta = flow.eval("d_y", i, x, u)
-        dx_eta = flow.eval("d_x", i, x, u)
-        Y.append(flow.eval("eta", i, x, u))
+        eta, dy_eta, dx_eta = flow.eval(DERIV_NAMES[:3], i, x, u)
+        Y.append(eta)
         Z.append(dy_eta * np.asarray(V_levels[i], dtype=float) + dx_eta)
         if Kt_increments is not None and i < n:
             K.append(dy_eta * np.asarray(Kt_increments[i], dtype=float))
@@ -404,22 +399,20 @@ def consistency_check_transform(f: Callable, flow: FlowField, inv: FlowField,
 
         d_y inv * f + a d_xx inv / 2 + d_yy inv (a^{1/2} z)^2 / 2 + d_xy inv z a,
 
-    must equal ftilde evaluated at the transformed point.  samples is an
-    iterable of (i, x, y, z).
+    must equal transformed_generator's F evaluated at the transformed point.
+    samples is an iterable of (i, x, y, z) with i a time index.
     """
-    ftilde = transformed_generator(f, flow)
+    F = transformed_generator(f, flow)
     worst = 0.0
     for (i, x, y, z) in samples:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         y = np.broadcast_to(np.asarray(y, dtype=float), x.shape)
         z = np.broadcast_to(np.asarray(z, dtype=float), x.shape)
-        de_y, de_x, de_yy, de_xy, de_xx = (inv.eval(k, i, x, y) for k in INVERSE_NAMES[1:])
+        u, de_y, de_x, de_yy, de_xy, de_xx = inv.eval(INVERSE_NAMES, i, x, y)
         t = flow.grid.time(i)
         lhs = (de_y * np.asarray(f(t, x, y, z, a), dtype=float)
                + 0.5 * de_xx * a + 0.5 * de_yy * a * z * z + de_xy * z * a)
-        u = inv.eval("eps", i, x, y)
-        v = de_y * z + de_x
-        rhs = ftilde(i, x, u, v, a)
+        rhs = F(t, x, u, de_y * z + de_x, a)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 
@@ -447,23 +440,13 @@ def growth_check(flow: FlowField, inv: FlowField) -> GrowthReport:
         "increment_sup": np.array([np.max(np.abs(wv[i:] - wv[i])) for i in range(n + 1)]),
     }
 
-    def fit_value(tables, lattice_y):
-        out = {}
-        for nm, mvals in norms.items():
-            c = 0.0
-            for i in range(n + 1):
-                m = mvals[i]
-                if m < 1e-12:
-                    continue
-                excess = np.abs(tables[i]) - np.abs(lattice_y)[None, :]
-                c = max(c, float(np.max(excess)) / m)
-            out[nm] = c
-        return out
+    def fit_value(table, lattice_y):
+        excess = np.max(np.abs(table) - np.abs(lattice_y), axis=(1, 2))  # per level
+        return {nm: float(np.max(excess[m >= 1e-12] / m[m >= 1e-12], initial=0.0))
+                for nm, m in norms.items()}
 
     def fit_deriv(field, names):
-        dmax = np.zeros(n + 1)
-        for i in range(n + 1):
-            dmax[i] = max(float(np.max(np.abs(field.tables[nm][i]))) for nm in names)
+        dmax = np.max([np.max(np.abs(field.tables[nm]), axis=(1, 2)) for nm in names], axis=0)
         out = {}
         for nm, mvals in norms.items():
             lo, hi = 0.0, GROWTH_CAP

@@ -23,6 +23,8 @@ from . import rng
 
 @dataclass(frozen=True)
 class TimeGrid:
+    """n_steps steps of dt from t0 to horizon; index(t) maps a node's time(i) back to i."""
+
     t0: float
     horizon: float
     n_steps: int
@@ -34,6 +36,16 @@ class TimeGrid:
 
     def time(self, i: int) -> float:
         return self.t0 + self.dt * i
+
+    def index(self, t: float) -> int:
+        """The node i with |time(i) - t| <= 1e-9 (1 + |t|); any other t, NaN
+        and the infinities included, raises InvalidArgumentError."""
+        q = (float(t) - self.t0) / self.dt
+        i = round(q) if math.isfinite(q) else -1
+        if not (0 <= i <= self.n_steps and abs(self.time(i) - t) <= 1e-9 * (1 + abs(t))):
+            raise InvalidArgumentError(f"t must be a node of the time grid on "
+                                       f"[{self.t0}, {self.horizon}], got {t}")
+        return i
 
 
 def _count(value, name: str, least: int = 1) -> int:
@@ -66,7 +78,8 @@ class BackwardPath:
     """Frozen trajectory of the scalar backward driver W on a time grid.
 
     values, stored as a float array, has shape (n_steps + 1,), values[0] = 0
-    for a sampled path; any other shape raises InvalidArgumentError.
+    for a sampled path; any other shape, or a value that is not finite, raises
+    InvalidArgumentError.
     """
 
     grid: TimeGrid
@@ -78,6 +91,10 @@ class BackwardPath:
             raise InvalidArgumentError(
                 f"a backward path holds {self.grid.n_steps + 1} values in a 1-D array, "
                 f"got shape {values.shape}")
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise InvalidArgumentError(f"a backward path must be finite, got "
+                                       f"{values[bad[0]]} at node {bad[0]}")
         object.__setattr__(self, "values", values)
 
     @property
@@ -88,6 +105,14 @@ class BackwardPath:
     def tail_increment(self, i: int):
         """W_T - W_{t_i}."""
         return self.values[-1] - self.values[i]
+
+
+def _one_path(w) -> BackwardPath:
+    """w, or InvalidArgumentError unless it is one BackwardPath: only the
+    solvers take a list of paths."""
+    if not isinstance(w, BackwardPath):
+        raise InvalidArgumentError(f"this takes one BackwardPath, got {type(w).__name__}")
+    return w
 
 
 def sample_backward_path(grid: TimeGrid, seed: int) -> BackwardPath:

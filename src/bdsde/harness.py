@@ -220,7 +220,7 @@ def _flow_eta0(n: int, straight: bool = False) -> float:
     coef = FlowCoefficient(g=lambda t, x, y: 0.4 * np.sin(y) + 0.1 * np.cos(x))
     flow = solve_flow(coef, BackwardPath(grid, w),
                       np.linspace(-1.0, 1.0, 5), build_y_lattice(-1.0, 1.0, 17))
-    return flow.eval("eta", 0, np.array([0.0]), np.array([0.5]))[0]
+    return flow.eval(("eta",), 0, np.array([0.0]), np.array([0.5]))[0][0]
 
 
 def flow_order_study(halvings: int = 3, base_n: int = 32) -> StudyResult:

@@ -18,7 +18,7 @@ from .errors import (
     StabilityError,
     UnsupportedOracleError,
 )
-from .grids import BackwardPath, PathEnsemble, TimeGrid, _count
+from .grids import BackwardPath, PathEnsemble, TimeGrid, _count, _one_path
 
 QUAD_NODES = 64      # Gauss-Hermite nodes of heat_semigroup on a callable
 Z_PROBE = 1e-6       # gradient probe of the fd upwind choice
@@ -98,14 +98,12 @@ def linear_spde_closed_form(beta: float, phi, w: BackwardPath, t: float, x):
     """Value of the semilinear family with multiplicative backward noise.
 
     The noise-removing flow is the exponential scale exp(beta (W_T - W_t));
-    what remains is the unit-volatility heat semigroup.
+    what remains is the unit-volatility heat semigroup.  t must be a node of
+    w's grid (`TimeGrid.index`), and w one `BackwardPath`; anything else
+    raises InvalidArgumentError.
     """
-    grid = w.grid
-    i = int(round((t - grid.t0) / grid.dt))
-    if not (0 <= i <= grid.n_steps and abs(grid.time(i) - t) <= 1e-9 * (1 + abs(t))):
-        raise InvalidArgumentError(f"t must be a node of the frozen path's grid on "
-                                   f"[{grid.t0}, {grid.horizon}], got {t}")
-    scale = math.exp(beta * float(w.tail_increment(i)))
+    grid = _one_path(w).grid
+    scale = math.exp(beta * float(w.tail_increment(grid.index(t))))
     return scale * heat_semigroup(phi, 1.0, grid.horizon - t)(x)
 
 
@@ -230,6 +228,7 @@ def ito_product_check(p1: ItoProcess, p2: ItoProcess, ensemble: PathEnsemble,
     from the backward one; flipping that sign (the control experiment) must
     break convergence.
     """
+    _one_path(w)
     grid = ensemble.grid
     n, dt = grid.n_steps, grid.dt
     N = ensemble.n_paths

@@ -33,6 +33,7 @@ from .grids import (
     TimeGrid,
     VolatilityGrid,
     _count,
+    _one_path,
     _start,
     build_tree,
 )
@@ -341,6 +342,7 @@ def feynman_kac_residual(u: Callable, du: Callable, d2u: Callable,
     A candidate u that fails to solve the equation shows up as a residual
     that does not vanish under step refinement.
     """
+    _one_path(w)
     grid = ensemble.grid
     n, dt = grid.n_steps, grid.dt
     a = float(ensemble.control[0])

@@ -134,13 +134,12 @@ def test_criterion_03_flow_transform_roundtrip():
     # transformed noise-free problem: the generator is the flow transform of
     # the Stratonovich-form conjugate (identically zero for this family)
     ftil = transformed_generator(FZERO, flow)
-    idx = {round(grid.time(i), 12): i for i in range(65)}
     p_transf = TbdsdeProblem(
         terminal=lambda x: x**2,
-        F=lambda t, x, y, z, a: -ftil(idx[round(t, 12)], x, y, z, a),
+        F=lambda t, x, y, z, a: -ftil(t, x, y, z, a),
         g=ZERO, volgrid=vg)
     st = solve_dp(p_transf, grid, w, x0=1.0, opts=DpOptions(x_steps=400))
-    y_transf = float(flow.eval("eta", 0, np.array([1.0]), np.array([st.y0]))[0])
+    y_transf = float(flow.eval(["eta"], 0, np.array([1.0]), np.array([st.y0]))[0][0])
 
     measured = abs(sd.y0 - oracle)
     ok = rt < 1e-8 and abs(sd.y0 - y_transf) <= 3.0 * measured
@@ -163,12 +162,11 @@ def test_criterion_04_midpoint_vs_converted_endpoint():
         for n in levels:
             w = subsample_path(fine, 64 // n)
             tree = build_tree(w.grid, 1.0, x0=1.0)
-            br = {round(w.grid.time(i), 12): float(w.increments[i] ** 2) / w.grid.dt
-                  for i in range(n)}
+            bracket = lambda t, w=w: float(w.increments[w.grid.index(t)] ** 2) / w.grid.dt
             p_s = BdsdeProblem(terminal=lambda x: x**2, f=ZERO, g=g)
             p_i = BdsdeProblem(
                 terminal=lambda x: x**2,
-                f=lambda t, x, y, z, br=br: 0.5 * beta**2 * y * br[round(t, 12)], g=g)
+                f=lambda t, x, y, z, br=bracket: 0.5 * beta**2 * y * br(t), g=g)
             ys = solve_tree(p_s, tree, w, SolverOptions(g_scheme="stratonovich")).y0
             yi = solve_tree(p_i, tree, w, SolverOptions(g_scheme="ito")).y0
             sums[n] += abs(ys - yi)
@@ -204,16 +202,15 @@ def test_criterion_05_semilinear_noise_oracle():
     flow = solve_flow(coef, w, xs_dom, build_y_lattice(-2.0, 45.0, 121, pad=1.0),
                       y_core=(-2.0, 45.0))
     ftil = transformed_generator(FZERO, flow)
-    idx = {round(grid.time(i), 12): i for i in range(65)}
 
     def hhat_tilde(t, x, y, z, gam):
-        return 0.5 * gam - ftil(idx[round(t, 12)], x, y, z, 1.0)
+        return 0.5 * gam - ftil(t, x, y, z, 1.0)
 
     pde = RandomPdeProblem(hhat_tilde=hhat_tilde, terminal=lambda x: x**2,
                            x_domain=(-6.0, 6.0))
     xs_fd, v = fd_random_pde(pde, grid, x_steps=60)
     i0 = int(np.argmin(np.abs(xs_fd)))
-    u_fd = float(flow.eval("eta", 0, np.array([0.0]), np.array([v[0, i0]]))[0])
+    u_fd = float(flow.eval(["eta"], 0, np.array([0.0]), np.array([v[0, i0]]))[0][0])
     fd_ok = abs(u_fd - oracle) <= 0.02 * oracle
     check(5, "semilinear multiplicative-noise oracle (solver and FD routes)",
           solver_ok and fd_ok,

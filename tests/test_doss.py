@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bdsde.doss import (
+    DERIV_NAMES,
     FlowCoefficient,
     build_y_lattice,
     consistency_check_transform,
@@ -134,15 +137,14 @@ class TestFlowIntegration:
     def test_linear_flow_matches_exponential(self):
         flow, w, beta = linear_flow(n=64)
         dw_total = w.tail_increment(0)
-        got = flow.eval("eta", 0, np.array([0.0]), np.array([1.0]))[0]
+        got = flow.eval(["eta"], 0, np.array([0.0]), np.array([1.0]))[0][0]
         # per-step midpoint error is cubic in the Brownian increments
         assert got == pytest.approx(np.exp(beta * dw_total), rel=2e-3)
 
     def test_linear_flow_derivative_equals_value_at_one(self):
         # d/dy of a linear flow equals the flow at y = 1 (same recursion)
         flow, w, beta = linear_flow()
-        v = flow.eval("eta", 0, np.array([0.3]), np.array([1.0]))[0]
-        d = flow.eval("d_y", 0, np.array([0.3]), np.array([1.0]))[0]
+        v, d = (c[0] for c in flow.eval(["eta", "d_y"], 0, np.array([0.3]), np.array([1.0])))
         assert d == pytest.approx(v, rel=1e-13)
         # second derivatives of a linear flow vanish
         assert abs(flow.tables["d_yy"][0]).max() < 1e-13
@@ -182,10 +184,10 @@ class TestInversion:
         inv = invert_flow(flow)
         for i in (0, 17, 40):
             scale = np.exp(-beta * w.tail_increment(i))
-            got = inv.eval("eps", i, np.zeros(3), np.array([-1.0, 0.2, 1.3]))
+            got, = inv.eval(["eps"], i, np.zeros(3), np.array([-1.0, 0.2, 1.3]))
             # the tabulated flow is the Heun product, not the exact
             # exponential; invert the tabulated map itself for the reference
-            eta_one = flow.eval("eta", i, np.zeros(1), np.ones(1))[0]
+            eta_one = flow.eval(["eta"], i, np.zeros(1), np.ones(1))[0][0]
             np.testing.assert_allclose(got, np.array([-1.0, 0.2, 1.3]) / eta_one,
                                        rtol=1e-10)
             np.testing.assert_allclose(got, np.array([-1.0, 0.2, 1.3]) * scale,
@@ -199,7 +201,7 @@ class TestInversion:
         for i in (0, n // 2, n):
             for k in (0, len(flow.x_lattice) - 1):
                 x = np.full_like(y_in, flow.x_lattice[k])
-                eta_vals = flow.eval("eta", i, x, y_in)
+                eta_vals, = flow.eval(["eta"], i, x, y_in)
                 back = flow.inverse_at(i, x, eta_vals)
                 assert np.max(np.abs(back - y_in)) < 1e-8
 
@@ -226,15 +228,58 @@ class TestInversion:
     def test_nan_queries_raise(self):
         flow, w, _ = linear_flow(n=16)
         with pytest.raises(RangeError):
-            flow.eval("eta", 0, np.array([np.nan]), np.array([0.0]))
+            flow.eval(["eta"], 0, np.array([np.nan]), np.array([0.0]))
         with pytest.raises(RangeError):
-            flow.eval("eta", 0, np.array([0.0]), np.array([np.nan]))
+            flow.eval(["eta"], 0, np.array([0.0]), np.array([np.nan]))
         with pytest.raises(RangeError):
             flow.inverse_at(0, np.array([0.0]), np.array([np.nan]))
         states = [np.zeros(2) for _ in range(flow.grid.n_steps + 1)]
         U = [np.array([0.1, np.nan]) for _ in states]
         with pytest.raises(RangeError):
             untransform_solution(U, [np.zeros(2) for _ in states], None, flow, states)
+
+
+NONLINEAR_FLOW = solve_flow(FlowCoefficient(g=lambda t, x, y: 0.3 * np.sin(y) + 0.1 * np.cos(x)),
+                            sample_backward_path(build_time_grid(0, 1, 8), seed=2),
+                            np.linspace(-1.0, 1.0, 5), np.linspace(-2.0, 2.0, 9))
+
+
+def bilinear(table, xs, ys, x, y):
+    """The bilinear interpolant of table at one point (x, y), written out."""
+    ix = min(max(int(np.searchsorted(xs, x)) - 1, 0), len(xs) - 2)
+    iy = min(max(int(np.searchsorted(ys, y)) - 1, 0), len(ys) - 2)
+    tx = (x - xs[ix]) / (xs[ix + 1] - xs[ix])
+    ty = (y - ys[iy]) / (ys[iy + 1] - ys[iy])
+    return ((1 - tx) * (1 - ty) * table[ix, iy] + tx * (1 - ty) * table[ix + 1, iy]
+            + (1 - tx) * ty * table[ix, iy + 1] + tx * ty * table[ix + 1, iy + 1])
+
+
+def lattice_coordinate(lattice):
+    # a node (the edges among them) or any point in between
+    return st.one_of(st.sampled_from(lattice.tolist()), st.floats(lattice[0], lattice[-1]))
+
+
+@given(names=st.lists(st.sampled_from(DERIV_NAMES), min_size=1, max_size=8),
+       i=st.integers(0, 8),
+       points=st.lists(st.tuples(lattice_coordinate(NONLINEAR_FLOW.x_lattice),
+                                 lattice_coordinate(NONLINEAR_FLOW.y_lattice)),
+                       min_size=1, max_size=5))
+def test_eval_reads_every_name_at_one_point_bit_for_bit(names, i, points):
+    flow = NONLINEAR_FLOW
+    x, y = (np.array(c) for c in zip(*points))
+    got = flow.eval(names, i, x, y)
+    assert len(got) == len(names)
+    for name, values in zip(names, got):
+        expected = [bilinear(flow.tables[name][i], flow.x_lattice, flow.y_lattice, u, v)
+                    for u, v in points]
+        np.testing.assert_array_equal(values, expected, err_msg=name)
+    with pytest.raises(RangeError):
+        flow.eval(names + ["eta"], i, np.append(x, np.nan), np.append(y, 0.0))
+
+
+def test_eval_refuses_a_single_name():
+    with pytest.raises(InvalidArgumentError, match="sequence of table names, got 'eta'"):
+        NONLINEAR_FLOW.eval("eta", 0, np.zeros(1), np.zeros(1))
 
 
 class TestDerivativeIdentities:
@@ -273,8 +318,8 @@ class TestTransformedGenerator:
         f = lambda t, x, y, z, a: np.sin(x) + y - 0.3 * z + a
         ft = transformed_generator(f, flow)
         x = np.array([-0.5, 0.0, 0.5])
-        got = ft(2, x, np.array([1.0, 2.0, 2.5]), np.array([0.1, 0.2, 0.3]), 1.3)
         t = flow.grid.time(2)
+        got = ft(t, x, np.array([1.0, 2.0, 2.5]), np.array([0.1, 0.2, 0.3]), 1.3)
         np.testing.assert_allclose(
             got, f(t, x, np.array([1.0, 2.0, 2.5]), np.array([0.1, 0.2, 0.3]), 1.3),
             atol=1e-13)
@@ -283,7 +328,14 @@ class TestTransformedGenerator:
         flow, w, beta = linear_flow()
         ft = transformed_generator(lambda t, x, y, z, a: y, flow)
         with pytest.raises(SingularFlowError, match="step 3"):
-            ft(3, np.zeros(2), np.array([0.5, np.nan]), np.zeros(2), 1.0)
+            ft(flow.grid.time(3), np.zeros(2), np.array([0.5, np.nan]), np.zeros(2), 1.0)
+
+    @pytest.mark.parametrize("t", [1 / 128, -1 / 64, 1 + 1 / 64, np.nan, np.inf])
+    def test_refuses_a_time_off_the_flow_grid(self, t):
+        flow, w, beta = linear_flow()
+        ft = transformed_generator(lambda t, x, y, z, a: y, flow)
+        with pytest.raises(InvalidArgumentError, match=r"node of the time grid on \[0.0, 1.0\]"):
+            ft(t, np.zeros(2), np.full(2, 0.5), np.zeros(2), 1.0)
 
     def test_linear_flow_scaling_form(self):
         # for g = beta y: ftilde(t,x,y,z,a) = s^{-1} f(t, x, s y, s z, a),
@@ -292,12 +344,12 @@ class TestTransformedGenerator:
         f = lambda t, x, y, z, a: y**2 + 0.5 * z + a * np.cos(x)
         ft = transformed_generator(f, flow)
         i = 11
-        s = flow.eval("eta", i, np.zeros(1), np.ones(1))[0]
+        s = flow.eval(["eta"], i, np.zeros(1), np.ones(1))[0][0]
         x = np.array([0.0, 0.7])
         y = np.array([0.4, -0.2])
         z = np.array([0.3, 0.9])
         t = flow.grid.time(i)
-        np.testing.assert_allclose(ft(i, x, y, z, 1.2),
+        np.testing.assert_allclose(ft(t, x, y, z, 1.2),
                                    f(t, x, s * y, s * z, 1.2) / s, rtol=1e-9)
 
     def test_quadratic_gradient_envelope(self):
@@ -319,7 +371,7 @@ class TestTransformedGenerator:
             x = rs.uniform(-0.9, 0.9, size=4)
             y = rs.uniform(-0.9, 0.9, size=4)
             z = rs.uniform(-3, 3, size=4)
-            vals = np.abs(ft(i, x, y, z, a))
+            vals = np.abs(ft(grid.time(i), x, y, z, a))
             ratios.append(np.max(vals / (1.0 + np.abs(y) + 0.5 * a * z**2)))
         assert max(ratios) < 50.0
 
@@ -366,7 +418,7 @@ class TestSolutionTransform:
         Z = [np.zeros(3) for _ in range(n + 1)]
         U, V, _ = transform_solution(Y, Z, None, flow, states)
         for i in range(n + 1):
-            scale = flow.eval("eta", i, np.zeros(1), np.ones(1))[0]
+            scale = flow.eval(["eta"], i, np.zeros(1), np.ones(1))[0][0]
             np.testing.assert_allclose(U[i], 0.9 / scale, rtol=1e-12)
 
 
@@ -423,6 +475,32 @@ class TestConsistencyAndGrowth:
         inv = invert_flow(flow)
         rep = growth_check(flow, inv)
         assert rep.value_bound_c["flow"]["increment_sup"] == pytest.approx(beta, rel=1e-6)
+
+    def test_growth_constants_match_the_per_level_fit(self):
+        # the fit written level by level: the value constants bit for bit, and each
+        # derivative constant the least (to the bisection's precision) that bounds
+        # every level's largest derivative
+        flow, w, beta = linear_flow(n=16)
+        inv = invert_flow(flow)
+        rep = growth_check(flow, inv)
+        n, wv = flow.grid.n_steps, w.values
+        norms = {"position": np.abs(wv),
+                 "increment_sup": [np.max(np.abs(wv[i:] - wv[i])) for i in range(n + 1)]}
+        for field, value, lattice in ((flow, "eta", flow.y_lattice), (inv, "eps", inv.y_lattice)):
+            key = "flow" if field is flow else "inverse"
+            for nm, m in norms.items():
+                c = 0.0
+                for i in range(n + 1):
+                    if m[i] >= 1e-12:
+                        c = max(c, float(np.max(np.abs(field.tables[value][i])
+                                                - np.abs(lattice)[None, :])) / m[i])
+                assert rep.value_bound_c[key][nm] == c, (key, nm)
+                dmax = [max(float(np.max(np.abs(field.tables[k][i])))
+                            for k in field.tables if k != value) for i in range(n + 1)]
+                bounds = lambda c: all(np.log(c) + c * m[i] >= np.log(dmax[i]) - 1e-12
+                                       for i in range(n + 1))
+                got = rep.derivative_bound_c[key][nm]
+                assert bounds(got) and not bounds(got * (1 - 1e-9)), (key, nm)
 
     def test_growth_bounded_intensity_stable_under_refinement(self):
         coef = FlowCoefficient(g=lambda t, x, y: 0.3 * np.sin(y))

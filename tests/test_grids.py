@@ -7,6 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bdsde import rng
+from bdsde.doss import FlowCoefficient, solve_flow
 from bdsde.errors import InvalidArgumentError
 from bdsde.grids import (
     BackwardPath,
@@ -19,6 +20,8 @@ from bdsde.grids import (
     sample_forward_ensemble,
     subsample_path,
 )
+from bdsde.oracles import ItoProcess, ito_product_check, linear_spde_closed_form
+from bdsde.second_order import TbdsdeProblem, feynman_kac_residual
 
 
 class TestTimeGrid:
@@ -56,6 +59,17 @@ class TestTimeGrid:
     def test_refuses_non_integral_step_counts(self, n):
         with pytest.raises(InvalidArgumentError, match="n_steps"):
             build_time_grid(0, 1, n)
+
+    @given(t0=st.floats(-5.0, 5.0), span=st.floats(0.01, 10.0), n=st.integers(1, 300))
+    def test_index_maps_each_node_time_to_its_node(self, t0, span, n):
+        g = build_time_grid(t0, t0 + span, n)
+        assert [g.index(g.time(i)) for i in range(n + 1)] == list(range(n + 1))
+        assert g.index(g.time(n) + 1e-12 * span) == n  # within the 1e-9 (1 + |t|) slack
+        # half a step off a node, one step outside the grid, and the non-finite times
+        for t in (g.time(n // 2) + 0.5 * g.dt, g.t0 - g.dt, g.horizon + g.dt,
+                  np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidArgumentError, match="node of the time grid"):
+                g.index(t)
 
     @pytest.mark.parametrize("n", [4, 4.0, np.int64(4), np.float64(4.0)])
     def test_integral_step_counts_build_one_grid(self, n):
@@ -129,10 +143,38 @@ class TestBackwardPath:
         with pytest.raises(InvalidArgumentError, match=r"5 values in a 1-D array, got shape"):
             BackwardPath(g, np.zeros(shape))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refuses_a_value_that_is_not_finite(self, bad):
+        g = build_time_grid(0, 1, 4)
+        with pytest.raises(InvalidArgumentError, match=f"must be finite, got {bad} at node 2$"):
+            BackwardPath(g, [0.0, 0.1, bad, bad, 0.3])
+
     def test_stores_its_values_as_floats(self):
         w = BackwardPath(build_time_grid(0, 1, 4), [0, 1, 2, 3, 4])
         assert w.values.dtype == np.float64
         np.testing.assert_array_equal(w.values, [0.0, 1.0, 2.0, 3.0, 4.0])
+
+
+ONE_PATH = sample_backward_path(build_time_grid(0, 1, 4), seed=1)
+ENSEMBLE = sample_forward_ensemble(ONE_PATH.grid, 10, 1.0, seed=2)
+ZERO = lambda t, x, *rest: 0.0 * np.asarray(x)
+
+
+@pytest.mark.parametrize("consume", [
+    lambda w: solve_flow(FlowCoefficient(g=lambda t, x, y: 0.1 * y), w,
+                         np.linspace(-1, 1, 3), np.linspace(-1, 1, 5)),
+    lambda w: ito_product_check(ItoProcess(), ItoProcess(), ENSEMBLE, w),
+    lambda w: linear_spde_closed_form(0.4, [0.0, 0.0, 1.0], w, 0.0, 0.0),
+    lambda w: feynman_kac_residual(
+        ZERO, ZERO, ZERO, TbdsdeProblem(terminal=lambda x: 0.0 * x, F=ZERO, g=ZERO,
+                                        volgrid=build_volatility_grid(0.5, 2.0, 2)),
+        ENSEMBLE, w),
+], ids=["solve_flow", "ito_product_check", "linear_spde_closed_form", "feynman_kac_residual"])
+def test_single_path_consumers_refuse_a_list_of_paths(consume):
+    # only the solvers sweep a list of paths; these read one path's values
+    consume(ONE_PATH)
+    with pytest.raises(InvalidArgumentError, match="takes one BackwardPath, got list"):
+        consume([ONE_PATH, ONE_PATH])
 
 
 class TestVolatilityGrid:

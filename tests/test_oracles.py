@@ -100,11 +100,12 @@ class TestLinearSpdeClosedForm:
         ratio = np.exp(-2 * beta * w.tail_increment(0))
         assert v_neg / v == pytest.approx(ratio, rel=1e-12)
 
-    @pytest.mark.parametrize("t", [-0.5, 2.0, 0.3])
+    @pytest.mark.parametrize("t", [-0.5, 2.0, 0.3, np.nan, np.inf, -np.inf])
     def test_refuses_a_time_off_the_grid(self, t):
-        # -0.5 and 2.0 round to node indices -2 and 8, outside 0..4; 0.3 lies between nodes
+        # -0.5 and 2.0 round to node indices -2 and 8, outside 0..4; 0.3 lies between
+        # nodes; a time that is not finite is on no node
         w = sample_backward_path(build_time_grid(0, 1, 4), seed=1)
-        with pytest.raises(InvalidArgumentError, match=r"node of the frozen path's grid on "
+        with pytest.raises(InvalidArgumentError, match=r"node of the time grid on "
                                                        r"\[0.0, 1.0\], got"):
             linear_spde_closed_form(0.4, [0.0, 0.0, 1.0], w, t, 0.0)
         # the horizon itself is node 4: no noise left, and phi itself

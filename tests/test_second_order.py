@@ -731,12 +731,11 @@ class TestStratonovichItoEquivalence:
             for n in levels:
                 w = subsample_path(fine, 64 // n)
                 tree = build_tree(w.grid, 1.0, x0=1.0)
-                br = {round(w.grid.time(i), 12): float(w.increments[i] ** 2) / w.grid.dt
-                      for i in range(n)}
                 p_s = BdsdeProblem(terminal=lambda x: x**2,
                                    f=lambda t, x, y, z: np.zeros_like(x), g=g)
+                bracket = lambda t, w=w: float(w.increments[w.grid.index(t)] ** 2) / w.grid.dt
                 p_i = BdsdeProblem(terminal=lambda x: x**2,
-                                   f=lambda t, x, y, z, br=br: 0.5 * beta**2 * y * br[round(t, 12)],
+                                   f=lambda t, x, y, z, br=bracket: 0.5 * beta**2 * y * br(t),
                                    g=g)
                 ys = solve_tree(p_s, tree, w, SolverOptions(g_scheme="stratonovich")).y0
                 yi = solve_tree(p_i, tree, w, SolverOptions(g_scheme="ito")).y0
