@@ -55,7 +55,7 @@ def _cmd_study(args):
     if args.seed is not None:
         cfg.set("seeds", "w_seed", args.seed)
     if cfg.get("problem", "name") == "flow_roundtrip":
-        result = flow_order_study(halvings=args.halvings)
+        result = flow_order_study(halvings=args.halvings, base_n=cfg.get("grid", "n_steps"))
     else:
         result = convergence_study(cfg, halvings=args.halvings)
     path = _out_path(cfg, args.out)

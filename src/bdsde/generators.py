@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 import numpy as np
 
 from .errors import InvalidArgumentError
+from .grids import TimeGrid, _count
 
 if TYPE_CHECKING:
     from .second_order import TbdsdeProblem
@@ -153,37 +154,55 @@ class AssumptionReport:
         raise KeyError(name)
 
 
+def _node_draws(grid: TimeGrid, n_samples: int, seed: int) -> tuple:
+    """(rs, nodes): the generator seeded with seed after it drew n_samples node
+    indices of grid uniformly, and, per distinct one in ascending order, its
+    time and its samples' indices.  n_samples < 1 raises InvalidArgumentError."""
+    n_samples = _count(n_samples, "n_samples")
+    rs = np.random.default_rng(seed)
+    i = rs.integers(0, grid.n_steps + 1, size=n_samples)
+    return rs, [(grid.time(int(j)), np.flatnonzero(i == j)) for j in np.unique(i)]
+
+
+def _worst(name: str, violation: np.ndarray, tol: float, samples: tuple) -> AssumptionCheck:
+    """The check that passes when the largest violation is finite and <= tol,
+    with the sample it was found at; -inf, where nothing was compared, fails."""
+    k = np.unravel_index(np.argmax(violation), violation.shape)
+    worst = float(violation[k])
+    at = tuple(float(np.broadcast_to(s, violation.shape)[k]) for s in samples)
+    return AssumptionCheck(name, -math.inf < worst <= tol, worst,
+                           at if worst > -math.inf else ())
+
+
 def validate_assumptions(problem: TbdsdeProblem, constants: GeneratorConstants,
-                         n_samples: int = 200, seed: int = 0) -> AssumptionReport:
+                         grid: TimeGrid, n_samples: int = 200,
+                         seed: int = 0) -> AssumptionReport:
     """Sampled pass/fail report for the structural conditions on the
     problem's g, F and volatility grid under the declared constants.
 
+    A sample is a node of grid (`_node_draws`), x, two states (y, z) and a
+    volatility; g and F are called once per drawn node, at its time, on its
+    samples' two states as a (2, samples) batch.  A pair where F is not
+    finite is skipped, and a check that compared nothing fails at -inf.
     Report-only: each check carries the worst violating sample.  Sampling
     can refute but not certify the conditions.
     """
-    if n_samples < 1:
-        raise InvalidArgumentError("n_samples must be >= 1")
-    rs = np.random.default_rng(seed)
-    cst = constants
-    volgrid = problem.volgrid
-    checks = []
+    rs, nodes = _node_draws(grid, n_samples, seed)
+    cst, volgrid = constants, problem.volgrid
+    x = rs.normal(size=n_samples)
+    y, z = 2.0 * rs.normal(size=(2, 2, n_samples))
+    a = rs.choice(volgrid.a_values, size=n_samples)
+    t, gv, fv = np.empty(n_samples), np.empty(y.shape), np.empty(y.shape)
+    for t_i, k in nodes:
+        t[k] = t_i
+        gv[:, k] = problem.g(t_i, x[k], y[:, k], z[:, k])
+        fv[:, k] = problem.F(t_i, x[k], y[:, k], z[:, k], a[k])
+    dy, dz = np.abs(y[0] - y[1]), np.abs(z[0] - z[1])
+    pair = (t, x, y[0], y[1], z[0], z[1])
 
     # g contraction: ||g(y,z) - g(y',z')||^2 <= C|y-y'|^2 + alpha||z-z'||^2
-    worst = -math.inf
-    worst_at = ()
-    for _ in range(n_samples):
-        t = rs.uniform(0, 1)
-        x = rs.normal()
-        y1, y2 = rs.normal(size=2) * 2
-        z1, z2 = rs.normal(size=2) * 2
-        dg = np.asarray(problem.g(t, x, y1, z1)) - np.asarray(problem.g(t, x, y2, z2))
-        lhs = float(np.sum(dg**2))
-        rhs = cst.C * (y1 - y2) ** 2 + cst.alpha * (z1 - z2) ** 2
-        v = lhs - rhs
-        if v > worst:
-            worst, worst_at = v, (t, x, y1, y2, z1, z2)
-    checks.append(AssumptionCheck("g_contraction", worst <= 1e-10 * (1 + abs(cst.C)),
-                                  worst, worst_at))
+    checks = [_worst("g_contraction", (gv[0] - gv[1]) ** 2 - (cst.C * dy**2 + cst.alpha * dz**2),
+                     1e-10 * (1 + abs(cst.C)), pair)]
 
     # z-contraction coefficient must stay below 1 for the fixed point to close
     checks.append(AssumptionCheck("alpha_below_one", cst.alpha < 1.0,
@@ -194,39 +213,15 @@ def validate_assumptions(problem: TbdsdeProblem, constants: GeneratorConstants,
     checks.append(AssumptionCheck("ellipticity", margin >= 0.0, -margin,
                                   (volgrid.a_low,)))
 
-    # growth: g g^T <= c (1 + y^2) + beta z z^T sampled pointwise
-    worst = -math.inf
-    worst_at = ()
-    for _ in range(n_samples):
-        t = rs.uniform(0, 1)
-        x = rs.normal() * 2
-        y = rs.normal() * 3
-        z = rs.normal() * 3
-        gv = np.asarray(problem.g(t, x, y, z))
-        v = float(np.sum(gv**2)) - (cst.c * (1 + y * y) + cst.beta * z * z)
-        if v > worst:
-            worst, worst_at = v, (t, x, y, z)
-    checks.append(AssumptionCheck("g_growth", worst <= 1e-10 * (1 + cst.c),
-                                  worst, worst_at))
+    # growth: g g^T <= c (1 + y^2) + beta z z^T at both states
+    checks.append(_worst("g_growth", gv**2 - (cst.c * (1 + y * y) + cst.beta * z * z),
+                         1e-10 * (1 + cst.c), (t, x, y, z)))
 
-    # F Lipschitz in (y, a^{1/2} z)
-    worst = -math.inf
-    worst_at = ()
-    for _ in range(n_samples):
-        t = rs.uniform(0, 1)
-        x = rs.normal()
-        y1, y2 = rs.normal(size=2) * 2
-        z1, z2 = rs.normal(size=2) * 2
-        a = float(rs.choice(volgrid.a_values))
-        f1 = float(np.asarray(problem.F(t, np.atleast_1d(x), y1, z1, a)).reshape(-1)[0])
-        f2 = float(np.asarray(problem.F(t, np.atleast_1d(x), y2, z2, a)).reshape(-1)[0])
-        if math.isinf(f1) or math.isinf(f2):
-            continue
-        v = abs(f1 - f2) - cst.C * (abs(y1 - y2) + math.sqrt(a) * abs(z1 - z2))
-        if v > worst:
-            worst, worst_at = v, (t, x, y1, y2, z1, z2, a)
-    # worst stays -inf when F is infinite at every sample: nothing was checked
-    checks.append(AssumptionCheck("F_lipschitz", -math.inf < worst <= 1e-8 * (1 + cst.C),
-                                  worst, worst_at))
+    # F Lipschitz in (y, a^{1/2} z), on the pairs where F is finite at both states
+    finite = np.isfinite(fv).all(axis=0)
+    f1, f2 = np.where(finite, fv, 0.0)  # no inf - inf on a skipped pair
+    lip = np.abs(f1 - f2) - cst.C * (dy + np.sqrt(a) * dz)
+    checks.append(_worst("F_lipschitz", np.where(finite, lip, -math.inf),
+                         1e-8 * (1 + cst.C), pair + (a,)))
 
     return AssumptionReport(checks)

@@ -18,6 +18,7 @@ from .errors import (
     StabilityError,
     UnsupportedOracleError,
 )
+from .generators import _node_draws
 from .grids import BackwardPath, PathEnsemble, TimeGrid, _count, _one_path
 
 QUAD_NODES = 64      # Gauss-Hermite nodes of heat_semigroup on a callable
@@ -116,18 +117,19 @@ class RandomPdeProblem:
     x_domain: tuple
     boundary: Optional[Callable] = None  # (t, x) -> value; None = linear extrapolation
 
-    def parabolicity_report(self, n_samples: int = 100, seed: int = 0) -> float:
-        """Worst decrease of hhat_tilde along sampled curvature lines (>= 0 wanted)."""
-        rs = np.random.default_rng(seed)
+    def parabolicity_report(self, grid: TimeGrid, n_samples: int = 100, seed: int = 0) -> float:
+        """Worst decrease of hhat_tilde along sampled curvature lines (>= 0 wanted):
+        two calls per node of grid drawn by `generators._node_draws`, at its
+        samples' sorted curvatures gamma_lo <= gamma_hi."""
+        rs, nodes = _node_draws(grid, n_samples, seed)
+        x = rs.uniform(*self.x_domain, size=n_samples)
+        y, z = rs.normal(size=(2, n_samples))
+        gam_lo, gam_hi = np.sort(3.0 * rs.normal(size=(2, n_samples)), axis=0)
         worst = 0.0
-        for _ in range(n_samples):
-            t = rs.uniform(0, 1)
-            x = rs.uniform(*self.x_domain)
-            y, z = rs.normal(size=2)
-            gam = np.sort(rs.normal(size=2) * 3)
-            lo = float(np.asarray(self.hhat_tilde(t, np.atleast_1d(x), y, z, gam[0])).reshape(-1)[0])
-            hi = float(np.asarray(self.hhat_tilde(t, np.atleast_1d(x), y, z, gam[1])).reshape(-1)[0])
-            worst = min(worst, hi - lo)
+        for t, k in nodes:
+            lo, hi = (np.asarray(self.hhat_tilde(t, x[k], y[k], z[k], gam[k]), dtype=float)
+                      for gam in (gam_lo, gam_hi))
+            worst = min(worst, float(np.min(hi - lo)))
         return worst
 
 

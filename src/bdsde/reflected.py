@@ -140,11 +140,17 @@ def skorokhod_diagnostic(solution: ReflectedSolution, k_increments=None) -> floa
     solution.skorokhod_sum.  Vanishes for the projection backend by
     construction (the compensator only acts on the contact set); the
     penalized backend leaves a signed O(dt) trace.  Passing modified
-    increments, one array per level, turns this into a guard.
+    increments, one array per step shaped like that level's nodes (anything
+    else raises InvalidArgumentError), turns this into a guard.
     """
-    incs = solution.k.increments if k_increments is None else k_increments
-    return _flat_off_sum(solution.meta["tree"].level_probabilities(), solution.y,
-                         solution.meta["levels"], incs)
+    levels = solution.meta["levels"]
+    incs = solution.k.increments if k_increments is None else list(k_increments)
+    shapes = [np.shape(k) for k in incs]
+    if shapes != [s.shape for s in levels]:
+        raise InvalidArgumentError(
+            f"k_increments must be one array per step, {len(levels)} shaped like the "
+            f"levels' nodes, got shapes {shapes}")
+    return _flat_off_sum(solution.meta["tree"].level_probabilities(), solution.y, levels, incs)
 
 
 def _flat_off_sum(probs, y, levels, k_incs):

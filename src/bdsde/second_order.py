@@ -340,7 +340,8 @@ def feynman_kac_residual(u: Callable, du: Callable, d2u: Callable,
     among its volatilities; a negative rate (VerificationError) therefore
     flags a control that H does not dominate, such as one outside the band.
     A candidate u that fails to solve the equation shows up as a residual
-    that does not vanish under step refinement.
+    that does not vanish under step refinement.  One pass over the levels
+    evaluates u, Du, D^2 u, F, H and g once per level.
     """
     _one_path(w)
     grid = ensemble.grid
@@ -358,11 +359,9 @@ def feynman_kac_residual(u: Callable, du: Callable, d2u: Callable,
     g_half = np.zeros(ensemble.n_paths)
     z_dx = np.zeros(ensemble.n_paths)
 
-    uv = {}
     for i in range(n + 1):
         t, x = grid.time(i), X[:, i]
         yv, zv, gv = u(t, x), du(t, x), d2u(t, x)
-        uv[i] = (yv, zv, gv)
         f_here = np.asarray(problem.F(t, x, yv, zv, a), dtype=float)
         k = np.asarray(H(t, x, yv, zv, gv), dtype=float) - 0.5 * a * gv - f_here
         k_path[:, i] = k
@@ -371,25 +370,23 @@ def feynman_kac_residual(u: Callable, du: Callable, d2u: Callable,
         mean_k += float(k.sum())
         n_neg += int(np.sum(k < -eps))
         total += k.size
+        g_here = problem.g(t, x, yv, zv)
+        if i == 0:
+            y_0 = yv
+        else:  # the step from level i - 1: both endpoints' g dW, and z dX
+            wi = w.values[i] - w.values[i - 1]
+            g_half += 0.5 * (g_prev * wi + g_here * wi)
+            z_dx += z_prev * (x - X[:, i - 1])
+        g_prev, z_prev = g_here, zv
 
     if min_k < -10 * eps:
         raise VerificationError(
             f"compensator rate {min_k:.3e} < -10 eps: candidate is not a supersolution here")
 
-    for i in range(n):
-        t, t_next = grid.time(i), grid.time(i + 1)
-        wi = w.values[i + 1] - w.values[i]
-        y_i, z_i, _ = uv[i]
-        y_n, _, _ = uv[i + 1]
-        g_i = problem.g(t, X[:, i], y_i, z_i) * wi
-        g_n = problem.g(t_next, X[:, i + 1], y_n, uv[i + 1][1]) * wi
-        g_half += 0.5 * (g_i + g_n)
-        z_dx += z_i * (X[:, i + 1] - X[:, i])
-
     trap = 0.5 * dt * (f_path[:, 0] + f_path[:, -1] + 2 * f_path[:, 1:-1].sum(axis=1))
     trap_k = 0.5 * dt * (k_path[:, 0] + k_path[:, -1] + 2 * k_path[:, 1:-1].sum(axis=1))
     xi = np.asarray(problem.terminal(X[:, -1]), dtype=float)
-    res = uv[0][0] - (xi + trap + g_half - z_dx + trap_k)
+    res = y_0 - (xi + trap + g_half - z_dx + trap_k)
     return FeynmanKacReport(min_k=min_k, mean_k=mean_k / total,
                             frac_negative=n_neg / total,
                             mean_abs_residual=float(np.abs(res).mean()),

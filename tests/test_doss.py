@@ -17,8 +17,10 @@ from bdsde.doss import (
     untransform_solution,
 )
 from bdsde.errors import InvalidArgumentError, NonFiniteError, RangeError, SingularFlowError
-from bdsde.generators import FD_STEP
-from bdsde.grids import BackwardPath, build_time_grid, sample_backward_path
+from bdsde.generators import FD_STEP, GeneratorConstants, validate_assumptions
+from bdsde.grids import BackwardPath, build_time_grid, build_volatility_grid, sample_backward_path
+from bdsde.oracles import RandomPdeProblem
+from bdsde.second_order import TbdsdeProblem, hamiltonian
 
 
 def smooth_path(grid, amp=0.3):
@@ -336,6 +338,34 @@ class TestTransformedGenerator:
         ft = transformed_generator(lambda t, x, y, z, a: y, flow)
         with pytest.raises(InvalidArgumentError, match=r"node of the time grid on \[0.0, 1.0\]"):
             ft(t, np.zeros(2), np.full(2, 0.5), np.zeros(2), 1.0)
+
+    @staticmethod
+    def noise_free_problem(seed):
+        """(grid, problem): g = 0.3 sin y on a 16-step flow, the problem's F
+        -transformed_generator(0, flow), on lattices that hold the sampled checks' draws."""
+        grid = build_time_grid(0, 1, 16)
+        flow = solve_flow(FlowCoefficient(g=lambda t, x, y: 0.3 * np.sin(y)),
+                          sample_backward_path(grid, seed=seed), np.linspace(-6.0, 6.0, 25),
+                          build_y_lattice(-2.0, 2.0, 49))
+        ftil = transformed_generator(lambda t, x, y, z, a: 0.0 * x, flow)
+        return grid, TbdsdeProblem(terminal=lambda x: x**2,
+                                   F=lambda t, x, y, z, a: -ftil(t, x, y, z, a),
+                                   g=lambda t, x, y, z: 0.0 * y,
+                                   volgrid=build_volatility_grid(0.5, 2.0, 3))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_transformed_hamiltonian_is_parabolic_on_the_flow_grid(self, seed):
+        grid, p = self.noise_free_problem(seed)
+        pde = RandomPdeProblem(hhat_tilde=hamiltonian(p), terminal=lambda x: x**2,
+                               x_domain=(-3.0, 3.0))
+        assert pde.parabolicity_report(grid) >= 0.0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_validate_assumptions_runs_on_the_transformed_generator(self, seed):
+        grid, p = self.noise_free_problem(seed)
+        rep = validate_assumptions(p, GeneratorConstants(C=1.0, alpha=0.0, lam=0.0), grid)
+        assert rep["g_contraction"].passed and rep["g_growth"].passed
+        assert np.isfinite(rep["F_lipschitz"].worst_violation)  # F compared at every pair
 
     def test_linear_flow_scaling_form(self):
         # for g = beta y: ftilde(t,x,y,z,a) = s^{-1} f(t, x, s y, s z, a),

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from bdsde.errors import InvalidArgumentError
 from bdsde.generators import (
@@ -14,9 +16,11 @@ from bdsde.generators import (
     validate_assumptions,
 )
 from bdsde.grids import build_time_grid, build_volatility_grid, sample_backward_path
+from bdsde.oracles import RandomPdeProblem
 from bdsde.second_order import DpOptions, TbdsdeProblem, hamiltonian, solve_dp
 
 STATE = (0.0, 0.0, 0.0, 0.0)
+GRID = build_time_grid(0, 1, 8)
 FZERO = lambda t, x, y, z, a: np.zeros_like(np.asarray(x, dtype=float))
 
 
@@ -212,21 +216,21 @@ class TestValidateAssumptions:
     def test_passing_bundle(self):
         p = problem(build_volatility_grid(0.5, 2.0, 3), g=lambda t, x, y, z: 0.3 * z)
         rep = validate_assumptions(p, GeneratorConstants(C=0.01, alpha=0.09, lam=0.5, c=0.1),
-                                   n_samples=300)
+                                   GRID, n_samples=300)
         assert rep["g_contraction"].passed
         assert rep["ellipticity"].passed  # (1 - 0.5) * 0.5 = 0.25 >= 0.09
 
     def test_alpha_one_fails(self):
         p = problem(build_volatility_grid(1.0, 2.0, 2), g=lambda t, x, y, z: z)
         rep = validate_assumptions(p, GeneratorConstants(C=0.0, alpha=1.0, lam=0.0),
-                                   n_samples=50)
+                                   GRID, n_samples=50)
         assert not rep["alpha_below_one"].passed
 
     def test_linear_y_growth_constant(self):
         beta = 0.4
         p = problem(build_volatility_grid(1.0, 2.0, 2), g=lambda t, x, y, z: beta * y)
         rep = validate_assumptions(p, GeneratorConstants(C=beta**2, alpha=0.0, lam=0.0,
-                                                         c=beta**2), n_samples=300)
+                                                         c=beta**2), GRID, n_samples=300)
         assert rep["g_growth"].passed
         assert rep.passed
 
@@ -235,9 +239,54 @@ class TestValidateAssumptions:
         F = lambda t, x, y, z, a: np.full_like(np.asarray(x, dtype=float), -np.inf)
         p = problem(build_volatility_grid(0.5, 2.0, 3), F=F)
         rep = validate_assumptions(p, GeneratorConstants(C=1.0, alpha=0.0, lam=0.0),
-                                   n_samples=20)
+                                   GRID, n_samples=20)
         assert not rep["F_lipschitz"].passed
         assert rep["F_lipschitz"].worst_violation == -math.inf
+
+
+    @staticmethod
+    def spied_checks(grid, n_samples, seed):
+        """{name: times} that g, F and hhat_tilde received in validate_assumptions
+        and parabolicity_report on grid."""
+        seen = {"g": [], "F": [], "hhat_tilde": []}
+
+        def spy(name, fn):
+            def called(t, *args):
+                seen[name].append(t)
+                return fn(t, *args)
+            return called
+        p = problem(build_volatility_grid(0.5, 2.0, 3),
+                    F=spy("F", lambda t, x, y, z, a: 0.5 * y - 0.2 * a * z + 0.0 * x),
+                    g=spy("g", lambda t, x, y, z: 0.3 * np.sin(y)))
+        validate_assumptions(p, GeneratorConstants(C=1.0, alpha=0.0, lam=0.0), grid,
+                             n_samples=n_samples, seed=seed)
+        RandomPdeProblem(hhat_tilde=spy("hhat_tilde", lambda t, x, y, z, gam: 0.5 * gam),
+                         terminal=lambda x: x**2, x_domain=(-1.0, 1.0)).parabolicity_report(
+                             grid, n_samples=n_samples, seed=seed)
+        return seen
+
+    @given(t0=st.floats(-3.0, 3.0).filter(bool), span=st.floats(0.1, 6.0),
+           n=st.integers(1, 40), n_samples=st.integers(1, 60), seed=st.integers(0, 2**16))
+    def test_sampled_checks_call_only_at_node_times(self, t0, span, n, n_samples, seed):
+        grid = build_time_grid(t0, t0 + span, n)
+        assume(grid.horizon != 1.0)
+        seen = self.spied_checks(grid, n_samples, seed)
+        nodes = {name: [grid.index(t) for t in times] for name, times in seen.items()}
+        # once per drawn node for g and F, twice for hhat_tilde (gamma_lo, gamma_hi)
+        assert nodes["g"] == nodes["F"] == sorted(set(nodes["g"]))
+        assert len(nodes["hhat_tilde"]) == 2 * len(set(nodes["hhat_tilde"]))
+
+    def test_a_long_horizon_is_sampled_to_its_end(self):
+        grid = build_time_grid(2.0, 7.0, 4)
+        seen = self.spied_checks(grid, 200, 0)
+        assert all(sorted(set(times)) == grid.nodes.tolist() for times in seen.values())
+
+    @pytest.mark.parametrize("n_samples", [0, -1, 2.5])
+    def test_refuses_a_sample_count_below_one(self, n_samples):
+        p = problem(build_volatility_grid(0.5, 2.0, 3))
+        with pytest.raises(InvalidArgumentError, match="n_samples must be an integer >= 1"):
+            validate_assumptions(p, GeneratorConstants(C=1.0, alpha=0.0, lam=0.0), GRID,
+                                 n_samples=n_samples)
 
 
 class TestConjugateLipschitz:
@@ -250,7 +299,7 @@ class TestConjugateLipschitz:
         p = replace(conjugate_problem(spec, build_volatility_grid(0.5, 2.0, 4)),
                     g=lambda t, x, y, z: 0.1 * y)
         rep = validate_assumptions(p, GeneratorConstants(C=2.0, alpha=0.0, lam=0.0),
-                                   n_samples=60)
+                                   GRID, n_samples=60)
         assert rep["F_lipschitz"].passed
 
     def test_f_lipschitz_flagged_when_constant_too_small(self):
@@ -260,5 +309,5 @@ class TestConjugateLipschitz:
         p = replace(conjugate_problem(spec, build_volatility_grid(0.5, 2.0, 2)),
                     g=lambda t, x, y, z: 0.1 * y)
         rep = validate_assumptions(p, GeneratorConstants(C=0.01, alpha=0.0, lam=0.0),
-                                   n_samples=60)
+                                   GRID, n_samples=60)
         assert not rep["F_lipschitz"].passed

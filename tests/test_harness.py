@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -284,6 +285,22 @@ class TestStudies:
         assert errs[0] < 0.03
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.2)
         assert errs[1] / errs[2] == pytest.approx(2.0, rel=0.2)
+
+    def test_fd_study_keeps_the_stable_step_ratio(self):
+        # dt quarters while x_steps doubles: level 0's dt / dx^2 at every level
+        res = convergence_study(cfg_for("heat_quadratic", "fd", n_steps=50,
+                                        **{"spatial.x_steps": 60}), halvings=3)
+        assert [r.dt for r in res.records] == [0.02, 0.005, 0.00125]
+        assert all(r.abs_error < 1e-2 for r in res.records)
+
+    def test_flow_study_starts_at_the_configured_step_count(self, tmp_path):
+        p = tmp_path / "flow.ini"
+        p.write_text("[problem]\nname = flow_roundtrip\nbackend = flow\n[grid]\nn_steps = 64\n")
+        out = tmp_path / "flow.csv"
+        assert main(["--quiet", "study", "--config", str(p), "--out", str(out),
+                     "--halvings", "2"]) == 0
+        with open(out, newline="") as fh:
+            assert [float(row["dt"]) for row in csv.DictReader(fh)] == [1 / 64, 1 / 128]
 
     def test_requires_two_halvings(self):
         with pytest.raises(ConfigError):

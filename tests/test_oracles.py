@@ -203,10 +203,16 @@ class TestFdRandomPde:
             assert np.all(v1 <= v2 + 1e-12)
 
     def test_parabolicity_report(self):
-        assert heat_problem().parabolicity_report() >= 0.0
+        assert heat_problem().parabolicity_report(build_time_grid(0, 1, 8)) >= 0.0
         bad = RandomPdeProblem(hhat_tilde=lambda t, x, y, z, g: -0.5 * g,
                                terminal=lambda x: x, x_domain=(-1, 1))
-        assert bad.parabolicity_report() < 0.0
+        assert bad.parabolicity_report(build_time_grid(0, 1, 8)) < 0.0
+
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_parabolicity_report_refuses_no_samples(self, n_samples):
+        # a report over no sample would read 0.0, a vacuous pass
+        with pytest.raises(InvalidArgumentError, match="n_samples must be an integer >= 1"):
+            heat_problem().parabolicity_report(build_time_grid(0, 1, 8), n_samples=n_samples)
 
 
 class TestItoProduct:

@@ -245,6 +245,20 @@ class TestSkorokhod:
         fake[2][off_contact] += 1.0  # push where Y > S
         assert skorokhod_diagnostic(sol, k_increments=fake) > 0.01
 
+    @pytest.mark.parametrize("fake", [
+        lambda incs: incs[:3],                       # too few steps
+        lambda incs: incs + [np.ones(9)] * 3,        # too many
+        lambda incs: [1.0] * len(incs),              # scalars, one per step
+        lambda incs: incs[:-1] + [np.ones(3)],       # the last step's array mis-shaped
+    ], ids=["short", "long", "scalars", "misshaped"])
+    def test_refuses_increments_that_are_not_one_array_per_step(self, fake):
+        grid, tree, w = setup(n=8, x0=1.0)
+        prob = BdsdeProblem(terminal=lambda x: np.maximum(1.0 - x, 0.0),
+                            f=lambda t, x, y, z: -0.4 * y, g=ZERO, lipschitz_f=0.4)
+        sol = solve_reflected(prob, Barrier(fn=lambda t, x: np.maximum(1.0 - x, 0.0)), tree, w)
+        with pytest.raises(InvalidArgumentError, match="k_increments must be one array per step"):
+            skorokhod_diagnostic(sol, k_increments=fake(list(sol.k.increments)))
+
     @pytest.mark.parametrize("penalty", [None, 40.0])
     def test_diagnostic_reads_its_own_solve(self, penalty):
         # the solve's own tree, barrier levels and increments: the solve's own sum

@@ -701,6 +701,29 @@ class TestFeynmanKac:
         assert abs(reps[16, 1.7].mean_residual) > 0.4
         assert abs(reps[64, 1.7].mean_residual) > 0.4
 
+    @pytest.mark.parametrize("n, a, prob, slope, bits", [
+        # the suboptimal control case, and the generator-sign case's wrong slope
+        (32, 0.5, bsb_problem(), 2.0,
+         ("0x1.8000000000000p+0", "0x1.8000000000000p+0", "0x0.0p+0",
+          "0x1.97462ef00624ap-4", "0x1.4f0e7764b921cp-10")),
+        (16, 2.0, TbdsdeProblem(terminal=lambda x: x**2, F=lambda t, x, y, z, a: 0.3 + 0.0 * x,
+                                g=ZERO, volgrid=build_volatility_grid(0.5, 2.0, 5)), 1.7,
+         ("-0x1.8000000000000p-53", "-0x1.8000000000000p-53", "0x0.0p+0",
+          "0x1.68a1e72a2facdp-1", "-0x1.2b784cf74472bp-1")),
+        # a g that reads y and z, so both endpoints' g dW enter the residual
+        (16, 2.0, bsb_problem(g=lambda t, x, y, z: 0.3 * np.sin(y) + 0.1 * z), 2.0,
+         ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.2c839087f2521p-1", "0x1.b0762fec9391bp-4")),
+    ], ids=["suboptimal", "generator-sign", "g-of-y-and-z"])
+    def test_report_keeps_its_pinned_bits(self, n, a, prob, slope, bits):
+        # every field as the two-pass version of the check computed it
+        grid = build_time_grid(0, 1, n)
+        w = sample_backward_path(grid, seed=6)
+        ens = sample_forward_ensemble(grid, 2000, a, seed=8, x0=1.0)
+        _, du, d2u = self.u_bsb()
+        rep = feynman_kac_residual(lambda t, x: x**2 + slope * (1.0 - t), du, d2u, prob, ens, w)
+        assert tuple(float(v).hex() for v in (rep.min_k, rep.mean_k, rep.frac_negative,
+                                              rep.mean_abs_residual, rep.mean_residual)) == bits
+
     def test_wrong_candidate_leaves_o1_residual(self):
         # a candidate with the wrong time slope passes the rate check (the
         # rate is nonnegative by conjugacy) but its residual plateaus
