@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .classical import (
     BdsdeProblem,
     BdsdeSolution,
-    SolverOptions,
     check_comparison,
     solve_regression,
     solve_tree,

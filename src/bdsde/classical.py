@@ -5,16 +5,16 @@ Solves, under a fixed volatility measure,
     y_t = xi + int_t^T f(s, X_s, y_s, z_s) ds + int_t^T g(s, X_s, y_s, z_s) . dW(backward)
           + V_T - V_t - int_t^T z_s . dB_s
 
-by one backward induction, `backward_sweep`.  The backward integral anchors
-g at the RIGHT endpoint against dW_i = W_{t_{i+1}} - W_{t_i} ("ito"); the
-midpoint ("stratonovich") scheme averages the two endpoints instead.  The
-y-update is implicit with an inner fixed point (contraction for
-dt * Lip(f) < 1), and a forcing V enters it as the increment V_{i+1} - V_i;
-z comes from an explicit conditional projection against the forward
-increment.  The conditional expectation backend is either exact (the
-binomial tree, d = 1) or least-squares Monte Carlo.  Both take one frozen
-backward path or a list of them; `backward_sweep` alone stacks a list and
-sweeps its paths at once, as a leading axis of the values.
+by one backward induction, `backward_sweep`.  The problem's `reading` of the
+backward integral is "ito", g at the RIGHT endpoint against
+dW_i = W_{t_{i+1}} - W_{t_i}, or "stratonovich", the midpoint of the two
+endpoints.  The y-update is implicit with an inner fixed point (contraction
+for dt * Lip(f) < 1), and a forcing V enters it as the increment
+V_{i+1} - V_i; z comes from an explicit conditional projection against the
+forward increment.  The conditional expectation backend is either exact
+(the binomial tree, d = 1) or least-squares Monte Carlo.  Both take one
+frozen backward path or a list of them; `backward_sweep` alone stacks a list
+and sweeps its paths at once, as a leading axis of the values.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ MAX_ITERS = 200     # ... or raises ConvergenceError after MAX_ITERS iterations:
 SWEEP_VALUES = 1 << 16  # values per level (paths x nodes) one batched sweep carries
 RIDGE = 1e-10       # the regression's Gram matrix gains RIDGE * I, intercept included,
 COND_MAX = 1e12     # and a condition number above COND_MAX raises RegressionError
+READINGS = ("ito", "stratonovich")  # the backward integral at the right endpoint, or the midpoint
 
 
 @dataclass(frozen=True)
@@ -54,15 +55,11 @@ class BdsdeProblem:
     g: Callable                        # (t, x, y, z) -> array; multiplies the scalar dW
     forcing: Optional[np.ndarray] = None   # V at grid nodes, shape (n_steps + 1,)
     lipschitz_f: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    g_scheme: str = "ito"              # "ito" (right endpoint) or "stratonovich" (midpoint)
+    reading: str = "ito"               # of the backward integral, one of READINGS
 
     def __post_init__(self):
-        if self.g_scheme not in ("ito", "stratonovich"):
-            raise InvalidArgumentError(f"unknown g_scheme {self.g_scheme!r}")
+        if self.reading not in READINGS:
+            raise InvalidArgumentError(f"unknown reading {self.reading!r}, not one of {READINGS}")
 
 
 @dataclass
@@ -161,23 +158,23 @@ def _check_finite(i, a, **arrays):
 
 
 def backward_step(problem: BdsdeProblem, cond: Callable, states: Callable, i: int, grid,
-                  y_next, z_next, dw, a, opts: SolverOptions,
-                  constraint: Optional[Callable] = None):
+                  y_next, z_next, dw, a, constraint: Optional[Callable] = None):
     """One Euler step of the backward pair from level i + 1 to level i (states: level -> x).
 
     dw is the step's increment dW_i = W_{t_{i+1}} - W_{t_i} as (1,), or as
     (m, 1) for m paths, whose values then carry a leading path axis and whose
     iters and defect hold one entry per path.  cond maps R = y' + h g' dW_i to
     (E[R], E[R dX] / (a dt)); the implicit update carries the other (1 - h) of
-    the noise term, h = 1 ("ito") or 1/2 ("stratonovich"), and constraint(i, u)
-    maps its value u onto the admissible set.  Returns (y, z, iters, defect,
-    push), push = y - u(y) under a constraint, else None.  A column a, (V, 1)
-    or (V, 1, 1), stacks V volatilities as a further leading axis.
+    the noise term, h = 1 or 1/2 as the problem's reading is "ito" or
+    "stratonovich", and constraint(i, u) maps its value u onto the
+    admissible set.  Returns (y, z, iters, defect, push), push = y - u(y)
+    under a constraint, else None.  A column a, (V, 1) or (V, 1, 1), stacks
+    V volatilities as a further leading axis.
     """
     t_i, t_next, dt = grid.time(i), grid.time(i + 1), grid.dt
     x_i, x_next = states(i), states(i + 1)
     dV = 0.0 if problem.forcing is None else problem.forcing[i + 1] - problem.forcing[i]
-    half = 0.5 if opts.g_scheme == "stratonovich" else 1.0
+    half = 0.5 if problem.reading == "stratonovich" else 1.0
 
     r = y_next + half * (problem.g(t_next, x_next, y_next, z_next) * dw)
     e_mean, z = cond(r)
@@ -264,7 +261,7 @@ def _path_chunks(W: np.ndarray, size: int) -> list:
 
 
 def _solve_on_tree(problem: BdsdeProblem, tree: BrownianTree, w: BackwardPath | list,
-                   opts: SolverOptions, constraint: Optional[Callable] = None):
+                   constraint: Optional[Callable] = None):
     """The sweep on the tree for one path or a list of paths; returns path 0's
     solution, with every path's y0, and path 0's per-step pushes.  A tree whose
     a and step are a (V, 1) column is V trees swept together on one path."""
@@ -282,7 +279,7 @@ def _solve_on_tree(problem: BdsdeProblem, tree: BrownianTree, w: BackwardPath | 
 
     def step(i, y, z, dw):
         y, z, iters, defect, push = backward_step(problem, cond, tree.states, i, grid, y, z, dw,
-                                                  tree.a, opts, constraint)
+                                                  tree.a, constraint)
         if column:  # the worst volatility's, as in solve_dp's lattice step
             iters, defect = iters.max(axis=0), defect.max(axis=0)
         return y, z, iters, defect, push
@@ -293,8 +290,7 @@ def _solve_on_tree(problem: BdsdeProblem, tree: BrownianTree, w: BackwardPath | 
                          meta={"backend": "tree", "problem": problem, "tree": tree}), pushes
 
 
-def solve_tree(problem: BdsdeProblem, tree: BrownianTree, w: BackwardPath | list,
-               opts: SolverOptions = SolverOptions()) -> BdsdeSolution:
+def solve_tree(problem: BdsdeProblem, tree: BrownianTree, w: BackwardPath | list) -> BdsdeSolution:
     """Exact-expectation backward induction on the binomial tree (d = 1).
 
     w is one BackwardPath or a list of paths on the tree's grid, solved in
@@ -305,7 +301,7 @@ def solve_tree(problem: BdsdeProblem, tree: BrownianTree, w: BackwardPath | list
     path, levels lead with the volatility, y0_paths holds each tree's own y0,
     and the residual and iterations are the worst volatility's.
     """
-    return _solve_on_tree(problem, tree, w, opts)[0]
+    return _solve_on_tree(problem, tree, w)[0]
 
 
 @dataclass
@@ -363,7 +359,7 @@ def check_comparison(sol1: BdsdeSolution, sol2: BdsdeSolution,
 
 
 def solve_regression(problem: BdsdeProblem, ensemble: PathEnsemble, w: BackwardPath | list,
-                     basis_degree: int = 3, opts: SolverOptions = SolverOptions()) -> BdsdeSolution:
+                     basis_degree: int = 3) -> BdsdeSolution:
     """Least-squares Monte Carlo backward induction (d = 1).
 
     Step i regresses on the ensemble's states X[:, i] and its increments
@@ -397,7 +393,7 @@ def solve_regression(problem: BdsdeProblem, ensemble: PathEnsemble, w: BackwardP
                                              basis_degree)
             return fits
         y, z, it, res, _ = backward_step(problem, cond, lambda j: X[:, j], i, grid,
-                                         y_next, z_next, dw, a_steps[i], opts)
+                                         y_next, z_next, dw, a_steps[i])
         return y, z, it, res, np.reshape(rms, np.shape(y)[:-1])
 
     y, z, residual, iters, proj_rms, y0_paths = backward_sweep(problem, grid, w, y_T, z_T, step,

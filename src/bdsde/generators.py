@@ -111,8 +111,9 @@ class GeneratorConstants:
 
 def stratonovich_correction(problem: TbdsdeProblem,
                             dy_g: Optional[Callable] = None) -> TbdsdeProblem:
-    """The problem's equation read with a Stratonovich backward integral,
-    rewritten for the Ito (right-endpoint) scheme: F becomes F + g * d_y g / 2.
+    """A Stratonovich-read problem's equation, read Ito (right endpoint):
+    F becomes F + g * d_y g / 2 and the reading "ito".  An Ito-read problem
+    raises InvalidArgumentError, so no problem is converted twice.
 
     g and the driver W are scalar, so the correction is elementwise at every
     state and path.  d_y g is the analytic dy_g(t, x, y, z) when given, else
@@ -120,6 +121,9 @@ def stratonovich_correction(problem: TbdsdeProblem,
     declared lipschitz_f too, is the problem's own: declare the constant of
     the corrected F.
     """
+    if problem.reading != "stratonovich":
+        raise InvalidArgumentError(f"stratonovich_correction takes a Stratonovich-read "
+                                   f"problem, got one read {problem.reading!r}")
     F, g = problem.F, problem.g
     if dy_g is None:
         def dy_g(t, x, y, z):
@@ -128,7 +132,7 @@ def stratonovich_correction(problem: TbdsdeProblem,
 
     def F_strat(t, x, y, z, a):
         return F(t, x, y, z, a) + 0.5 * np.asarray(g(t, x, y, z), dtype=float) * dy_g(t, x, y, z)
-    return replace(problem, F=F_strat)
+    return replace(problem, F=F_strat, reading="ito")
 
 
 @dataclass

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from ._accel import linear_interp
-from .classical import SolverOptions, solve_regression, solve_tree
+from .classical import solve_regression, solve_tree
 from .config import ExperimentConfig
 from .doss import FlowCoefficient, build_y_lattice, solve_flow
 from .errors import ConfigError
@@ -82,7 +82,6 @@ def _solve_paths(pdef: ProblemDef, cfg: ExperimentConfig, backend: str,
     of its Hamiltonian on the dp lattice's domain, reading y0 at x0 as dp
     does.  The registry's FD problems carry no W, so fd solves its PDE once."""
     grid = paths[0].grid
-    opts = SolverOptions(g_scheme=pdef.g_scheme)
     prob = pdef.equation(cfg)
     if backend in ("tree", "mc", "reflected"):
         a_vals = prob.finite_volatilities()
@@ -92,12 +91,11 @@ def _solve_paths(pdef: ProblemDef, cfg: ExperimentConfig, backend: str,
         a = float(a_vals[0])
         classical = prob.classical_problem(a)
     if backend == "tree":
-        sol = solve_tree(classical, build_tree(grid, a, x0=pdef.x0), paths, opts)
+        sol = solve_tree(classical, build_tree(grid, a, x0=pdef.x0), paths)
         out = {"y0": sol.y0, "residual_max": float(sol.residual.max(initial=0.0))}
     elif backend == "dp":
         dp_opts = DpOptions(x_steps=cfg.get("spatial", "x_steps"),
-                            span_sigmas=cfg.get("spatial", "span_sigmas"),
-                            g_scheme=pdef.g_scheme)
+                            span_sigmas=cfg.get("spatial", "span_sigmas"))
         sol = solve_dp(prob, grid, paths, x0=pdef.x0, opts=dp_opts)
         # the compensator under the per-node argmax control vanishes by construction:
         # the value is that control's own step
@@ -112,12 +110,10 @@ def _solve_paths(pdef: ProblemDef, cfg: ExperimentConfig, backend: str,
         ens = sample_forward_ensemble(grid, cfg.get("mc", "n_paths"), a,
                                       seed=cfg.get("seeds", "b_seed"), x0=pdef.x0,
                                       workers=cfg.get("mc", "workers"))
-        sol = solve_regression(classical, ens, paths, basis_degree=cfg.get("mc", "basis_degree"),
-                               opts=opts)
+        sol = solve_regression(classical, ens, paths, basis_degree=cfg.get("mc", "basis_degree"))
         out = {"y0": sol.y0, "projection_rms_max": float(sol.projection_rms.max(initial=0.0))}
     elif backend == "reflected":
-        sol = solve_reflected(classical, pdef.barrier(cfg), build_tree(grid, a, x0=pdef.x0),
-                              paths, opts)
+        sol = solve_reflected(classical, pdef.barrier(cfg), build_tree(grid, a, x0=pdef.x0), paths)
         out = {"y0": sol.y0, "k_terminal": sol.k.k_terminal, "skorokhod_sum": sol.skorokhod_sum}
     elif backend == "fd":
         domain = lattice_bounds(grid, prob.volgrid, pdef.x0, cfg.get("spatial", "span_sigmas"))

@@ -38,7 +38,6 @@ class ProblemDef:
     backends: tuple
     description: str
     x0: float = 0.0
-    g_scheme: str = "ito"
     equation: Optional[Callable] = None           # (cfg) -> TbdsdeProblem
     barrier: Optional[Callable] = None            # (cfg) -> Barrier (reflected backend)
     oracle: Optional[Callable] = None             # (cfg, w) -> float
@@ -76,17 +75,17 @@ def backward_path_for(pdef: ProblemDef, grid: TimeGrid, seed: int):
 CLASSICAL = build_volatility_grid(1.0, 1.0, 1)
 
 
-def _classical(terminal, F=FZERO, g=ZERO, lipschitz_f=None):
+def _classical(terminal, F=FZERO, g=ZERO, lipschitz_f=None, reading="ito"):
     """The classical equation: one problem over the volatility set {1}."""
     problem = TbdsdeProblem(terminal=terminal, F=F, g=g, volgrid=CLASSICAL,
-                            lipschitz_f=lipschitz_f)
+                            lipschitz_f=lipschitz_f, reading=reading)
     return lambda cfg: problem
 
 
-def _bsb(terminal, F=FZERO, g=ZERO, lipschitz_f=None):
+def _bsb(terminal, F=FZERO, g=ZERO, lipschitz_f=None, reading="ito"):
     """A problem over the configured volatility band ([volgrid])."""
     return lambda cfg: TbdsdeProblem(terminal=terminal, F=F, g=g, volgrid=volgrid_from(cfg),
-                                     lipschitz_f=lipschitz_f)
+                                     lipschitz_f=lipschitz_f, reading=reading)
 
 
 def _linear_spde_w(grid, seed):
@@ -150,9 +149,10 @@ REGISTRY = {
         description="uncertain volatility with multiplicative backward noise "
                     "g = y/2; positively homogeneous Hamiltonian gives a "
                     "closed form through the exponential flow", x0=1.0,
-        # g = beta y with beta = 1/2; F = 0 in Stratonovich form is beta^2 y / 2
+        # g = beta y with beta = 1/2: F = 0 read Stratonovich is F = beta^2 y / 2 read Ito
         equation=lambda cfg: stratonovich_correction(
-            _bsb(lambda x: x**2, g=lambda t, x, y, z: 0.5 * y, lipschitz_f=0.125)(cfg),
+            _bsb(lambda x: x**2, g=lambda t, x, y, z: 0.5 * y, lipschitz_f=0.125,
+                 reading="stratonovich")(cfg),
             dy_g=lambda t, x, y, z: 0.5),
         oracle=lambda cfg, w: math.exp(0.5 * float(w.tail_increment(0))) * (
             1.0 + band_from(cfg)[1] * (cfg.get("grid", "horizon") - cfg.get("grid", "t0")))),
@@ -161,8 +161,8 @@ REGISTRY = {
         description="semilinear family with multiplicative backward noise, "
                     "frozen driver pinned to W_T - W_0 = 1/4", x0=0.0,
         # Stratonovich form of the semilinear family: zero generator, midpoint noise
-        g_scheme="stratonovich",
-        equation=_classical(lambda x: x**2, g=lambda t, x, y, z: 0.4 * y),
+        equation=_classical(lambda x: x**2, g=lambda t, x, y, z: 0.4 * y,
+                            reading="stratonovich"),
         w_sampler=_linear_spde_w, oracle=_linear_spde_oracle),
     "reflected_stop_now": ProblemDef(
         name="reflected_stop_now", backends=("reflected",),

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .classical import BdsdeProblem, SolverOptions, _solve_on_tree
+from .classical import BdsdeProblem, _solve_on_tree
 from .errors import InvalidArgumentError, InvalidBarrierError
 from .grids import BackwardPath, BrownianTree
 from .second_order import KTrace
@@ -76,7 +76,7 @@ def snell_envelope(tree: BrownianTree, payoff, terminal) -> list:
     return values
 
 
-def _solve_with_barrier(problem, barrier, tree, w, opts, constraint):
+def _solve_with_barrier(problem, barrier, tree, w, constraint):
     """Backward induction under a per-level barrier constraint; shared K bookkeeping.
 
     constraint(u, s) maps the unconstrained implicit value u onto the
@@ -87,8 +87,7 @@ def _solve_with_barrier(problem, barrier, tree, w, opts, constraint):
     n = tree.grid.n_steps
     barrier.check_terminal(np.asarray(problem.terminal(tree.states(n)), dtype=float), tree)
     levels = [barrier.values(tree, i) for i in range(n)]
-    sol, pushes = _solve_on_tree(problem, tree, w, opts,
-                                 lambda i, u: constraint(u, levels[i]))
+    sol, pushes = _solve_on_tree(problem, tree, w, lambda i, u: constraint(u, levels[i]))
     k_incs = [np.maximum(p, 0.0) for p in pushes]
     probs = tree.level_probabilities()
     cum = np.cumsum([0.0] + [np.dot(p, k) for p, k in zip(probs, k_incs)])
@@ -101,19 +100,17 @@ def _solve_with_barrier(problem, barrier, tree, w, opts, constraint):
 
 
 def solve_reflected(problem: BdsdeProblem, barrier: Barrier, tree: BrownianTree,
-                    w: BackwardPath | list,
-                    opts: SolverOptions = SolverOptions()) -> ReflectedSolution:
+                    w: BackwardPath | list) -> ReflectedSolution:
     """Backward induction with projection onto the barrier.
 
     w is one BackwardPath or a list of paths swept together as in `solve_tree`;
     y, z, K and the Skorokhod sum are path 0's, y0_paths every path's y0.
     """
-    return _solve_with_barrier(problem, barrier, tree, w, opts, lambda u, s: np.maximum(s, u))
+    return _solve_with_barrier(problem, barrier, tree, w, lambda u, s: np.maximum(s, u))
 
 
 def solve_penalized(problem: BdsdeProblem, barrier: Barrier, n_penalty: float,
-                    tree: BrownianTree, w: BackwardPath | list,
-                    opts: SolverOptions = SolverOptions()) -> ReflectedSolution:
+                    tree: BrownianTree, w: BackwardPath | list) -> ReflectedSolution:
     """Penalty-term backend: generator f + n (y - S)^-.
 
     The penalty part of the implicit step is solved exactly (piecewise
@@ -129,7 +126,7 @@ def solve_penalized(problem: BdsdeProblem, barrier: Barrier, n_penalty: float,
         # exact solve of y = u + n (s - y)^+ dt with the generator frozen
         return np.where(u >= s, u, (u + n_penalty * s * dt) / (1.0 + n_penalty * dt))
 
-    return _solve_with_barrier(problem, barrier, tree, w, opts, penalty)
+    return _solve_with_barrier(problem, barrier, tree, w, penalty)
 
 
 def skorokhod_diagnostic(solution: ReflectedSolution, k_increments=None) -> float:

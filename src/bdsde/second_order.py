@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._accel import GaussWindow, linear_interp, pl_gauss_moments
-from .classical import BdsdeProblem, SolverOptions, _paths, backward_step, backward_sweep, solve_tree
+from .classical import BdsdeProblem, _paths, backward_step, backward_sweep, solve_tree
 from .errors import InvalidArgumentError, VerificationError
 from .grids import (
     BackwardPath,
@@ -52,9 +52,10 @@ class TbdsdeProblem:
     is the classical equation with generator F(., a) (`classical_problem`).
     A problem built from a conjugate-layer Hamiltonian h takes
     F = -generators.make_conjugate_map(spec), and its `hamiltonian` is the
-    conjugate of that map over volgrid.  generators.stratonovich_correction
-    rewrites a problem read with a Stratonovich backward integral for the
-    Ito scheme.
+    conjugate of that map over volgrid.  Its `reading` of the backward
+    integral (classical.READINGS) is part of the equation, and every backend
+    solves under it; generators.stratonovich_correction maps a
+    Stratonovich-read problem to its Ito-read equivalent.
 
     F broadcasts over a column of volatilities, (V, 1) against x of shape
     (nodes,) or (V, 1, 1) against a batch's (m, nodes), and its result's
@@ -66,11 +67,14 @@ class TbdsdeProblem:
     g: Callable                        # (t, x, y, z) -> array
     volgrid: VolatilityGrid
     lipschitz_f: Optional[float] = None
+    reading: str = "ito"
+
+    __post_init__ = BdsdeProblem.__post_init__  # the reading is one of classical.READINGS
 
     def classical_problem(self, a) -> BdsdeProblem:
         return BdsdeProblem(terminal=self.terminal,
                             f=lambda t, x, y, z: self.F(t, x, y, z, a),
-                            g=self.g, lipschitz_f=self.lipschitz_f)
+                            g=self.g, lipschitz_f=self.lipschitz_f, reading=self.reading)
 
     def finite_volatilities(self) -> np.ndarray:
         """Volatilities where the generator is finite at a probe point (one F call)."""
@@ -83,8 +87,9 @@ class TbdsdeProblem:
 
 
 @dataclass(frozen=True)
-class DpOptions(SolverOptions):
-    """Lattice options of `solve_dp`.
+class DpOptions:
+    """Lattice options of `solve_dp`; the backward integral's reading is the
+    problem's, not an option.
 
     x_steps is the number of lattice cells.  Each backward step adds the
     piecewise-linear interpolation bias of the value, h^2 / 6 for quadratic
@@ -96,7 +101,6 @@ class DpOptions(SolverOptions):
     span_sigmas: float = 6.0
 
     def __post_init__(self):
-        super().__post_init__()
         object.__setattr__(self, "x_steps", _count(self.x_steps, "x_steps"))
         if not 0 < self.span_sigmas < math.inf:
             raise InvalidArgumentError(
@@ -192,18 +196,19 @@ def solve_dp(problem: TbdsdeProblem, grid: TimeGrid, w: BackwardPath | list,
     w is one BackwardPath or a list of paths on grid, swept together; the
     solution is path 0's (Y, Z, argmax and residual as if solved alone)
     and y0_paths holds every path's y0, each equal to its own solve.  meta keeps
-    what the solve fixed, which its diagnostics read: the problem, path 0 of w
-    ("w"), grid, x0, opts and the finite volatilities ("a_values").  On the lattice,
-    meta["defects"] holds path 0's defects Y[i] - cands[k] of the value against
+    what the solve fixed, which its diagnostics read: the problem (and so its
+    reading), path 0 of w ("w"), grid, x0 and the finite volatilities
+    ("a_values").  On the lattice, meta["lattice"] holds its knots and
+    meta["defects"] path 0's defects Y[i] - cands[k] of the value against
     each volatility k's own step candidate (phantom z_T at step n - 1), an
     (n_steps, V, x_steps + 1) array (1.0 MB at 5 x 64 x 401): max - own,
     so >= 0, and exactly 0 at the argmax.
     """
     x0, a_vals = _start(x0), problem.finite_volatilities()
     meta = {"problem": problem, "w": _paths(w, grid)[0],
-            "x0": x0, "grid": grid, "a_values": a_vals, "opts": opts}
+            "x0": x0, "grid": grid, "a_values": a_vals}
     if len(a_vals) == 1:
-        return _solve_dp_tree(problem, grid, w, opts, meta)
+        return _solve_dp_tree(problem, grid, w, meta)
     n, dt = grid.n_steps, grid.dt
     xs = np.linspace(*lattice_bounds(grid, problem.volgrid, x0, opts.span_sigmas),
                      opts.x_steps + 1)
@@ -222,7 +227,7 @@ def solve_dp(problem: TbdsdeProblem, grid: TimeGrid, w: BackwardPath | list,
                            zip(conds, np.broadcast_to(r, np.broadcast_shapes(a.shape, r.shape)))))
             return np.array(m0), np.array(m1)
         cands, z, iters, defect, _ = backward_step(
-            problem.classical_problem(a), cond, lambda _: xs, i, grid, y_next, z_next, dw, a, opts)
+            problem.classical_problem(a), cond, lambda _: xs, i, grid, y_next, z_next, dw, a)
         best = np.argmax(cands, axis=0)[None]  # first max = smallest volatility on ties
         y = np.take_along_axis(cands, best, axis=0)[0]
         # each volatility's defect, path axis first for the sweep to keep path 0's
@@ -243,11 +248,11 @@ def solve_dp(problem: TbdsdeProblem, grid: TimeGrid, w: BackwardPath | list,
                           meta={"backend": "lattice", "lattice": xs, "defects": defects, **meta})
 
 
-def _solve_dp_tree(problem, grid, w, opts, meta):
+def _solve_dp_tree(problem, grid, w, meta):
     """Singleton-volatility exact backend; coincides with the classical solver."""
     a = float(meta["a_values"][0])
     tree = build_tree(grid, a, x0=meta["x0"])
-    base = solve_tree(problem.classical_problem(a), tree, w, opts)
+    base = solve_tree(problem.classical_problem(a), tree, w)
     n = grid.n_steps
     argmax = [np.full(tree.n_nodes(i), a) for i in range(n + 1)]
     return TbdsdeSolution(Y=base.y, Z=base.z, argmax_a=argmax,
@@ -298,9 +303,9 @@ def minimality_gap(sol: TbdsdeSolution) -> float:
     solution, so the gap is the least expected compensator over the constant
     controls; it vanishes at O(dt) for problems whose optimal control is a
     constant element of the grid.  Each constant control is solved on its
-    exact tree under what the solve fixed (sol.meta: its problem, grid, x0,
-    options and path 0, the path sol's levels are from), all of them in one
-    sweep over a (V, 1) column of trees.  A tree solution is its sole
+    exact tree under what the solve fixed (sol.meta: its problem, and so
+    its reading, grid, x0 and path 0, the path sol's levels are from), all
+    of them in one sweep over a (V, 1) column of trees.  A tree solution is its sole
     volatility's own solve, so its gap is exactly 0.0 and nothing is solved again.
     """
     if sol.backend == "tree":
@@ -308,8 +313,8 @@ def minimality_gap(sol: TbdsdeSolution) -> float:
     meta = sol.meta
     grid, a = meta["grid"], meta["a_values"][:, None]
     trees = BrownianTree(grid=grid, a=a, x0=meta["x0"], step=np.sqrt(a * grid.dt))
-    return sol.y0 - max(solve_tree(meta["problem"].classical_problem(a), trees, meta["w"],
-                                   meta["opts"]).y0_paths.tolist())
+    return sol.y0 - max(solve_tree(meta["problem"].classical_problem(a), trees,
+                                   meta["w"]).y0_paths.tolist())
 
 
 @dataclass

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from bdsde.classical import BdsdeProblem, SolverOptions, solve_tree
+from bdsde.classical import BdsdeProblem, solve_tree
 from bdsde.config import ExperimentConfig
 from bdsde.doss import (
     FlowCoefficient,
@@ -106,13 +106,13 @@ def test_criterion_03_flow_transform_roundtrip():
     vg = build_volatility_grid(0.5, 2.0, 5)
     p_direct = stratonovich_correction(
         TbdsdeProblem(terminal=lambda x: x**2, F=FZERO, g=lambda t, x, y, z: beta * y,
-                      volgrid=vg, lipschitz_f=0.5 * beta**2),
+                      volgrid=vg, lipschitz_f=0.5 * beta**2, reading="stratonovich"),
         dy_g=lambda t, x, y, z: beta)
     grid = build_time_grid(0, 1, 64)
     w = sample_backward_path(grid, seed=2)
     oracle = math.exp(beta * float(w.tail_increment(0))) * 3.0
 
-    sd = solve_dp(p_direct, grid, w, x0=1.0, opts=DpOptions(x_steps=400, g_scheme="ito"))
+    sd = solve_dp(p_direct, grid, w, x0=1.0, opts=DpOptions(x_steps=400))
     xs = sd.meta["lattice"]
     y_lo = min(float(np.min(v)) for v in sd.Y) - 1.0
     y_hi = max(float(np.max(v)) for v in sd.Y) * 1.3 + 1.0
@@ -163,19 +163,21 @@ def test_criterion_04_midpoint_vs_converted_endpoint():
             w = subsample_path(fine, 64 // n)
             tree = build_tree(w.grid, 1.0, x0=1.0)
             bracket = lambda t, w=w: float(w.increments[w.grid.index(t)] ** 2) / w.grid.dt
-            p_s = BdsdeProblem(terminal=lambda x: x**2, f=ZERO, g=g)
+            p_s = BdsdeProblem(terminal=lambda x: x**2, f=ZERO, g=g, reading="stratonovich")
             p_i = BdsdeProblem(
                 terminal=lambda x: x**2,
                 f=lambda t, x, y, z, br=bracket: 0.5 * beta**2 * y * br(t), g=g)
-            ys = solve_tree(p_s, tree, w, SolverOptions(g_scheme="stratonovich")).y0
-            yi = solve_tree(p_i, tree, w, SolverOptions(g_scheme="ito")).y0
-            sums[n] += abs(ys - yi)
+            sums[n] += abs(solve_tree(p_s, tree, w).y0 - solve_tree(p_i, tree, w).y0)
     means = np.array([sums[n] / n_seeds for n in levels])
     dts = np.array([1.0 / n for n in levels])
     c = float(np.sum(means * dts) / np.sum(dts * dts))
-    ok = bool(np.all(means <= 1.5 * c * dts)) and means[0] > means[1] > means[2]
+    # each halving of dt halves the mean gap, within 35%
+    ratios = means[:-1] / means[1:]
+    ok = (bool(np.all(means <= 1.5 * c * dts)) and means[0] > means[1] > means[2]
+          and bool(np.all(np.abs(ratios - 2.0) <= 0.35 * 2.0)))
     check(4, "midpoint/endpoint discretizations differ within the O(dt) envelope",
-          ok, f"mean gaps={np.round(means, 5).tolist()} envelope c={c:.4f}")
+          ok, f"mean gaps={np.round(means, 5).tolist()} envelope c={c:.4f} "
+              f"ratios={np.round(ratios, 2).tolist()}")
 
 
 def test_criterion_05_semilinear_noise_oracle():
@@ -186,9 +188,10 @@ def test_criterion_05_semilinear_noise_oracle():
     assert oracle == pytest.approx(math.exp(0.1), rel=1e-12)
 
     # probabilistic route: midpoint scheme on the exact tree
-    prob = BdsdeProblem(terminal=lambda x: x**2, f=ZERO, g=lambda t, x, y, z: beta * y)
+    prob = BdsdeProblem(terminal=lambda x: x**2, f=ZERO, g=lambda t, x, y, z: beta * y,
+                        reading="stratonovich")
     tree = build_tree(grid, 1.0, x0=0.0)
-    y0 = solve_tree(prob, tree, w, SolverOptions(g_scheme="stratonovich")).y0
+    y0 = solve_tree(prob, tree, w).y0
     solver_ok = abs(y0 - oracle) <= 0.02 * oracle
 
     # transformed-equation route: numeric flow + finite differences

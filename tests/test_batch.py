@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bdsde import classical
 from bdsde._accel import pl_gauss_moments
-from bdsde.classical import BdsdeProblem, SolverOptions, solve_regression, solve_tree
+from bdsde.classical import BdsdeProblem, solve_regression, solve_tree
 from bdsde.errors import BdsdeError, InvalidArgumentError, StepSizeError
 from bdsde.grids import (
     build_time_grid,
@@ -19,7 +19,7 @@ from bdsde.grids import (
 from bdsde.reflected import Barrier, solve_penalized, solve_reflected
 from bdsde.second_order import DpOptions, TbdsdeProblem, extract_k, solve_dp
 
-SCHEMES = st.sampled_from(["ito", "stratonovich"])
+READINGS = st.sampled_from(classical.READINGS)
 SEEDS = st.integers(0, 2**20)
 
 
@@ -42,28 +42,27 @@ def assert_meta_equal(batch, single):
             assert batch[key] == single[key]
 
 
-@given(scheme=SCHEMES, beta=st.floats(-0.9, 0.9), c=st.floats(-1.0, 1.0),
+@given(reading=READINGS, beta=st.floats(-0.9, 0.9), c=st.floats(-1.0, 1.0),
        n=st.integers(1, 24), m=st.integers(2, 4), seed=SEEDS)
 # refused per path: dt * Lip = 1 (StepSizeError), and a contraction of 0.875
 # that needs more than MAX_ITERS Picard iterations (ConvergenceError)
-@example(scheme="ito", beta=0.0, c=1.0, n=1, m=2, seed=0)
-@example(scheme="ito", beta=0.0, c=0.875, n=1, m=2, seed=0)
-def test_tree_batch_equals_per_path_solves(scheme, beta, c, n, m, seed):
+@example(reading="ito", beta=0.0, c=1.0, n=1, m=2, seed=0)
+@example(reading="ito", beta=0.0, c=0.875, n=1, m=2, seed=0)
+def test_tree_batch_equals_per_path_solves(reading, beta, c, n, m, seed):
     grid = build_time_grid(0, 1, n)
     tree = build_tree(grid, 1.2, x0=0.3)
     prob = BdsdeProblem(terminal=lambda x: x**2 - x, f=lambda t, x, y, z: c * y - 0.2 * z,
-                        g=lambda t, x, y, z: beta * y, lipschitz_f=abs(c))
-    opts = SolverOptions(g_scheme=scheme)
+                        g=lambda t, x, y, z: beta * y, lipschitz_f=abs(c), reading=reading)
     paths = paths_for(grid, seed, m)
     try:
-        singles = [solve_tree(prob, tree, w, opts) for w in paths]
+        singles = [solve_tree(prob, tree, w) for w in paths]
     except BdsdeError as refused:
         # what one path's solve refuses, the batch refuses with the same error
         with pytest.raises(BdsdeError) as batch_refused:
-            solve_tree(prob, tree, paths, opts)
+            solve_tree(prob, tree, paths)
         assert type(batch_refused.value) is type(refused)
         return
-    batch = solve_tree(prob, tree, paths, opts)
+    batch = solve_tree(prob, tree, paths)
 
     np.testing.assert_array_equal(batch.y0_paths, [s.y0 for s in singles])
     first = singles[0]
@@ -75,23 +74,24 @@ def test_tree_batch_equals_per_path_solves(scheme, beta, c, n, m, seed):
     assert_meta_equal(batch.meta, first.meta)
 
     order = np.random.default_rng(seed).permutation(m)
-    permuted = solve_tree(prob, tree, [paths[k] for k in order], opts)
+    permuted = solve_tree(prob, tree, [paths[k] for k in order])
     np.testing.assert_array_equal(permuted.y0_paths, batch.y0_paths[order])
 
 
 @given(a_low=st.floats(0.3, 1.0), a_high=st.floats(1.2, 2.5), n_a=st.integers(2, 5),
-       scheme=SCHEMES, beta=st.floats(-0.8, 0.8), n=st.integers(1, 6), x_steps=st.integers(20, 60),
-       m=st.integers(2, 4), seed=SEEDS)
+       reading=READINGS, beta=st.floats(-0.8, 0.8), n=st.integers(1, 6),
+       x_steps=st.integers(20, 60), m=st.integers(2, 4), seed=SEEDS)
 # path 1's one implicit step contracts by ~0.56 from values ~8, past 50 iterations
-@example(a_low=1.0, a_high=2.0, n_a=2, scheme="stratonovich", beta=0.5, n=1, x_steps=20, m=2,
+@example(a_low=1.0, a_high=2.0, n_a=2, reading="stratonovich", beta=0.5, n=1, x_steps=20, m=2,
          seed=0)
-def test_lattice_batch_equals_per_path_solves(a_low, a_high, n_a, scheme, beta, n, x_steps, m,
+def test_lattice_batch_equals_per_path_solves(a_low, a_high, n_a, reading, beta, n, x_steps, m,
                                               seed):
     grid = build_time_grid(0, 1, n)
     prob = TbdsdeProblem(terminal=lambda x: np.abs(x - 0.2), F=lambda t, x, y, z, a: 0.3 * y,
                          g=lambda t, x, y, z: beta * y,
-                         volgrid=build_volatility_grid(a_low, a_high, n_a), lipschitz_f=0.3)
-    opts = DpOptions(x_steps=x_steps, g_scheme=scheme)
+                         volgrid=build_volatility_grid(a_low, a_high, n_a), lipschitz_f=0.3,
+                         reading=reading)
+    opts = DpOptions(x_steps=x_steps)
     paths = paths_for(grid, seed, m)
     batch = solve_dp(prob, grid, paths, x0=0.5, opts=opts)
     singles = [solve_dp(prob, grid, w, x0=0.5, opts=opts) for w in paths]
@@ -113,18 +113,18 @@ def test_lattice_batch_equals_per_path_solves(a_low, a_high, n_a, scheme, beta, 
     np.testing.assert_array_equal(permuted.y0_paths, batch.y0_paths[order])
 
 
-@given(scheme=SCHEMES, beta=st.floats(-0.5, 0.5), c=st.floats(-1.0, 1.0),
+@given(reading=READINGS, beta=st.floats(-0.5, 0.5), c=st.floats(-1.0, 1.0),
        n=st.integers(4, 10), m=st.integers(2, 4), seed=SEEDS)
-def test_regression_batch_equals_per_path_solves(scheme, beta, c, n, m, seed):
+def test_regression_batch_equals_per_path_solves(reading, beta, c, n, m, seed):
     grid = build_time_grid(0, 1, n)
     ens = sample_forward_ensemble(grid, 2000, 0.8, seed=seed, x0=0.3)
     # f and g both depend on z, so the z fit feeds the next step's targets
     prob = BdsdeProblem(terminal=lambda x: x**2 - x, f=lambda t, x, y, z: c * y - 0.2 * z,
-                        g=lambda t, x, y, z: beta * y + 0.1 * z, lipschitz_f=abs(c))
-    opts = SolverOptions(g_scheme=scheme)
+                        g=lambda t, x, y, z: beta * y + 0.1 * z, lipschitz_f=abs(c),
+                        reading=reading)
     paths = paths_for(grid, seed, m)
-    batch = solve_regression(prob, ens, paths, basis_degree=3, opts=opts)
-    singles = [solve_regression(prob, ens, w, basis_degree=3, opts=opts) for w in paths]
+    batch = solve_regression(prob, ens, paths, basis_degree=3)
+    singles = [solve_regression(prob, ens, w, basis_degree=3) for w in paths]
 
     np.testing.assert_array_equal(batch.y0_paths, [s.y0 for s in singles])
     first = singles[0]
@@ -139,26 +139,25 @@ def test_regression_batch_equals_per_path_solves(scheme, beta, c, n, m, seed):
     assert_meta_equal(batch.meta, first.meta)
 
     order = np.random.default_rng(seed).permutation(m)
-    permuted = solve_regression(prob, ens, [paths[k] for k in order], basis_degree=3, opts=opts)
+    permuted = solve_regression(prob, ens, [paths[k] for k in order], basis_degree=3)
     np.testing.assert_array_equal(permuted.y0_paths, batch.y0_paths[order])
 
 
-@given(penalty=st.sampled_from([None, 5.0, 80.0]), scheme=SCHEMES, beta=st.floats(-0.5, 0.5),
+@given(penalty=st.sampled_from([None, 5.0, 80.0]), reading=READINGS, beta=st.floats(-0.5, 0.5),
        c=st.floats(0.0, 1.0), shift=st.floats(0.0, 0.3), n=st.integers(2, 16),
        m=st.integers(2, 4), seed=SEEDS)
-def test_reflected_batch_equals_per_path_solves(penalty, scheme, beta, c, shift, n, m, seed):
+def test_reflected_batch_equals_per_path_solves(penalty, reading, beta, c, shift, n, m, seed):
     grid = build_time_grid(0, 1, n)
     tree = build_tree(grid, 1.0, x0=1.0)
     prob = BdsdeProblem(terminal=lambda x: np.maximum(1.0 - x, 0.0),
                         f=lambda t, x, y, z: -c * y - 0.2 * z,
-                        g=lambda t, x, y, z: beta * y + 0.1 * z, lipschitz_f=c)
+                        g=lambda t, x, y, z: beta * y + 0.1 * z, lipschitz_f=c, reading=reading)
     barrier = Barrier(fn=lambda t, x: np.maximum(1.0 - x, 0.0) - shift * (1.0 - t))
-    opts = SolverOptions(g_scheme=scheme)
 
     def solve(w):  # projection backend (penalty None) or penalization at that level
         if penalty is None:
-            return solve_reflected(prob, barrier, tree, w, opts)
-        return solve_penalized(prob, barrier, penalty, tree, w, opts)
+            return solve_reflected(prob, barrier, tree, w)
+        return solve_penalized(prob, barrier, penalty, tree, w)
 
     paths = paths_for(grid, seed, m)
     batch = solve(paths)

@@ -1,15 +1,18 @@
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bdsde import rng
 from bdsde.classical import (
     MAX_ITERS,
+    READINGS,
     RIDGE,
     BdsdeProblem,
-    SolverOptions,
     _fixed_point,
     _regress_on_state,
     check_comparison,
@@ -26,7 +29,7 @@ from bdsde.grids import (
     sample_backward_path,
     sample_forward_ensemble,
 )
-from bdsde.second_order import TbdsdeProblem, solve_dp
+from bdsde.second_order import DpOptions, TbdsdeProblem, solve_dp
 
 ZERO = lambda t, x, y, z: np.zeros_like(np.asarray(x, dtype=float))
 
@@ -145,20 +148,19 @@ class TestTreeSolver:
             sub = solve_tree(prob, sub_tree, sub_w)
             assert sub.y0 == pytest.approx(sol.y[i][j], abs=1e-12)
 
-    @pytest.mark.parametrize("g_scheme", ["ito", "stratonovich"])
-    def test_a_column_of_trees_is_each_trees_own_solve(self, g_scheme):
+    @pytest.mark.parametrize("reading", READINGS)
+    def test_a_column_of_trees_is_each_trees_own_solve(self, reading):
         # V trees swept together on one path: every level, y0, z and the
         # worst residual and iteration count are those of the solo solves
         grid = build_time_grid(0.0, 1.0, 12)
         w = sample_backward_path(grid, seed=3)
         prob = BdsdeProblem(terminal=lambda x: np.abs(x - 0.2),
                             f=lambda t, x, y, z: 0.3 * np.sin(y) - 0.2 * z,
-                            g=lambda t, x, y, z: 0.5 * np.cos(y))
-        opts = SolverOptions(g_scheme=g_scheme)
+                            g=lambda t, x, y, z: 0.5 * np.cos(y), reading=reading)
         a = np.array([0.5, 0.8, 1.4, 2.0])[:, None]
         trees = BrownianTree(grid=grid, a=a, x0=0.3, step=np.sqrt(a * grid.dt))
-        both = solve_tree(prob, trees, w, opts)
-        solo = [solve_tree(prob, build_tree(grid, v, x0=0.3), w, opts) for v in a[:, 0]]
+        both = solve_tree(prob, trees, w)
+        solo = [solve_tree(prob, build_tree(grid, v, x0=0.3), w) for v in a[:, 0]]
         assert both.y0_paths.tolist() == [s.y0 for s in solo] and both.y0 == solo[0].y0
         for i in range(grid.n_steps + 1):
             np.testing.assert_array_equal(both.y[i], [s.y[i] for s in solo])
@@ -168,7 +170,7 @@ class TestTreeSolver:
                                       np.max([s.picard_iters for s in solo], axis=0))
         assert len({tuple(s.picard_iters) for s in solo}) > 1
         with pytest.raises(InvalidArgumentError, match="one backward path"):
-            solve_tree(prob, trees, [w, sample_backward_path(grid, seed=4)], opts)
+            solve_tree(prob, trees, [w, sample_backward_path(grid, seed=4)])
 
 
 def affine_update(c, b, calls):
@@ -177,6 +179,42 @@ def affine_update(c, b, calls):
         calls.append(None)
         return c[..., None] * y + b
     return update
+
+
+class TestReading:
+    """The backward integral's reading is the equation's, checked where it is built."""
+
+    @pytest.mark.parametrize("reading", ["Ito", "midpoint", ""])
+    def test_both_problem_classes_refuse_an_unknown_reading(self, reading):
+        vg = build_volatility_grid(0.5, 2.0, 3)
+        with pytest.raises(InvalidArgumentError, match=f"unknown reading {reading!r}"):
+            BdsdeProblem(terminal=lambda x: x, f=ZERO, g=ZERO, reading=reading)
+        with pytest.raises(InvalidArgumentError, match=f"unknown reading {reading!r}"):
+            TbdsdeProblem(terminal=lambda x: x, F=lambda t, x, y, z, a: 0.0 * x, g=ZERO,
+                          volgrid=vg, reading=reading)
+
+    @pytest.mark.parametrize("reading", READINGS)
+    def test_the_classical_problem_keeps_the_reading(self, reading):
+        prob = TbdsdeProblem(terminal=lambda x: x, F=lambda t, x, y, z, a: 0.0 * x, g=ZERO,
+                             volgrid=build_volatility_grid(0.5, 2.0, 3), reading=reading)
+        assert prob.classical_problem(0.5).reading == reading
+
+    @given(c=st.floats(-0.5, 0.5), n=st.integers(1, 12), n_a=st.sampled_from([1, 3]),
+           seed=st.integers(0, 2**20))
+    def test_a_state_free_noise_reads_alike_either_way(self, c, n, n_a, seed):
+        # with g = c the endpoint and the midpoint integrals are one sum, so
+        # the two readings are one equation: on the tree (one volatility) and
+        # on the lattice they agree up to rounding
+        prob = TbdsdeProblem(terminal=lambda x: 2.0 + x**2,
+                             F=lambda t, x, y, z, a: 0.3 * np.sin(y) - 0.2 * z,
+                             g=lambda t, x, y, z: c + 0.0 * y,
+                             volgrid=build_volatility_grid(0.5, 2.0, n_a), lipschitz_f=0.3)
+        grid = build_time_grid(0.0, 1.0, n)
+        paths = [sample_backward_path(grid, seed=seed + k) for k in range(2)]
+        ito, strat = (solve_dp(replace(prob, reading=r), grid, paths, x0=0.3,
+                               opts=DpOptions(x_steps=40)) for r in READINGS)
+        assert ito.backend == strat.backend == ("tree" if n_a == 1 else "lattice")
+        np.testing.assert_allclose(strat.y0_paths, ito.y0_paths, rtol=1e-12, atol=0.0)
 
 
 class TestFixedPoint:

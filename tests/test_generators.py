@@ -28,8 +28,8 @@ def grid(lo=-10.0, hi=10.0, n=2001):
     return np.linspace(lo, hi, n)
 
 
-def problem(vg, F=FZERO, g=lambda t, x, y, z: 0.0 * np.asarray(y)):
-    return TbdsdeProblem(terminal=lambda x: x**2, F=F, g=g, volgrid=vg)
+def problem(vg, F=FZERO, g=lambda t, x, y, z: 0.0 * np.asarray(y), reading="ito"):
+    return TbdsdeProblem(terminal=lambda x: x**2, F=F, g=g, volgrid=vg, reading=reading)
 
 
 def conjugate_problem(spec, vg):
@@ -167,14 +167,26 @@ class TestOrderReversal:
 class TestStratonovichCorrection:
     VG = build_volatility_grid(0.5, 2.0, 3)
 
+    def strat(self, **kwargs):
+        """A Stratonovich-read problem over VG."""
+        return problem(self.VG, reading="stratonovich", **kwargs)
+
     def test_y_free_g_is_identity(self):
-        p = stratonovich_correction(problem(self.VG, F=lambda t, x, y, z, a: 2.5,
-                                            g=lambda t, x, y, z: 0.7 * z + 1.0))
+        p = stratonovich_correction(self.strat(F=lambda t, x, y, z, a: 2.5,
+                                               g=lambda t, x, y, z: 0.7 * z + 1.0))
         assert p.F(0, 0, 1.0, 1.0, 1.0) == pytest.approx(2.5, abs=1e-9)
 
+    def test_returns_the_ito_read_problem_and_refuses_one(self):
+        p = stratonovich_correction(self.strat(g=lambda t, x, y, z: 0.5 * y))
+        assert p.reading == "ito"
+        # so a problem is never converted twice
+        for ito_read in (p, problem(self.VG, g=lambda t, x, y, z: 0.5 * y)):
+            with pytest.raises(InvalidArgumentError, match="takes a Stratonovich-read problem"):
+                stratonovich_correction(ito_read)
+
     def test_linear_g_hand_value(self):
-        p = stratonovich_correction(problem(self.VG, F=lambda t, x, y, z, a: 1.0,
-                                            g=lambda t, x, y, z: 0.4 * y),
+        p = stratonovich_correction(self.strat(F=lambda t, x, y, z, a: 1.0,
+                                               g=lambda t, x, y, z: 0.4 * y),
                                     dy_g=lambda t, x, y, z: 0.4 + 0.0 * np.asarray(y))
         # F = 1, y = 2: f = 1 + 0.5 * (0.8) * (0.4) = 1.16
         assert p.F(0, 0, 2.0, 0.0, 1.0) == pytest.approx(1.16)
@@ -182,7 +194,7 @@ class TestStratonovichCorrection:
     def test_correction_is_elementwise_on_batched_paths(self):
         # g = y / 2 pairs with W's first component at every node of every
         # path: the correction is g g_y / 2 = y / 8, never a sum over nodes
-        p = stratonovich_correction(problem(self.VG, g=lambda t, x, y, z: 0.5 * y))
+        p = stratonovich_correction(self.strat(g=lambda t, x, y, z: 0.5 * y))
         ys = np.array([1.0, 2.0, 3.0, 4.0])
         expected = [0.125, 0.25, 0.375, 0.5]
         batched = p.F(0.0, np.zeros(4), np.stack([ys, ys]), 0.0, 1.0)
@@ -192,8 +204,7 @@ class TestStratonovichCorrection:
     def test_nonlinear_g_finite_difference(self):
         # g = 0.3 cos y: g g_y / 2 = -0.045 sin y cos y = -0.0225 sin 2y
         F = lambda t, x, y, z, a: 0.5 * y + 0.0 * np.asarray(x)
-        base = problem(self.VG, F=F, g=lambda t, x, y, z: 0.3 * np.cos(y))
-        p = stratonovich_correction(base)
+        p = stratonovich_correction(self.strat(F=F, g=lambda t, x, y, z: 0.3 * np.cos(y)))
         ys = np.linspace(-4.0, 4.0, 81)
         np.testing.assert_allclose(p.F(0.3, np.zeros(81), ys, 0.0, 1.0),
                                    F(0.3, 0, ys, 0, 1.0) - 0.0225 * np.sin(2 * ys),
@@ -202,7 +213,8 @@ class TestStratonovichCorrection:
     def test_nonlinear_g_solves_over_a_batch(self):
         p = stratonovich_correction(TbdsdeProblem(
             terminal=lambda x: x**2, F=lambda t, x, y, z, a: 0.5 * y + 0.0 * np.asarray(x),
-            g=lambda t, x, y, z: 0.3 * np.cos(y), volgrid=self.VG, lipschitz_f=0.55))
+            g=lambda t, x, y, z: 0.3 * np.cos(y), volgrid=self.VG, lipschitz_f=0.55,
+            reading="stratonovich"))
         grid = build_time_grid(0, 1, 8)
         paths = [sample_backward_path(grid, seed=s) for s in range(4)]
         opts = DpOptions(x_steps=60)

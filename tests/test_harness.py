@@ -114,8 +114,7 @@ class TestRun:
         pdef, grid = REGISTRY["bsb_doss"], grid_from(cfg)
         prob = pdef.equation(cfg)
         paths = [backward_path_for(pdef, grid, 7 + k) for k in range(m)]
-        sol = solve_dp(prob, grid, paths, x0=pdef.x0,
-                       opts=DpOptions(x_steps=41, g_scheme=pdef.g_scheme))
+        sol = solve_dp(prob, grid, paths, x0=pdef.x0, opts=DpOptions(x_steps=41))
         assert rec.quantities["gap_min0"] == minimality_gap(sol)
         assert rec.quantities["gap_min0"] > 0.0
         assert rec.quantities["k_terminal"] == 0.0
@@ -225,6 +224,15 @@ class TestRegistry:
                 for t, y, z in ((0.0, -1.0, 0.5), (0.5, 0.3, -2.0), (1.0, 2.5, 1.0)):
                     g = prob.g(t, x, np.full_like(x, y), np.full_like(x, z))
                     assert np.all(np.asarray(g) == 0.0), name
+
+    def test_each_equation_states_its_reading(self):
+        # bsb_doss is Stratonovich-read and converted once, to its Ito-read
+        # equation; linear_spde is solved at the midpoint
+        cfg = cfg_for("identity", "tree")
+        readings = {name: pdef.equation(cfg).reading for name, pdef in REGISTRY.items()}
+        assert readings["bsb_doss"] == "ito"
+        assert readings.pop("linear_spde") == "stratonovich"
+        assert set(readings.values()) == {"ito"}
 
     def test_classical_backend_refuses_a_volatility_band(self):
         cfg = cfg_for("bsb_quadratic", "tree")

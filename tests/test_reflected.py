@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bdsde.classical import BdsdeProblem, SolverOptions, solve_tree
+from bdsde.classical import READINGS, BdsdeProblem, solve_tree
 from bdsde.errors import InvalidArgumentError, InvalidBarrierError
 from bdsde.grids import build_time_grid, build_tree, sample_backward_path
 from bdsde.reflected import (
@@ -81,16 +81,15 @@ class TestSnellEnvelope:
 
 
 class TestReflected:
-    @pytest.mark.parametrize("g_scheme", ["ito", "stratonovich"])
-    def test_inactive_barrier_matches_unconstrained(self, g_scheme):
+    @pytest.mark.parametrize("reading", READINGS)
+    def test_inactive_barrier_matches_unconstrained(self, reading):
         grid, tree, w = setup()
         prob = BdsdeProblem(terminal=lambda x: x**2, f=lambda t, x, y, z: 0.2 * y,
-                            g=lambda t, x, y, z: 0.1 * y, lipschitz_f=0.2)
+                            g=lambda t, x, y, z: 0.1 * y, lipschitz_f=0.2, reading=reading)
         low = Barrier(fn=lambda t, x: -100.0 + 0.0 * x)
-        opts = SolverOptions(g_scheme=g_scheme)
-        ref = solve_reflected(prob, low, tree, w, opts)
-        pen = solve_penalized(prob, low, 100.0, tree, w, opts)
-        unc = solve_tree(prob, tree, w, opts)
+        ref = solve_reflected(prob, low, tree, w)
+        pen = solve_penalized(prob, low, 100.0, tree, w)
+        unc = solve_tree(prob, tree, w)
         for i in range(grid.n_steps + 1):
             np.testing.assert_allclose(ref.y[i], unc.y[i], atol=1e-12)
             np.testing.assert_allclose(pen.y[i], unc.y[i], atol=1e-12)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bdsde import _accel, second_order
-from bdsde.classical import BdsdeProblem, SolverOptions, backward_step, solve_tree
+from bdsde.classical import READINGS, backward_step, solve_tree
 from bdsde.config import ExperimentConfig
 from bdsde.doss import FlowCoefficient, build_y_lattice, solve_flow, transform_solution
 from bdsde.errors import (
@@ -21,7 +22,6 @@ from bdsde.grids import (
     build_volatility_grid,
     sample_backward_path,
     sample_forward_ensemble,
-    subsample_path,
 )
 from bdsde.problems import REGISTRY
 from bdsde.second_order import (
@@ -41,16 +41,15 @@ ZERO = lambda t, x, y, z: np.zeros_like(np.asarray(x, dtype=float))
 HALF_Y = lambda t, x, y, z: 0.5 * y
 
 
-def bsb_problem(terminal=lambda x: x**2, g=ZERO, n_a=5):
+def bsb_problem(terminal=lambda x: x**2, g=ZERO, n_a=5, reading="ito"):
     vg = build_volatility_grid(0.5, 2.0, n_a)
-    return TbdsdeProblem(terminal=terminal, F=FZERO, g=g, volgrid=vg)
+    return TbdsdeProblem(terminal=terminal, F=FZERO, g=g, volgrid=vg, reading=reading)
 
 
-def best_constant_gap(prob, sol, grid, w, g_scheme):
-    """y0 minus the best constant-control value, each solved under g_scheme."""
-    opts = SolverOptions(g_scheme=g_scheme)
+def best_constant_gap(prob, sol, grid, w):
+    """y0 minus the best constant-control value, each solved under prob's reading."""
     best = max(solve_tree(prob.classical_problem(float(a)),
-                          build_tree(grid, float(a), x0=1.0), w, opts).y0
+                          build_tree(grid, float(a), x0=1.0), w).y0
                for a in prob.finite_volatilities())
     return sol.y0 - best
 
@@ -185,18 +184,17 @@ class TestCompensator:
         self.sol = solve_dp(self.prob, self.grid, self.w, x0=1.0,
                             opts=DpOptions(x_steps=200))
 
-    @pytest.mark.parametrize("g_scheme", ["ito", "stratonovich"])
+    @pytest.mark.parametrize("reading", READINGS)
     @pytest.mark.parametrize("terminal", [lambda x: x**2, lambda x: -(x**2)],
                              ids=["convex", "concave"])
-    def test_argmax_compensator_vanishes(self, terminal, g_scheme):
-        prob = bsb_problem(terminal=terminal, g=HALF_Y)
-        sol = solve_dp(prob, self.grid, self.w, x0=1.0,
-                       opts=DpOptions(x_steps=200, g_scheme=g_scheme))
+    def test_argmax_compensator_vanishes(self, terminal, reading):
+        prob = bsb_problem(terminal=terminal, g=HALF_Y, reading=reading)
+        sol = solve_dp(prob, self.grid, self.w, x0=1.0, opts=DpOptions(x_steps=200))
         # at every step and node the argmax control's defect is exactly 0
         assert np.all(sol.meta["defects"].min(axis=1) == 0.0)
-        # the gap is measured under the solve's own scheme
+        # the gap is measured under the solve's own reading
         assert minimality_gap(sol) == pytest.approx(
-            best_constant_gap(prob, sol, self.grid, self.w, g_scheme), abs=1e-12)
+            best_constant_gap(prob, sol, self.grid, self.w), abs=1e-12)
 
     def test_suboptimal_control_sees_positive_compensator(self):
         # under the low control the expected compensator equals the value gap
@@ -232,14 +230,13 @@ class TestCompensator:
         assert k.k_terminal > 1.0
         np.testing.assert_allclose(k.expected_cumulative, ref, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("g_scheme", ["ito", "stratonovich"])
-    def test_affine_terminal_all_controls_optimal(self, g_scheme):
-        prob = bsb_problem(terminal=lambda x: x, g=HALF_Y)
-        sol = solve_dp(prob, self.grid, self.w, x0=1.0,
-                       opts=DpOptions(x_steps=200, g_scheme=g_scheme))
+    @pytest.mark.parametrize("reading", READINGS)
+    def test_affine_terminal_all_controls_optimal(self, reading):
+        prob = bsb_problem(terminal=lambda x: x, g=HALF_Y, reading=reading)
+        sol = solve_dp(prob, self.grid, self.w, x0=1.0, opts=DpOptions(x_steps=200))
         assert extract_k(sol, volatility=0.5).k_terminal < 1e-9
         assert minimality_gap(sol) == pytest.approx(
-            best_constant_gap(prob, sol, self.grid, self.w, g_scheme), abs=1e-12)
+            best_constant_gap(prob, sol, self.grid, self.w), abs=1e-12)
 
     def test_infinite_generator_entry_excluded(self):
         def F(t, x, y, z, a):
@@ -259,7 +256,7 @@ def recomputed_compensator(prob, sol, w, a, z_T=None):
     """(increments, expected_cumulative, clamped) of the constant control a,
     from backward_step under a at every level against the solve's levels, as
     extract_k once computed it; z_T, if given, replaces sol.Z[n] at step n - 1."""
-    grid, xs, x0, opts = (sol.meta[k] for k in ("grid", "lattice", "x0", "opts"))
+    grid, xs, x0 = (sol.meta[k] for k in ("grid", "lattice", "x0"))
     n = grid.n_steps
     cond = lattice_cond(xs, a, grid.dt)
     incs, clamped = [None] * n, 0
@@ -267,7 +264,7 @@ def recomputed_compensator(prob, sol, w, a, z_T=None):
         z_next = z_T if i == n - 1 and z_T is not None else sol.Z[i + 1]
         dw = (w.values[i + 1] - w.values[i])[..., None]
         cand = backward_step(prob.classical_problem(a), cond, lambda _: xs, i, grid,
-                             sol.Y[i + 1], z_next, dw, a, opts)[0]
+                             sol.Y[i + 1], z_next, dw, a)[0]
         delta = sol.Y[i] - cand
         clamped += int(np.sum(delta < 0))
         incs[i] = np.maximum(delta, 0.0)
@@ -290,16 +287,15 @@ def assert_trace_is(k, expected):
 class TestCompensatorFromSweep:
     """extract_k reads the defects the lattice step formed; it solves nothing."""
 
-    @pytest.mark.parametrize("g_scheme", ["ito", "stratonovich"])
+    @pytest.mark.parametrize("reading", READINGS)
     @pytest.mark.parametrize("n, x_steps", [(16, 200), (32, 201)])
     @pytest.mark.parametrize("name", ["bsb_mixed", "bsb_doss"])
-    def test_stored_compensator_is_the_recomputed_one(self, name, n, x_steps, g_scheme):
+    def test_stored_compensator_is_the_recomputed_one(self, name, n, x_steps, reading):
         pdef = REGISTRY[name]
-        prob = pdef.equation(ExperimentConfig.from_defaults())
+        prob = replace(pdef.equation(ExperimentConfig.from_defaults()), reading=reading)
         grid = build_time_grid(0, 1, n)
         w = sample_backward_path(grid, seed=3)
-        sol = solve_dp(prob, grid, w, x0=pdef.x0,
-                       opts=DpOptions(x_steps=x_steps, g_scheme=g_scheme))
+        sol = solve_dp(prob, grid, w, x0=pdef.x0, opts=DpOptions(x_steps=x_steps))
         a_vals = prob.finite_volatilities()
         assert len(a_vals) == 5
         for a in a_vals:
@@ -329,16 +325,16 @@ class TestCompensatorFromSweep:
 
 @given(c=st.floats(-1.0, 1.0), b=st.floats(-1.0, 1.0), s=st.floats(-0.5, 0.5),
        a_low=st.floats(0.2, 1.2), a_high=st.floats(1.3, 2.5), n_a=st.integers(2, 6),
-       beta=st.floats(-0.5, 0.5), g_scheme=st.sampled_from(["ito", "stratonovich"]),
+       beta=st.floats(-0.5, 0.5), reading=st.sampled_from(READINGS),
        n=st.sampled_from([8, 16]), seed=st.integers(0, 2**20))
 def test_every_constant_control_sees_a_nonnegative_compensator(c, b, s, a_low, a_high, n_a,
-                                                               beta, g_scheme, n, seed):
+                                                               beta, reading, n, seed):
     prob = TbdsdeProblem(terminal=lambda x: c * x**2 + b * np.abs(x - s), F=FZERO,
                          g=lambda t, x, y, z: beta * y,
-                         volgrid=build_volatility_grid(a_low, a_high, n_a))
+                         volgrid=build_volatility_grid(a_low, a_high, n_a), reading=reading)
     grid = build_time_grid(0, 1, n)
     sol = solve_dp(prob, grid, sample_backward_path(grid, seed=seed), x0=0.0,
-                   opts=DpOptions(x_steps=80, g_scheme=g_scheme))
+                   opts=DpOptions(x_steps=80))
     a_vals, defects = sol.meta["a_values"], sol.meta["defects"]
     for a in a_vals:
         assert np.all(np.diff(extract_k(sol, volatility=a).expected_cumulative) >= 0.0)
@@ -525,11 +521,11 @@ def test_minimality_gap_is_the_root_surplus_over_constant_controls(name, a_low, 
         "volgrid.a_low": a_low, "volgrid.a_high": a_high, "volgrid.n_points": n_points}))
     grid = build_time_grid(0, 1, n)
     paths = [sample_backward_path(grid, seed=seed + k) for k in range(m)]
-    opts = DpOptions(x_steps=x_steps, g_scheme=pdef.g_scheme)
-    sol = solve_dp(prob, grid, paths if m > 1 else paths[0], x0=pdef.x0, opts=opts)
+    sol = solve_dp(prob, grid, paths if m > 1 else paths[0], x0=pdef.x0,
+                   opts=DpOptions(x_steps=x_steps))
     gap = minimality_gap(sol)
     best = max(solve_tree(prob.classical_problem(float(a)), build_tree(grid, float(a), x0=pdef.x0),
-                          paths[0], opts).y0 for a in prob.finite_volatilities())
+                          paths[0]).y0 for a in prob.finite_volatilities())
     assert type(gap) is float and gap == sol.y0 - best
     assert (sol.backend == "tree") == (n_points == 1)
     if sol.backend == "tree":
@@ -737,36 +733,3 @@ class TestFeynmanKac:
             ens = sample_forward_ensemble(grid, 2000, 2.0, seed=8, x0=1.0)
             res.append(feynman_kac_residual(u, du, d2u, bsb_problem(), ens, w).mean_abs_residual)
         assert min(res) > 1.0  # true slope is 2.0, defect ~ 1.5 independent of dt
-
-
-class TestStratonovichItoEquivalence:
-    def test_ensemble_mean_gap_is_order_dt(self):
-        # midpoint discretization of the Stratonovich form vs right-endpoint
-        # discretization of the converted form with the realized bracket
-        beta = 0.5
-        g = lambda t, x, y, z: beta * y
-        levels = (16, 32, 64)
-        sums = {n: 0.0 for n in levels}
-        n_seeds = 40
-        from bdsde.classical import SolverOptions
-        for seed in range(n_seeds):
-            fine = sample_backward_path(build_time_grid(0, 1, 64), seed=seed)
-            for n in levels:
-                w = subsample_path(fine, 64 // n)
-                tree = build_tree(w.grid, 1.0, x0=1.0)
-                p_s = BdsdeProblem(terminal=lambda x: x**2,
-                                   f=lambda t, x, y, z: np.zeros_like(x), g=g)
-                bracket = lambda t, w=w: float(w.increments[w.grid.index(t)] ** 2) / w.grid.dt
-                p_i = BdsdeProblem(terminal=lambda x: x**2,
-                                   f=lambda t, x, y, z, br=bracket: 0.5 * beta**2 * y * br(t),
-                                   g=g)
-                ys = solve_tree(p_s, tree, w, SolverOptions(g_scheme="stratonovich")).y0
-                yi = solve_tree(p_i, tree, w, SolverOptions(g_scheme="ito")).y0
-                sums[n] += abs(ys - yi)
-        means = {n: sums[n] / n_seeds for n in levels}
-        dts = np.array([1.0 / n for n in levels])
-        d = np.array([means[n] for n in levels])
-        c = float(np.sum(d * dts) / np.sum(dts * dts))  # O(dt) envelope fit
-        assert np.all(d <= 1.5 * c * dts)
-        assert means[16] / means[32] == pytest.approx(2.0, rel=0.35)
-        assert means[32] / means[64] == pytest.approx(2.0, rel=0.35)
