@@ -46,6 +46,11 @@ COND_MAX = 1e12     # and a condition number above COND_MAX raises RegressionErr
 READINGS = ("ito", "stratonovich")  # the backward integral at the right endpoint, or the midpoint
 
 
+def later_weight(reading: str) -> float:
+    """Weight of a step's later node in its backward integral, 1 - it on the earlier node."""
+    return 0.5 if reading == "stratonovich" else 1.0  # the midpoint, or the right endpoint
+
+
 @dataclass(frozen=True)
 class BdsdeProblem:
     """Data of one classical backward equation under a fixed volatility."""
@@ -165,16 +170,15 @@ def backward_step(problem: BdsdeProblem, cond: Callable, states: Callable, i: in
     (m, 1) for m paths, whose values then carry a leading path axis and whose
     iters and defect hold one entry per path.  cond maps R = y' + h g' dW_i to
     (E[R], E[R dX] / (a dt)); the implicit update carries the other (1 - h) of
-    the noise term, h = 1 or 1/2 as the problem's reading is "ito" or
-    "stratonovich", and constraint(i, u) maps its value u onto the
-    admissible set.  Returns (y, z, iters, defect, push), push = y - u(y)
-    under a constraint, else None.  A column a, (V, 1) or (V, 1, 1), stacks
-    V volatilities as a further leading axis.
+    the noise term, h = later_weight(problem.reading), and constraint(i, u)
+    maps its value u onto the admissible set.  Returns (y, z, iters, defect,
+    push), push = y - u(y) under a constraint, else None.  A column a, (V, 1)
+    or (V, 1, 1), stacks V volatilities as a further leading axis.
     """
     t_i, t_next, dt = grid.time(i), grid.time(i + 1), grid.dt
     x_i, x_next = states(i), states(i + 1)
     dV = 0.0 if problem.forcing is None else problem.forcing[i + 1] - problem.forcing[i]
-    half = 0.5 if problem.reading == "stratonovich" else 1.0
+    half = later_weight(problem.reading)
 
     r = y_next + half * (problem.g(t_next, x_next, y_next, z_next) * dw)
     e_mean, z = cond(r)

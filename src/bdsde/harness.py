@@ -119,8 +119,8 @@ def _solve_paths(pdef: ProblemDef, cfg: ExperimentConfig, backend: str,
         domain = lattice_bounds(grid, prob.volgrid, pdef.x0, cfg.get("spatial", "span_sigmas"))
         pde = RandomPdeProblem(hhat_tilde=hamiltonian(prob), terminal=prob.terminal,
                                x_domain=domain)
-        xs, v = fd_random_pde(pde, grid, cfg.get("spatial", "x_steps"))
-        y0 = float(linear_interp(np.array([pdef.x0]), xs, v[0])[0])
+        xs, v0 = fd_random_pde(pde, grid, cfg.get("spatial", "x_steps"))
+        y0 = float(linear_interp(np.array([pdef.x0]), xs, v0)[0])
         return {"y0": y0}, [y0] * len(paths)
     else:
         raise ConfigError(f"unknown backend {backend!r}")

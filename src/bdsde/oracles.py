@@ -133,64 +133,60 @@ class RandomPdeProblem:
         return worst
 
 
-@np.errstate(all="ignore")  # a blow-up is one NonFiniteError after the loop, not warnings
+@np.errstate(all="ignore")  # a blow-up is one NonFiniteError at its step, not warnings
 def fd_random_pde(problem: RandomPdeProblem, grid: TimeGrid, x_steps: int):
     """Explicit backward finite differences, upwinded first derivative.
 
-    Returns (xs, v) with v of shape (n_steps + 1, x_steps + 1).  The
+    Returns (xs, v0), the level-0 row of x_steps + 1 values; the backward
+    steps hold two rows, so memory is O(x_steps) whatever n_steps.  The
     curvature sensitivity is probed on the terminal data to enforce the
-    parabolic stability bound before stepping.  A value that is not finite
-    raises NonFiniteError naming the step and node of the first one in
-    backward order (the largest step that holds one).
+    parabolic stability bound before stepping.  The first row that is not
+    finite raises NonFiniteError naming its step (the terminal row is step
+    n_steps) and its first bad node.
     """
     lo, hi = problem.x_domain
     xs = np.linspace(lo, hi, _count(x_steps, "x_steps", least=2) + 1)
     dx = xs[1] - xs[0]
     n, dt = grid.n_steps, grid.dt
 
-    v = np.empty((n + 1, len(xs)))
-    v[n] = np.asarray(problem.terminal(xs), dtype=float)
+    cur = np.broadcast_to(np.asarray(problem.terminal(xs), dtype=float), xs.shape)
+    inner = slice(1, -1)
 
     # stability probe: dt * 2 * dh/dgamma <= dx^2
-    vt = v[n]
-    d2 = (vt[2:] - 2 * vt[1:-1] + vt[:-2]) / dx**2
-    d1 = (vt[2:] - vt[:-2]) / (2 * dx)
-    t_T = grid.horizon
-    h_up = np.asarray(problem.hhat_tilde(t_T, xs[1:-1], vt[1:-1], d1, d2 + GAMMA_PROBE))
-    h_dn = np.asarray(problem.hhat_tilde(t_T, xs[1:-1], vt[1:-1], d1, d2 - GAMMA_PROBE))
+    d2 = (cur[2:] - 2 * cur[1:-1] + cur[:-2]) / dx**2
+    d1 = (cur[2:] - cur[:-2]) / (2 * dx)
+    h_up, h_dn = (np.asarray(problem.hhat_tilde(grid.horizon, xs[inner], cur[inner], d1, d2 + gam))
+                  for gam in (GAMMA_PROBE, -GAMMA_PROBE))
     diffusivity = float(np.max((h_up - h_dn) / (2 * GAMMA_PROBE)))
     if diffusivity > 0 and dt * 2.0 * diffusivity > dx**2:
         raise StabilityError(
             f"explicit step unstable: dt = {dt:.3g} exceeds dx^2 / (2 D) with D = {diffusivity:.3g}",
             suggested_dt=0.9 * dx**2 / (2.0 * diffusivity))
 
-    for i in range(n - 1, -1, -1):
-        t_next = grid.time(i + 1)
-        cur = v[i + 1]
-        inner = slice(1, -1)
+    for i in range(n, -1, -1):  # cur is level i: check it, then step to level i - 1
+        if not np.isfinite(cur).all():
+            node = int(np.argmax(~np.isfinite(cur)))
+            raise NonFiniteError(f"non-finite fd value at step {i}, node {node}",
+                                 step=i, node=node)
+        if i == 0:
+            return xs, cur
+        t_i = grid.time(i)
         d2 = (cur[2:] - 2 * cur[1:-1] + cur[:-2]) / dx**2
         fwd = (cur[2:] - cur[1:-1]) / dx
         bwd = (cur[1:-1] - cur[:-2]) / dx
         ctr = 0.5 * (fwd + bwd)
-        h_zp = np.asarray(problem.hhat_tilde(t_next, xs[inner], cur[inner], ctr + Z_PROBE, d2))
-        h_zm = np.asarray(problem.hhat_tilde(t_next, xs[inner], cur[inner], ctr - Z_PROBE, d2))
+        h_zp = np.asarray(problem.hhat_tilde(t_i, xs[inner], cur[inner], ctr + Z_PROBE, d2))
+        h_zm = np.asarray(problem.hhat_tilde(t_i, xs[inner], cur[inner], ctr - Z_PROBE, d2))
         dz = np.where(h_zp - h_zm >= 0, fwd, bwd)  # monotone upwind choice
-        v[i, inner] = cur[inner] + dt * np.asarray(
-            problem.hhat_tilde(t_next, xs[inner], cur[inner], dz, d2), dtype=float)
+        row = np.empty(len(xs))
+        row[inner] = cur[inner] + dt * np.asarray(
+            problem.hhat_tilde(t_i, xs[inner], cur[inner], dz, d2), dtype=float)
         if problem.boundary is not None:
-            t_i = grid.time(i)
-            v[i, 0] = problem.boundary(t_i, xs[0])
-            v[i, -1] = problem.boundary(t_i, xs[-1])
+            row[0], row[-1] = (problem.boundary(grid.time(i - 1), x) for x in (xs[0], xs[-1]))
         else:
-            v[i, 0] = 2 * v[i, 1] - v[i, 2]
-            v[i, -1] = 2 * v[i, -2] - v[i, -3]
-    bad = ~np.isfinite(v)
-    if bad.any():  # the first bad entry in backward order: the largest such step
-        step = int(np.flatnonzero(bad.any(axis=1))[-1])
-        node = int(np.argmax(bad[step]))
-        raise NonFiniteError(f"non-finite fd value at step {step}, node {node}",
-                             step=step, node=node)
-    return xs, v
+            row[0] = 2 * row[1] - row[2]
+            row[-1] = 2 * row[-2] - row[-3]
+        cur = row
 
 
 @dataclass(frozen=True)

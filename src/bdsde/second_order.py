@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._accel import GaussWindow, linear_interp, pl_gauss_moments
-from .classical import BdsdeProblem, _paths, backward_step, backward_sweep, solve_tree
+from .classical import BdsdeProblem, _paths, backward_step, backward_sweep, later_weight, solve_tree
 from .errors import InvalidArgumentError, VerificationError
 from .grids import (
     BackwardPath,
@@ -338,8 +338,8 @@ def feynman_kac_residual(u: Callable, du: Callable, d2u: Callable,
         k = H(., G) - a G / 2 - F(., a)
 
     must be nonnegative, and the discrete closed-loop defect of the value
-    equation Y_0 = xi + int F(., a) + int g dW + K_T - int Z dX (with the
-    backward integral at the midpoint) must vanish with the step size.
+    equation Y_0 = xi + int F(., a) + int g dW + K_T - int Z dX (g dW under
+    the problem's reading, as `backward_step` weighs it) must vanish with dt.
     F enters with the sign `solve_dp` gives it, and H is the problem's own
     `hamiltonian`, under which k >= 0 holds by construction for a control
     among its volatilities; a negative rate (VerificationError) therefore
@@ -361,7 +361,7 @@ def feynman_kac_residual(u: Callable, du: Callable, d2u: Callable,
     min_k, mean_k, n_neg, total = math.inf, 0.0, 0, 0
     k_path = np.zeros((ensemble.n_paths, n + 1))
     f_path = np.zeros((ensemble.n_paths, n + 1))
-    g_half = np.zeros(ensemble.n_paths)
+    g_dw, h = np.zeros(ensemble.n_paths), later_weight(problem.reading)
     z_dx = np.zeros(ensemble.n_paths)
 
     for i in range(n + 1):
@@ -378,9 +378,9 @@ def feynman_kac_residual(u: Callable, du: Callable, d2u: Callable,
         g_here = problem.g(t, x, yv, zv)
         if i == 0:
             y_0 = yv
-        else:  # the step from level i - 1: both endpoints' g dW, and z dX
+        else:  # the step from level i - 1: its endpoints' g dW, and z dX
             wi = w.values[i] - w.values[i - 1]
-            g_half += 0.5 * (g_prev * wi + g_here * wi)
+            g_dw += (1.0 - h) * (g_prev * wi) + h * (g_here * wi)
             z_dx += z_prev * (x - X[:, i - 1])
         g_prev, z_prev = g_here, zv
 
@@ -391,7 +391,7 @@ def feynman_kac_residual(u: Callable, du: Callable, d2u: Callable,
     trap = 0.5 * dt * (f_path[:, 0] + f_path[:, -1] + 2 * f_path[:, 1:-1].sum(axis=1))
     trap_k = 0.5 * dt * (k_path[:, 0] + k_path[:, -1] + 2 * k_path[:, 1:-1].sum(axis=1))
     xi = np.asarray(problem.terminal(X[:, -1]), dtype=float)
-    res = y_0 - (xi + trap + g_half - z_dx + trap_k)
+    res = y_0 - (xi + trap + g_dw - z_dx + trap_k)
     return FeynmanKacReport(min_k=min_k, mean_k=mean_k / total,
                             frac_negative=n_neg / total,
                             mean_abs_residual=float(np.abs(res).mean()),

@@ -211,9 +211,9 @@ def test_criterion_05_semilinear_noise_oracle():
 
     pde = RandomPdeProblem(hhat_tilde=hhat_tilde, terminal=lambda x: x**2,
                            x_domain=(-6.0, 6.0))
-    xs_fd, v = fd_random_pde(pde, grid, x_steps=60)
+    xs_fd, v0 = fd_random_pde(pde, grid, x_steps=60)
     i0 = int(np.argmin(np.abs(xs_fd)))
-    u_fd = float(flow.eval(["eta"], 0, np.array([0.0]), np.array([v[0, i0]]))[0][0])
+    u_fd = float(flow.eval(["eta"], 0, np.array([0.0]), np.array([v0[i0]]))[0][0])
     fd_ok = abs(u_fd - oracle) <= 0.02 * oracle
     check(5, "semilinear multiplicative-noise oracle (solver and FD routes)",
           solver_ok and fd_ok,

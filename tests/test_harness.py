@@ -154,8 +154,8 @@ class TestRun:
         monkeypatch.setattr(harness, "fd_random_pde", keeping)
         even, odd = (run(cfg_for("bsb_quadratic", "fd", n_steps=2000,
                                  **{"spatial.x_steps": x_steps})) for x_steps in (400, 401))
-        xs, v = levels[0]
-        assert even.quantities["y0"] == v[0, int(np.argmin(np.abs(xs - 1.0)))]
+        xs, v0 = levels[0]
+        assert even.quantities["y0"] == v0[int(np.argmin(np.abs(xs - 1.0)))]
         assert even.abs_error < 1e-8
         assert odd.abs_error < 1e-3
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from bdsde.grids import (
     BackwardPath,
 )
 from bdsde.oracles import (
+    GAMMA_PROBE,
+    Z_PROBE,
     ItoProcess,
     RandomPdeProblem,
     bsb_closed_form,
@@ -125,6 +129,51 @@ def bsb_hhat(a_low=0.5, a_high=2.0):
     return lambda t, x, y, z, gam: 0.5 * np.maximum(a_low * gam, a_high * gam)
 
 
+def quartic_problem():
+    return RandomPdeProblem(
+        hhat_tilde=lambda t, x, y, z, gam: 0.5 * gam,
+        terminal=lambda x: x**4, x_domain=(-6.0, 6.0),
+        boundary=lambda t, x: heat_semigroup([0.0, 0.0, 0.0, 0.0, 1.0], 1.0, 1.0 - t)(x))
+
+
+def bsb_fd_problem():
+    return RandomPdeProblem(
+        hhat_tilde=bsb_hhat(), terminal=lambda x: x**2, x_domain=(-9.0, 11.0),
+        boundary=lambda t, x: bsb_closed_form(lambda u: u**2, 0.5, 2.0, 1.0, t, x))
+
+
+def full_table_fd(problem, grid, x_steps):
+    """The reference for fd_random_pde's level 0: the same scheme filling the whole
+    (n_steps + 1, x_steps + 1) table, without the stability probe or finiteness check."""
+    lo, hi = problem.x_domain
+    xs = np.linspace(lo, hi, x_steps + 1)
+    dx = xs[1] - xs[0]
+    n, dt = grid.n_steps, grid.dt
+    v = np.empty((n + 1, len(xs)))
+    v[n] = np.asarray(problem.terminal(xs), dtype=float)
+    for i in range(n - 1, -1, -1):
+        t_next = grid.time(i + 1)
+        cur = v[i + 1]
+        inner = slice(1, -1)
+        d2 = (cur[2:] - 2 * cur[1:-1] + cur[:-2]) / dx**2
+        fwd = (cur[2:] - cur[1:-1]) / dx
+        bwd = (cur[1:-1] - cur[:-2]) / dx
+        ctr = 0.5 * (fwd + bwd)
+        h_zp = np.asarray(problem.hhat_tilde(t_next, xs[inner], cur[inner], ctr + Z_PROBE, d2))
+        h_zm = np.asarray(problem.hhat_tilde(t_next, xs[inner], cur[inner], ctr - Z_PROBE, d2))
+        dz = np.where(h_zp - h_zm >= 0, fwd, bwd)
+        v[i, inner] = cur[inner] + dt * np.asarray(
+            problem.hhat_tilde(t_next, xs[inner], cur[inner], dz, d2), dtype=float)
+        if problem.boundary is not None:
+            t_i = grid.time(i)
+            v[i, 0] = problem.boundary(t_i, xs[0])
+            v[i, -1] = problem.boundary(t_i, xs[-1])
+        else:
+            v[i, 0] = 2 * v[i, 1] - v[i, 2]
+            v[i, -1] = 2 * v[i, -2] - v[i, -3]
+    return xs, v
+
+
 class TestFdRandomPde:
     @pytest.mark.parametrize("x_steps", [1, 0, 2.5])
     def test_refuses_fewer_than_two_cells(self, x_steps):
@@ -134,9 +183,30 @@ class TestFdRandomPde:
 
     def test_heat_value_at_origin(self):
         grid = build_time_grid(0, 1, 64)
-        xs, v = fd_random_pde(heat_problem(), grid, x_steps=64)
+        xs, v0 = fd_random_pde(heat_problem(), grid, x_steps=64)
         i0 = np.argmin(np.abs(xs))
-        assert v[0, i0] == pytest.approx(1.0, rel=0.02)
+        assert v0[i0] == pytest.approx(1.0, rel=0.02)
+
+    @pytest.mark.parametrize("problem, n, x_steps", [
+        (heat_problem(), 64, 64), (quartic_problem(), 64, 48), (bsb_fd_problem(), 256, 100),
+    ], ids=["heat", "quartic-boundary", "bsb-hhat"])
+    def test_level_0_is_the_full_tables_row_0(self, problem, n, x_steps):
+        grid = build_time_grid(0, 1, n)
+        xs, v0 = fd_random_pde(problem, grid, x_steps)
+        ref_xs, ref = full_table_fd(problem, grid, x_steps)
+        assert v0.shape == (x_steps + 1,)
+        assert xs.tobytes() == ref_xs.tobytes() and v0.tobytes() == ref[0].tobytes()
+
+    def test_holds_rows_not_the_table(self):
+        # at (2000, 400) the (n_steps + 1, x_steps + 1) table alone was 6.4 MB
+        prob, grid = bsb_fd_problem(), build_time_grid(0, 1, 2000)
+        tracemalloc.start()
+        try:
+            fd_random_pde(prob, grid, x_steps=400)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_heat_convergence_on_quartic_data(self):
         # quadratic data is propagated exactly by the stencil; quartic data
@@ -145,14 +215,9 @@ class TestFdRandomPde:
         errs = []
         for n, m in [(64, 48), (256, 96)]:
             grid = build_time_grid(0, 1, n)
-            prob = RandomPdeProblem(
-                hhat_tilde=lambda t, x, y, z, gam: 0.5 * gam,
-                terminal=lambda x: x**4, x_domain=(-6.0, 6.0),
-                boundary=lambda t, x: heat_semigroup(
-                    [0.0, 0.0, 0.0, 0.0, 1.0], 1.0, 1.0 - t)(x))
-            xs, v = fd_random_pde(prob, grid, x_steps=m)
+            xs, v0 = fd_random_pde(quartic_problem(), grid, x_steps=m)
             i0 = np.argmin(np.abs(xs))
-            errs.append(abs(v[0, i0] - oracle_fn(0.0)))
+            errs.append(abs(v0[i0] - oracle_fn(0.0)))
         assert errs[1] < errs[0] / 2.5
 
     def test_cfl_violation_reports_suggested_dt(self):
@@ -181,26 +246,26 @@ class TestFdRandomPde:
 
     def test_matches_uncertain_volatility_closed_form(self):
         grid = build_time_grid(0, 1, 256)
-        prob = RandomPdeProblem(
-            hhat_tilde=bsb_hhat(), terminal=lambda x: x**2, x_domain=(-9.0, 11.0),
-            boundary=lambda t, x: bsb_closed_form(lambda u: u**2, 0.5, 2.0, 1.0, t, x))
-        xs, v = fd_random_pde(prob, grid, x_steps=100)
+        xs, v0 = fd_random_pde(bsb_fd_problem(), grid, x_steps=100)
         i1 = np.argmin(np.abs(xs - 1.0))
         oracle = bsb_closed_form(lambda u: u**2, 0.5, 2.0, 1.0, 0.0, xs[i1])
-        assert v[0, i1] == pytest.approx(oracle, rel=0.02)
+        assert v0[i1] == pytest.approx(oracle, rel=0.02)
 
     def test_comparison_principle(self):
+        # ordered terminal data stay ordered at every time t: each t in
+        # {0, 1/4, 1/2, 3/4} is level 0 of a solve on [t, 1] at dt = 1/64
         rng = np.random.default_rng(3)
-        grid = build_time_grid(0, 1, 64)
         for _ in range(10):
-            c = rng.uniform(0.1, 1.0)
+            c, bump = rng.uniform(0.1, 1.0), rng.uniform(0.0, 1.0)
             phi1 = lambda x, c=c: np.cos(c * x)
-            phi2 = lambda x, c=c: np.cos(c * x) + rng.uniform(0.0, 1.0)
+            phi2 = lambda x, c=c, b=bump: np.cos(c * x) + b
             p1 = RandomPdeProblem(hhat_tilde=bsb_hhat(), terminal=phi1, x_domain=(-6, 6))
             p2 = RandomPdeProblem(hhat_tilde=bsb_hhat(), terminal=phi2, x_domain=(-6, 6))
-            _, v1 = fd_random_pde(p1, grid, x_steps=60)
-            _, v2 = fd_random_pde(p2, grid, x_steps=60)
-            assert np.all(v1 <= v2 + 1e-12)
+            for t, n in ((0.0, 64), (0.25, 48), (0.5, 32), (0.75, 16)):
+                grid = build_time_grid(t, 1, n)
+                _, v1 = fd_random_pde(p1, grid, x_steps=60)
+                _, v2 = fd_random_pde(p2, grid, x_steps=60)
+                assert np.all(v1 <= v2 + 1e-12)
 
     def test_parabolicity_report(self):
         assert heat_problem().parabolicity_report(build_time_grid(0, 1, 8)) >= 0.0

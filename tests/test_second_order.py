@@ -706,8 +706,9 @@ class TestFeynmanKac:
                                 g=ZERO, volgrid=build_volatility_grid(0.5, 2.0, 5)), 1.7,
          ("-0x1.8000000000000p-53", "-0x1.8000000000000p-53", "0x0.0p+0",
           "0x1.68a1e72a2facdp-1", "-0x1.2b784cf74472bp-1")),
-        # a g that reads y and z, so both endpoints' g dW enter the residual
-        (16, 2.0, bsb_problem(g=lambda t, x, y, z: 0.3 * np.sin(y) + 0.1 * z), 2.0,
+        # a g that reads y and z, read Stratonovich, so both endpoints' g dW enter the residual
+        (16, 2.0, bsb_problem(g=lambda t, x, y, z: 0.3 * np.sin(y) + 0.1 * z,
+                              reading="stratonovich"), 2.0,
          ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.2c839087f2521p-1", "0x1.b0762fec9391bp-4")),
     ], ids=["suboptimal", "generator-sign", "g-of-y-and-z"])
     def test_report_keeps_its_pinned_bits(self, n, a, prob, slope, bits):
@@ -719,6 +720,29 @@ class TestFeynmanKac:
         rep = feynman_kac_residual(lambda t, x: x**2 + slope * (1.0 - t), du, d2u, prob, ens, w)
         assert tuple(float(v).hex() for v in (rep.min_k, rep.mean_k, rep.frac_negative,
                                               rep.mean_abs_residual, rep.mean_residual)) == bits
+
+    def test_residual_reads_g_dw_as_the_problem_does(self):
+        # the registry's bsb_doss is read Ito (g = y/2, F = y/8) and is the Stratonovich
+        # equation F = 0, g = y/2 converted; u = e^{(W_T - W_t)/2} (x^2 + 2 (T - t)) solves
+        # both, and each residual reads g dW as its own solve does.  On one W path the two
+        # readings' sums differ by about (sum dW^2 - T) y / 8 (strong order 1/2); g dW
+        # read at the midpoint on the Ito-read problem left -0.364 and -0.427 here.
+        ito = REGISTRY["bsb_doss"].equation(ExperimentConfig.from_defaults())
+        strat = replace(ito, F=FZERO, reading="stratonovich")
+        reps = {}
+        for n in (64, 256):
+            grid = build_time_grid(0, 1, n)
+            w = sample_backward_path(grid, seed=3)
+            ens = sample_forward_ensemble(grid, 4000, 2.0, seed=8, x0=1.0)
+            s = lambda t, w=w, grid=grid: math.exp(0.5 * float(w.tail_increment(grid.index(t))))
+            u, du, d2u = (lambda t, x, s=s: s(t) * (x**2 + 2.0 * (1.0 - t)),
+                          lambda t, x, s=s: s(t) * 2.0 * x, lambda t, x, s=s: s(t) * 2.0 + 0.0 * x)
+            rep_ito, rep_strat = (feynman_kac_residual(u, du, d2u, p, ens, w) for p in (ito, strat))
+            qv_error = abs(float(np.sum(np.diff(w.values) ** 2)) - 1.0)
+            assert abs(rep_ito.mean_residual - rep_strat.mean_residual) < qv_error
+            assert rep_ito.mean_abs_residual == pytest.approx(rep_strat.mean_abs_residual, rel=0.1)
+            reps[n] = rep_ito
+        assert reps[64].mean_abs_residual / reps[256].mean_abs_residual > 1.4
 
     def test_wrong_candidate_leaves_o1_residual(self):
         # a candidate with the wrong time slope passes the rate check (the
