@@ -64,7 +64,9 @@ def _cmd_study(args):
         for rec in result.records:
             err = "" if rec.abs_error is None else f"  abs_error = {rec.abs_error:.3e}"
             print(f"dt = {rec.dt:.6g}  y0 = {rec.quantities['y0']:.10g}{err}")
-        if result.fitted_order is not None:
+        if result.fitted_order is None:
+            print(f"fitted order: none ({result.no_order})")
+        else:
             print(f"fitted order: {result.fitted_order:.3f}")
         print(f"-> {path}")
     return 0

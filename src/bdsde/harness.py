@@ -19,7 +19,8 @@ from .classical import solve_regression, solve_tree
 from .config import ExperimentConfig
 from .doss import FlowCoefficient, build_y_lattice, solve_flow
 from .errors import ConfigError
-from .grids import BackwardPath, build_time_grid, build_tree, sample_forward_ensemble
+from .grids import (BackwardPath, build_time_grid, build_tree, sample_forward_ensemble,
+                    subsample_path)
 from .oracles import RandomPdeProblem, fd_random_pde
 from .problems import ProblemDef, backward_path_for, get_problem, grid_from
 from .reflected import solve_reflected
@@ -73,16 +74,15 @@ def write_csv(records, path_or_buffer, precision=17):
             fh.write(buf.getvalue())
 
 
-def _solve_paths(pdef: ProblemDef, cfg: ExperimentConfig, backend: str,
+def _solve_paths(pdef: ProblemDef, prob, cfg: ExperimentConfig, backend: str,
                  paths: list) -> tuple:
     """(quantities of path 0, y0 of every path) from one solve of all paths.
 
-    dp solves the problem's equation; tree, mc and reflected solve its
+    dp solves prob, pdef's equation; tree, mc and reflected solve its
     classical equation under the sole finite volatility; fd solves the PDE
     of its Hamiltonian on the dp lattice's domain, reading y0 at x0 as dp
     does.  The registry's FD problems carry no W, so fd solves its PDE once."""
     grid = paths[0].grid
-    prob = pdef.equation(cfg)
     if backend in ("tree", "mc", "reflected"):
         a_vals = prob.finite_volatilities()
         if len(a_vals) != 1:
@@ -113,7 +113,7 @@ def _solve_paths(pdef: ProblemDef, cfg: ExperimentConfig, backend: str,
         sol = solve_regression(classical, ens, paths, basis_degree=cfg.get("mc", "basis_degree"))
         out = {"y0": sol.y0, "projection_rms_max": float(sol.projection_rms.max(initial=0.0))}
     elif backend == "reflected":
-        sol = solve_reflected(classical, pdef.barrier(cfg), build_tree(grid, a, x0=pdef.x0), paths)
+        sol = solve_reflected(classical, pdef.barrier(grid), build_tree(grid, a, x0=pdef.x0), paths)
         out = {"y0": sol.y0, "k_terminal": sol.k.k_terminal, "skorokhod_sum": sol.skorokhod_sum}
     elif backend == "fd":
         domain = lattice_bounds(grid, prob.volgrid, pdef.x0, cfg.get("spatial", "span_sigmas"))
@@ -127,8 +127,9 @@ def _solve_paths(pdef: ProblemDef, cfg: ExperimentConfig, backend: str,
     return out, sol.y0_paths
 
 
-def run(cfg: ExperimentConfig) -> RunRecord:
-    """Execute one configured problem; compare to its oracle when it has one."""
+def run(cfg: ExperimentConfig, paths: Optional[list] = None) -> RunRecord:
+    """Execute one configured problem on the W ensemble paths (by default path k
+    sampled with seed w_seed + k); compare to its oracle when it has one."""
     t_start = time.perf_counter()
     cfg.validate()
     pdef = get_problem(cfg.get("problem", "name"))
@@ -139,10 +140,11 @@ def run(cfg: ExperimentConfig) -> RunRecord:
     grid = grid_from(cfg)
     w_seed = cfg.get("seeds", "w_seed")
     m = cfg.get("seeds", "w_ensemble")
-    # path k of the W ensemble keeps seed w_seed + k; the record reports path 0
-    paths = [backward_path_for(pdef, grid, w_seed + k) for k in range(m)]
-    w = paths[0]
-    quantities, y0s = _solve_paths(pdef, cfg, backend, paths)
+    if paths is None:  # path k of the W ensemble keeps seed w_seed + k
+        paths = [backward_path_for(pdef, grid, w_seed + k) for k in range(m)]
+    w = paths[0]  # the record reports path 0
+    prob = pdef.equation(cfg)
+    quantities, y0s = _solve_paths(pdef, prob, cfg, backend, paths)
     if m > 1:
         dev = np.asarray(y0s) - y0s[0]  # deviations from path 0: exactly 0 where paths agree
         quantities["y0_w_mean"] = float(y0s[0] + np.mean(dev))
@@ -150,7 +152,7 @@ def run(cfg: ExperimentConfig) -> RunRecord:
 
     oracle = abs_error = tolerance_ok = None
     if pdef.oracle is not None:
-        oracle = float(pdef.oracle(cfg, w))
+        oracle = float(pdef.oracle(prob, w, pdef.x0))
         abs_error = abs(quantities["y0"] - oracle)
     tol = cfg.get("tolerances", "y0_rel")
     if tol is not None:
@@ -160,7 +162,7 @@ def run(cfg: ExperimentConfig) -> RunRecord:
         tolerance_ok = abs_error <= tol * max(abs(oracle), 1e-12)
 
     return RunRecord(config_hash=cfg.config_hash, problem=pdef.name, backend=backend,
-                     dt=grid.dt, seed_w=w_seed, seed_b=cfg.get("seeds", "b_seed"),
+                     dt=w.grid.dt, seed_w=w_seed, seed_b=cfg.get("seeds", "b_seed"),
                      quantities=quantities, oracle=oracle, abs_error=abs_error,
                      tolerance_ok=tolerance_ok,
                      wall_time=time.perf_counter() - t_start,
@@ -171,6 +173,18 @@ def run(cfg: ExperimentConfig) -> RunRecord:
 class StudyResult:
     records: list
     fitted_order: Optional[float]
+    no_order: str = ""                # why fitted_order is None
+
+
+def _study(records) -> StudyResult:
+    """records with the slope of log error on log dt, fitted only if every
+    level's error is above 1e-13 and below the previous level's."""
+    errs = np.array([np.nan if r.abs_error is None else r.abs_error for r in records])
+    why = ("no oracle" if not np.all(np.isfinite(errs)) else
+           "an error is at rounding level (<= 1e-13)" if not np.all(errs > 1e-13) else
+           "the error does not fall at every level" if not np.all(np.diff(errs) < 0) else "")
+    order = None if why else float(np.polyfit(np.log([r.dt for r in records]), np.log(errs), 1)[0])
+    return StudyResult(records=records, fitted_order=order, no_order=why)
 
 
 def _halvings(halvings) -> int:
@@ -185,30 +199,28 @@ def _halvings(halvings) -> int:
 def convergence_study(cfg: ExperimentConfig, halvings: int = 3) -> StudyResult:
     """Repeat the run with dt halved per round; spatial resolution follows dt
     (lattice spacing proportional to the step) and path counts quadruple.
+    Each W seed's path is sampled once, on the finest round's grid, and every
+    round solves its restriction: the rounds refine one driver.
 
     The fd backend's explicit step needs 2 D dt <= dx^2, so there each round
     quarters dt while x_steps doubles: every round keeps round 0's dt / dx^2,
     and so its stability margin."""
     halvings = _halvings(halvings)
-    base_n = cfg.get("grid", "n_steps")
-    base_x = cfg.get("spatial", "x_steps")
-    base_paths = cfg.get("mc", "n_paths")
+    cfg.validate()
     refine = 4 if cfg.get("problem", "backend") == "fd" else 2
-    records = []
+    levels = []
     for k in range(halvings):
         level = ExperimentConfig(values={s: dict(v) for s, v in cfg.values.items()})
-        level.set("grid", "n_steps", base_n * refine**k)
-        level.set("spatial", "x_steps", base_x * 2**k)
-        level.set("mc", "n_paths", base_paths * 4**k)
-        records.append(run(level))
-
-    order = None
-    errs = np.array([r.abs_error if r.abs_error is not None else np.nan
-                     for r in records])
-    if np.all(np.isfinite(errs)) and np.all(errs > 1e-13):
-        dts = np.array([r.dt for r in records])
-        order = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
-    return StudyResult(records=records, fitted_order=order)
+        level.set("grid", "n_steps", cfg.get("grid", "n_steps") * refine**k)
+        level.set("spatial", "x_steps", cfg.get("spatial", "x_steps") * 2**k)
+        level.set("mc", "n_paths", cfg.get("mc", "n_paths") * 4**k)
+        levels.append(level)
+    pdef, w_seed = get_problem(cfg.get("problem", "name")), cfg.get("seeds", "w_seed")
+    finest = [backward_path_for(pdef, grid_from(levels[-1]), w_seed + k)
+              for k in range(cfg.get("seeds", "w_ensemble"))]
+    records = [run(level, [subsample_path(w, refine ** (halvings - 1 - k)) for w in finest])
+               for k, level in enumerate(levels)]
+    return _study(records)
 
 
 def _flow_eta0(n: int, straight: bool = False) -> float:
@@ -244,9 +256,7 @@ def flow_order_study(halvings: int = 3, base_n: int = 32) -> StudyResult:
             dt=grid.dt, seed_w=-1, seed_b=-1, quantities={"y0": float(val)},
             oracle=float(ref_val), abs_error=float(abs(val - ref_val)), tolerance_ok=None,
             wall_time=0.0))
-    errs, dts = [r.abs_error for r in records], [r.dt for r in records]
-    order = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
-    return StudyResult(records=records, fitted_order=order)
+    return _study(records)
 
 
 # ---------------------------------------------------------------------------

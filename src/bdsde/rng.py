@@ -1,10 +1,12 @@
 """Counter-based random streams.
 
-All sampling in the package goes through keyed Philox streams so that a
-(seed, stream) pair pins the draws exactly, independently of how work is
-partitioned across workers.  Path ensembles are generated in fixed-size
-blocks; block b of seed s always uses the stream keyed by (s, b + 1), so the
-assembled arrays are bitwise identical for any worker count.
+Keyed Philox streams pin the solvers' draws, the W paths
+(grids.sample_backward_path), forward ensembles and the regression's phantom
+step (blocked_normals): a (seed, stream) pair fixes them for any worker count.
+The sampled checks (generators._node_draws, doss.derivative_identity_report)
+and the comparison and conjugate-order suites use np.random.default_rng(seed).
+Ensembles come in fixed-size blocks; block b of seed s always uses the stream
+keyed by (s, b + 1), so the assembled arrays are bitwise identical.
 """
 
 from __future__ import annotations

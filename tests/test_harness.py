@@ -20,6 +20,7 @@ from bdsde.harness import (
     run,
     write_csv,
 )
+from bdsde.grids import build_time_grid, subsample_path
 from bdsde.problems import REGISTRY, backward_path_for, grid_from
 from bdsde.second_order import DpOptions, minimality_gap, solve_dp
 
@@ -236,10 +237,35 @@ class TestRegistry:
 
     def test_classical_backend_refuses_a_volatility_band(self):
         cfg = cfg_for("bsb_quadratic", "tree")
-        paths = [backward_path_for(REGISTRY["bsb_quadratic"], grid_from(cfg), 7)]
+        pdef = REGISTRY["bsb_quadratic"]
+        paths = [backward_path_for(pdef, grid_from(cfg), 7)]
         for backend in ("tree", "mc", "reflected"):
             with pytest.raises(ConfigError, match="one finite volatility"):
-                harness._solve_paths(REGISTRY["bsb_quadratic"], cfg, backend, paths)
+                harness._solve_paths(pdef, pdef.equation(cfg), cfg, backend, paths)
+
+    # a band of one point is the volatility set {a_low}: the solve and its oracle both read it
+    SINGLETON = {"volgrid.a_low": 0.5, "volgrid.a_high": 2.0, "volgrid.n_points": 1}
+
+    def test_oracle_prices_the_solved_singleton_band(self):
+        rec = run(cfg_for("bsb_quadratic", "dp", **self.SINGLETON,
+                          **{"spatial.x_steps": 100, "tolerances.y0_rel": 1e-9}))
+        assert rec.quantities["y0"] == 1.5
+        assert rec.oracle == pytest.approx(1.5, rel=1e-12)
+        assert rec.tolerance_ok is True
+
+    def test_doss_oracle_reads_the_solved_band_path_and_start(self):
+        cfg = cfg_for("bsb_doss", "dp", **self.SINGLETON, **{"grid.horizon": 1.5})
+        pdef, grid = REGISTRY["bsb_doss"], grid_from(cfg)
+        w = backward_path_for(pdef, grid, 3)
+        for x0 in (pdef.x0, -0.7):
+            assert pdef.oracle(pdef.equation(cfg), w, x0) == pytest.approx(
+                np.exp(w.values[-1] / 2) * (x0**2 + 0.5 * 1.5), rel=1e-14)
+
+    def test_heat_oracle_reads_the_start_and_the_horizon(self):
+        cfg = cfg_for("heat_quadratic", "tree", **{"grid.t0": 0.25, "grid.horizon": 2.0})
+        pdef, grid = REGISTRY["heat_quadratic"], grid_from(cfg)
+        w = backward_path_for(pdef, grid, 7)
+        assert pdef.oracle(pdef.equation(cfg), w, 1.3) == pytest.approx(1.3**2 + 1.75, rel=1e-15)
 
 
 class TestCsvDeterminism:
@@ -300,6 +326,32 @@ class TestStudies:
                                         **{"spatial.x_steps": 60}), halvings=3)
         assert [r.dt for r in res.records] == [0.02, 0.005, 0.00125]
         assert all(r.abs_error < 1e-2 for r in res.records)
+        # the central difference is exact on x^2: the errors are truncation noise
+        # (about 1e-10, not falling), and no order is fitted to them
+        assert res.fitted_order is None
+        assert res.no_order == "the error does not fall at every level"
+
+    def test_study_refines_one_driver(self):
+        # every level solves the restriction of one path on the finest grid, so
+        # the pathwise oracle is one number for the whole study
+        cfg = cfg_for("bsb_doss", "dp", n_steps=4, **{"spatial.x_steps": 20})
+        res = convergence_study(cfg, halvings=3)
+        pdef = REGISTRY["bsb_doss"]
+        fine = backward_path_for(pdef, build_time_grid(0.0, 1.0, 16), 7)
+        for k, rec in enumerate(res.records):
+            w = subsample_path(fine, 2 ** (2 - k))
+            sol = solve_dp(pdef.equation(cfg), w.grid, w, x0=pdef.x0,
+                           opts=DpOptions(x_steps=20 * 2**k))
+            assert rec.dt == w.grid.dt and rec.quantities["y0"] == sol.y0
+        assert len({rec.oracle for rec in res.records}) == 1
+
+    def test_study_prints_why_it_fits_no_order(self, tmp_path, capsys):
+        p = tmp_path / "identity.ini"
+        p.write_text("[problem]\nname = identity\nbackend = tree\n[grid]\nn_steps = 8\n")
+        assert main(["study", "--config", str(p), "--out", str(tmp_path / "o.csv"),
+                     "--halvings", "2"]) == 0
+        assert "fitted order: none (an error is at rounding level (<= 1e-13))" in \
+            capsys.readouterr().out
 
     def test_flow_study_starts_at_the_configured_step_count(self, tmp_path):
         p = tmp_path / "flow.ini"
