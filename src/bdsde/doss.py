@@ -314,8 +314,9 @@ def derivative_identity_report(flow: FlowField, inv: FlowField,
     h = xs[1] - xs[0]
     for i in (0, n // 2, n):
         t = flow.grid.time(i)
-        psi = lambda xv: flow.eval(("eta",), i, xv, phi(t, xv))[0]
-        lhs = (psi(xs_in + h) - psi(xs_in - h)) / (2 * h)
+        xv = xs_in + [[h], [-h]]  # the pair x +- h in one eval
+        psi_up, psi_dn = flow.eval(("eta",), i, xv, phi(t, xv))[0]
+        lhs = (psi_up - psi_dn) / (2 * h)
         d_x, d_y = flow.eval(("d_x", "d_y"), i, xs_in, phi(t, xs_in))
         rhs = d_x + d_y * dphi(t, xs_in)
         record("chain_dx", lhs - rhs)

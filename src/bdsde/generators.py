@@ -6,9 +6,8 @@ grid to obtain F_conj(t, x, y, z, a).  A TbdsdeProblem with F = -F_conj
 conjugates it back over its volatility grid: second_order.hamiltonian of
 that problem is the effective (convex, nondecreasing) Hamiltonian actually
 solved, since the solver adds its F.
-A numeric code needs an explicit blow-up rule for the extended-real F: the
-grid supremum is probed on geometrically extended curvature grids and a
-+inf sentinel is returned once it keeps growing past a threshold.
+The extended-real F is +inf where the grid supremum keeps growing past a
+threshold on geometrically extended curvature grids.
 """
 
 from __future__ import annotations
@@ -31,7 +30,10 @@ FD_STEP = 1.0e-5
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """h(t, x, y, z, gamma) with a finite curvature grid (d = 1 scalars)."""
+    """h(t, x, y, z, gamma) with a finite curvature grid (d = 1 scalars).  One h call
+    takes a point set, gamma along a new leading axis of the points' broadcast
+    shape; its result is broadcast to that stacked shape, so h may ignore an
+    argument or return a scalar."""
 
     h: Callable
     gamma_domain: np.ndarray
@@ -46,56 +48,52 @@ class HamiltonianSpec:
 
 
 def fenchel_conjugate(spec: HamiltonianSpec, state, a: float) -> float:
-    """sup over the curvature grid of (a*gamma/2 - h); +inf when unbounded.
-
-    Unboundedness is detected by re-evaluating the supremum on curvature
-    grids with geometrically extended span: if it keeps growing and exceeds
-    BLOWUP_THRESHOLD on two successive extensions, the conjugate is treated
-    as +inf at this (state, a).  This is the conjugate layer's convention,
-    h = sup_a (a gamma / 2 - F_conj(a)); the solver's Hamiltonian adds its F
-    (second_order.hamiltonian), so it takes F = -F_conj.
-    """
-    if a <= 0:
-        raise InvalidArgumentError("a must be positive definite")
-    t, x, y, z = state
-    gam = spec.gamma_domain
-    vals = 0.5 * a * gam - spec.h(t, x, y, z, gam)
-    best = float(np.max(vals))
-
-    span = max(abs(gam[0]), abs(gam[-1]), 1.0)
-    prev = best
-    hits = 0
-    for _ in range(12):
-        span *= 4.0
-        probe = np.linspace(-span, span, 129)
-        v = float(np.max(0.5 * a * probe - spec.h(t, x, y, z, probe)))
-        if v > BLOWUP_THRESHOLD:
-            hits += 1
-            if hits >= 2:
-                return math.inf
-        if v <= prev * (1 + 1e-12) + 1e-12:
-            break
-        prev = v
-    return best
+    """sup over the curvature grid of (a*gamma/2 - h) at one (state, a), +inf
+    when unbounded: the one-point case of `make_conjugate_map`."""
+    return float(make_conjugate_map(spec)(*state, a))
 
 
 def make_conjugate_map(spec: HamiltonianSpec) -> Callable:
     """Vectorized F_conj(t, x, y, z, a) built by grid conjugation of h.
 
-    a broadcasts with x, y and z, and each entry is conjugated at its own a.
-    A TbdsdeProblem whose Hamiltonian is h takes F = -make_conjugate_map(spec),
+    a broadcasts with x, y and z, and each point is conjugated at its own a
+    (a <= 0 raises InvalidArgumentError): one h call on the gamma domain, then
+    up to 12 on geometrically extended grids over the points whose supremum
+    still grows.  A point keeps its domain supremum, or is +inf once its
+    extended supremum has exceeded BLOWUP_THRESHOLD twice.  This is the
+    conjugate layer's convention, h = sup_a (a gamma / 2 - F_conj(a)); a
+    TbdsdeProblem whose Hamiltonian is h takes F = -make_conjugate_map(spec),
     because second_order.hamiltonian adds F: max_a (a gamma / 2 + F(a)), the
     conjugate of F_conj over the problem's volatility grid.
     """
 
+    def sup(t, x, y, z, a, gam):
+        # h at every (gamma, point), broadcast back to the stacked shape
+        h = np.asarray(spec.h(t, x, y, z, gam), dtype=float)
+        return np.max(0.5 * a * gam - np.broadcast_to(h, gam.shape[:1] + a.shape), axis=0)
+
     def F(t, x, y, z, a):
         # a leading path axis of y and z, and a column a, broadcast over the states x
         x, y, z, a = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, z, a)))
-        out = np.empty(x.shape)
-        for idx in np.ndindex(x.shape):
-            out[idx] = fenchel_conjugate(
-                spec, (t, x[idx], y[idx], z[idx]), float(a[idx]))
-        return out
+        if np.any(a <= 0):
+            raise InvalidArgumentError("a must be positive definite")
+        gam, shape = spec.gamma_domain, a.shape
+        out = sup(t, x, y, z, a, gam.reshape(gam.shape + (1,) * a.ndim)).reshape(-1)
+        # the points still undecided, with their last supremum and blow-up count
+        idx, prev, hits = np.arange(out.size), out.copy(), np.zeros(out.size, dtype=int)
+        x, y, z, a = (v.reshape(-1) for v in (x, y, z, a))
+        span = max(abs(gam[0]), abs(gam[-1]), 1.0)
+        for _ in range(12):
+            if not idx.size:
+                break
+            span *= 4.0
+            probe = np.linspace(-span, span, 129)[:, None]
+            v = sup(t, x[idx], y[idx], z[idx], a[idx], probe)
+            hits = hits + (v > BLOWUP_THRESHOLD)
+            out[idx[hits >= 2]] = math.inf
+            live = (hits < 2) & ~(v <= prev * (1 + 1e-12) + 1e-12)  # a NaN sup stays undecided
+            idx, prev, hits = idx[live], v[live], hits[live]
+        return out.reshape(shape)
 
     return F
 

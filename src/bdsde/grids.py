@@ -283,18 +283,18 @@ def sample_forward_ensemble(grid: TimeGrid, n_paths: int, control, seed: int,
 
     Step i's increment of path p is sqrt(dt) * (sqrt(a_i) * z[p, i]), z the
     `rng.blocked_normals` draws of shape (n_paths, n_steps) for seed, and the
-    states are x0 plus their running sums.  Each Philox block of z is summed
-    into the states as it is drawn, so no increments or whole z are held.
+    states are x0 plus their running sums.  Each Philox block of z is scaled
+    and summed in place as it is drawn, so no increments or whole z are held.
     """
     n_paths, x0 = _count(n_paths, "n_paths"), _start(x0)
     a = _step_controls(control, grid.n_steps)
     states = np.zeros((grid.n_steps + 1, n_paths))
 
     def fill(lo, hi, z):
-        block = states[:, lo:hi]  # summed row by row: np.cumsum along axis 0 strides
-        for i in range(grid.n_steps):
-            np.add(block[i], np.sqrt(a[i]) * z[:, i] * np.sqrt(grid.dt), out=block[i + 1])
-        block += x0
+        z *= np.sqrt(a)
+        z *= np.sqrt(grid.dt)
+        states[1:, lo:hi] = np.cumsum(z, axis=1, out=z).T  # along each path's contiguous row
+        states[:, lo:hi] += x0
 
     rng.for_blocks(seed, n_paths, (grid.n_steps,), fill, workers)
     return PathEnsemble(grid=grid, n_paths=n_paths, control=a, states=states.T, seed=seed,

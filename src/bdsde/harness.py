@@ -22,7 +22,7 @@ from .errors import ConfigError
 from .grids import (BackwardPath, build_time_grid, build_tree, sample_forward_ensemble,
                     subsample_path)
 from .oracles import RandomPdeProblem, fd_random_pde
-from .problems import ProblemDef, backward_path_for, get_problem, grid_from
+from .problems import FZERO, ZERO, ProblemDef, backward_path_for, get_problem, grid_from
 from .reflected import solve_reflected
 from .second_order import DpOptions, hamiltonian, lattice_bounds, minimality_gap, solve_dp
 
@@ -308,8 +308,7 @@ def _suite_minimality(seed: int) -> PropertyResult:
     from .second_order import TbdsdeProblem
 
     violations = []
-    fz = lambda t, x, y, z, a: np.zeros_like(np.asarray(x, dtype=float))
-    prob1 = TbdsdeProblem(terminal=lambda x: x**2, F=fz, g=lambda t, x, y, z: 0.0 * x,
+    prob1 = TbdsdeProblem(terminal=lambda x: x**2, F=FZERO, g=ZERO,
                           volgrid=build_volatility_grid(1.0, 1.0, 1))
     grid = build_time_grid(0, 1, 16)
     w = sample_backward_path(grid, seed=seed)
@@ -317,7 +316,7 @@ def _suite_minimality(seed: int) -> PropertyResult:
     if gap != 0.0:
         violations.append({"case": "singleton", "gap": gap})
 
-    prob2 = TbdsdeProblem(terminal=lambda x: x**2, F=fz, g=lambda t, x, y, z: 0.0 * x,
+    prob2 = TbdsdeProblem(terminal=lambda x: x**2, F=FZERO, g=ZERO,
                           volgrid=build_volatility_grid(0.5, 2.0, 5))
     gaps = []
     for n, x_steps in ((16, 100), (32, 200)):
@@ -378,23 +377,18 @@ def _suite_skorokhod(seed: int) -> PropertyResult:
 
 
 def _suite_conjugate_order(seed: int) -> PropertyResult:
-    from .generators import HamiltonianSpec, fenchel_conjugate
+    from .generators import HamiltonianSpec, make_conjugate_map
 
-    rng = np.random.default_rng(seed)
-    gam = np.linspace(-8, 8, 801)
-    violations = []
+    # instance k draws (c, bump, a): h1 = c g^2 / 2 <= h2 = h1 + bump, conjugated at a
+    # in one call per Hamiltonian, with c and bump riding in the x and y slots
     n_inst = 100
-    for k in range(n_inst):
-        c = float(rng.uniform(0.1, 2.0))
-        bump = float(rng.uniform(0.0, 1.5))
-        a = float(rng.uniform(0.2, 3.0))
-        s1 = HamiltonianSpec(h=lambda t, x, y, z, g, c=c: c * g**2 / 2, gamma_domain=gam)
-        s2 = HamiltonianSpec(h=lambda t, x, y, z, g, c=c, b=bump: c * g**2 / 2 + b,
-                             gamma_domain=gam)
-        f1 = fenchel_conjugate(s1, (0, 0, 0, 0), a)
-        f2 = fenchel_conjugate(s2, (0, 0, 0, 0), a)
-        if f1 < f2 - 1e-12:
-            violations.append({"c": c, "bump": bump, "a": a, "f1": f1, "f2": f2})
+    c, bump, a = np.random.default_rng(seed).uniform([0.1, 0.0, 0.2], [2.0, 1.5, 3.0],
+                                                     (n_inst, 3)).T
+    gam, h1 = np.linspace(-8, 8, 801), lambda t, x, y, z, g: x * g**2 / 2
+    f1, f2 = (make_conjugate_map(HamiltonianSpec(h=h, gamma_domain=gam))(0.0, c, bump, 0.0, a)
+              for h in (h1, lambda t, x, y, z, g: h1(t, x, y, z, g) + y))
+    violations = [{"c": c[k], "bump": bump[k], "a": a[k], "f1": f1[k], "f2": f2[k]}
+                  for k in np.flatnonzero(f1 < f2 - 1e-12).tolist()]
     return PropertyResult("conjugate-order", not violations, n_inst, violations)
 
 

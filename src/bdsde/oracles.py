@@ -110,25 +110,32 @@ def linear_spde_closed_form(beta: float, phi, w: BackwardPath, t: float, x):
 
 @dataclass(frozen=True)
 class RandomPdeProblem:
-    """Backward PDE for the FD oracle; a frozen W enters only through its coefficients."""
+    """Backward PDE for the FD oracle; a frozen W enters only through its coefficients.
+    One hhat_tilde call takes a point set, a probe pair stacked along a new leading
+    axis of the points' broadcast shape; its result is broadcast to that stacked
+    shape, so hhat_tilde may ignore an argument or return a scalar."""
 
     hhat_tilde: Callable               # (t, x, y, z, gamma) -> array
     terminal: Callable
     x_domain: tuple
     boundary: Optional[Callable] = None  # (t, x) -> value; None = linear extrapolation
 
+    def _pair(self, t, x, y, z, gamma) -> np.ndarray:
+        """hhat_tilde on a stacked pair of point sets, as a (2, ...) float array."""
+        return np.broadcast_to(np.asarray(self.hhat_tilde(t, x, y, z, gamma), dtype=float),
+                               np.broadcast(x, y, z, gamma).shape)
+
     def parabolicity_report(self, grid: TimeGrid, n_samples: int = 100, seed: int = 0) -> float:
         """Worst decrease of hhat_tilde along sampled curvature lines (>= 0 wanted):
-        two calls per node of grid drawn by `generators._node_draws`, at its
-        samples' sorted curvatures gamma_lo <= gamma_hi."""
+        one call per node of grid drawn by `generators._node_draws`, at its
+        samples' sorted curvatures gamma_lo <= gamma_hi stacked as a pair."""
         rs, nodes = _node_draws(grid, n_samples, seed)
         x = rs.uniform(*self.x_domain, size=n_samples)
         y, z = rs.normal(size=(2, n_samples))
-        gam_lo, gam_hi = np.sort(3.0 * rs.normal(size=(2, n_samples)), axis=0)
+        gam = np.sort(3.0 * rs.normal(size=(2, n_samples)), axis=0)
         worst = 0.0
         for t, k in nodes:
-            lo, hi = (np.asarray(self.hhat_tilde(t, x[k], y[k], z[k], gam[k]), dtype=float)
-                      for gam in (gam_lo, gam_hi))
+            lo, hi = self._pair(t, x[k], y[k], z[k], gam[:, k])
             worst = min(worst, float(np.min(hi - lo)))
         return worst
 
@@ -140,9 +147,10 @@ def fd_random_pde(problem: RandomPdeProblem, grid: TimeGrid, x_steps: int):
     Returns (xs, v0), the level-0 row of x_steps + 1 values; the backward
     steps hold two rows, so memory is O(x_steps) whatever n_steps.  The
     curvature sensitivity is probed on the terminal data to enforce the
-    parabolic stability bound before stepping.  The first row that is not
-    finite raises NonFiniteError naming its step (the terminal row is step
-    n_steps) and its first bad node.
+    parabolic stability bound before stepping.  Each step calls hhat_tilde
+    twice: on its upwind probe pair, then at the chosen slope.  The first
+    row that is not finite raises NonFiniteError naming its step (the
+    terminal row is step n_steps) and its first bad node.
     """
     lo, hi = problem.x_domain
     xs = np.linspace(lo, hi, _count(x_steps, "x_steps", least=2) + 1)
@@ -155,8 +163,8 @@ def fd_random_pde(problem: RandomPdeProblem, grid: TimeGrid, x_steps: int):
     # stability probe: dt * 2 * dh/dgamma <= dx^2
     d2 = (cur[2:] - 2 * cur[1:-1] + cur[:-2]) / dx**2
     d1 = (cur[2:] - cur[:-2]) / (2 * dx)
-    h_up, h_dn = (np.asarray(problem.hhat_tilde(grid.horizon, xs[inner], cur[inner], d1, d2 + gam))
-                  for gam in (GAMMA_PROBE, -GAMMA_PROBE))
+    h_up, h_dn = problem._pair(grid.horizon, xs[inner], cur[inner], d1,
+                               d2 + [[GAMMA_PROBE], [-GAMMA_PROBE]])
     diffusivity = float(np.max((h_up - h_dn) / (2 * GAMMA_PROBE)))
     if diffusivity > 0 and dt * 2.0 * diffusivity > dx**2:
         raise StabilityError(
@@ -175,8 +183,7 @@ def fd_random_pde(problem: RandomPdeProblem, grid: TimeGrid, x_steps: int):
         fwd = (cur[2:] - cur[1:-1]) / dx
         bwd = (cur[1:-1] - cur[:-2]) / dx
         ctr = 0.5 * (fwd + bwd)
-        h_zp = np.asarray(problem.hhat_tilde(t_i, xs[inner], cur[inner], ctr + Z_PROBE, d2))
-        h_zm = np.asarray(problem.hhat_tilde(t_i, xs[inner], cur[inner], ctr - Z_PROBE, d2))
+        h_zp, h_zm = problem._pair(t_i, xs[inner], cur[inner], ctr + [[Z_PROBE], [-Z_PROBE]], d2)
         dz = np.where(h_zp - h_zm >= 0, fwd, bwd)  # monotone upwind choice
         row = np.empty(len(xs))
         row[inner] = cur[inner] + dt * np.asarray(

@@ -26,8 +26,8 @@ from .oracles import bsb_closed_form, linear_spde_closed_form
 from .reflected import Barrier
 from .second_order import TbdsdeProblem
 
-ZERO = lambda t, x, y, z: np.zeros_like(np.asarray(x, dtype=float))
-FZERO = lambda t, x, y, z, a: np.zeros_like(np.asarray(x, dtype=float))
+ZERO = lambda t, x, y, z: 0.0     # an absent g: the number 0 broadcasts
+FZERO = lambda t, x, y, z, a: 0.0  # an absent F
 
 
 @dataclass(frozen=True)

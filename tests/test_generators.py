@@ -88,6 +88,35 @@ class TestConjugateMap:
         assert rows[1] == pytest.approx(1.0 / (8 * (1 + x * x)) - y * z, abs=1e-4)
 
 
+    def test_point_set_equals_per_point_conjugates(self):
+        # a (V, nodes) point set: volatilities outside the envelope's band [0.5, 2]
+        # are +inf, those inside keep their domain supremum; h ignores x
+        seen = []
+        h = lambda t, x, y, z, g: 0.5 * np.maximum(0.5 * g, 2.0 * g) + np.sin(y) * z
+        spec = HamiltonianSpec(h=lambda *args: seen.append(1) or h(*args), gamma_domain=grid())
+        x = np.linspace(-1.0, 1.0, 7)
+        y, z = np.cos(3 * x), x**2 - 0.3
+        a = np.array([0.3, 0.5, 0.8, 1.3, 2.0, 2.6])[:, None]
+        out = make_conjugate_map(spec)(0.4, x, y, z, a)
+        assert 1 <= len(seen) <= 13
+        assert out.shape == (6, 7)
+        per_point = np.array([[fenchel_conjugate(spec, (0.4, x[j], y[j], z[j]), float(a[k, 0]))
+                               for j in range(7)] for k in range(6)])
+        assert np.array_equal(out, per_point)
+        inside = (a[:, 0] >= 0.5) & (a[:, 0] <= 2.0)
+        assert np.isinf(out[~inside]).all() and np.isfinite(out[inside]).all()
+        # a bounded point keeps the supremum over the domain itself
+        dom = grid()[:, None, None]
+        assert np.array_equal(out[inside], np.max(
+            0.5 * a[inside] * dom - h(0.4, x, y, z, dom), axis=0))
+
+    def test_refuses_a_volatility_that_is_not_positive(self):
+        F = make_conjugate_map(HamiltonianSpec(h=lambda t, x, y, z, g: g**2 / 2,
+                                               gamma_domain=grid()))
+        with pytest.raises(InvalidArgumentError, match="a must be positive definite"):
+            F(0.0, np.zeros(3), 0.0, 0.0, np.array([1.0, 0.0, 2.0]))
+
+
 class TestBiconjugate:
     """The problem's hamiltonian conjugates its F back over the volatility grid."""
 
@@ -284,9 +313,8 @@ class TestValidateAssumptions:
         assume(grid.horizon != 1.0)
         seen = self.spied_checks(grid, n_samples, seed)
         nodes = {name: [grid.index(t) for t in times] for name, times in seen.items()}
-        # once per drawn node for g and F, twice for hhat_tilde (gamma_lo, gamma_hi)
-        assert nodes["g"] == nodes["F"] == sorted(set(nodes["g"]))
-        assert len(nodes["hhat_tilde"]) == 2 * len(set(nodes["hhat_tilde"]))
+        # once per drawn node for g, F and hhat_tilde (its gamma_lo, gamma_hi pair stacked)
+        assert nodes["g"] == nodes["F"] == nodes["hhat_tilde"] == sorted(set(nodes["g"]))
 
     def test_a_long_horizon_is_sampled_to_its_end(self):
         grid = build_time_grid(2.0, 7.0, 4)

@@ -92,6 +92,29 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"\[{sec}\] {key}"):
             run(cfg_for("identity", "tree", n_steps=4, **{f"{sec}.{key}": float(value)}))
 
+    def test_missing_file_rejected(self, tmp_path):
+        p = tmp_path / "absent.ini"
+        with pytest.raises(ConfigError, match=f"config file not found: {p}"):
+            ExperimentConfig.from_file(p)
+
+    def test_unknown_override_section_rejected(self):
+        with pytest.raises(ConfigError, match=r"unknown section \[grids\]"):
+            ExperimentConfig.from_defaults(**{"grids.n_steps": 4})
+
+    def test_unparsable_value_rejected(self, tmp_path):
+        p = tmp_path / "bad.ini"
+        p.write_text("[problem]\nname = identity\nbackend = tree\n[grid]\nn_steps = abc\n")
+        with pytest.raises(ConfigError, match=r"\[grid\] n_steps: cannot parse 'abc' as int"):
+            ExperimentConfig.from_file(p)
+
+    @pytest.mark.parametrize("horizon", ["1.0", "0.5"])
+    def test_horizon_not_after_t0_rejected(self, tmp_path, horizon):
+        p = tmp_path / "bad.ini"
+        p.write_text("[problem]\nname = identity\nbackend = tree\n"
+                     f"[grid]\nn_steps = 4\nt0 = 1.0\nhorizon = {horizon}\n")
+        with pytest.raises(ConfigError, match=r"\[grid\] horizon must exceed t0"):
+            ExperimentConfig.from_file(p)
+
     def test_hash_stable_under_key_order(self, tmp_path):
         a = tmp_path / "a.ini"
         b = tmp_path / "b.ini"
@@ -418,6 +441,59 @@ class TestCli:
                              "[tolerances]\ny0_rel = 0.0001\n")
         out = str(tmp_path / "out.csv")
         assert main(["--quiet", "run", "--config", cfg, "--out", out]) == 2
+
+    def test_run_prints_y0_oracle_error_and_path(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, "[problem]\nname = classical_bdsde_linear\n"
+                             "backend = tree\n[grid]\nn_steps = 32\n")
+        out = str(tmp_path / "out.csv")
+        assert main(["run", "--config", cfg, "--out", out]) == 0
+        line = capsys.readouterr().out
+        assert line.startswith("classical_bdsde_linear [tree] y0 = ")
+        assert "  oracle = " in line and "  abs_error = " in line
+        assert line.endswith(f" -> {out}\n")
+
+    def test_seed_overrides_w_seed(self, tmp_path):
+        body = "[problem]\nname = linear_spde\nbackend = tree\n[grid]\nn_steps = 8\n"
+        default = self.write_cfg(tmp_path, body)
+        seeded = tmp_path / "seeded.ini"
+        seeded.write_text(body + "[seeds]\nw_seed = 3\n")
+        csvs = {}
+        for name, argv in (("flag", ["--config", default, "--seed", "3"]),
+                           ("config", ["--config", str(seeded)]),
+                           ("default", ["--config", default])):
+            out = tmp_path / f"{name}.csv"
+            assert main(["--quiet", "run", *argv, "--out", str(out)]) == 0
+            csvs[name] = out.read_bytes()
+        assert csvs["flag"] == csvs["config"] != csvs["default"]
+
+    def test_tolerance_failure_reported_on_stderr(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, "[problem]\nname = classical_bdsde_linear\n"
+                             "backend = tree\n[grid]\nn_steps = 2\n"
+                             "[tolerances]\ny0_rel = 0.0001\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err == "tolerance check FAILED\n"
+
+    def test_study_prints_its_fitted_order(self, tmp_path, capsys):
+        # the linear tree study is first order, and --seed reaches the study too
+        cfg = self.write_cfg(tmp_path, "[problem]\nname = classical_bdsde_linear\n"
+                             "backend = tree\n[grid]\nn_steps = 16\n")
+        out = tmp_path / "study.csv"
+        assert main(["study", "--config", cfg, "--seed", "4", "--halvings", "3",
+                     "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 5 and lines[-1] == f"-> {out}"
+        assert lines[-2].startswith("fitted order: ") and \
+            float(lines[-2].removeprefix("fitted order: ")) == pytest.approx(1.0, abs=0.1)
+        with open(out, newline="") as fh:
+            assert {row["seed_w"] for row in csv.DictReader(fh)} == {"4"}
+
+    def test_props_failure_exits_2_with_its_instance(self, monkeypatch, capsys):
+        failing = harness.PropertyResult("comparison", False, 3, [{"instance": 7}])
+        monkeypatch.setitem(harness.PROPERTY_SUITES, "comparison", lambda seed: failing)
+        assert main(["props", "comparison"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "comparison: FAIL (3 instances)\n"
+        assert captured.err == '  minimal reproducing instance: [{"instance": 7}]\n'
 
     def test_malformed_config_exit_1(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, "[problem]\nname = identity\nbackend = tree\n")

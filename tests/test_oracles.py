@@ -136,6 +136,12 @@ def quartic_problem():
         boundary=lambda t, x: heat_semigroup([0.0, 0.0, 0.0, 0.0, 1.0], 1.0, 1.0 - t)(x))
 
 
+def drift_problem():
+    # reads z with a sign that changes across the domain, so the upwind pair decides
+    return RandomPdeProblem(hhat_tilde=lambda t, x, y, z, gam: 0.5 * gam + 0.4 * np.sin(x) * z,
+                            terminal=lambda x: x**2, x_domain=(-6.0, 6.0))
+
+
 def bsb_fd_problem():
     return RandomPdeProblem(
         hhat_tilde=bsb_hhat(), terminal=lambda x: x**2, x_domain=(-9.0, 11.0),
@@ -189,13 +195,26 @@ class TestFdRandomPde:
 
     @pytest.mark.parametrize("problem, n, x_steps", [
         (heat_problem(), 64, 64), (quartic_problem(), 64, 48), (bsb_fd_problem(), 256, 100),
-    ], ids=["heat", "quartic-boundary", "bsb-hhat"])
+        (drift_problem(), 64, 48),
+    ], ids=["heat", "quartic-boundary", "bsb-hhat", "z-drift"])
     def test_level_0_is_the_full_tables_row_0(self, problem, n, x_steps):
         grid = build_time_grid(0, 1, n)
         xs, v0 = fd_random_pde(problem, grid, x_steps)
         ref_xs, ref = full_table_fd(problem, grid, x_steps)
         assert v0.shape == (x_steps + 1,)
         assert xs.tobytes() == ref_xs.tobytes() and v0.tobytes() == ref[0].tobytes()
+
+    def test_calls_hhat_tilde_twice_per_step(self):
+        # the stability pair at the horizon, then each step's upwind probe pair and
+        # its step at the chosen slope, each pair stacked into one call
+        seen = []
+        h = drift_problem().hhat_tilde
+        prob = RandomPdeProblem(hhat_tilde=lambda t, *args: seen.append(t) or h(t, *args),
+                                terminal=lambda x: x**2, x_domain=(-6.0, 6.0))
+        grid = build_time_grid(0, 1, 64)
+        fd_random_pde(prob, grid, x_steps=48)
+        assert len(seen) == 2 * grid.n_steps + 1
+        assert seen == [1.0] + [grid.time(i) for i in range(grid.n_steps, 0, -1) for _ in "ab"]
 
     def test_holds_rows_not_the_table(self):
         # at (2000, 400) the (n_steps + 1, x_steps + 1) table alone was 6.4 MB
